@@ -1,8 +1,8 @@
 //! Allocation-trajectory timings: runs the EWF and DCT allocations at
 //! fixed seeds — once sequentially (`threads = 1`, the legacy multi-seed
-//! loop), once as a parallel portfolio, and once per inner-loop protocol
-//! (plain sequential vs speculative move batches on a single chain) — and
-//! writes `BENCH_alloc.json` at the repository root.
+//! loop), once as a parallel portfolio, and once as a single chain
+//! (`inner-sequential`, the inner loop's own throughput) — and writes
+//! `BENCH_alloc.json` at the repository root.
 //!
 //! The JSON carries two sections (schema documented in EXPERIMENTS.md):
 //!
@@ -51,7 +51,6 @@ struct Record {
     seed: u64,
     threads: usize,
     chains: usize,
-    batch: Option<usize>,
     completed: usize,
     cutoff: usize,
     wall_secs: f64,
@@ -72,20 +71,17 @@ fn run(
     effort: Effort,
     chains: usize,
     threads: usize,
-    batch: Option<usize>,
 ) -> Record {
     let library = FuLibrary::standard();
     let schedule = fds_schedule(graph, &library, steps).unwrap_or_else(|e| panic!("{name}: {e}"));
     let start = Instant::now();
-    let mut allocator = Allocator::new(graph, &schedule, &library)
+    let result = Allocator::new(graph, &schedule, &library)
         .seed(seed)
         .config(effort.config(MoveSet::full()))
         .restarts(chains)
-        .threads(threads);
-    if let Some(k) = batch {
-        allocator = allocator.batch(k);
-    }
-    let result = allocator.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        .threads(threads)
+        .run()
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     let wall_secs = start.elapsed().as_secs_f64();
     Record {
         name,
@@ -94,7 +90,6 @@ fn run(
         seed,
         threads,
         chains,
-        batch,
         completed: result.portfolio.completed(),
         cutoff: result.portfolio.abandoned(),
         wall_secs,
@@ -175,7 +170,6 @@ fn cluster_run(
         seed,
         threads: workers.max(1),
         chains,
-        batch: None,
         completed: field(&["portfolio", "completed"]) as usize,
         cutoff: field(&["portfolio", "cutoff"]) as usize,
         wall_secs,
@@ -212,9 +206,6 @@ fn record_json(r: &Record) -> String {
         r.moves_per_sec,
         r.verified
     );
-    if let Some(k) = r.batch {
-        let _ = write!(row, ", \"batch\": {k}");
-    }
     if let Some(s) = r.speedup_vs_sequential {
         let _ = write!(row, ", \"speedup_vs_sequential\": {s:.2}");
     }
@@ -248,23 +239,14 @@ fn main() {
     ];
     let mut records = Vec::new();
     for (name, graph, steps, seed) in &cases {
-        let seq = run(name, "sequential", graph, *steps, *seed, effort, chains, 1, None);
-        let mut par = run(name, "portfolio", graph, *steps, *seed, effort, chains, threads, None);
+        let seq = run(name, "sequential", graph, *steps, *seed, effort, chains, 1);
+        let mut par = run(name, "portfolio", graph, *steps, *seed, effort, chains, threads);
         par.speedup_vs_sequential = Some(seq.wall_secs / par.wall_secs.max(1e-9));
         records.push(seq);
         records.push(par);
 
-        // The inner-loop protocol comparison on a single chain: the plain
-        // sequential accept loop vs speculative batches of 8 graded by
-        // `--threads` evaluators. Same seed; the batched trajectory is its
-        // own deterministic function of (seed, batch), so costs may differ.
-        let inner = run(name, "inner-sequential", graph, *steps, *seed, effort, 1, 1, None);
-        let mut batched =
-            run(name, "inner-batched", graph, *steps, *seed, effort, 1, threads, Some(8));
-        batched.speedup_vs_sequential =
-            Some(batched.moves_per_sec / inner.moves_per_sec.max(1e-9));
-        records.push(inner);
-        records.push(batched);
+        // The inner loop's own throughput: one chain, one thread.
+        records.push(run(name, "inner-sequential", graph, *steps, *seed, effort, 1, 1));
 
         // The distributed path: the identical job run locally and on
         // loopback clusters of one and two workers. Costs must agree
@@ -312,20 +294,13 @@ fn main() {
             r.final_cost, r.attempted, r.moves_per_sec, speedup, r.verified
         );
     }
-    for group in records.chunks(7) {
-        if let [seq, par, inner, batched, local, one_worker, two_workers] = group {
+    for group in records.chunks(6) {
+        if let [seq, par, inner, local, one_worker, two_workers] = group {
             let mark = if seq.final_cost == par.final_cost { "match" } else { "DIFFER" };
             println!("{:<8} sequential vs portfolio cost: {mark}", seq.name);
             println!(
-                "{:<8} inner loop: {:.0} moves/sec sequential, {:.0} moves/sec batched x{} \
-                 ({:.2}x throughput, cost {} vs {})",
-                seq.name,
-                inner.moves_per_sec,
-                batched.moves_per_sec,
-                batched.batch.unwrap_or(1),
-                batched.speedup_vs_sequential.unwrap_or(0.0),
-                inner.final_cost,
-                batched.final_cost
+                "{:<8} inner loop: {:.0} moves/sec on one chain (cost {})",
+                seq.name, inner.moves_per_sec, inner.final_cost
             );
             let cluster_mark = if local.final_cost == one_worker.final_cost
                 && local.final_cost == two_workers.final_cost

@@ -50,17 +50,12 @@ pub fn build_allocator<'a>(
     let move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
     let config =
         ImproveConfig { move_set, cancel, warm: knobs.warm.clone(), ..ImproveConfig::default() };
-    let mut allocator = Allocator::new(graph, &plan.schedule, &plan.library)
+    Allocator::new(graph, &plan.schedule, &plan.library)
         .seed(knobs.seed)
         .extra_registers(knobs.extra_regs)
         .restarts(knobs.restarts)
         .config(config)
-        .plan(knobs.plan)
-        .threads(1);
-    if let Some(batch) = knobs.batch {
-        allocator = allocator.batch(batch);
-    }
-    allocator
+        .threads(1)
 }
 
 /// Maps an allocator error onto the service's error taxonomy, the same

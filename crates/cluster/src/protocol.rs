@@ -74,10 +74,6 @@ pub fn chain_to_json(chain: &ChainOutcome) -> Json {
         ("applied", Json::Int(s.applied as i64)),
         ("accepted", Json::Int(s.accepted as i64)),
         ("uphill_accepted", Json::Int(s.uphill_accepted as i64)),
-        ("proposed", Json::Int(s.proposed as i64)),
-        ("conflict_skipped", Json::Int(s.conflict_skipped as i64)),
-        ("stale_skipped", Json::Int(s.stale_skipped as i64)),
-        ("committed", Json::Int(s.committed as i64)),
         ("trials_to_best", Json::Int(s.trials_to_best as i64)),
         ("elapsed_nanos", Json::Int(s.elapsed_nanos as i64)),
     ])
@@ -95,10 +91,6 @@ pub fn chain_from_json(obj: &Json) -> Option<ChainOutcome> {
         applied: usize_field(obj, "applied")?,
         accepted: usize_field(obj, "accepted")?,
         uphill_accepted: usize_field(obj, "uphill_accepted")?,
-        proposed: usize_field(obj, "proposed")?,
-        conflict_skipped: usize_field(obj, "conflict_skipped")?,
-        stale_skipped: usize_field(obj, "stale_skipped")?,
-        committed: usize_field(obj, "committed")?,
         trials_to_best: usize_field(obj, "trials_to_best").unwrap_or(0),
         elapsed_nanos: obj.get("elapsed_nanos")?.as_u64()?,
     };
@@ -301,10 +293,6 @@ mod tests {
             applied: 2100,
             accepted: 1800,
             uphill_accepted: 40,
-            proposed: 0,
-            conflict_skipped: 0,
-            stale_skipped: 0,
-            committed: 0,
             trials_to_best: 7,
             elapsed_nanos: 123_456_789,
         };

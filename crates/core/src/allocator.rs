@@ -142,30 +142,6 @@ impl<'a> Allocator<'a> {
         self
     }
 
-    /// Enables the speculative move-batch engine: every step draws `k`
-    /// proposals, grades their cost deltas in parallel against the frozen
-    /// base, and commits the non-conflicting prefix in proposal order.
-    /// Deterministic in `(seed, k)` and invariant to thread count;
-    /// `batch(1)` reproduces the sequential trajectory bit-for-bit.
-    ///
-    /// Evaluation threads follow the [`threads`](Allocator::threads) knob,
-    /// split evenly across concurrently running restart chains, unless the
-    /// improve configuration sets
-    /// [`eval_threads`](ImproveConfig::eval_threads) above 1 explicitly.
-    pub fn batch(mut self, k: usize) -> Self {
-        self.config.batch = Some(k.max(1));
-        self
-    }
-
-    /// Enables or disables the compiled [`MovePlan`](crate::MovePlan)
-    /// fast path in the move proposers (on by default). Never changes the
-    /// result — both paths walk bit-identical trajectories — only the
-    /// moves/sec; `false` exists for A/B verification and ablations.
-    pub fn plan(mut self, on: bool) -> Self {
-        self.config.plan = on;
-        self
-    }
-
     /// Sets the portfolio best-bound cutoff factor (clamped to `>= 1.0`):
     /// a chain abandons once its best-so-far exceeds `factor` times the
     /// global best after its minimum trial count.
@@ -249,9 +225,6 @@ impl<'a> Allocator<'a> {
             self.compiled_plan.clone(),
         )?;
 
-        // With batching on, the thread budget not consumed by concurrent
-        // chains grades move batches instead (never affecting the result,
-        // which is thread-count invariant).
         let mut config = self.config.clone();
         // Memory graphs get the M family appended in `MoveKind::all()`
         // order, so `full()`-configured runs land exactly on
@@ -263,11 +236,6 @@ impl<'a> Allocator<'a> {
                     config.move_set = config.move_set.clone().with(kind);
                 }
             }
-        }
-        if config.batch.is_some() && config.eval_threads <= 1 {
-            let threads = self.portfolio.effective_threads();
-            let chains = threads.min(self.restarts).max(1);
-            config.eval_threads = (threads / chains).max(1);
         }
         Ok((ctx, config))
     }

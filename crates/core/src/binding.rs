@@ -238,38 +238,6 @@ enum UndoOp {
     ArrayBank { array: usize, old: u32 },
 }
 
-/// One forward (redo) record of a committed transaction: the *final* value
-/// of a mutated cell. [`Binding::commit_into`] extracts these from the undo
-/// journal at commit time, and [`Binding::apply_redo`] replays them
-/// oldest-first on a replica — the journal-diff protocol the batch engine
-/// uses to keep worker replicas in sync without recloning the whole base
-/// binding.
-///
-/// Replaying final values (instead of the undo deltas) is sound because a
-/// committed journal never contains a net-undone suffix: proposals roll
-/// their transient mutations back *before* the commit, so every journaled
-/// cell's current value is its value after the move. A cell written twice
-/// simply ships two identical final-value records, which converge.
-#[derive(Debug, Clone)]
-pub(crate) enum RedoOp {
-    OpFu { op: OpId, new: FuId },
-    OpSwap { op: OpId, new: bool },
-    UseChain { op: OpId, port: usize, new: usize },
-    FuOccCell { fu: FuId, step: usize, new: Option<FuOcc> },
-    FuCompleteCell { fu: FuId, step: usize, new: Option<OpId> },
-    RegOccCell { reg: RegId, step: usize, new: Option<(ValueId, usize)> },
-    FuItemCount { fu: FuId, new: usize },
-    RegSegCount { reg: RegId, new: usize },
-    PassEntry { key: TransferKey, new: Option<FuId> },
-    ChainSlot { value: ValueId, slot: usize, new: Option<Chain> },
-    /// A new (empty) chain slot was pushed; redo pushes it. A subsequent
-    /// `ChainSlot` record fills it with its final content.
-    ChainSlotPushed { value: ValueId },
-    ConnAdd { src: Source, sink: Sink },
-    ConnRemove { src: Source, sink: Sink },
-    ArrayBank { array: usize, new: u32 },
-}
-
 /// Reusable candidate/owner buffers for the move proposers. Scratch state
 /// like the [`ChainPool`]: excluded from equality, reset (not copied) by
 /// plain clones, and kept by `clone_from` — which is what makes the
@@ -631,6 +599,17 @@ impl<'a> Binding<'a> {
         {
             return Err(format!("array bound to nonexistent memory bank {bad}"));
         }
+        // Operand swap (F3) is only sound on commutative ops: a swapped
+        // `sub` computes the negated difference. Images from outside the
+        // search (warm seeds remapped across an edit, cluster shards) can
+        // carry a swap onto an op whose kind no longer commutes.
+        if let Some(op) = ctx
+            .graph
+            .ops()
+            .find(|o| parts.op_swap[o.id().index()] && !o.kind().is_commutative())
+        {
+            return Err(format!("non-commutative op {} has swapped operands", op.id()));
+        }
 
         let n = ctx.n_steps();
         let mut binding = Binding {
@@ -816,14 +795,19 @@ impl<'a> Binding<'a> {
     }
 
     /// Whether the move proposers use the compiled plan's candidate tables
-    /// and delta-cost kernels (on by default). The off position runs the
-    /// legacy re-derive-per-draw paths; both produce bit-identical
-    /// trajectories (see the `plan` module docs).
+    /// and delta-cost kernels: always, unless a test switched them off
+    /// with [`set_plan_enabled`](Self::set_plan_enabled).
+    #[doc(hidden)]
     pub fn plan_enabled(&self) -> bool {
         self.use_plan
     }
 
-    /// Selects between the compiled-plan and legacy propose paths.
+    /// Test hook: `false` switches the move proposers to the legacy
+    /// re-derive-per-draw paths, the reference implementation the
+    /// compiled plan is checked against. Both paths walk bit-identical
+    /// trajectories (see the `plan` module docs). Clones inherit the
+    /// setting; no search option exposes it.
+    #[doc(hidden)]
     pub fn set_plan_enabled(&mut self, on: bool) {
         self.use_plan = on;
     }
@@ -1253,114 +1237,6 @@ impl<'a> Binding<'a> {
         }
     }
 
-    /// Commits like [`commit`](Self::commit), additionally appending one
-    /// forward [`RedoOp`] per journal entry — each mutated cell's *final*
-    /// value, in write order — to `redo`. The batch engine ships these to
-    /// worker replicas instead of recloning the base binding (see
-    /// [`apply_redo`](Self::apply_redo)).
-    pub(crate) fn commit_into(&mut self, redo: &mut Vec<RedoOp>) {
-        debug_assert!(self.recording, "commit outside a transaction");
-        self.recording = false;
-        for entry in &self.journal {
-            redo.push(match *entry {
-                UndoOp::OpFu { op, .. } => RedoOp::OpFu { op, new: self.op_fu[op.index()] },
-                UndoOp::OpSwap { op, .. } => {
-                    RedoOp::OpSwap { op, new: self.op_swap[op.index()] }
-                }
-                UndoOp::UseChain { op, port, .. } => {
-                    RedoOp::UseChain { op, port, new: self.use_chain[op.index()][port] }
-                }
-                UndoOp::FuOccCell { fu, step, .. } => {
-                    RedoOp::FuOccCell { fu, step, new: self.fu_occ[fu.index()][step] }
-                }
-                UndoOp::FuCompleteCell { fu, step, .. } => RedoOp::FuCompleteCell {
-                    fu,
-                    step,
-                    new: self.fu_completes[fu.index()][step],
-                },
-                UndoOp::RegOccCell { reg, step, .. } => {
-                    RedoOp::RegOccCell { reg, step, new: self.reg_occ[reg.index()][step] }
-                }
-                UndoOp::FuItemCount { fu, .. } => {
-                    RedoOp::FuItemCount { fu, new: self.fu_item_count[fu.index()] }
-                }
-                UndoOp::RegSegCount { reg, .. } => {
-                    RedoOp::RegSegCount { reg, new: self.reg_seg_count[reg.index()] }
-                }
-                UndoOp::PassEntry { key, .. } => {
-                    RedoOp::PassEntry { key, new: self.passes.get(&key).copied() }
-                }
-                UndoOp::ChainSlot { value, slot, .. } => RedoOp::ChainSlot {
-                    value,
-                    slot,
-                    new: self.chains[value.index()][slot].clone(),
-                },
-                UndoOp::ChainSlotPushed { value } => RedoOp::ChainSlotPushed { value },
-                UndoOp::ConnAdd { src, sink } => RedoOp::ConnAdd { src, sink },
-                UndoOp::ConnRemove { src, sink } => RedoOp::ConnRemove { src, sink },
-                UndoOp::ArrayBank { array, .. } => {
-                    RedoOp::ArrayBank { array, new: self.array_bank[array] }
-                }
-            });
-        }
-        for entry in self.journal.drain(..) {
-            if let UndoOp::ChainSlot { old: Some(chain), .. } = entry {
-                self.pool.recycle(chain.regs);
-            }
-        }
-    }
-
-    /// Replays committed forward records oldest-first, bringing a replica
-    /// of the same base state to the committer's state cell-for-cell. Must
-    /// be called outside a transaction.
-    pub(crate) fn apply_redo(&mut self, ops: &[RedoOp]) {
-        debug_assert!(!self.recording, "apply_redo inside a transaction");
-        for op in ops {
-            match *op {
-                RedoOp::OpFu { op, new } => self.op_fu[op.index()] = new,
-                RedoOp::OpSwap { op, new } => self.op_swap[op.index()] = new,
-                RedoOp::UseChain { op, port, new } => self.use_chain[op.index()][port] = new,
-                RedoOp::FuOccCell { fu, step, new } => self.fu_occ[fu.index()][step] = new,
-                RedoOp::FuCompleteCell { fu, step, new } => {
-                    self.fu_completes[fu.index()][step] = new;
-                }
-                RedoOp::RegOccCell { reg, step, new } => self.reg_occ[reg.index()][step] = new,
-                RedoOp::FuItemCount { fu, new } => self.apply_fu_item_count(fu, new),
-                RedoOp::RegSegCount { reg, new } => self.apply_reg_seg_count(reg, new),
-                RedoOp::PassEntry { key, new } => match new {
-                    Some(fu) => {
-                        self.passes.insert(key, fu);
-                    }
-                    None => {
-                        self.passes.remove(&key);
-                    }
-                },
-                RedoOp::ChainSlot { value, slot, ref new } => {
-                    let cell = &mut self.chains[value.index()][slot];
-                    match new {
-                        Some(n) => match cell {
-                            Some(c) => c.clone_from(n),
-                            None => {
-                                let mut regs = self.pool.take();
-                                regs.extend_from_slice(&n.regs);
-                                *cell = Some(Chain { lo: n.lo, regs });
-                            }
-                        },
-                        None => {
-                            if let Some(chain) = cell.take() {
-                                self.pool.recycle(chain.regs);
-                            }
-                        }
-                    }
-                }
-                RedoOp::ChainSlotPushed { value } => self.chains[value.index()].push(None),
-                RedoOp::ConnAdd { src, sink } => self.conn.add(src, sink),
-                RedoOp::ConnRemove { src, sink } => self.conn.remove(src, sink),
-                RedoOp::ArrayBank { array, new } => self.array_bank[array] = new,
-            }
-        }
-    }
-
     /// Reverts every mutation since [`begin`](Self::begin) by replaying the
     /// journal newest-first, restoring the binding cell-for-cell.
     pub fn rollback(&mut self) {
@@ -1393,83 +1269,6 @@ impl<'a> Binding<'a> {
         while self.journal.len() > mark {
             let entry = self.journal.pop().expect("length checked");
             self.undo(entry);
-        }
-    }
-
-    /// Marks every op, value, register and functional unit the open
-    /// transaction's journal touches into `fp` (without clearing it).
-    ///
-    /// The journal names exactly the cells a move wrote — occupancy cells,
-    /// counters, chain slots, pass entries and connection uses — so the
-    /// resulting footprint covers everything the move's cost delta and
-    /// feasibility depend on *and* everything it changes: two moves with
-    /// disjoint footprints read and write disjoint connection-matrix rows
-    /// and occupancy cells, which is what makes their deltas compose
-    /// exactly (see the `batch` module docs). For snapshot entries both
-    /// the old (journaled) and the new (current) occupant are marked.
-    pub(crate) fn journal_footprint(&self, fp: &mut crate::batch::Footprint) {
-        for entry in &self.journal {
-            match *entry {
-                UndoOp::OpFu { op, old } => {
-                    fp.mark_op(op);
-                    fp.mark_fu(old);
-                    fp.mark_fu(self.op_fu[op.index()]);
-                }
-                UndoOp::OpSwap { op, .. } => fp.mark_op(op),
-                UndoOp::UseChain { op, .. } => fp.mark_op(op),
-                UndoOp::FuOccCell { fu, old, .. } => {
-                    fp.mark_fu(fu);
-                    if let Some(FuOcc::Exec(op)) = old {
-                        fp.mark_op(op);
-                    }
-                }
-                UndoOp::FuCompleteCell { fu, old, .. } => {
-                    fp.mark_fu(fu);
-                    if let Some(op) = old {
-                        fp.mark_op(op);
-                    }
-                }
-                UndoOp::RegOccCell { reg, old, .. } => {
-                    fp.mark_reg(reg);
-                    if let Some((value, _)) = old {
-                        fp.mark_value(value);
-                    }
-                }
-                UndoOp::FuItemCount { fu, .. } => fp.mark_fu(fu),
-                UndoOp::RegSegCount { reg, .. } => fp.mark_reg(reg),
-                UndoOp::PassEntry { key, old } => {
-                    fp.mark_transfer(key);
-                    if let Some(fu) = old {
-                        fp.mark_fu(fu);
-                    }
-                    if let Some(&fu) = self.passes.get(&key) {
-                        fp.mark_fu(fu);
-                    }
-                }
-                UndoOp::ChainSlot { value, slot, ref old } => {
-                    fp.mark_value(value);
-                    if let Some(chain) = old {
-                        for &reg in &chain.regs {
-                            fp.mark_reg(reg);
-                        }
-                    }
-                    if let Some(Some(chain)) = self.chains[value.index()].get(slot) {
-                        for &reg in &chain.regs {
-                            fp.mark_reg(reg);
-                        }
-                    }
-                }
-                UndoOp::ChainSlotPushed { value } => fp.mark_value(value),
-                UndoOp::ConnAdd { src, sink } | UndoOp::ConnRemove { src, sink } => {
-                    fp.mark_source(src);
-                    fp.mark_sink(sink);
-                }
-                // `mem_banks` is a global function of the array→bank
-                // table, so any two re-banking moves must serialize; the
-                // re-ported accesses are covered by their own OpFu
-                // entries.
-                UndoOp::ArrayBank { .. } => fp.mark_mem(),
-            }
         }
     }
 
@@ -1919,5 +1718,41 @@ impl<'a> Binding<'a> {
                 assert!(chain.covers(idx), "{}: use chain does not cover read step", op.id());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::initial_allocation;
+    use salsa_cdfg::benchmarks::diffeq;
+    use salsa_datapath::Datapath;
+    use salsa_sched::{asap, fds_schedule, FuLibrary};
+
+    #[test]
+    fn from_parts_rejects_swapped_operands_on_non_commutative_ops() {
+        let graph = diffeq();
+        let library = FuLibrary::standard();
+        let schedule = fds_schedule(&graph, &library, asap(&graph, &library).length).unwrap();
+        let datapath = Datapath::new(
+            &schedule.fu_demand(&graph, &library),
+            schedule.register_demand(&graph, &library),
+        );
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let parts = initial_allocation(&ctx).to_parts();
+        let op_of = |commutative: bool| {
+            graph.ops().find(|o| o.kind().is_commutative() == commutative).unwrap().id()
+        };
+
+        // Swapping a commutative op is a legal image.
+        let mut add_swapped = parts.clone();
+        add_swapped.op_swap[op_of(true).index()] ^= true;
+        assert!(Binding::from_parts(&ctx, &add_swapped).is_ok());
+
+        // Swapping a non-commutative one changes what the design computes.
+        let mut sub_swapped = parts.clone();
+        sub_swapped.op_swap[op_of(false).index()] = true;
+        let err = Binding::from_parts(&ctx, &sub_swapped).unwrap_err();
+        assert!(err.contains("non-commutative"), "{err}");
     }
 }

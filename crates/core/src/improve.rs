@@ -73,24 +73,6 @@ pub struct ImproveConfig {
     /// [`AllocError::Cancelled`](crate::AllocError). `None` (the default)
     /// searches to completion.
     pub cancel: Option<CancelToken>,
-    /// Speculative move-batch size. `Some(k)` draws `k` proposals per step,
-    /// evaluates their cost deltas speculatively and commits the
-    /// non-conflicting prefix order — deterministic in `(seed, batch)` and
-    /// invariant to [`eval_threads`](Self::eval_threads); `Some(1)`
-    /// reproduces the sequential trajectory bit-for-bit. `None` (the
-    /// default) runs the plain sequential loop.
-    pub batch: Option<usize>,
-    /// Threads grading a batch's proposals (the main thread counts as
-    /// one; `1` evaluates inline). Never affects the result, only the
-    /// wall-clock. Ignored without [`batch`](Self::batch).
-    pub eval_threads: usize,
-    /// Drive the move proposers from the compiled
-    /// [`MovePlan`](crate::MovePlan) tables (the default) instead of
-    /// re-deriving candidate sets per draw. Never affects the result —
-    /// both paths enumerate identical candidate lists, so the trajectory
-    /// is bit-for-bit the same — only the wall-clock. `false` exists for
-    /// A/B verification and ablation.
-    pub plan: bool,
     /// Warm-start seed: start the search from (or guided by) a prior
     /// winner's allocation and bias the first
     /// [`bias_trials`](crate::WarmSpec::bias_trials) trials' move draws
@@ -113,9 +95,6 @@ impl Default for ImproveConfig {
             phased: true,
             weights: CostWeights::default(),
             cancel: None,
-            batch: None,
-            eval_threads: 1,
-            plan: true,
             warm: None,
         }
     }
@@ -160,17 +139,6 @@ pub struct ImproveStats {
     pub accepted: usize,
     /// Uphill moves kept.
     pub uphill_accepted: usize,
-    /// Batch engine: proposals drawn (0 in sequential mode).
-    pub proposed: usize,
-    /// Batch engine: proposals dropped because their footprint intersected
-    /// an earlier commit in the same batch (budget returned, slot
-    /// re-drawn).
-    pub conflict_skipped: usize,
-    /// Batch engine: accepted proposals whose replay failed against the
-    /// evolved binding (conservatively skipped).
-    pub stale_skipped: usize,
-    /// Batch engine: proposals committed to the binding.
-    pub committed: usize,
     /// The trial (1-based, across phases) on which the returned best
     /// allocation was last improved; 0 when the initial allocation was
     /// never beaten. The warm-start convergence metric: a well-seeded
@@ -217,10 +185,6 @@ impl ImproveStats {
         self.applied += other.applied;
         self.accepted += other.accepted;
         self.uphill_accepted += other.uphill_accepted;
-        self.proposed += other.proposed;
-        self.conflict_skipped += other.conflict_skipped;
-        self.stale_skipped += other.stale_skipped;
-        self.committed += other.committed;
         self.elapsed_nanos += other.elapsed_nanos;
     }
 }
@@ -297,28 +261,15 @@ pub(crate) fn improve_traced(
     mut rec: Option<&mut TraceRecorder>,
 ) -> (ImproveStats, SearchExit) {
     let start = std::time::Instant::now();
-    binding.set_plan_enabled(config.plan);
     let mut stats = ImproveStats {
         initial_cost: weighted_cost(&config.weights, binding),
         ..ImproveStats::default()
     };
     let mut exit = SearchExit::Completed;
     for set in config.phases() {
-        let stop = match config.batch {
-            Some(batch) => crate::batch::run_phase_batched(
-                binding,
-                config,
-                &set,
-                rng,
-                &mut stats,
-                watch,
-                batch,
-                config.eval_threads,
-                rec.as_deref_mut(),
-            ),
-            None => run_phase(binding, config, &set, rng, &mut stats, watch, rec.as_deref_mut()),
-        };
-        if let Some(stop) = stop {
+        if let Some(stop) =
+            run_phase(binding, config, &set, rng, &mut stats, watch, rec.as_deref_mut())
+        {
             exit = stop;
             break;
         }

@@ -47,7 +47,6 @@
 
 mod allocator;
 mod anneal;
-mod batch;
 mod binding;
 mod cancel;
 mod context;

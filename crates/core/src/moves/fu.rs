@@ -3,12 +3,15 @@
 //! move inside the caller's transaction).
 //!
 //! Every proposer has two implementations selected by
-//! [`Binding::plan_enabled`]: the compiled-plan path draws candidates from
-//! the [`MovePlan`](crate::MovePlan)'s prebuilt tables through the
-//! binding's scratch buffers (allocation-free in steady state), and the
-//! legacy path re-derives them with per-draw collects. Both enumerate the
-//! same candidates in the same order, so the RNG draw sequence — and the
-//! search trajectory — is bit-for-bit identical either way.
+//! [`Binding::plan_enabled`]: the compiled-plan path, which the search
+//! always uses, draws candidates from the [`MovePlan`](crate::MovePlan)'s
+//! prebuilt tables through the binding's scratch buffers (allocation-free
+//! in steady state), and the legacy path re-derives them with per-draw
+//! collects. The legacy path is the reference the plan is tested against,
+//! reachable only through the [`Binding::set_plan_enabled`] test hook.
+//! Both enumerate the same candidates in the same order, so the RNG draw
+//! sequence — and the search trajectory — is bit-for-bit identical either
+//! way.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -15,11 +15,6 @@
 //! draw from the compiled [`MovePlan`](crate::MovePlan) tables
 //! unconditionally — the plan is compiled at admission either way, which
 //! makes plan-on ≡ plan-off trivial for this family.
-//!
-//! Re-banking (M1/M2) changes the array→bank table, a *global* input of
-//! the `mem_banks` cost term, so its journal entries mark the shared
-//! [`Footprint`](crate::batch::Footprint) `mem` bit and speculative
-//! batches serialize these moves (see `batch.rs`).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -228,11 +228,10 @@ impl Default for MoveSet {
 
 /// A fully resolved move: every random decision (which entities, which
 /// target) has been drawn, so applying it is deterministic. Proposals are
-/// what the speculative batch engine ships to evaluation workers — they
-/// are `Copy`, carry no borrows, and can be replayed against any binding
-/// in the same state as the one they were proposed on. They are also the
-/// unit of record of a [`MoveTrace`](crate::MoveTrace): a committed-move
-/// sequence re-derives a search result without re-running the search.
+/// `Copy`, carry no borrows, and can be replayed against any binding in
+/// the same state as the one they were proposed on. They are the unit of
+/// record of a [`MoveTrace`](crate::MoveTrace): a committed-move sequence
+/// re-derives a search result without re-running the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proposal {
     /// F1 — exchange the complete bindings of units `a` and `z`.
@@ -373,11 +372,11 @@ pub enum Proposal {
 ///
 /// The RNG draw sequence is identical to the historical combined
 /// `try_move` for every kind, so a `propose` + [`apply_proposal`] pair
-/// walks the exact same trajectory as the old code — the contract the
-/// batch engine's `batch(1) ≡ sequential` guarantee rests on. The ranked
-/// moves (F4, R2) need transient mutations to reproduce their exact
-/// candidate costs; those run under a journal checkpoint
-/// ([`Binding::undo_to`]) and are fully reverted before returning.
+/// walks the exact same trajectory as the old code — the contract trace
+/// recording and replay rest on. The ranked moves (F4, R2) need transient
+/// mutations to reproduce their exact candidate costs; those run under a
+/// journal checkpoint ([`Binding::undo_to`]) and are fully reverted before
+/// returning.
 pub(crate) fn propose_move(
     binding: &mut Binding<'_>,
     kind: MoveKind,
@@ -445,10 +444,7 @@ pub(crate) fn apply_proposal(binding: &mut Binding<'_>, proposal: Proposal) -> b
 /// re-draw is kept only when it touches the focus set — doubling the
 /// selection weight of delta-local moves without ever forfeiting a
 /// feasible proposal. Proposing is net-zero on the binding, so the
-/// double draw is safe inside the caller's open transaction, and both
-/// the sequential and the batch engine route through this one helper
-/// (the `batch(1) ≡ sequential` contract must hold under warm starts
-/// too).
+/// double draw is safe inside the caller's open transaction.
 pub(crate) fn propose_biased(
     binding: &mut Binding<'_>,
     set: &MoveSet,

@@ -4,8 +4,9 @@
 //!
 //! As in the [`fu`](super::fu) module, each proposer has a compiled-plan
 //! path (prebuilt candidate tables + scratch buffers, selected by
-//! [`Binding::plan_enabled`]) and a legacy re-derive path; both enumerate
-//! identical candidate lists so the trajectory is draw-for-draw the same.
+//! [`Binding::plan_enabled`]) and a legacy re-derive path, the test
+//! reference; both enumerate identical candidate lists so the trajectory
+//! is draw-for-draw the same.
 //! The R2 ranking additionally uses an incremental delta kernel under the
 //! plan: only the owners whose connection items can reference the moved
 //! segment's register are re-costed per candidate (see

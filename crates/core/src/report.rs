@@ -38,16 +38,6 @@ pub fn report(graph: &Cdfg, schedule: &Schedule, result: &AllocResult) -> String
         result.stats.elapsed_nanos as f64 / 1e9,
         result.stats.moves_per_sec()
     );
-    if result.stats.proposed > 0 {
-        let _ = writeln!(
-            out,
-            "batch: {} proposed, {} committed, {} conflict-skipped, {} stale-skipped",
-            result.stats.proposed,
-            result.stats.committed,
-            result.stats.conflict_skipped,
-            result.stats.stale_skipped
-        );
-    }
     let _ = write!(out, "{}", portfolio_table(&result.portfolio));
     let _ = writeln!(out);
     let _ = write!(out, "{}", register_chart(graph, schedule, result));

@@ -283,8 +283,8 @@ fn proposal_in_bounds(ctx: &AllocContext<'_>, p: &Proposal) -> bool {
 /// re-runs the deterministic polish sweep and checks the final cost.
 ///
 /// Only `config.weights` and `config.move_set` participate (for the cost
-/// model and the polish sweep); search knobs like `batch` affect which
-/// trace gets *recorded*, never how one replays.
+/// model and the polish sweep); search knobs like the trial budget affect
+/// which trace gets *recorded*, never how one replays.
 ///
 /// # Errors
 ///
@@ -686,13 +686,8 @@ mod tests {
         ctx.graph.value_ids().find(|&v| ctx.lifetimes.get(v).is_none())
     }
 
-    fn small_config(batch: Option<usize>) -> ImproveConfig {
-        ImproveConfig {
-            max_trials: 3,
-            moves_per_trial: Some(150),
-            batch,
-            ..ImproveConfig::default()
-        }
+    fn small_config() -> ImproveConfig {
+        ImproveConfig { max_trials: 3, moves_per_trial: Some(150), ..ImproveConfig::default() }
     }
 
     /// Runs a portfolio, records the winning slot's trace, and checks
@@ -726,9 +721,8 @@ mod tests {
         let schedule = fds_schedule(&graph, &library, 4).unwrap();
         let datapath = datapath_for(&graph, &schedule, &library);
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        check_roundtrip(&ctx, &small_config(None), 1);
-        check_roundtrip(&ctx, &small_config(Some(8)), 1);
-        check_roundtrip(&ctx, &small_config(None), 2);
+        check_roundtrip(&ctx, &small_config(), 1);
+        check_roundtrip(&ctx, &small_config(), 2);
     }
 
     #[test]
@@ -738,7 +732,7 @@ mod tests {
         let schedule = fds_schedule(&graph, &library, 4).unwrap();
         let datapath = datapath_for(&graph, &schedule, &library);
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = small_config(None);
+        let config = small_config();
         let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
         assert!(trace.commits() > 0, "the search commits at least one move");
 
@@ -820,7 +814,7 @@ mod tests {
         let schedule = fds_schedule(&graph, &library, 4).unwrap();
         let datapath = datapath_for(&graph, &schedule, &library);
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = small_config(None);
+        let config = small_config();
         let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
 
         let memory_steps = [
@@ -865,7 +859,7 @@ mod tests {
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
         let config = ImproveConfig {
             move_set: crate::MoveSet::with_memory(),
-            ..small_config(None)
+            ..small_config()
         };
         let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
 
@@ -912,8 +906,8 @@ mod tests {
     proptest! {
         // The ISSUE's replay contract on arbitrary graphs: the recorded
         // trace of the portfolio winner re-derives the winning binding
-        // bit-for-bit under the sequential, batch(8) and multi-thread
-        // portfolio engines, through the text encoding.
+        // bit-for-bit under the sequential and multi-thread portfolio
+        // engines, through the text encoding.
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
         #[test]
@@ -922,7 +916,7 @@ mod tests {
             ops in 8usize..16,
             states in 0usize..3,
             slack in 0usize..2,
-            mode in 0usize..3,
+            threads in 1usize..3,
         ) {
             let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
             let graph = random_cdfg(&cfg, graph_seed);
@@ -930,12 +924,7 @@ mod tests {
             let schedule = schedule_for(&graph, &library, slack);
             let datapath = datapath_for(&graph, &schedule, &library);
             let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-            let (config, threads) = match mode {
-                0 => (small_config(None), 1),
-                1 => (small_config(Some(8)), 1),
-                _ => (small_config(None), 2),
-            };
-            check_roundtrip(&ctx, &config, threads);
+            check_roundtrip(&ctx, &small_config(), threads);
         }
     }
 }

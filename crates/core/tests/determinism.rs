@@ -1,30 +1,25 @@
-//! The determinism contract of the speculative batch engine: for a fixed
-//! `(seed, batch)` the search result is a pure function of those two knobs
-//! — `batch = 1` reproduces the plain sequential trajectory bit-for-bit
-//! (same RNG draws, same accepts, same final binding and counters), and
-//! the evaluation thread count never changes anything. The `salsa-serve`
-//! result cache keys on exactly this contract.
+//! The determinism contract of the search: a run is a pure function of
+//! its seed (annealing and polish included), and the compiled move plan
+//! never changes a trajectory — the legacy re-derive proposers, reached
+//! through the `Binding::set_plan_enabled` test hook, walk bit-for-bit
+//! the same moves. The `salsa-serve` result cache keys on this contract.
+
+mod common;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use salsa_alloc::{
-    anneal, improve, initial_allocation, polish, register_chart, AllocContext, AnnealConfig,
-    Allocator, Binding, ImproveConfig, ImproveStats, MoveSet,
+    anneal, improve, initial_allocation, polish, AllocContext, AnnealConfig, Allocator, Binding,
+    ImproveConfig, ImproveStats, MoveSet,
 };
 use salsa_cdfg::{benchmarks, random_cdfg, Cdfg, RandomCdfgConfig};
 use salsa_datapath::{CostWeights, Datapath};
 use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
-fn quick(batch: Option<usize>, eval_threads: usize) -> ImproveConfig {
-    ImproveConfig {
-        max_trials: 3,
-        moves_per_trial: Some(400),
-        batch,
-        eval_threads,
-        ..ImproveConfig::default()
-    }
+fn quick() -> ImproveConfig {
+    ImproveConfig { max_trials: 3, moves_per_trial: Some(400), ..ImproveConfig::default() }
 }
 
 fn pool_for(graph: &Cdfg, schedule: &Schedule, library: &FuLibrary, extra: usize) -> Datapath {
@@ -34,12 +29,16 @@ fn pool_for(graph: &Cdfg, schedule: &Schedule, library: &FuLibrary, extra: usize
     )
 }
 
+/// One improvement run from the constructive start; `plan: false` runs
+/// the legacy proposers through the test hook.
 fn search<'a>(
     ctx: &'a AllocContext<'a>,
     seed: u64,
     config: &ImproveConfig,
+    plan: bool,
 ) -> (Binding<'a>, ImproveStats) {
     let mut binding = initial_allocation(ctx);
+    binding.set_plan_enabled(plan);
     let mut rng = StdRng::seed_from_u64(seed);
     let stats = improve(&mut binding, config, &mut rng);
     (binding, stats)
@@ -48,94 +47,6 @@ fn search<'a>(
 /// The counters that must agree between equivalent runs (timing excluded).
 fn counters(stats: &ImproveStats) -> [usize; 5] {
     [stats.trials, stats.attempted, stats.applied, stats.accepted, stats.uphill_accepted]
-}
-
-#[test]
-fn batch_of_one_reproduces_the_sequential_trajectory() {
-    let library = FuLibrary::standard();
-    for graph in [benchmarks::ewf(), benchmarks::dct()] {
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-
-        for seed in [3u64, 19] {
-            let (seq, seq_stats) = search(&ctx, seed, &quick(None, 1));
-            let (one, one_stats) = search(&ctx, seed, &quick(Some(1), 1));
-            assert!(
-                one == seq,
-                "{} seed {seed}: batch(1) diverged from the sequential binding",
-                graph.name()
-            );
-            assert_eq!(
-                counters(&one_stats),
-                counters(&seq_stats),
-                "{} seed {seed}: counter mismatch",
-                graph.name()
-            );
-            assert_eq!(one_stats.final_cost, seq_stats.final_cost);
-            // The batched loop reports its own bookkeeping too.
-            assert!(one_stats.proposed > 0);
-            assert_eq!(one_stats.committed, one_stats.accepted);
-            assert_eq!(one_stats.conflict_skipped, 0, "a batch of one cannot conflict");
-            assert_eq!(one_stats.stale_skipped, 0, "a batch of one cannot go stale");
-            assert_eq!(seq_stats.proposed, 0, "the sequential loop draws no batches");
-        }
-    }
-}
-
-#[test]
-fn batched_results_are_invariant_to_eval_threads() {
-    let graph = benchmarks::dct();
-    let library = FuLibrary::standard();
-    let cp = asap(&graph, &library).length;
-    let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-    let datapath = pool_for(&graph, &schedule, &library, 1);
-    let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-
-    for batch in [2usize, 8] {
-        let (base, base_stats) = search(&ctx, 42, &quick(Some(batch), 1));
-        for threads in [2usize, 8] {
-            let (other, other_stats) = search(&ctx, 42, &quick(Some(batch), threads));
-            assert!(
-                other == base,
-                "batch {batch}: {threads} eval threads changed the result"
-            );
-            assert_eq!(counters(&other_stats), counters(&base_stats));
-            assert_eq!(other_stats.proposed, base_stats.proposed);
-            assert_eq!(other_stats.conflict_skipped, base_stats.conflict_skipped);
-            assert_eq!(other_stats.stale_skipped, base_stats.stale_skipped);
-            assert_eq!(other_stats.committed, base_stats.committed);
-        }
-    }
-}
-
-#[test]
-fn allocator_batch_of_one_matches_the_plain_allocator() {
-    let graph = benchmarks::ewf();
-    let library = FuLibrary::standard();
-    let cp = asap(&graph, &library).length;
-    let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-
-    let run = |batched: bool| {
-        let mut allocator = Allocator::new(&graph, &schedule, &library)
-            .seed(5)
-            .extra_registers(1)
-            .config(quick(None, 1));
-        if batched {
-            allocator = allocator.batch(1);
-        }
-        allocator.run().unwrap()
-    };
-    let plain = run(false);
-    let batched = run(true);
-    assert_eq!(batched.cost, plain.cost, "batch(1) changed the end-to-end cost");
-    assert_eq!(
-        register_chart(&graph, &schedule, &batched),
-        register_chart(&graph, &schedule, &plain),
-        "batch(1) changed the final register layout"
-    );
-    assert_eq!(counters(&batched.stats), counters(&plain.stats));
 }
 
 #[test]
@@ -185,8 +96,8 @@ fn polish_reaches_a_deterministic_fixpoint() {
     // Two identical stochastic starts, polished independently, must land
     // on the same local optimum: the sweep order is fixed, so polish is
     // as deterministic as the binding it starts from.
-    let (mut first, _) = search(&ctx, 3, &quick(None, 1));
-    let (mut twin, _) = search(&ctx, 3, &quick(None, 1));
+    let (mut first, _) = search(&ctx, 3, &quick(), true);
+    let (mut twin, _) = search(&ctx, 3, &quick(), true);
     let before = cost_of(&first);
     let polished = polish(&mut first, &weights, &MoveSet::full());
     let twin_polished = polish(&mut twin, &weights, &MoveSet::full());
@@ -203,8 +114,7 @@ fn polish_reaches_a_deterministic_fixpoint() {
 
 /// The compiled-move-plan contract: plan-on and plan-off runs enumerate
 /// identical candidate lists in identical order, so for any seed the
-/// trajectories — not just the outcomes — are bit-for-bit the same, in
-/// the sequential loop, the batched engine and the portfolio reduction.
+/// trajectories — not just the outcomes — are bit-for-bit the same.
 #[test]
 fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
     let library = FuLibrary::standard();
@@ -215,10 +125,8 @@ fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
 
         for seed in [7u64, 23] {
-            // Sequential inner loop.
-            let (on, on_stats) = search(&ctx, seed, &quick(None, 1));
-            let (off, off_stats) =
-                search(&ctx, seed, &ImproveConfig { plan: false, ..quick(None, 1) });
+            let (on, on_stats) = search(&ctx, seed, &quick(), true);
+            let (off, off_stats) = search(&ctx, seed, &quick(), false);
             assert!(
                 on == off,
                 "{} seed {seed}: the compiled plan diverged from the legacy proposers",
@@ -226,145 +134,59 @@ fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
             );
             assert_eq!(counters(&on_stats), counters(&off_stats));
             assert_eq!(on_stats.final_cost, off_stats.final_cost);
-
-            // Batched engine, workers up.
-            let (bon, bon_stats) = search(&ctx, seed, &quick(Some(8), 2));
-            let (boff, boff_stats) =
-                search(&ctx, seed, &ImproveConfig { plan: false, ..quick(Some(8), 2) });
-            assert!(
-                bon == boff,
-                "{} seed {seed}: plan on/off diverged under batch(8)",
-                graph.name()
-            );
-            assert_eq!(counters(&bon_stats), counters(&boff_stats));
-            assert_eq!(bon_stats.committed, boff_stats.committed);
-            assert_eq!(bon_stats.conflict_skipped, boff_stats.conflict_skipped);
         }
     }
 }
 
 /// Plan on/off equivalence through the full portfolio driver: multiple
-/// restart chains, reduction, polish and lowering included.
+/// restart chains, reduction and polish included.
 #[test]
 fn compiled_plan_matches_legacy_through_the_portfolio() {
     let graph = benchmarks::ewf();
     let library = FuLibrary::standard();
     let cp = asap(&graph, &library).length;
     let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-
-    let run = |plan: bool| {
-        Allocator::new(&graph, &schedule, &library)
+    for threads in [1, 2] {
+        let allocator = Allocator::new(&graph, &schedule, &library)
             .seed(5)
             .extra_registers(1)
             .restarts(3)
-            .config(quick(None, 1))
-            .plan(plan)
-            .run()
-            .unwrap()
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.cost, off.cost, "plan on/off changed the portfolio outcome");
-    assert_eq!(
-        register_chart(&graph, &schedule, &on),
-        register_chart(&graph, &schedule, &off),
-        "plan on/off changed the final register layout"
-    );
-    assert_eq!(counters(&on.stats), counters(&off.stats));
+            .threads(threads)
+            .config(quick());
+        assert_eq!(
+            common::plan_winner(&allocator),
+            common::legacy_winner(&allocator, 5, 3),
+            "{threads} threads: plan on/off changed the portfolio outcome"
+        );
+    }
+}
+
+/// The sequential DCT job at its paper budget (10 steps, seed 42, four
+/// restarts on one thread) lands on the same winner with either
+/// proposer implementation.
+#[test]
+fn compiled_plan_matches_legacy_on_the_sequential_dct_job() {
+    let graph = benchmarks::dct();
+    let library = FuLibrary::standard();
+    let schedule = fds_schedule(&graph, &library, 10).unwrap();
+    let allocator = Allocator::new(&graph, &schedule, &library).seed(42).restarts(4).threads(1);
+    assert_eq!(common::plan_winner(&allocator), common::legacy_winner(&allocator, 42, 4));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// `batch(1)` is the sequential loop on arbitrary graphs, not just the
-    /// benchmarks: identical final binding and identical counters.
-    #[test]
-    fn batch_of_one_is_sequential_on_random_graphs(
-        graph_seed in 0u64..500,
-        search_seed in 0u64..100,
-        ops in 8usize..20,
-        states in 0usize..3,
-        slack in 0usize..3,
-    ) {
-        let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
-        let graph = random_cdfg(&cfg, graph_seed);
-        let library = FuLibrary::standard();
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + slack).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = ImproveConfig {
-            max_trials: 3,
-            moves_per_trial: Some(250),
-            ..ImproveConfig::default()
-        };
-
-        let (seq, seq_stats) = search(&ctx, search_seed, &config);
-        let (one, one_stats) =
-            search(&ctx, search_seed, &ImproveConfig { batch: Some(1), ..config.clone() });
-        prop_assert!(one == seq, "batch(1) diverged from the sequential trajectory");
-        prop_assert_eq!(counters(&one_stats), counters(&seq_stats));
-        prop_assert_eq!(one_stats.final_cost, seq_stats.final_cost);
-    }
-
-    /// For any `(seed, batch)` the result is invariant to the evaluation
-    /// thread count, on arbitrary graphs.
-    #[test]
-    fn batched_search_is_thread_invariant_on_random_graphs(
-        graph_seed in 0u64..500,
-        search_seed in 0u64..100,
-        batch in 2usize..8,
-        ops in 8usize..20,
-        states in 0usize..3,
-        slack in 0usize..3,
-    ) {
-        let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
-        let graph = random_cdfg(&cfg, graph_seed);
-        let library = FuLibrary::standard();
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + slack).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = ImproveConfig {
-            max_trials: 3,
-            moves_per_trial: Some(250),
-            batch: Some(batch),
-            ..ImproveConfig::default()
-        };
-
-        let (base, base_stats) = search(&ctx, search_seed, &config);
-        for threads in [2usize, 8] {
-            let (other, other_stats) = search(
-                &ctx,
-                search_seed,
-                &ImproveConfig { eval_threads: threads, ..config.clone() },
-            );
-            prop_assert!(
-                other == base,
-                "batch {} with {} eval threads changed the result",
-                batch,
-                threads
-            );
-            prop_assert_eq!(counters(&other_stats), counters(&base_stats));
-            prop_assert_eq!(other_stats.conflict_skipped, base_stats.conflict_skipped);
-            prop_assert_eq!(other_stats.committed, base_stats.committed);
-        }
-    }
-
-    /// Plan on ≡ plan off on arbitrary graphs, sequential and batched:
-    /// same final binding, same counters, for any seed.
+    /// Plan on ≡ plan off on arbitrary graphs: same final binding, same
+    /// counters, for any seed.
     #[test]
     fn compiled_plan_is_exact_on_random_graphs(
         graph_seed in 0u64..500,
         search_seed in 0u64..100,
-        batch_raw in 0usize..8,
         ops in 8usize..20,
         states in 0usize..3,
         slack in 0usize..3,
         extra_regs in 0usize..3,
     ) {
-        // 0 encodes "sequential loop"; 1..8 are batch sizes.
-        let batch = (batch_raw > 0).then_some(batch_raw);
         let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
         let graph = random_cdfg(&cfg, graph_seed);
         let library = FuLibrary::standard();
@@ -375,13 +197,11 @@ proptest! {
         let config = ImproveConfig {
             max_trials: 3,
             moves_per_trial: Some(250),
-            batch,
             ..ImproveConfig::default()
         };
 
-        let (on, on_stats) = search(&ctx, search_seed, &config);
-        let (off, off_stats) =
-            search(&ctx, search_seed, &ImproveConfig { plan: false, ..config.clone() });
+        let (on, on_stats) = search(&ctx, search_seed, &config, true);
+        let (off, off_stats) = search(&ctx, search_seed, &config, false);
         prop_assert!(on == off, "plan on/off trajectories diverged");
         prop_assert_eq!(counters(&on_stats), counters(&off_stats));
         prop_assert_eq!(on_stats.final_cost, off_stats.final_cost);

@@ -70,13 +70,9 @@ pub fn run_allocation(
         .extra_registers(knobs.extra_regs)
         .restarts(knobs.restarts)
         .config(config)
-        .plan(knobs.plan)
         .mem_moves(knobs.mem_moves);
     if let Some(threads) = knobs.threads {
         allocator = allocator.threads(threads);
-    }
-    if let Some(batch) = knobs.batch {
-        allocator = allocator.batch(batch);
     }
     if let Some(cutoff) = knobs.cutoff {
         allocator = allocator.cutoff_factor(cutoff);
@@ -120,14 +116,10 @@ pub fn run_artifact(
         .extra_registers(knobs.extra_regs)
         .restarts(knobs.restarts)
         .config(config)
-        .plan(knobs.plan)
         .mem_moves(knobs.mem_moves)
         .compiled_plan(derived.plan.clone());
     if let Some(threads) = knobs.threads {
         allocator = allocator.threads(threads);
-    }
-    if let Some(batch) = knobs.batch {
-        allocator = allocator.batch(batch);
     }
     if let Some(cutoff) = knobs.cutoff {
         allocator = allocator.cutoff_factor(cutoff);
@@ -165,16 +157,7 @@ pub fn with_replay_env<R>(
             }
         }
     }
-    // `eval_threads` is left at its default: it never affects the
-    // trajectory (the batch engine is thread-count invariant), only the
-    // wall-clock, and the verifier lane replays single-threaded anyway.
-    let config = ImproveConfig {
-        move_set,
-        batch: knobs.batch.map(|b| b.max(1)),
-        plan: knobs.plan,
-        warm: knobs.warm.clone(),
-        ..ImproveConfig::default()
-    };
+    let config = ImproveConfig { move_set, warm: knobs.warm.clone(), ..ImproveConfig::default() };
     let datapath = salsa_audit::build_datapath(graph, &schedule, &library, knobs.extra_regs);
     let ctx = AllocContext::new(graph, &schedule, &library, datapath)
         .map_err(|e| ServeError::new(ErrorKind::Alloc, e.to_string()))?;

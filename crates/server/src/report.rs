@@ -60,10 +60,6 @@ pub fn report_json(graph: &Cdfg, schedule: &Schedule, seed: u64, result: &AllocR
                 ("attempted", Json::Int(stats.attempted as i64)),
                 ("accepted", Json::Int(stats.accepted as i64)),
                 ("uphill_accepted", Json::Int(stats.uphill_accepted as i64)),
-                ("proposed", Json::Int(stats.proposed as i64)),
-                ("conflict_skipped", Json::Int(stats.conflict_skipped as i64)),
-                ("stale_skipped", Json::Int(stats.stale_skipped as i64)),
-                ("committed", Json::Int(stats.committed as i64)),
                 ("initial_cost", Json::Int(stats.initial_cost as i64)),
                 ("final_cost", Json::Int(stats.final_cost as i64)),
                 ("trials_to_best", Json::Int(stats.trials_to_best as i64)),
@@ -109,8 +105,8 @@ pub fn report_json(graph: &Cdfg, schedule: &Schedule, seed: u64, result: &AllocR
 ///
 /// Everything else in a report is deterministic in `(design, knobs)`;
 /// only these three measure the run that produced them. The byte-exact
-/// contracts (`threads(1)` ≡ sequential, `batch(1)` ≡ sequential,
-/// 1-worker cluster ≡ local portfolio) and the CI report diffs compare
+/// contracts (`threads(1)` ≡ sequential, 1-worker cluster ≡ local
+/// portfolio), the CI report diffs and the golden reports compare
 /// reports in this canonical form. Accepts either a bare report object
 /// or a full `{"status":"ok","report":{...}}` response.
 pub fn canonicalize_report(json: &mut Json) {
@@ -177,14 +173,6 @@ mod tests {
         );
         let search = json.get("search").expect("search");
         assert!(search.get("attempted").is_some());
-        assert_eq!(
-            search.get("proposed").and_then(Json::as_u64),
-            Some(0),
-            "a sequential run draws no batched proposals"
-        );
-        assert!(search.get("conflict_skipped").is_some());
-        assert!(search.get("stale_skipped").is_some());
-        assert!(search.get("committed").is_some());
         assert!(json.get("portfolio").and_then(|p| p.get("chains")).is_some());
 
         // The serializer is stable: same result, same bytes.

@@ -705,7 +705,7 @@ mod tests {
 
         let response = roundtrip(
             &mut stream,
-            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"verify":"full"}"#,
+            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"verify":"full"}"#,
         );
         assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
         let report = response.get("report").expect("report");
@@ -736,11 +736,12 @@ mod tests {
             Some(canonical.to_string_compact().as_str())
         );
 
-        // A result-invariant knob change (plan off) is a fresh job but
+        // A result-invariant knob change (a cutoff factor, which the
+        // one-thread sequential loop never consults) is a fresh job but
         // the same result: the verdict comes from the cache.
         let replayed = roundtrip(
             &mut stream,
-            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"verify":"full","plan":false}"#,
+            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"cutoff":2.0,"verify":"full"}"#,
         );
         let cert2 = replayed.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert2.get("cache").and_then(Json::as_str), Some("hit"));

@@ -268,7 +268,7 @@ pub fn certify_job(
 mod tests {
     use super::*;
     use crate::exec::{resolve_graph, run_allocation};
-    use crate::protocol::GraphSource;
+    use crate::protocol::{cache_key, GraphSource};
 
     #[test]
     fn trace_ids_roundtrip_and_reject_junk() {
@@ -317,7 +317,12 @@ mod tests {
     #[test]
     fn certify_job_certifies_a_real_report_and_result_invariant_knobs_share_a_fingerprint() {
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
-        let knobs = Knobs { restarts: 2, verify: VerifyMode::Full, ..Knobs::default() };
+        let knobs = Knobs {
+            restarts: 2,
+            threads: Some(1),
+            verify: VerifyMode::Full,
+            ..Knobs::default()
+        };
         let report = run_allocation(&graph, &knobs, None).unwrap();
         let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
         assert!(cert.verdict.is_certified(), "{}", cert.verdict);
@@ -331,14 +336,18 @@ mod tests {
         canonicalize_report(&mut canonical);
         assert_eq!(artifact.report, canonical.to_string_compact());
 
-        // A knob that never changes the result (the plan A/B toggle)
-        // lands on the same verdict fingerprint; the seed does not.
+        // A knob the canonical report does not reflect (the cutoff
+        // factor, which the one-thread sequential loop never consults)
+        // makes a different job with the identical report, so it lands
+        // on the same verdict fingerprint; the verify mode does not.
         let canon = canonical.to_string_compact();
         let text = graph.canonical_text();
         let fp = result_fingerprint(&text, &canon, VerifyMode::Full);
-        let toggled = Knobs { plan: false, ..knobs.clone() };
+        let toggled = Knobs { cutoff: Some(2.0), ..knobs.clone() };
+        assert_ne!(cache_key(&text, &toggled), cache_key(&text, &knobs));
         let mut other = run_allocation(&graph, &toggled, None).unwrap();
         canonicalize_report(&mut other);
+        assert_eq!(other.to_string_compact(), canon, "the cutoff is invisible at one thread");
         assert_eq!(
             result_fingerprint(&text, &other.to_string_compact(), VerifyMode::Full),
             fp

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use salsa_cdfg::{parse_cdfg, random_cdfg, RandomCdfgConfig};
+use salsa_cdfg::{parse_cdfg, random_cdfg, OpKind, RandomCdfgConfig};
 use salsa_serve::{
     build_warm_spec, parse_json, resolve_graph, run_artifact, AdmissionArtifact, GraphSource,
     Json, Knobs, SeedEntry, Server, ServerConfig, Sketch,
@@ -325,5 +325,62 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     let admission = warm_stats.get("admission").unwrap();
     assert!(admission.get("hits").and_then(Json::as_u64).unwrap() >= 1);
 
+    server.shutdown();
+}
+
+#[test]
+fn reallocating_an_add_to_sub_edit_of_a_swapped_add_certifies() {
+    // The base winner swapped the operands of one of its adds (legal:
+    // add commutes). The edit turns exactly that add into a sub, so the
+    // label-matched warm image carries a swap onto an op that no longer
+    // commutes. The seeded start must refuse the image (falling back to
+    // guided construction) instead of allocating `b - a` for `a - b`.
+    const DESIGN: &str = "cdfg swapedit\ninput a\ninput b\nop x1 = add a b\n\
+        op x2 = mul x1 a\nop x3 = add x2 b\nop x4 = add x3 x1\nop x5 = mul x4 x2\n\
+        op x6 = add x5 x3\nop x7 = add x6 x1\noutput x7\n";
+    let base = AdmissionArtifact::new(parse_cdfg(DESIGN).unwrap());
+    let (seed, label) = (1u64..=32)
+        .find_map(|seed| {
+            let knobs = Knobs { seed, restarts: 2, threads: Some(1), ..Knobs::default() };
+            let (_, winner) = run_artifact(&base, &knobs, None).unwrap();
+            base.graph
+                .ops()
+                .find(|op| op.kind() == OpKind::Add && winner.op_swap[op.id().index()])
+                .map(|op| (seed, op.label().to_string()))
+        })
+        .expect("some seed's winner swaps an add");
+    let edited = base.canonical_text.replacen(
+        &format!("op {label} = add"),
+        &format!("op {label} = sub"),
+        1,
+    );
+    assert_ne!(edited, base.canonical_text, "the swapped add is spelled in the text");
+
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let knob_tail = format!(r#""seed":{seed},"restarts":2,"threads":1,"verify":"full""#);
+    let base_line = format!(
+        r#"{{"cmd":"allocate","cdfg":{},{knob_tail}}}"#,
+        Json::Str(base.canonical_text.clone()).to_string_compact()
+    );
+    let base_response = send_json(&mut stream, &base_line);
+    assert_eq!(base_response.get("status").and_then(Json::as_str), Some("ok"));
+    let base_id = base_response.get("id").and_then(Json::as_str).unwrap();
+
+    let realloc_line = format!(
+        r#"{{"cmd":"reallocate","base":"{base_id}","cdfg":{},{knob_tail}}}"#,
+        Json::Str(edited).to_string_compact()
+    );
+    let warm = send_json(&mut stream, &realloc_line);
+    assert_eq!(warm.get("status").and_then(Json::as_str), Some("ok"), "{warm}");
+    let report = warm.get("report").unwrap();
+    let warm_start = report.get("warm_start").expect("warm provenance");
+    assert_ne!(
+        warm_start.get("mode").and_then(Json::as_str),
+        Some("seeded"),
+        "the swapped image must not seed the edited design"
+    );
+    let cert = report.get("certificate").expect("certificate");
+    assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"), "{warm}");
     server.shutdown();
 }

@@ -5,7 +5,7 @@
 //! salsa-hls dot      <file.cdfg>                      Graphviz rendering of the CDFG
 //! salsa-hls schedule <file.cdfg> [--steps N] [--pipelined]
 //! salsa-hls allocate <file.cdfg> [--steps N] [--extra-regs K] [--seed S]
-//!                    [--restarts R] [--threads T] [--batch K] [--cutoff F]
+//!                    [--restarts R] [--threads T] [--cutoff F]
 //!                    [--pipelined] [--traditional] [--controller]
 //!                    [--verilog PATH] [--testbench PATH] [--dot PATH]
 //! salsa-hls bench    <name|--list>                    run a built-in benchmark
@@ -49,6 +49,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    reject_removed_flags(args)?;
     let command = args.first().map(String::as_str).unwrap_or("help");
     match command {
         "info" => info(args),
@@ -78,9 +79,9 @@ usage:
   salsa-hls dot      <file.cdfg>
   salsa-hls schedule <file.cdfg> [--steps N] [--pipelined]
   salsa-hls allocate <file.cdfg> [--steps N] [--extra-regs K] [--seed S]
-                     [--restarts R] [--threads T] [--batch K] [--cutoff F]
-                     [--pipelined] [--traditional] [--no-plan]
-                     [--no-mem-moves] [--controller]
+                     [--restarts R] [--threads T] [--cutoff F]
+                     [--pipelined] [--traditional] [--no-mem-moves]
+                     [--controller]
                      [--report] [--json] [--verilog PATH] [--testbench PATH]
                      [--dot PATH]
   salsa-hls bench    <name|--list>
@@ -92,7 +93,7 @@ usage:
                      [--lease-ms MS]
   salsa-hls submit   [--addr HOST:PORT] (--bench NAME | <file.cdfg>)
                      [--steps N] [--extra-regs K] [--seed S] [--restarts R]
-                     [--threads T] [--batch K] [--cutoff F] [--pipelined]
+                     [--threads T] [--cutoff F] [--pipelined]
                      [--traditional] [--verify off|sample|full]
                      [--dump-trace PATH] [--timeout-ms MS] [--pretty]
                      [--retry N] [--protocol json|binary|auto]
@@ -101,7 +102,7 @@ usage:
                      (--bench NAME | <file.cdfg>) [submit knobs...]
   salsa-hls audit    <artifact.json>
   salsa-hls cluster-alloc  (--bench NAME | <file.cdfg>) [--steps N]
-                     [--extra-regs K] [--seed S] [--restarts R] [--batch K]
+                     [--extra-regs K] [--seed S] [--restarts R]
                      [--cutoff F] [--pipelined] [--traditional]
                      [--listen HOST:PORT] [--shard-chains N] [--lease-ms MS]
                      [--canonical]
@@ -113,11 +114,7 @@ usage:
 --threads caps the portfolio workers spreading those chains (default: the
 machine's parallelism; 1 reproduces the sequential loop bit-for-bit);
 --cutoff sets the shared best-bound cutoff factor (>= 1.0, default 1.25);
---batch K turns on speculative move batches: K proposals per step graded
-in parallel, committed in proposal order (results depend only on the seed
-and K, never on thread count; --batch 1 matches the sequential loop).
---no-plan disables the compiled move-plan fast path in the proposers (for
-A/B verification; the trajectory and result are identical either way).
+the sequential loop (one thread) never consults it.
 --no-mem-moves disables the M move family on memory (array) designs,
 freezing bank assignment at the initial placement — the ablation
 baseline; scalar designs are unaffected.
@@ -177,6 +174,21 @@ job against the fleet, print the report, shut down.
   feedback yprev <- y
   output y
 ";
+
+/// Flags of removed search options. They fail loudly instead of being
+/// skipped, which would silently change the job — and `--batch K` would
+/// leave `K` behind to be read as the design path.
+const REMOVED_FLAGS: &[(&str, &str)] = &[
+    ("--batch", "the speculative batch engine is gone; the search applies one move at a time"),
+    ("--no-plan", "the compiled move plan is always on"),
+];
+
+fn reject_removed_flags(args: &[String]) -> Result<(), String> {
+    match REMOVED_FLAGS.iter().find(|(flag, _)| has_flag(args, flag)) {
+        Some((flag, why)) => Err(format!("{flag} was removed: {why}")),
+        None => Ok(()),
+    }
+}
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == flag) {
@@ -287,13 +299,9 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
         .extra_registers(flag_parse(args, "--extra-regs")?.unwrap_or(0))
         .restarts(flag_parse(args, "--restarts")?.unwrap_or(1))
         .config(config)
-        .plan(!has_flag(args, "--no-plan"))
         .mem_moves(!has_flag(args, "--no-mem-moves"));
     if let Some(threads) = flag_parse(args, "--threads")? {
         allocator = allocator.threads(threads);
-    }
-    if let Some(batch) = flag_parse(args, "--batch")? {
-        allocator = allocator.batch(batch);
     }
     if let Some(cutoff) = flag_parse(args, "--cutoff")? {
         allocator = allocator.cutoff_factor(cutoff);
@@ -458,11 +466,9 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         seed: flag_parse(args, "--seed")?.unwrap_or(42),
         restarts: flag_parse(args, "--restarts")?.unwrap_or(1),
         threads: None,
-        batch: flag_parse(args, "--batch")?,
         cutoff: flag_parse(args, "--cutoff")?,
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),
-        plan: !has_flag(args, "--no-plan"),
         mem_moves: !has_flag(args, "--no-mem-moves"),
         verify: parse_verify(args)?,
         warm: None,
@@ -715,8 +721,8 @@ fn audit(args: &[String]) -> Result<(), String> {
 fn submit_positional(args: &[String]) -> Option<&String> {
     const VALUE_FLAGS: &[&str] = &[
         "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
-        "--batch", "--cutoff", "--timeout-ms", "--retry", "--protocol", "--verify",
-        "--dump-trace", "--base",
+        "--cutoff", "--timeout-ms", "--retry", "--protocol", "--verify", "--dump-trace",
+        "--base",
     ];
     let mut i = 1;
     while i < args.len() {
@@ -768,7 +774,6 @@ fn build_submit_request(args: &[String]) -> Result<Json, String> {
         ("--seed", "seed"),
         ("--restarts", "restarts"),
         ("--threads", "threads"),
-        ("--batch", "batch"),
         ("--timeout-ms", "timeout_ms"),
     ] {
         if let Some(value) = flag_parse::<i64>(args, flag)? {
@@ -782,9 +787,6 @@ fn build_submit_request(args: &[String]) -> Result<Json, String> {
         if has_flag(args, flag) {
             pairs.push((key.to_string(), Json::Bool(true)));
         }
-    }
-    if has_flag(args, "--no-plan") {
-        pairs.push(("plan".to_string(), Json::Bool(false)));
     }
     if has_flag(args, "--no-mem-moves") {
         pairs.push(("mem_moves".to_string(), Json::Bool(false)));

@@ -16,8 +16,14 @@ feedback yprev <- y
 output y
 ";
 
+/// Writes `contents` to a fresh temp file. Every call gets its own name:
+/// the tests run in parallel, and a shared path let one test's design
+/// overwrite another's before it was read.
 fn write_temp(contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("salsa_cli_{}.cdfg", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("salsa_cli_{}_{n}.cdfg", std::process::id()));
     std::fs::write(&path, contents).unwrap();
     path
 }
@@ -113,6 +119,24 @@ fn unknown_command_fails() {
     let out = Command::new(BIN).arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("unknown command"));
+}
+
+#[test]
+fn removed_flags_fail_and_say_so() {
+    // `--batch K` must not leave `K` to be read as the design path, and
+    // neither flag may be skipped silently.
+    for (flag, args) in [
+        ("--batch", &["submit", "--batch", "8", "f.cdfg"][..]),
+        ("--batch", &["bench", "dct", "--batch", "8"][..]),
+        ("--batch", &["cluster-alloc", "--bench", "dct", "--batch", "2"][..]),
+        ("--no-plan", &["bench", "dct", "--no-plan"][..]),
+        ("--no-plan", &["submit", "--bench", "ewf", "--no-plan"][..]),
+    ] {
+        let out = Command::new(BIN).args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains(&format!("{flag} was removed")), "{args:?}: {text}");
+    }
 }
 
 #[test]
