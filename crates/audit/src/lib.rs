@@ -37,9 +37,7 @@ use salsa_alloc::{
     record_slot_trace, replay_trace, verify_binding, AllocContext, AllocError, Binding,
     ImproveConfig, MoveTrace, ReplayCheck, TraceError,
 };
-use salsa_cdfg::Cdfg;
-use salsa_datapath::{Datapath, MemConfig, Verdict};
-use salsa_sched::{FuClass, FuLibrary, Schedule};
+use salsa_datapath::Verdict;
 use salsa_wire::json::Json;
 
 /// Commits between cost cross-checks in `verify: sample` mode. Full mode
@@ -147,32 +145,6 @@ impl From<AllocError> for AuditError {
 impl From<TraceError> for AuditError {
     fn from(e: TraceError) -> Self {
         AuditError::Trace(e)
-    }
-}
-
-/// Builds the resource pool exactly as the allocation driver sizes it for
-/// a serve job: the schedule's functional-unit demand, and its register
-/// demand plus `extra_regs`. Auditors must reproduce this sizing
-/// bit-for-bit or the initial allocation (and every move after it) lands
-/// on a different pool.
-pub fn build_datapath(
-    graph: &Cdfg,
-    schedule: &Schedule,
-    library: &FuLibrary,
-    extra_regs: usize,
-) -> Datapath {
-    let fu_counts = schedule.fu_demand(graph, library);
-    let regs = (schedule.register_demand(graph, library) + extra_regs).max(1);
-    if graph.has_memory() {
-        // The same default banked-memory pool the allocation driver
-        // derives: one bank per array, each wide enough for the whole
-        // schedule's port demand, so any re-banking is feasible and the
-        // cost terms decide what the design actually pays for.
-        let ports = fu_counts.get(&FuClass::Mem).copied().unwrap_or(1).max(1);
-        let mem = MemConfig::uniform(graph.num_arrays().max(1), ports);
-        Datapath::new_with_memory(&fu_counts, regs, &mem)
-    } else {
-        Datapath::new(&fu_counts, regs)
     }
 }
 
@@ -335,9 +307,9 @@ impl TraceArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salsa_alloc::{portfolio_search, PortfolioConfig};
+    use salsa_alloc::{portfolio_search, Allocator, PortfolioConfig};
     use salsa_cdfg::benchmarks::paper_example;
-    use salsa_sched::fds_schedule;
+    use salsa_sched::{fds_schedule, FuLibrary};
     use salsa_wire::json::parse_json;
 
     #[test]
@@ -345,9 +317,7 @@ mod tests {
         let graph = paper_example();
         let library = FuLibrary::standard();
         let schedule = fds_schedule(&graph, &library, 4).unwrap();
-        let datapath = build_datapath(&graph, &schedule, &library, 0);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = ImproveConfig::default();
+        let (ctx, config) = Allocator::new(&graph, &schedule, &library).prepare().unwrap();
         let outcome =
             portfolio_search(&ctx, &config, &PortfolioConfig::default(), 42, 2).unwrap();
 

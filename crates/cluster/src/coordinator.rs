@@ -45,11 +45,11 @@ use salsa_alloc::{
 };
 use salsa_cdfg::Cdfg;
 use salsa_serve::json::Json;
-use salsa_serve::{knobs_to_json, report_json, ErrorKind, Knobs, ServeError};
+use salsa_serve::{knobs_to_json, map_alloc_error, ErrorKind, Knobs, ServeError};
 use salsa_wire::frame::Payload;
 use salsa_wire::net::{Handler, NetConfig, NetServer};
 
-use crate::plan::{build_allocator, map_alloc_error, plan_job, JobPlan};
+use crate::plan::{plan_job, JobPlan};
 use crate::protocol::{
     binding_parts_from_json, binding_slot, bound_from_json, bound_to_json, chain_from_json,
 };
@@ -238,13 +238,13 @@ impl Coordinator {
         // to the local path.
         let plan = plan_job(graph, knobs)?;
 
-        let restarts = plan.knobs.restarts;
+        let restarts = plan.knobs().restarts;
         let shard_chains = self.shared.config.shard_chains.max(1);
         let shards: Vec<Shard> = (0..restarts)
             .step_by(shard_chains)
             .map(|s| Shard { slot_start: s, slot_end: (s + shard_chains).min(restarts) })
             .collect();
-        let cutoff = plan.knobs.cutoff.or(self.shared.config.cutoff);
+        let cutoff = plan.knobs().cutoff.or(self.shared.config.cutoff);
 
         let job_id = {
             let mut state = self.shared.state.lock().expect("coordinator state");
@@ -254,7 +254,7 @@ impl Coordinator {
                 id,
                 JobState {
                     cdfg_text,
-                    knobs_json: knobs_to_json(&plan.knobs),
+                    knobs_json: knobs_to_json(plan.knobs()),
                     pending: (0..shards.len()).collect(),
                     shards,
                     leases: HashMap::new(),
@@ -263,7 +263,7 @@ impl Coordinator {
                     bound: u64::MAX,
                     cutoff,
                     failed: None,
-                    base_seed: plan.knobs.seed,
+                    base_seed: plan.knobs().seed,
                 },
             );
             id
@@ -272,7 +272,7 @@ impl Coordinator {
         // Build the coordinator's own search context — needed only for
         // the final winner replay — *after* the job is visible, so the
         // fleet starts crunching shards while this thread prepares.
-        let allocator = build_allocator(graph, &plan, cancel.clone());
+        let allocator = plan.allocator(graph, cancel.clone());
         let (ctx, improve_config) = match allocator.prepare() {
             Ok(prepared) => prepared,
             Err(e) => {
@@ -445,7 +445,7 @@ fn finalize<'a>(
         initial: InitialBinding::Constructive,
     };
     let result = allocator.complete(ctx, outcome).map_err(map_alloc_error)?;
-    Ok(report_json(graph, &plan.schedule, plan.knobs.seed, &result))
+    Ok(plan.report(graph, &result))
 }
 
 fn error_json(message: &str) -> Json {

@@ -105,7 +105,6 @@ pub fn chain_from_json(obj: &Json) -> Option<ChainOutcome> {
     let stat = ChainStat {
         slot: usize_field(obj, "slot")?,
         seed: obj.get("seed")?.as_u64()?,
-        bonus: false,
         completed,
         trials: improve.trials,
         attempted: improve.attempted,
@@ -300,8 +299,7 @@ mod tests {
             stat: ChainStat {
                 slot: 3,
                 seed: 45,
-                bonus: false,
-                completed: true,
+                        completed: true,
                 trials: improve.trials,
                 attempted: improve.attempted,
                 best_cost: improve.final_cost,

@@ -31,7 +31,7 @@ use salsa_serve::json::Json;
 use salsa_serve::knobs_from_json;
 use salsa_wire::{Backoff, Connection, Protocol};
 
-use crate::plan::{build_allocator, plan_job};
+use crate::plan::plan_job;
 use crate::protocol::{binding_to_json, bound_from_json, bound_to_json, chain_to_json};
 
 /// Injected failure behaviour, for the failover tests.
@@ -223,7 +223,7 @@ fn run_job(
         }
     };
     let cancel = CancelToken::new();
-    let allocator = build_allocator(&graph, &plan, Some(cancel.clone()));
+    let allocator = plan.allocator(&graph, Some(cancel.clone()));
     let (ctx, improve_config) = match allocator.prepare() {
         Ok(prepared) => prepared,
         Err(e) => {
@@ -271,7 +271,6 @@ fn run_job(
                         bound: local_bound,
                         cutoff_factor: factor,
                         min_trials,
-                        publish: true,
                     });
                     let result = run_chain_slots_with_best(
                         ctx,

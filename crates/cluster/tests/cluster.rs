@@ -82,11 +82,25 @@ fn cluster_report(graph: &Cdfg, knobs: &Knobs, config: ClusterConfig, faults: &[
 
 #[test]
 fn one_worker_cluster_reproduces_local_portfolio_bytes() {
-    let graph = paper_example();
-    let knobs = Knobs { restarts: 4, ..Knobs::default() };
-    let local = local_canonical(&graph, &knobs);
-    let cluster = cluster_canonical(&graph, &knobs, ClusterConfig::default(), &[FaultPlan::None]);
-    assert_eq!(cluster, local, "1-worker cluster must be byte-identical to the local portfolio");
+    // The memory designs with `mem_moves: false` pin that every knob
+    // reaches the fleet: the M-off ablation must freeze bank assignment
+    // on a worker exactly as it does locally.
+    let no_mem_moves = Knobs { restarts: 2, mem_moves: false, ..Knobs::default() };
+    for (graph, knobs) in [
+        (paper_example(), Knobs { restarts: 4, ..Knobs::default() }),
+        (salsa_cdfg::benchmarks::fir_array(), no_mem_moves.clone()),
+        (salsa_cdfg::benchmarks::matmul(), no_mem_moves),
+    ] {
+        let local = local_canonical(&graph, &knobs);
+        let cluster =
+            cluster_canonical(&graph, &knobs, ClusterConfig::default(), &[FaultPlan::None]);
+        assert_eq!(
+            cluster,
+            local,
+            "{}: 1-worker cluster must be byte-identical to the local portfolio",
+            graph.name()
+        );
+    }
 }
 
 #[test]
@@ -264,7 +278,7 @@ proptest! {
 /// context rebuilds, bit-for-bit, in an independently wire-derived one.
 #[test]
 fn binding_images_survive_the_canonical_text_boundary() {
-    use salsa_cluster::plan::{build_allocator, plan_job};
+    use salsa_cluster::plan::plan_job;
 
     for (graph, steps, seed) in [
         (salsa_cdfg::benchmarks::ewf(), 19usize, 7u64),
@@ -278,7 +292,7 @@ fn binding_images_survive_the_canonical_text_boundary() {
         // Sender: run a chain on a wire-derived context and image its
         // best binding, exactly as a worker does.
         let plan_a = plan_job(&wire_graph, &knobs).unwrap();
-        let alloc_a = build_allocator(&wire_graph, &plan_a, None);
+        let alloc_a = plan_a.allocator(&wire_graph, None);
         let (ctx_a, config_a) = alloc_a.prepare().unwrap();
         let (chain, binding) =
             salsa_alloc::replay_slot(&ctx_a, &config_a, knobs.seed, 0).unwrap();
@@ -288,7 +302,7 @@ fn binding_images_survive_the_canonical_text_boundary() {
         // coordinator's finalize builds it.
         let receiver_graph = salsa_cdfg::parse_cdfg(&text).expect("canonical text parses");
         let plan_b = plan_job(&receiver_graph, &knobs).unwrap();
-        let alloc_b = build_allocator(&receiver_graph, &plan_b, None);
+        let alloc_b = plan_b.allocator(&receiver_graph, None);
         let (ctx_b, config_b) = alloc_b.prepare().unwrap();
         let rebuilt = salsa_alloc::Binding::from_parts(&ctx_b, &parts)
             .expect("image rebuilds across the wire boundary");

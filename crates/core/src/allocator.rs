@@ -151,7 +151,7 @@ impl<'a> Allocator<'a> {
     }
 
     /// Replaces the whole portfolio configuration (threads, cutoff,
-    /// bonus restarts, opportunistic mode).
+    /// minimum trials before the cutoff).
     pub fn portfolio(mut self, portfolio: PortfolioConfig) -> Self {
         self.portfolio = portfolio;
         self

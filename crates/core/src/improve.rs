@@ -200,9 +200,6 @@ pub struct SearchWatch<'a> {
     pub cutoff_factor: f64,
     /// Trials to complete before the first cutoff check.
     pub min_trials: usize,
-    /// Whether this chain publishes its costs into the bound (primary
-    /// chains do; bonus chains only in opportunistic mode).
-    pub publish: bool,
 }
 
 /// How a bounded improvement run ended.
@@ -405,9 +402,7 @@ fn run_phase(
             // can never be `cutoff_factor >= 1` behind it, so the
             // bound-holder always survives and the portfolio always has a
             // completed chain to reduce over.
-            if watch.publish {
-                watch.bound.publish(best_cost);
-            }
+            watch.bound.publish(best_cost);
             if stats.trials >= watch.min_trials
                 && watch.bound.exceeded_by(best_cost, watch.cutoff_factor)
             {

@@ -19,8 +19,7 @@
 //! best-so-far cost into the bound (`fetch_min`) and, once past
 //! `min_trials`, abandons itself when it has fallen `cutoff_factor` behind
 //! the global best. An abandoned chain is recorded as such and contributes
-//! *nothing* to the result; its worker moves on to its next slot (and may
-//! spend the freed time on bonus restarts, see below).
+//! *nothing* to the result; its worker moves on to its next slot.
 //!
 //! **Deterministic reduction.** Results are collected per slot and the
 //! winner is the completed slot minimizing `(cost, slot)` — equivalently
@@ -40,8 +39,9 @@
 //!    `cutoff_factor * W` after `min_trials` (the *headroom invariant*,
 //!    validated across thread counts by the portfolio property tests).
 //!
-//! With `threads == 1` the driver runs the legacy sequential multi-seed
-//! loop verbatim (no bound, no cutoff) and is bit-identical to it.
+//! With `threads == 1` the single worker runs inline, unwatched (no bound,
+//! no cutoff): every chain completes, and the result is the sequential
+//! multi-seed loop's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -96,7 +96,7 @@ impl Default for SearchBound {
 pub struct PortfolioConfig {
     /// Worker threads. `None` uses [`std::thread::available_parallelism`].
     /// An effective count of 1 reproduces the sequential multi-seed loop
-    /// exactly (no bound, no cutoff, no bonus restarts).
+    /// exactly (no bound, no cutoff).
     pub threads: Option<usize>,
     /// A chain abandons when its best-so-far exceeds `cutoff_factor` times
     /// the global best. Values are clamped to `>= 1.0`; larger is more
@@ -105,26 +105,11 @@ pub struct PortfolioConfig {
     /// Trials a chain must complete before its first cutoff check, so the
     /// noisy early descent cannot abandon an eventual winner.
     pub min_trials: usize,
-    /// Bonus restarts a worker may run after abandoning chains (one per
-    /// abandonment, capped by this). Bonus chains read the bound but never
-    /// publish to it, and join the reduction only in
-    /// [`opportunistic`](Self::opportunistic) mode.
-    pub bonus_restarts: usize,
-    /// Let bonus chains publish to the bound and enter the reduction.
-    /// Trades bit-reproducibility across schedules for extra exploration;
-    /// leave `false` whenever deterministic output matters.
-    pub opportunistic: bool,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        PortfolioConfig {
-            threads: None,
-            cutoff_factor: 1.25,
-            min_trials: 2,
-            bonus_restarts: 0,
-            opportunistic: false,
-        }
+        PortfolioConfig { threads: None, cutoff_factor: 1.25, min_trials: 2 }
     }
 }
 
@@ -140,12 +125,10 @@ impl PortfolioConfig {
 /// Per-chain outcome statistics, one row of the portfolio report table.
 #[derive(Debug, Clone)]
 pub struct ChainStat {
-    /// Restart slot (primary chains) or `usize::MAX` for bonus chains.
+    /// Restart slot.
     pub slot: usize,
     /// The chain's RNG seed.
     pub seed: u64,
-    /// Whether this was a bonus (reseeded) chain.
-    pub bonus: bool,
     /// `false` when the chain was abandoned by the best-bound cutoff.
     pub completed: bool,
     /// Trials executed before finishing or abandoning.
@@ -165,7 +148,7 @@ pub struct ChainStat {
 pub struct PortfolioStats {
     /// Worker threads used.
     pub threads: usize,
-    /// Per-chain rows, primaries in slot order, then bonus chains.
+    /// Per-chain rows in slot order.
     pub chains: Vec<ChainStat>,
     /// Slot of the winning chain.
     pub winner_slot: usize,
@@ -231,7 +214,6 @@ fn run_chain<'a>(
     config: &ImproveConfig,
     seed: u64,
     slot: usize,
-    bonus: bool,
     watch: Option<&SearchWatch<'_>>,
 ) -> ChainRun<'a> {
     let start = Instant::now();
@@ -243,9 +225,7 @@ fn run_chain<'a>(
     } else {
         stats.final_cost = polish(&mut binding, &config.weights, &config.move_set);
         if let Some(watch) = watch {
-            if watch.publish {
-                watch.bound.publish(stats.final_cost);
-            }
+            watch.bound.publish(stats.final_cost);
         }
         Some((stats.final_cost, binding))
     };
@@ -254,7 +234,6 @@ fn run_chain<'a>(
         stat: ChainStat {
             slot,
             seed,
-            bonus,
             completed: result.is_some(),
             trials: stats.trials,
             attempted: stats.attempted,
@@ -340,7 +319,6 @@ pub fn run_chain_slots_with_best<'a>(
             improve_config,
             base_seed.wrapping_add(slot as u64),
             slot,
-            false,
             watch,
         );
         let cost = run.result.as_ref().map(|(cost, _)| *cost);
@@ -376,14 +354,7 @@ pub fn replay_slot<'a>(
     slot: usize,
 ) -> Result<(ChainOutcome, Binding<'a>), AllocError> {
     let (initial, _) = initial_binding(ctx, improve_config.warm.as_deref());
-    let run = run_chain(
-        &initial,
-        improve_config,
-        base_seed.wrapping_add(slot as u64),
-        slot,
-        false,
-        None,
-    );
+    let run = run_chain(&initial, improve_config, base_seed.wrapping_add(slot as u64), slot, None);
     match run.result {
         Some((cost, binding)) => Ok((
             ChainOutcome { stat: run.stat, improve: run.improve, cost: Some(cost) },
@@ -391,15 +362,6 @@ pub fn replay_slot<'a>(
         )),
         None => Err(AllocError::Cancelled),
     }
-}
-
-/// Derives a bonus-chain seed well away from the primary slot seeds.
-fn bonus_seed(base_seed: u64, worker: usize, k: usize) -> u64 {
-    base_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(0x5851_F42D_4C95_7F2D)
-        .wrapping_add((worker as u64) << 20)
-        .wrapping_add(k as u64)
 }
 
 /// Runs the portfolio: `seeds` primary chains with seeds
@@ -431,88 +393,38 @@ pub fn portfolio_search<'a>(
     let (initial, initial_origin) = initial_binding(ctx, improve_config.warm.as_deref());
     let cancelled = || improve_config.cancel.as_ref().is_some_and(|t| t.is_cancelled());
 
-    let mut runs: Vec<ChainRun<'a>> = if threads == 1 {
-        // Sequential compatibility mode: the legacy multi-seed loop,
-        // verbatim — every chain completes, no bound is consulted.
-        let mut runs = Vec::with_capacity(seeds);
-        for slot in 0..seeds {
+    // One thread runs unwatched: no bound, no cutoff, every chain completes.
+    let bound = SearchBound::new();
+    let watch = (threads > 1).then_some(SearchWatch {
+        bound: &bound,
+        cutoff_factor: config.cutoff_factor,
+        min_trials: config.min_trials,
+    });
+    // Worker `w` of `K` runs slots `w, w+K, w+2K, ...` in slot order; a
+    // single worker runs inline on the calling thread.
+    let worker = |w: usize| {
+        let mut runs = Vec::new();
+        for slot in (w..seeds).step_by(threads) {
             if cancelled() {
                 break;
             }
-            runs.push(run_chain(
-                &initial,
-                improve_config,
-                base_seed.wrapping_add(slot as u64),
-                slot,
-                false,
-                None,
-            ));
+            let seed = base_seed.wrapping_add(slot as u64);
+            runs.push(run_chain(&initial, improve_config, seed, slot, watch.as_ref()));
         }
         runs
-    } else {
-        let bound = SearchBound::new();
-        let mut per_worker: Vec<Vec<ChainRun<'a>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let bound = &bound;
-                    let initial = &initial;
-                    let cancelled = &cancelled;
-                    scope.spawn(move || {
-                        let primary_watch = SearchWatch {
-                            bound,
-                            cutoff_factor: config.cutoff_factor,
-                            min_trials: config.min_trials,
-                            publish: true,
-                        };
-                        let bonus_watch = SearchWatch {
-                            publish: config.opportunistic,
-                            ..primary_watch
-                        };
-                        let mut runs = Vec::new();
-                        let mut abandoned = 0usize;
-                        for slot in (w..seeds).step_by(threads) {
-                            if cancelled() {
-                                break;
-                            }
-                            let seed = base_seed.wrapping_add(slot as u64);
-                            let run = run_chain(
-                                initial, improve_config, seed, slot, false, Some(&primary_watch),
-                            );
-                            if !run.stat.completed {
-                                abandoned += 1;
-                            }
-                            runs.push(run);
-                        }
-                        // Reseed freed time into fresh exploratory chains:
-                        // one bonus restart per abandonment, bounded.
-                        for k in 0..abandoned.min(config.bonus_restarts) {
-                            if cancelled() {
-                                break;
-                            }
-                            runs.push(run_chain(
-                                initial,
-                                improve_config,
-                                bonus_seed(base_seed, w, k),
-                                usize::MAX,
-                                true,
-                                Some(&bonus_watch),
-                            ));
-                        }
-                        runs
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("portfolio worker")).collect()
-        });
-        let mut all = Vec::with_capacity(seeds);
-        for worker_runs in &mut per_worker {
-            all.append(worker_runs);
-        }
-        // Slot order for primaries, bonus chains after: the reduction and
-        // the report table are independent of worker interleaving.
-        all.sort_by_key(|r| (r.stat.bonus, r.stat.slot, r.stat.seed));
-        all
     };
+    let mut runs: Vec<ChainRun<'a>> = if threads == 1 {
+        worker(0)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..threads).map(|w| scope.spawn(move || worker(w))).collect();
+            handles.into_iter().flat_map(|h| h.join().expect("portfolio worker")).collect()
+        })
+    };
+    // Slot order: the reduction and the report table are independent of
+    // worker interleaving.
+    runs.sort_by_key(|r| r.stat.slot);
 
     // Cancellation is abortive: even if some chains finished before the
     // token tripped, *which* ones did depends on scheduling — returning a
@@ -525,20 +437,16 @@ pub fn portfolio_search<'a>(
     // itself (factor >= 1), so at least one chain completes; if a future
     // change breaks that, fall back to a deterministic unwatched chain 0.
     if !runs.iter().any(|r| r.result.is_some()) {
-        runs.insert(0, run_chain(&initial, improve_config, base_seed, 0, false, None));
+        runs.insert(0, run_chain(&initial, improve_config, base_seed, 0, None));
     }
 
-    // Deterministic reduction: minimal (cost, slot) over completed primary
-    // slots — bonus chains join only in opportunistic mode, losing ties.
+    // Deterministic reduction: minimal (cost, slot) over completed slots.
     let winner_index = runs
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.result.is_some() && (!r.stat.bonus || config.opportunistic))
-        .min_by_key(|(_, r)| {
-            let cost = r.result.as_ref().expect("filtered to completed").0;
-            (cost, r.stat.bonus, r.stat.slot, r.stat.seed)
-        })
-        .map(|(i, _)| i)
+        .filter_map(|(i, r)| r.result.as_ref().map(|(cost, _)| (*cost, r.stat.slot, i)))
+        .min()
+        .map(|(_, _, i)| i)
         .expect("at least one chain completes");
 
     let mut aggregate = ImproveStats::default();

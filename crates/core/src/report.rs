@@ -71,8 +71,7 @@ pub fn portfolio_table(stats: &crate::PortfolioStats) -> String {
         "chain", "seed", "trials", "moves", "moves/sec", "best-cost"
     );
     for chain in &stats.chains {
-        let slot = if chain.bonus { "bonus".to_string() } else { chain.slot.to_string() };
-        let status = match (chain.completed, chain.slot == stats.winner_slot && !chain.bonus) {
+        let status = match (chain.completed, chain.slot == stats.winner_slot) {
             (true, true) => "winner",
             (true, false) => "completed",
             (false, _) => "cutoff",
@@ -80,7 +79,7 @@ pub fn portfolio_table(stats: &crate::PortfolioStats) -> String {
         let _ = writeln!(
             out,
             "  {:>5} {:>10} {:>7} {:>10} {:>11.0} {:>10}  {}",
-            slot, chain.seed, chain.trials, chain.attempted, chain.moves_per_sec,
+            chain.slot, chain.seed, chain.trials, chain.attempted, chain.moves_per_sec,
             chain.best_cost, status
         );
     }

@@ -1,11 +1,12 @@
 //! The admission artifact cache: everything a job derives from its
 //! design *before* search — parsed graph, canonical text, similarity
-//! sketch, and per-knob-shape schedules with their compiled move plans —
+//! sketch, and per-knob-shape job plans with their compiled move plans —
 //! computed once per design and shared by every subsequent job over it.
 //!
 //! Admission used to repeat this work per request: parse (or rebuild) the
 //! graph, re-render the canonical text for the cache key, re-run
-//! force-directed scheduling and recompile the [`MovePlan`] even when the
+//! force-directed scheduling and recompile the
+//! [`MovePlan`](salsa_alloc::MovePlan) even when the
 //! previous job had the identical design and knob shape. All of it is a
 //! pure function of `(design, pipelined, steps, extra_regs)`, so a repeat
 //! miss now skips straight to the portfolio search.
@@ -21,29 +22,16 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use salsa_alloc::{AllocContext, MovePlan};
 use salsa_cdfg::{fnv1a_128, Cdfg};
-use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
-use crate::exec::resolve_graph;
-use crate::protocol::{ErrorKind, GraphSource, Knobs, ServeError};
+use crate::exec::{map_alloc_error, plan_job, resolve_graph, resolve_knobs, JobPlan};
+use crate::protocol::{GraphSource, Knobs, ServeError};
 use crate::similarity::Sketch;
 
-/// The knob shape a derived schedule/plan pair depends on: the library
-/// choice, the *resolved* step count, and the register headroom (which
-/// sets the pool the plan was stamped against).
-type DerivedKey = (bool, usize, usize);
-
-/// A schedule and its compiled move plan, derived once per
-/// `(design, pipelined, steps, extra_regs)` shape.
-pub struct Derived {
-    /// The force-directed schedule.
-    pub schedule: Schedule,
-    /// The resolved step count (`knobs.steps` or the ASAP length).
-    pub steps: usize,
-    /// The compiled candidate tables, lent to every job over this shape.
-    pub plan: Arc<MovePlan>,
-}
+/// The knob shape a schedule/plan pair depends on: the library choice,
+/// the *resolved* step count, and the register headroom (which sets the
+/// pool the plan was stamped against).
+type ShapeKey = (bool, Option<usize>, usize);
 
 /// Everything admission derives from one design.
 pub struct AdmissionArtifact {
@@ -54,7 +42,9 @@ pub struct AdmissionArtifact {
     pub canonical_text: String,
     /// The similarity sketch for warm-start seeding.
     pub sketch: Sketch,
-    derived: Mutex<HashMap<DerivedKey, Arc<Derived>>>,
+    /// One job plan per knob shape, holding the shared schedule and
+    /// compiled move plan.
+    shapes: Mutex<HashMap<ShapeKey, JobPlan>>,
 }
 
 impl AdmissionArtifact {
@@ -62,38 +52,36 @@ impl AdmissionArtifact {
     pub fn new(graph: Cdfg) -> Self {
         let canonical_text = graph.canonical_text();
         let sketch = Sketch::of(&graph);
-        AdmissionArtifact { graph, canonical_text, sketch, derived: Mutex::new(HashMap::new()) }
+        AdmissionArtifact { graph, canonical_text, sketch, shapes: Mutex::new(HashMap::new()) }
     }
 
-    /// The schedule + compiled plan for this design under `knobs`,
-    /// deriving and caching them on first use. Scheduling failures are
-    /// not cached — a later request with feasible knobs must not be
-    /// poisoned by an earlier infeasible one.
-    pub fn derive(&self, knobs: &Knobs) -> Result<Arc<Derived>, ServeError> {
-        let library =
-            if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
-        let steps = knobs.steps.unwrap_or_else(|| asap(&self.graph, &library).length);
-        let key = (knobs.pipelined, steps, knobs.extra_regs);
-        if let Some(hit) = self.derived.lock().expect("admission poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
+    /// The job plan for this design under `knobs`, with the schedule and
+    /// compiled move plan shared by every job of the same knob shape —
+    /// derived by [`plan_job`] and `Allocator::prepare` on first use.
+    /// Scheduling failures are not cached — a later request with
+    /// feasible knobs must not be poisoned by an earlier infeasible one.
+    pub fn plan(&self, knobs: &Knobs) -> Result<JobPlan, ServeError> {
+        let (_, knobs) = resolve_knobs(&self.graph, knobs);
+        let key = (knobs.pipelined, knobs.steps, knobs.extra_regs);
+        if let Some(shape) = self.shapes.lock().expect("admission poisoned").get(&key) {
+            return Ok(JobPlan { knobs, ..shape.clone() });
         }
-        let schedule = fds_schedule(&self.graph, &library, steps)
-            .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
-        // Compiling the plan needs the full context (lifetimes + demand
-        // checks); the throwaway borrow is the point — the Arc'd plan
-        // survives it and every later job skips the compile.
-        let datapath =
-            salsa_audit::build_datapath(&self.graph, &schedule, &library, knobs.extra_regs);
-        let plan = AllocContext::new(&self.graph, &schedule, &library, datapath)
-            .map(|ctx| Arc::clone(&ctx.plan))
-            .map_err(|e| ServeError::new(ErrorKind::Alloc, e.to_string()))?;
-        let derived = Arc::new(Derived { schedule, steps, plan });
-        self.derived
+        let mut job = plan_job(&self.graph, &knobs)?;
+        // Compiling the plan needs the prepared context; the throwaway
+        // borrow is the point — the Arc'd plan survives it and every
+        // later job skips the compile.
+        let compiled = job
+            .allocator(&self.graph, None)
+            .prepare()
+            .map(|(ctx, _)| Arc::clone(&ctx.plan))
+            .map_err(map_alloc_error)?;
+        job.compiled = Some(compiled);
+        self.shapes
             .lock()
             .expect("admission poisoned")
             .entry(key)
-            .or_insert_with(|| Arc::clone(&derived));
-        Ok(derived)
+            .or_insert_with(|| job.clone());
+        Ok(job)
     }
 }
 
@@ -191,14 +179,20 @@ mod tests {
         let canonical = cache.resolve(&GraphSource::Bench("diffeq".into())).unwrap();
         assert!(Arc::ptr_eq(&aliased, &canonical));
 
-        // Derivations dedupe per knob shape and share the compiled plan.
-        let knobs = Knobs::default();
-        let d1 = a.derive(&knobs).unwrap();
-        let d2 = b.derive(&knobs).unwrap();
-        assert!(Arc::ptr_eq(&d1, &d2), "same knob shape must reuse the derivation");
-        let other = a.derive(&Knobs { extra_regs: 1, ..Knobs::default() }).unwrap();
-        assert!(!Arc::ptr_eq(&d1.plan, &other.plan), "extra_regs changes the pool and the plan");
-        assert_eq!(d1.steps, other.steps);
+        // Plans dedupe per knob shape and share the schedule and the
+        // compiled move plan; other knobs ride along per job.
+        let compiled = |job: &JobPlan| Arc::clone(job.compiled.as_ref().expect("compiled"));
+        let d1 = a.plan(&Knobs::default()).unwrap();
+        let d2 = b.plan(&Knobs { seed: 7, ..Knobs::default() }).unwrap();
+        assert!(Arc::ptr_eq(&d1.schedule, &d2.schedule), "same knob shape must reuse the schedule");
+        assert!(Arc::ptr_eq(&compiled(&d1), &compiled(&d2)), "and the compiled plan");
+        assert_eq!(d2.knobs.seed, 7);
+        let other = a.plan(&Knobs { extra_regs: 1, ..Knobs::default() }).unwrap();
+        assert!(
+            !Arc::ptr_eq(&compiled(&d1), &compiled(&other)),
+            "extra_regs changes the pool and the plan"
+        );
+        assert_eq!(d1.knobs.steps, other.knobs.steps);
     }
 
     #[test]
@@ -206,9 +200,9 @@ mod tests {
         let cache = AdmissionCache::new(4);
         let artifact = cache.resolve(&GraphSource::Bench("ewf".into())).unwrap();
         let bad = Knobs { steps: Some(1), ..Knobs::default() };
-        let err = artifact.derive(&bad).err().expect("1 step is infeasible");
-        assert_eq!(err.kind, ErrorKind::Schedule);
-        assert!(artifact.derive(&Knobs::default()).is_ok());
+        let err = artifact.plan(&bad).expect_err("1 step is infeasible");
+        assert_eq!(err.kind, crate::protocol::ErrorKind::Schedule);
+        assert!(artifact.plan(&Knobs::default()).is_ok());
     }
 
     #[test]

@@ -1,19 +1,27 @@
-//! Job execution: resolve the request's design, schedule it, run the
-//! portfolio allocator under the job's cancel token, and serialize the
-//! report. Shared by the server's workers and usable in-process by the
-//! load generator (which drives the same path without a socket).
+//! Job execution: resolve the request's design, derive the job's setup
+//! from its knobs, run the portfolio allocator under the job's cancel
+//! token, and serialize the report.
+//!
+//! [`plan_job`] is the one place the allocation setup is derived from
+//! `(graph, knobs)`: library, step count and force-directed schedule,
+//! and — through [`JobPlan::allocator`] — move set, seed, register
+//! headroom, restarts, threads, cutoff, warm seed and `mem_moves`. The
+//! server's workers, the verifier lane, offline audit, the cluster's
+//! coordinator and workers, and the CLI all go through it, so every
+//! entry point prepares a job bit-identically by construction.
+
+use std::sync::Arc;
 
 use salsa_alloc::{
-    AllocContext, AllocError, Allocator, BindingParts, CancelToken, ImproveConfig, MoveSet,
+    AllocContext, AllocError, AllocResult, Allocator, BindingParts, CancelToken, ImproveConfig,
+    MovePlan, MoveSet,
 };
 use salsa_cdfg::{parse_cdfg, Cdfg};
-use salsa_sched::{asap, fds_schedule, FuLibrary};
+use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
 use crate::admission::AdmissionArtifact;
 use crate::json::Json;
-use crate::protocol::{
-    canonical_bench_name, AllocRequest, ErrorKind, GraphSource, Knobs, ServeError,
-};
+use crate::protocol::{canonical_bench_name, ErrorKind, GraphSource, Knobs, ServeError};
 use crate::report::report_json;
 
 /// Resolves the request's design into a graph: benchmark lookup (with
@@ -50,6 +58,92 @@ pub fn resolve_graph(source: &GraphSource) -> Result<Cdfg, ServeError> {
     }
 }
 
+/// A job's allocation setup, derived from `(graph, knobs)` by
+/// [`plan_job`]: everything the search needs before it starts. Only
+/// [`plan_job`] (and the admission cache, from its result) builds one,
+/// so the schedule always matches the library and knobs beside it.
+#[derive(Debug, Clone)]
+pub struct JobPlan {
+    pub(crate) library: FuLibrary,
+    pub(crate) schedule: Arc<Schedule>,
+    pub(crate) knobs: Knobs,
+    /// A move plan compiled earlier for this exact schedule and pool
+    /// (the admission cache's); `None` compiles one in `prepare`.
+    pub(crate) compiled: Option<Arc<MovePlan>>,
+}
+
+/// The library `knobs` select for `graph`, and `knobs` with the step
+/// count resolved (the ASAP length when unset).
+pub(crate) fn resolve_knobs(graph: &Cdfg, knobs: &Knobs) -> (FuLibrary, Knobs) {
+    let library = if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
+    let steps = knobs.steps.unwrap_or_else(|| asap(graph, &library).length);
+    (library, Knobs { steps: Some(steps), ..knobs.clone() })
+}
+
+/// Derives a job's setup from `(graph, knobs)`: the library, the step
+/// count and the force-directed schedule. Deterministic: the same inputs
+/// yield the same plan on every host.
+pub fn plan_job(graph: &Cdfg, knobs: &Knobs) -> Result<JobPlan, ServeError> {
+    let (library, knobs) = resolve_knobs(graph, knobs);
+    let steps = knobs.steps.expect("resolved above");
+    let schedule = fds_schedule(graph, &library, steps)
+        .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
+    Ok(JobPlan { library, schedule: Arc::new(schedule), knobs, compiled: None })
+}
+
+impl JobPlan {
+    /// The functional-unit library the knobs select.
+    pub fn library(&self) -> &FuLibrary {
+        &self.library
+    }
+
+    /// The force-directed schedule at the resolved step count.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// The job's knobs with `steps` resolved (always `Some`).
+    pub fn knobs(&self) -> &Knobs {
+        &self.knobs
+    }
+
+    /// The allocator for this job over `graph` (the graph it was planned
+    /// from), with every knob applied. `prepare` on it sizes the pool and
+    /// resolves the move set; `run` executes the whole job.
+    pub fn allocator<'a>(&'a self, graph: &'a Cdfg, cancel: Option<CancelToken>) -> Allocator<'a> {
+        let knobs = &self.knobs;
+        let move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
+        let config =
+            ImproveConfig { move_set, cancel, warm: knobs.warm.clone(), ..ImproveConfig::default() };
+        let mut allocator = Allocator::new(graph, &self.schedule, &self.library)
+            .seed(knobs.seed)
+            .extra_registers(knobs.extra_regs)
+            .restarts(knobs.restarts)
+            .config(config)
+            .mem_moves(knobs.mem_moves);
+        if let Some(threads) = knobs.threads {
+            allocator = allocator.threads(threads);
+        }
+        if let Some(cutoff) = knobs.cutoff {
+            allocator = allocator.cutoff_factor(cutoff);
+        }
+        if let Some(plan) = &self.compiled {
+            allocator = allocator.compiled_plan(Arc::clone(plan));
+        }
+        allocator
+    }
+
+    /// Runs the whole allocation, polling `cancel` cooperatively.
+    pub fn run(&self, graph: &Cdfg, cancel: Option<CancelToken>) -> Result<AllocResult, ServeError> {
+        self.allocator(graph, cancel).run().map_err(map_alloc_error)
+    }
+
+    /// The protocol report of `result`, a run of this job over `graph`.
+    pub fn report(&self, graph: &Cdfg, result: &AllocResult) -> Json {
+        report_json(graph, &self.schedule, self.knobs.seed, result)
+    }
+}
+
 /// Runs the allocation described by `knobs` on `graph`, polling `cancel`
 /// cooperatively, and returns the report object.
 pub fn run_allocation(
@@ -57,31 +151,13 @@ pub fn run_allocation(
     knobs: &Knobs,
     cancel: Option<CancelToken>,
 ) -> Result<Json, ServeError> {
-    let library = if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
-    let steps = knobs.steps.unwrap_or_else(|| asap(graph, &library).length);
-    let schedule = fds_schedule(graph, &library, steps)
-        .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
-
-    let move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
-    let config =
-        ImproveConfig { move_set, cancel, warm: knobs.warm.clone(), ..ImproveConfig::default() };
-    let mut allocator = Allocator::new(graph, &schedule, &library)
-        .seed(knobs.seed)
-        .extra_registers(knobs.extra_regs)
-        .restarts(knobs.restarts)
-        .config(config)
-        .mem_moves(knobs.mem_moves);
-    if let Some(threads) = knobs.threads {
-        allocator = allocator.threads(threads);
-    }
-    if let Some(cutoff) = knobs.cutoff {
-        allocator = allocator.cutoff_factor(cutoff);
-    }
-    let result = allocator.run().map_err(map_alloc_err)?;
-    Ok(report_json(graph, &schedule, knobs.seed, &result))
+    let job = plan_job(graph, knobs)?;
+    let result = job.run(graph, cancel)?;
+    Ok(job.report(graph, &result))
 }
 
-fn map_alloc_err(e: AllocError) -> ServeError {
+/// Maps an allocator error onto the service's error taxonomy.
+pub fn map_alloc_error(e: AllocError) -> ServeError {
     match e {
         AllocError::Cancelled => ServeError::new(
             ErrorKind::Timeout,
@@ -106,69 +182,27 @@ pub fn run_artifact(
     knobs: &Knobs,
     cancel: Option<CancelToken>,
 ) -> Result<(Json, BindingParts), ServeError> {
-    let library = if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
-    let derived = artifact.derive(knobs)?;
-    let move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
-    let config =
-        ImproveConfig { move_set, cancel, warm: knobs.warm.clone(), ..ImproveConfig::default() };
-    let mut allocator = Allocator::new(&artifact.graph, &derived.schedule, &library)
-        .seed(knobs.seed)
-        .extra_registers(knobs.extra_regs)
-        .restarts(knobs.restarts)
-        .config(config)
-        .mem_moves(knobs.mem_moves)
-        .compiled_plan(derived.plan.clone());
-    if let Some(threads) = knobs.threads {
-        allocator = allocator.threads(threads);
-    }
-    if let Some(cutoff) = knobs.cutoff {
-        allocator = allocator.cutoff_factor(cutoff);
-    }
-    let result = allocator.run().map_err(map_alloc_err)?;
-    let report = report_json(&artifact.graph, &derived.schedule, knobs.seed, &result);
-    Ok((report, result.winner))
+    let job = artifact.plan(knobs)?;
+    let result = job.run(&artifact.graph, cancel)?;
+    Ok((job.report(&artifact.graph, &result), result.winner))
 }
 
-/// Rebuilds the allocation environment a serve job ran under — library,
-/// schedule, resource pool and improvement configuration, all derived
-/// from `(graph, knobs)` exactly as [`run_allocation`] derives them —
-/// and hands it to `f`. This is the audit seam: trace recording and
-/// replay must happen against a bit-identical context or the re-derived
-/// trajectory diverges from the one the report describes. (The
-/// `AllocContext` borrows the schedule, so the environment can only be
-/// lent downward, not returned.)
+/// Prepares the allocation environment a job runs under — the context
+/// (pool and compiled plan) and the resolved improvement configuration,
+/// exactly as [`run_allocation`] prepares them — and hands it to `f`.
+/// This is the audit seam: trace recording and replay must happen
+/// against a bit-identical context or the re-derived trajectory diverges
+/// from the one the report describes. (The `AllocContext` borrows the
+/// schedule, so the environment can only be lent downward, not
+/// returned.)
 pub fn with_replay_env<R>(
     graph: &Cdfg,
     knobs: &Knobs,
     f: impl FnOnce(&AllocContext<'_>, &ImproveConfig) -> R,
 ) -> Result<R, ServeError> {
-    let library = if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
-    let steps = knobs.steps.unwrap_or_else(|| asap(graph, &library).length);
-    let schedule = fds_schedule(graph, &library, steps)
-        .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
-    let mut move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
-    // Mirror the allocation driver's memory upgrade bit-for-bit: on a
-    // memory design with mem_moves on, the M kinds join the set in
-    // `MoveKind::all()` order at their default weights.
-    if knobs.mem_moves && graph.has_memory() {
-        for (kind, _) in salsa_alloc::MoveKind::all() {
-            if kind.is_memory() {
-                move_set = move_set.with(kind);
-            }
-        }
-    }
-    let config = ImproveConfig { move_set, warm: knobs.warm.clone(), ..ImproveConfig::default() };
-    let datapath = salsa_audit::build_datapath(graph, &schedule, &library, knobs.extra_regs);
-    let ctx = AllocContext::new(graph, &schedule, &library, datapath)
-        .map_err(|e| ServeError::new(ErrorKind::Alloc, e.to_string()))?;
+    let job = plan_job(graph, knobs)?;
+    let (ctx, config) = job.allocator(graph, None).prepare().map_err(map_alloc_error)?;
     Ok(f(&ctx, &config))
-}
-
-/// Resolves and runs a whole request (no cache, no queue) — the
-/// in-process path used by the load generator and by tests.
-pub fn run_request(request: &AllocRequest, cancel: Option<CancelToken>) -> Result<Json, ServeError> {
-    let graph = resolve_graph(&request.source)?;
-    run_allocation(&graph, &request.knobs, cancel)
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //! - [`json`] / [`report`] — a std-only JSON model and the report
 //!   serializer shared with the CLI's `--json` mode;
 //! - [`exec`] — the request → schedule → allocate → report pipeline,
-//!   also usable in-process (the load generator drives it directly);
+//!   built on [`plan_job`], the one derivation of a job's setup from its
+//!   knobs that the CLI, verifier and cluster share;
 //! - [`verifier`] — verification as a service: jobs submitted with
 //!   `verify: sample|full` are certified on a dedicated worker lane
 //!   (record the winning chain's move trace, replay it with cost
@@ -57,10 +58,13 @@ pub mod server;
 pub mod stats;
 pub mod verifier;
 
-pub use admission::{AdmissionArtifact, AdmissionCache, Derived};
+pub use admission::{AdmissionArtifact, AdmissionCache};
 pub use backend::{AllocBackend, LocalBackend};
 pub use cache::ResultCache;
-pub use exec::{resolve_graph, run_allocation, run_artifact, run_request, with_replay_env};
+pub use exec::{
+    map_alloc_error, plan_job, resolve_graph, run_allocation, run_artifact, with_replay_env,
+    JobPlan,
+};
 pub use json::{parse_json, Json, JsonError};
 pub use protocol::{
     cache_key, knobs_from_json, knobs_to_json, ok_response_keyed, parse_command, AllocRequest,

@@ -26,14 +26,13 @@
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 
-use salsa_hls::alloc::{Allocator, ImproveConfig, MoveSet};
 use salsa_hls::cdfg::{parse_cdfg, Cdfg};
 use salsa_hls::datapath::{bus_allocate, traffic_from_rtl};
 use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, VerilogOptions};
-use salsa_hls::sched::{asap, fds_schedule, FuClass, FuLibrary};
+use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::cluster::{run_worker, ClusterBackend, ClusterConfig, Coordinator, WorkerConfig};
 use salsa_hls::serve::{
-    canonicalize_report, report_json, Json, Knobs, Server, ServerConfig,
+    canonicalize_report, plan_job, Json, JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -232,14 +231,6 @@ fn load_graph(args: &[String]) -> Result<Cdfg, String> {
     parse_cdfg(&source).map_err(|e| format!("{path}: {e}"))
 }
 
-fn library(args: &[String]) -> FuLibrary {
-    if has_flag(args, "--pipelined") {
-        FuLibrary::pipelined()
-    } else {
-        FuLibrary::standard()
-    }
-}
-
 fn info(args: &[String]) -> Result<(), String> {
     let graph = load_graph(args)?;
     println!("{graph}");
@@ -256,25 +247,23 @@ fn dot(args: &[String]) -> Result<(), String> {
 
 fn schedule_cmd(args: &[String]) -> Result<(), String> {
     let graph = load_graph(args)?;
-    let lib = library(args);
-    let steps = resolve_steps(args, &graph, &lib)?;
-    let schedule = fds_schedule(&graph, &lib, steps).map_err(|e| e.to_string())?;
+    let job = plan(&graph, args)?;
+    let (schedule, lib) = (job.schedule(), job.library());
     print!("{}", schedule.display(&graph));
-    let demand = schedule.fu_demand(&graph, &lib);
+    let demand = schedule.fu_demand(&graph, lib);
     println!(
         "demand: {} mul, {} alu, {} registers",
         demand[&FuClass::Mul],
         demand[&FuClass::Alu],
-        schedule.register_demand(&graph, &lib)
+        schedule.register_demand(&graph, lib)
     );
     Ok(())
 }
 
-fn resolve_steps(args: &[String], graph: &Cdfg, lib: &FuLibrary) -> Result<usize, String> {
-    Ok(match flag_parse::<usize>(args, "--steps")? {
-        Some(steps) => steps,
-        None => asap(graph, lib).length,
-    })
+/// The job the knob flags describe on `graph`, derived exactly as the
+/// service, verifier and cluster derive it.
+fn plan(graph: &Cdfg, args: &[String]) -> Result<JobPlan, String> {
+    plan_job(graph, &knobs_from_args(args)?).map_err(|e| e.message)
 }
 
 fn allocate(args: &[String]) -> Result<(), String> {
@@ -283,40 +272,19 @@ fn allocate(args: &[String]) -> Result<(), String> {
 }
 
 fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
-    let lib = library(args);
-    let steps = resolve_steps(args, graph, &lib)?;
-    let schedule = fds_schedule(graph, &lib, steps).map_err(|e| e.to_string())?;
-
-    let move_set = if has_flag(args, "--traditional") {
-        MoveSet::traditional()
-    } else {
-        MoveSet::full()
-    };
-    let config = ImproveConfig { move_set, ..ImproveConfig::default() };
-    let seed = flag_parse(args, "--seed")?.unwrap_or(42);
-    let mut allocator = Allocator::new(graph, &schedule, &lib)
-        .seed(seed)
-        .extra_registers(flag_parse(args, "--extra-regs")?.unwrap_or(0))
-        .restarts(flag_parse(args, "--restarts")?.unwrap_or(1))
-        .config(config)
-        .mem_moves(!has_flag(args, "--no-mem-moves"));
-    if let Some(threads) = flag_parse(args, "--threads")? {
-        allocator = allocator.threads(threads);
-    }
-    if let Some(cutoff) = flag_parse(args, "--cutoff")? {
-        allocator = allocator.cutoff_factor(cutoff);
-    }
-    let result = allocator.run().map_err(|e| e.to_string())?;
+    let job = plan(graph, args)?;
+    let result = job.run(graph, None).map_err(|e| e.message)?;
+    let (schedule, lib) = (job.schedule(), job.library());
 
     if has_flag(args, "--canonical") {
         // Canonical form for byte-exact diffs against a cluster run:
         // compact, with the wall-clock fields zeroed.
-        let mut report = report_json(graph, &schedule, seed, &result);
+        let mut report = job.report(graph, &result);
         canonicalize_report(&mut report);
         println!("{}", report.to_string_compact());
     } else if has_flag(args, "--json") {
         // Same serializer as the server's allocate responses.
-        println!("{}", report_json(graph, &schedule, seed, &result).to_string_pretty());
+        println!("{}", job.report(graph, &result).to_string_pretty());
     } else {
         println!("{}", result.datapath);
         println!("cost breakdown: {}", result.breakdown);
@@ -334,7 +302,7 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
         println!("\n{}", result.rtl);
     }
     if has_flag(args, "--report") {
-        println!("{}", salsa_hls::alloc::report(graph, &schedule, &result));
+        println!("{}", salsa_hls::alloc::report(graph, schedule, &result));
     }
     if has_flag(args, "--controller") {
         println!("{}", control_table(graph, &result));
@@ -342,7 +310,7 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
 
     let options = VerilogOptions { module_name: format!("dp_{}", graph.name()), width: 16 };
     if let Some(path) = flag_value(args, "--verilog")? {
-        let verilog = generate_verilog(graph, &schedule, &lib, &result, &options);
+        let verilog = generate_verilog(graph, schedule, lib, &result, &options);
         std::fs::write(&path, verilog).map_err(|e| format!("{path}: {e}"))?;
         println!("verilog written to {path}");
     }
@@ -362,7 +330,7 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
             })
             .collect();
         let state = graph.state_values().map(|s| (s, 0i64)).collect();
-        let tb = generate_testbench(graph, &schedule, &lib, &result, &options, &inputs, &state)
+        let tb = generate_testbench(graph, schedule, lib, &result, &options, &inputs, &state)
             .map_err(|e| e.to_string())?;
         std::fs::write(&path, tb).map_err(|e| format!("{path}: {e}"))?;
         println!("self-checking testbench written to {path}");
@@ -456,16 +424,16 @@ fn cluster_config(args: &[String]) -> Result<ClusterConfig, String> {
     Ok(config)
 }
 
-/// The allocation knobs shared by `cluster-alloc` (flags mirror
-/// `allocate`/`submit`; `--threads` is absent because the cluster pins
-/// every chain to one thread — its parallelism is workers).
+/// The allocation knobs the flags spell, shared by `schedule`,
+/// `allocate`, `bench` and `cluster-alloc` (the cluster pins every chain
+/// to one thread whatever `--threads` says — its parallelism is workers).
 fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
     Ok(Knobs {
         steps: flag_parse(args, "--steps")?,
         extra_regs: flag_parse(args, "--extra-regs")?.unwrap_or(0),
         seed: flag_parse(args, "--seed")?.unwrap_or(42),
         restarts: flag_parse(args, "--restarts")?.unwrap_or(1),
-        threads: None,
+        threads: flag_parse(args, "--threads")?,
         cutoff: flag_parse(args, "--cutoff")?,
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),

@@ -104,6 +104,40 @@ fn bench_list_and_run() {
     assert!(String::from_utf8(out.stdout).unwrap().contains("cost breakdown"));
 }
 
+/// `bench --canonical` and the service's `run_allocation` derive the job
+/// through the same plan, so for the same knobs they print the same
+/// canonical report, byte for byte.
+#[test]
+fn bench_canonical_matches_the_service_report() {
+    use salsa_hls::serve::{canonicalize_report, run_allocation, Knobs};
+
+    let cases: [(&str, &[&str], Knobs); 4] = [
+        ("ewf", &[], Knobs::default()),
+        ("diffeq", &["--traditional"], Knobs { traditional: true, ..Knobs::default() }),
+        ("diffeq", &["--pipelined"], Knobs { pipelined: true, ..Knobs::default() }),
+        ("fir8a", &["--no-mem-moves"], Knobs { mem_moves: false, ..Knobs::default() }),
+    ];
+    for (name, flags, knobs) in cases {
+        let out = Command::new(BIN)
+            .args(["bench", name, "--canonical"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let graph = salsa_hls::cdfg::benchmarks::all()
+            .into_iter()
+            .find(|g| g.name() == name)
+            .unwrap();
+        let mut report = run_allocation(&graph, &knobs, None).unwrap();
+        canonicalize_report(&mut report);
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!("{}\n", report.to_string_compact()),
+            "bench {name} {flags:?}"
+        );
+    }
+}
+
 #[test]
 fn parse_errors_are_reported_with_lines() {
     let path = write_temp("cdfg t\ninput x\nop y = add x nosuch\noutput y\n");

@@ -193,7 +193,6 @@ proptest! {
                     threads: Some(threads),
                     cutoff_factor: 1.3,
                     min_trials: 1,
-                    ..PortfolioConfig::default()
                 })
                 .run()
                 .unwrap()
