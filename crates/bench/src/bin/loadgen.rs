@@ -176,21 +176,28 @@ fn request_json(mix: Mix, mix_index: usize, verify: VerifySpec) -> Json {
     Json::obj(fields)
 }
 
+/// The shape of one pass's load: the wire protocol, how many clients
+/// share how many requests, and each client's in-flight window.
+#[derive(Clone, Copy)]
+struct Load {
+    protocol: Protocol,
+    clients: usize,
+    requests: usize,
+    pipeline: usize,
+}
+
 /// One client: its share of the request sequence over a single reused
-/// connection, keeping up to `pipeline` requests in flight and retrying
-/// backpressure rejections after the server's hint.
-#[allow(clippy::too_many_arguments)]
+/// connection, keeping up to `load.pipeline` requests in flight and
+/// retrying backpressure rejections after the server's hint.
 fn client(
     addr: &str,
-    protocol: Protocol,
-    pipeline: usize,
+    load: Load,
     client_id: usize,
-    clients: usize,
-    total: usize,
     mix: Mix,
     verify: VerifySpec,
     epoch: Instant,
 ) -> ClientOutcome {
+    let Load { protocol, clients, requests: total, pipeline } = load;
     let mut conn = Connection::connect(addr, protocol).expect("connect");
     let mut outcome = ClientOutcome {
         ok: 0,
@@ -313,18 +320,9 @@ struct Pass {
 /// the verifier lane's per-request cost is whatever the verdict cache
 /// leaves. The server's stats still cover the warm-up, so the cold
 /// certificate cost stays visible in the verify latency percentiles.
-fn run_pass(
-    addr: &str,
-    protocol: Protocol,
-    clients: usize,
-    requests: usize,
-    pipeline: usize,
-    mix: Mix,
-    verify: VerifySpec,
-    warm: bool,
-) -> Pass {
+fn run_pass(addr: &str, load: Load, mix: Mix, verify: VerifySpec, warm: bool) -> Pass {
     if warm {
-        let mut conn = Connection::connect(addr, protocol).expect("warmup connect");
+        let mut conn = Connection::connect(addr, load.protocol).expect("warmup connect");
         for i in 0..mix.entries.len() {
             loop {
                 let reply = conn.call(&request_json(mix, i, verify)).expect("warmup request");
@@ -339,17 +337,13 @@ fn run_pass(
     }
     let started = Instant::now();
     let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|id| {
-                scope.spawn(move || {
-                    client(addr, protocol, pipeline, id, clients, requests, mix, verify, started)
-                })
-            })
+        let handles: Vec<_> = (0..load.clients)
+            .map(|id| scope.spawn(move || client(addr, load, id, mix, verify, started)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
     });
     let wall_secs = started.elapsed().as_secs_f64();
-    let stats = server_stats(addr, protocol);
+    let stats = server_stats(addr, load.protocol);
 
     let ok: usize = outcomes.iter().map(|o| o.ok).sum();
     let errors: usize = outcomes.iter().map(|o| o.errors).sum();
@@ -414,6 +408,7 @@ fn main() {
         None => Protocol::Auto,
         Some(raw) => Protocol::parse(&raw).expect("--protocol takes json, binary or auto"),
     };
+    let load = Load { protocol, clients, requests, pipeline };
     let verify_permille: usize = flag_value("--verify-mix")
         .map(|v| {
             let f: f64 = v.parse().expect("--verify-mix takes a fraction in 0..=1");
@@ -446,7 +441,7 @@ fn main() {
              servers; drop --addr"
         );
         let mem_pr = flag_value("--pr").unwrap_or_else(|| "PR10-memory".to_string());
-        run_mem_comparison(clients, requests, pipeline, protocol, &mem_pr);
+        run_mem_comparison(load, &mem_pr);
         return;
     }
 
@@ -457,7 +452,7 @@ fn main() {
              needs the in-process one; drop --addr"
         );
         let verify = VerifySpec { permille: verify_permille, mode: verify_mode, send: true };
-        run_verify_comparison(clients, requests, pipeline, protocol, verify, &pr);
+        run_verify_comparison(load, verify, &pr);
         return;
     }
 
@@ -472,7 +467,7 @@ fn main() {
         }
     };
 
-    let pass = run_pass(&addr, protocol, clients, requests, pipeline, mix, VerifySpec::OFF, false);
+    let pass = run_pass(&addr, load, mix, VerifySpec::OFF, false);
     if let Some(server) = server {
         server.shutdown();
     }
@@ -535,14 +530,8 @@ fn main() {
 /// request per mix entry (under its own verify spec, so the mixed
 /// side's first-time certificates land in the warm-up), reported as one
 /// `loadgen-verify` row.
-fn run_verify_comparison(
-    clients: usize,
-    requests: usize,
-    pipeline: usize,
-    protocol: Protocol,
-    verify: VerifySpec,
-    pr: &str,
-) {
+fn run_verify_comparison(load: Load, verify: VerifySpec, pr: &str) {
+    let Load { clients, requests, pipeline, .. } = load;
     // Alternate baseline/mixed passes and keep each side's median (by
     // its lane throughput): single passes on a small box are noisy, and
     // interleaving spreads ambient jitter evenly over both sides.
@@ -554,19 +543,10 @@ fn run_verify_comparison(
     let mut passes = Vec::new();
     for _ in 0..repeats {
         let (server, addr) = in_process_server();
-        baselines.push(run_pass(
-            &addr,
-            protocol,
-            clients,
-            requests,
-            pipeline,
-            SCALAR_MIX,
-            verify.baseline_of(),
-            true,
-        ));
+        baselines.push(run_pass(&addr, load, SCALAR_MIX, verify.baseline_of(), true));
         server.shutdown();
         let (server, addr) = in_process_server();
-        passes.push(run_pass(&addr, protocol, clients, requests, pipeline, SCALAR_MIX, verify, true));
+        passes.push(run_pass(&addr, load, SCALAR_MIX, verify, true));
         server.shutdown();
     }
     for (label, p) in baselines
@@ -672,16 +652,10 @@ fn run_verify_comparison(
 /// binding). The row proves the tentpole claim: the extended move family
 /// reaches a strictly lower certified cost on both benchmarks under the
 /// same budget.
-fn run_mem_comparison(
-    clients: usize,
-    requests: usize,
-    pipeline: usize,
-    protocol: Protocol,
-    pr: &str,
-) {
+fn run_mem_comparison(load: Load, pr: &str) {
+    let Load { protocol, clients, requests, pipeline } = load;
     let (server, addr) = in_process_server();
-    let pass =
-        run_pass(&addr, protocol, clients, requests, pipeline, MEM_MIX, VerifySpec::OFF, false);
+    let pass = run_pass(&addr, load, MEM_MIX, VerifySpec::OFF, false);
     server.shutdown();
     assert_eq!(pass.ok + pass.errors, requests, "every request must resolve");
     assert_eq!(pass.errors, 0, "the memory mix contains no failing requests");

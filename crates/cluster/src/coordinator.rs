@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use salsa_alloc::{
-    replay_slot, Binding, CancelToken, ChainOutcome, ImproveStats, InitialBinding,
+    replay_slot, Binding, BindingParts, CancelToken, ChainOutcome, ImproveStats, InitialBinding,
     PortfolioOutcome, PortfolioStats,
 };
 use salsa_cdfg::Cdfg;
@@ -50,9 +50,7 @@ use salsa_wire::frame::Payload;
 use salsa_wire::net::{Handler, NetConfig, NetServer};
 
 use crate::plan::{plan_job, JobPlan};
-use crate::protocol::{
-    binding_parts_from_json, binding_slot, bound_from_json, bound_to_json, chain_from_json,
-};
+use crate::protocol::{bound_from_json, bound_to_json, chain_from_json, image_from_json};
 
 /// How often a waiting job re-checks its cancel token and results.
 const JOB_POLL: Duration = Duration::from_millis(25);
@@ -115,9 +113,10 @@ struct JobState {
     pending: VecDeque<usize>,
     leases: HashMap<usize, Lease>,
     results: BTreeMap<usize, Vec<ChainOutcome>>,
-    /// Shipped best-binding images, keyed by slot (first write wins,
-    /// like `results`). Consulted only for the winning slot.
-    bindings: HashMap<usize, Json>,
+    /// Shipped best-binding images in the parts text, keyed by slot
+    /// (first write wins, like `results`). Decoded only for the winning
+    /// slot.
+    bindings: HashMap<usize, String>,
     bound: u64,
     cutoff: Option<f64>,
     failed: Option<String>,
@@ -387,7 +386,7 @@ fn finalize<'a>(
             // alter the result or smuggle in an unrealizable datapath.
             let rebuilt: Option<Binding<'_>> = bindings
                 .remove(&slot)
-                .and_then(|image| binding_parts_from_json(&image))
+                .and_then(|image| BindingParts::decode(&image).ok())
                 .and_then(|parts| Binding::from_parts(ctx, &parts).ok())
                 .filter(|b| improve_config.weights.evaluate(&b.breakdown()) == reported_cost)
                 .filter(|b| salsa_alloc::verify_binding(b).is_certified());
@@ -614,11 +613,9 @@ fn handle_result(shared: &Arc<Shared>, worker: &str, request: &Json) -> Json {
     // advisory: finalize rebuilds and cost-verifies it before use, so an
     // out-of-range or bogus image is dropped there (replay fallback), and
     // losing one here never affects the reduction.
-    if let Some(image) = request.get("binding") {
-        if let Some(slot) = binding_slot(image) {
-            if (shard.slot_start..shard.slot_end).contains(&slot) {
-                job.bindings.entry(slot).or_insert_with(|| image.clone());
-            }
+    if let Some((slot, image)) = request.get("binding").and_then(image_from_json) {
+        if (shard.slot_start..shard.slot_end).contains(&slot) {
+            job.bindings.entry(slot).or_insert_with(|| image.to_string());
         }
     }
     job.results.insert(shard_id, parsed.expect("validated"));

@@ -3,13 +3,16 @@
 //! PR 2 made the portfolio reduction deterministic in `(cost, seed)` no
 //! matter how chains are scheduled; this crate cashes that property in at
 //! process scale. A **coordinator** ([`Coordinator`]) shards a job's
-//! restart chains into contiguous slot ranges, leases them over a
-//! newline-delimited JSON TCP protocol ([`protocol`]) to **worker
-//! processes** ([`run_worker`]), and reduces the reported `(cost, slot)`
-//! pairs with the same deterministic minimum the local engine uses. The
-//! winning binding is never serialized: chains are pure functions of
-//! their seed, so the coordinator *replays* the winning slot locally
-//! ([`salsa_alloc::replay_slot`]) and finishes with the ordinary
+//! restart chains into contiguous slot ranges, leases them over the
+//! `salsa-wire` TCP protocol ([`protocol`]; JSON lines or binary frames)
+//! to **worker processes** ([`run_worker`]), and reduces the reported
+//! `(cost, slot)` pairs with the same deterministic minimum the local
+//! engine uses. Each result ships its shard's best binding as a
+//! [`BindingParts`](salsa_alloc::BindingParts) image in the parts text;
+//! the coordinator rebuilds the winner from it and, when the image is
+//! absent, malformed or disagrees with its reported cost, *replays* the
+//! winning slot locally ([`salsa_alloc::replay_slot`]) — chains are pure
+//! functions of their seed. Either way it finishes with the ordinary
 //! lower → verify → report pipeline.
 //!
 //! Robustness model:

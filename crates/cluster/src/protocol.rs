@@ -21,14 +21,14 @@
 //! ```
 //!
 //! Chains travel as their statistics only — slot, seed, completion, cost
-//! and the improvement counters — plus, per result, the serialized
-//! assignment state ([`BindingParts`]) of the shard's best chain under a
-//! `"binding"` key. The coordinator rebuilds the winning allocation from
+//! and the improvement counters — plus, per result, the assignment image
+//! ([`BindingParts`]) of the shard's best chain under a `"binding"` key:
+//! `{"slot":3,"parts":"u=...;c=...;p=...;b=..."}`, the parts text a warm
+//! seed also embeds. The coordinator rebuilds the winning allocation from
 //! that image (cost-verified against the reported cost) and falls back to
 //! seed replay when the field is absent, malformed, or disagrees.
 
-use salsa_alloc::{BindingParts, ChainOutcome, ChainStat, FuId, ImproveStats, RegId, TransferKey};
-use salsa_cdfg::ValueId;
+use salsa_alloc::{BindingParts, ChainOutcome, ChainStat, ImproveStats};
 use salsa_serve::json::Json;
 
 /// Bounds travel as `null` (no bound yet) or the cost integer. `u64::MAX`
@@ -115,167 +115,18 @@ pub fn chain_from_json(obj: &Json) -> Option<ChainOutcome> {
     Some(ChainOutcome { stat, improve, cost })
 }
 
-/// Serializes a shard's best binding for a `result` message: the winning
-/// slot plus the full assignment image, id indices as plain integers.
-pub fn binding_to_json(slot: usize, parts: &BindingParts) -> Json {
-    Json::obj(vec![
-        ("slot", Json::Int(slot as i64)),
-        (
-            "op_fu",
-            Json::Arr(parts.op_fu.iter().map(|f| Json::Int(f.index() as i64)).collect()),
-        ),
-        ("op_swap", Json::Arr(parts.op_swap.iter().map(|&s| Json::Bool(s)).collect())),
-        (
-            "chains",
-            Json::Arr(
-                parts
-                    .chains
-                    .iter()
-                    .map(|slots| {
-                        Json::Arr(
-                            slots
-                                .iter()
-                                .map(|entry| match entry {
-                                    None => Json::Null,
-                                    Some((lo, regs)) => Json::Arr(vec![
-                                        Json::Int(*lo as i64),
-                                        Json::Arr(
-                                            regs.iter()
-                                                .map(|r| Json::Int(r.index() as i64))
-                                                .collect(),
-                                        ),
-                                    ]),
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "use_chain",
-            Json::Arr(
-                parts
-                    .use_chain
-                    .iter()
-                    .map(|[a, b]| Json::Arr(vec![Json::Int(*a as i64), Json::Int(*b as i64)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "passes",
-            Json::Arr(parts.passes.iter().map(|&(key, fu)| pass_to_json(key, fu)).collect()),
-        ),
-        (
-            "array_banks",
-            Json::Arr(parts.array_banks.iter().map(|&b| Json::Int(b as i64)).collect()),
-        ),
-    ])
+/// The `binding` field of a `result` message: the shard's best slot and
+/// its assignment image in the [`BindingParts::encode`] text.
+pub fn image_to_json(slot: usize, parts: &BindingParts) -> Json {
+    Json::obj(vec![("slot", Json::Int(slot as i64)), ("parts", Json::Str(parts.encode()))])
 }
 
-fn pass_to_json(key: TransferKey, fu: FuId) -> Json {
-    let fu = Json::Int(fu.index() as i64);
-    match key {
-        TransferKey::Intra { value, chain, idx } => Json::obj(vec![
-            ("kind", Json::Str("intra".into())),
-            ("value", Json::Int(value.index() as i64)),
-            ("chain", Json::Int(chain as i64)),
-            ("idx", Json::Int(idx as i64)),
-            ("fu", fu),
-        ]),
-        TransferKey::CopyFeed { value, chain } => Json::obj(vec![
-            ("kind", Json::Str("feed".into())),
-            ("value", Json::Int(value.index() as i64)),
-            ("chain", Json::Int(chain as i64)),
-            ("fu", fu),
-        ]),
-        TransferKey::Boundary { state } => Json::obj(vec![
-            ("kind", Json::Str("boundary".into())),
-            ("value", Json::Int(state.index() as i64)),
-            ("fu", fu),
-        ]),
-    }
-}
-
-/// The slot a shipped binding claims to be, if the field parses.
-pub fn binding_slot(obj: &Json) -> Option<usize> {
-    usize_field(obj, "slot")
-}
-
-/// Parses a shipped binding image. Structure only — id ranges and
-/// allocation invariants are checked by
-/// [`Binding::from_parts`](salsa_alloc::Binding::from_parts); `None` (like
-/// any downstream rejection) just sends the coordinator to seed replay.
-pub fn binding_parts_from_json(obj: &Json) -> Option<BindingParts> {
-    let arr = |key: &str| match obj.get(key) {
-        Some(Json::Arr(items)) => Some(items),
-        _ => None,
-    };
-    let op_fu = arr("op_fu")?
-        .iter()
-        .map(|v| v.as_u64().map(|i| FuId::from_index(i as usize)))
-        .collect::<Option<Vec<_>>>()?;
-    let op_swap = arr("op_swap")?.iter().map(Json::as_bool).collect::<Option<Vec<_>>>()?;
-    let chains = arr("chains")?
-        .iter()
-        .map(|slots| match slots {
-            Json::Arr(entries) => entries
-                .iter()
-                .map(|entry| match entry {
-                    Json::Null => Some(None),
-                    Json::Arr(pair) if pair.len() == 2 => {
-                        let lo = pair[0].as_u64()? as usize;
-                        let regs = match &pair[1] {
-                            Json::Arr(regs) => regs
-                                .iter()
-                                .map(|r| r.as_u64().map(|i| RegId::from_index(i as usize)))
-                                .collect::<Option<Vec<_>>>(),
-                            _ => None,
-                        }?;
-                        Some(Some((lo, regs)))
-                    }
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>(),
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let use_chain = arr("use_chain")?
-        .iter()
-        .map(|pair| match pair {
-            Json::Arr(items) if items.len() == 2 => {
-                Some([items[0].as_u64()? as usize, items[1].as_u64()? as usize])
-            }
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let passes = arr("passes")?.iter().map(pass_from_json).collect::<Option<Vec<_>>>()?;
-    // Absent on images from peers predating the memory model: an empty
-    // table is valid for scalar graphs, and `from_parts` rejects it (→
-    // seed replay) when the graph declares arrays.
-    let array_banks = match obj.get("array_banks") {
-        Some(Json::Arr(items)) => {
-            items.iter().map(|v| v.as_u64().map(|b| b as u32)).collect::<Option<Vec<_>>>()?
-        }
-        _ => Vec::new(),
-    };
-    Some(BindingParts { op_fu, op_swap, chains, use_chain, passes, array_banks })
-}
-
-fn pass_from_json(obj: &Json) -> Option<(TransferKey, FuId)> {
-    let fu = FuId::from_index(usize_field(obj, "fu")?);
-    let value = ValueId::from_index(usize_field(obj, "value")?);
-    let key = match obj.get("kind")?.as_str()? {
-        "intra" => TransferKey::Intra {
-            value,
-            chain: usize_field(obj, "chain")?,
-            idx: usize_field(obj, "idx")?,
-        },
-        "feed" => TransferKey::CopyFeed { value, chain: usize_field(obj, "chain")? },
-        "boundary" => TransferKey::Boundary { state: value },
-        _ => return None,
-    };
-    Some((key, fu))
+/// The slot and the still-encoded parts text of a shipped image, if both
+/// fields are present. Decoding is left to the coordinator, which needs
+/// only the winner's image; an image from an older worker (a JSON object
+/// in place of the text) fails there and sends the job to seed replay.
+pub fn image_from_json(obj: &Json) -> Option<(usize, &str)> {
+    Some((usize_field(obj, "slot")?, obj.get("parts")?.as_str()?))
 }
 
 #[cfg(test)]
@@ -336,39 +187,6 @@ mod tests {
             }
         }
         assert!(chain_from_json(&wire).is_none(), "completed chain without a cost is malformed");
-    }
-
-    #[test]
-    fn binding_parts_roundtrip_exactly() {
-        let parts = BindingParts {
-            op_fu: vec![FuId::from_index(2), FuId::from_index(0)],
-            op_swap: vec![true, false],
-            chains: vec![
-                vec![
-                    Some((0, vec![RegId::from_index(1), RegId::from_index(3)])),
-                    None,
-                    Some((1, vec![RegId::from_index(0)])),
-                ],
-                vec![],
-            ],
-            use_chain: vec![[0, 2], [0, 0]],
-            passes: vec![
-                (
-                    TransferKey::Intra { value: ValueId::from_index(0), chain: 0, idx: 0 },
-                    FuId::from_index(1),
-                ),
-                (
-                    TransferKey::CopyFeed { value: ValueId::from_index(0), chain: 2 },
-                    FuId::from_index(2),
-                ),
-                (TransferKey::Boundary { state: ValueId::from_index(1) }, FuId::from_index(0)),
-            ],
-            array_banks: vec![1, 0],
-        };
-        let wire = binding_to_json(5, &parts).to_string_compact();
-        let parsed = parse_json(&wire).unwrap();
-        assert_eq!(binding_slot(&parsed), Some(5));
-        assert_eq!(binding_parts_from_json(&parsed).unwrap(), parts);
     }
 
     #[test]

@@ -23,8 +23,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use salsa_alloc::{
-    run_chain_slots_with_best, AllocError, CancelToken, ChainOutcome, SearchBound, SearchWatch,
-    ShardBest,
+    run_chain_slots, AllocError, CancelToken, ChainOutcome, SearchBound, SearchWatch, ShardBest,
 };
 use salsa_cdfg::parse_cdfg;
 use salsa_serve::json::Json;
@@ -32,7 +31,7 @@ use salsa_serve::knobs_from_json;
 use salsa_wire::{Backoff, Connection, Protocol};
 
 use crate::plan::plan_job;
-use crate::protocol::{binding_to_json, bound_from_json, bound_to_json, chain_to_json};
+use crate::protocol::{bound_from_json, bound_to_json, chain_to_json, image_to_json};
 
 /// Injected failure behaviour, for the failover tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,7 +271,7 @@ fn run_job(
                         cutoff_factor: factor,
                         min_trials,
                     });
-                    let result = run_chain_slots_with_best(
+                    let result = run_chain_slots(
                         ctx,
                         improve_config,
                         knobs.seed,
@@ -356,7 +355,7 @@ fn run_job(
                 // Ship the shard's best binding so the coordinator can
                 // rebuild the winner without replaying its chain.
                 if let Some((slot, binding)) = &best {
-                    pairs.push(("binding", binding_to_json(*slot, &binding.to_parts())));
+                    pairs.push(("binding", image_to_json(*slot, &binding.to_parts())));
                 }
                 let report = Json::obj(pairs);
                 let _ = conn.call(&report)?;

@@ -275,15 +275,21 @@ proptest! {
 /// therefore derive their search context from the canonical wire text —
 /// this pins the invariant that makes an image from one fleet member
 /// meaningful to another: an image built against one wire-derived
-/// context rebuilds, bit-for-bit, in an independently wire-derived one.
+/// context, sent through the worker's and coordinator's own codec
+/// helpers, rebuilds bit-for-bit in an independently wire-derived one.
+/// A codec that broke here would silently demote every cluster job to
+/// seed replay while the byte-diff tests kept passing.
 #[test]
 fn binding_images_survive_the_canonical_text_boundary() {
     use salsa_cluster::plan::plan_job;
+    use salsa_cluster::protocol::{image_from_json, image_to_json};
 
     for (graph, steps, seed) in [
         (salsa_cdfg::benchmarks::ewf(), 19usize, 7u64),
         (salsa_cdfg::benchmarks::dct(), 10, 42),
         (paper_example(), 4, 3),
+        // Memory design: the bank table crosses the wire too.
+        (salsa_cdfg::benchmarks::fir_array(), 8, 7),
     ] {
         let knobs = Knobs { steps: Some(steps), seed, restarts: 1, ..Knobs::default() };
         let text = graph.canonical_text();
@@ -297,14 +303,22 @@ fn binding_images_survive_the_canonical_text_boundary() {
         let (chain, binding) =
             salsa_alloc::replay_slot(&ctx_a, &config_a, knobs.seed, 0).unwrap();
         let parts = binding.to_parts();
+        assert_eq!(parts.array_banks.len(), wire_graph.num_arrays());
+        let wire = image_to_json(0, &parts).to_string_compact();
 
         // Receiver: an independent context derived the same way, as the
-        // coordinator's finalize builds it.
+        // coordinator's finalize builds it, and the image decoded the
+        // way the coordinator decodes it.
+        let received = salsa_serve::parse_json(&wire).expect("result message parses");
+        let (slot, image) = image_from_json(&received).expect("image fields present");
+        assert_eq!(slot, 0);
+        let decoded = salsa_alloc::BindingParts::decode(image).expect("image decodes");
+        assert_eq!(decoded, parts);
         let receiver_graph = salsa_cdfg::parse_cdfg(&text).expect("canonical text parses");
         let plan_b = plan_job(&receiver_graph, &knobs).unwrap();
         let alloc_b = plan_b.allocator(&receiver_graph, None);
         let (ctx_b, config_b) = alloc_b.prepare().unwrap();
-        let rebuilt = salsa_alloc::Binding::from_parts(&ctx_b, &parts)
+        let rebuilt = salsa_alloc::Binding::from_parts(&ctx_b, &decoded)
             .expect("image rebuilds across the wire boundary");
         assert_eq!(
             config_b.weights.evaluate(&rebuilt.breakdown()),

@@ -359,6 +359,170 @@ pub struct BindingParts {
     pub array_banks: Vec<u32>,
 }
 
+impl BindingParts {
+    /// Serializes the image to its one-token text form, the spelling a
+    /// warm seed's `parts=` field and a cluster worker's shipped image
+    /// share. No spaces (a warm seed's fields are whitespace-separated
+    /// tokens). Sections are `;`-joined: `u=` one `<fu>.<swap>.<uc0>.<uc1>`
+    /// entry per op (`,`), `c=` one chain list per value (`,`; slots
+    /// `|`-joined, a dead slot is `-`, a live slot `<lo>:r.r.r`), `p=` the
+    /// pass map (`,`; `<key>:<fu>` with the move trace's transfer-key
+    /// spelling), `b=` the array banks (`.`; `-` when none). Round-trips
+    /// exactly through [`BindingParts::decode`].
+    pub fn encode(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::with_capacity(16 * self.op_fu.len() + 16);
+        out.push_str("u=");
+        for i in 0..self.op_fu.len() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{}.{}.{}.{}",
+                self.op_fu[i].index(),
+                u8::from(self.op_swap[i]),
+                self.use_chain[i][0],
+                self.use_chain[i][1]
+            );
+        }
+        out.push_str(";c=");
+        for (vi, chains) in self.chains.iter().enumerate() {
+            if vi > 0 {
+                out.push(',');
+            }
+            for (si, slot) in chains.iter().enumerate() {
+                if si > 0 {
+                    out.push('|');
+                }
+                match slot {
+                    None => out.push('-'),
+                    Some((lo, regs)) => {
+                        let _ = write!(out, "{lo}:");
+                        for (ri, r) in regs.iter().enumerate() {
+                            if ri > 0 {
+                                out.push('.');
+                            }
+                            let _ = write!(out, "{}", r.index());
+                        }
+                    }
+                }
+            }
+        }
+        out.push_str(";p=");
+        for (pi, (key, fu)) in self.passes.iter().enumerate() {
+            if pi > 0 {
+                out.push(',');
+            }
+            key.write_token(&mut out);
+            let _ = write!(out, ":{}", fu.index());
+        }
+        out.push_str(";b=");
+        if self.array_banks.is_empty() {
+            out.push('-');
+        } else {
+            for (bi, bank) in self.array_banks.iter().enumerate() {
+                if bi > 0 {
+                    out.push('.');
+                }
+                let _ = write!(out, "{bank}");
+            }
+        }
+        out
+    }
+
+    /// Parses the text form produced by [`BindingParts::encode`]. Input is
+    /// untrusted wire data: every failure is a structured message, never
+    /// a panic. Only the syntax is checked here — id ranges and allocation
+    /// invariants are [`Binding::from_parts`]'s job.
+    pub fn decode(text: &str) -> Result<BindingParts, String> {
+        let mut parts = BindingParts {
+            op_fu: Vec::new(),
+            op_swap: Vec::new(),
+            chains: Vec::new(),
+            use_chain: Vec::new(),
+            passes: Vec::new(),
+            array_banks: Vec::new(),
+        };
+        for section in text.split(';') {
+            let (tag, body) =
+                section.split_once('=').ok_or_else(|| format!("bad parts section `{section}`"))?;
+            match tag {
+                "u" => {
+                    for entry in body.split(',').filter(|e| !e.is_empty()) {
+                        let nums: Vec<usize> = entry
+                            .split('.')
+                            .map(|p| p.parse().map_err(|_| format!("bad op entry `{entry}`")))
+                            .collect::<Result<_, _>>()?;
+                        let [fu, swap, uc0, uc1] = nums[..] else {
+                            return Err(format!("bad op entry `{entry}`"));
+                        };
+                        parts.op_fu.push(FuId::from_index(fu));
+                        parts.op_swap.push(swap != 0);
+                        parts.use_chain.push([uc0, uc1]);
+                    }
+                }
+                "c" => {
+                    if body.is_empty() {
+                        continue;
+                    }
+                    for value in body.split(',') {
+                        let chains: Vec<ChainSlotImage> = if value.is_empty() {
+                            Vec::new()
+                        } else {
+                            value
+                                .split('|')
+                                .map(decode_slot)
+                                .collect::<Result<_, _>>()?
+                        };
+                        parts.chains.push(chains);
+                    }
+                }
+                "p" => {
+                    for entry in body.split(',').filter(|e| !e.is_empty()) {
+                        let (key, fu) = entry
+                            .rsplit_once(':')
+                            .ok_or_else(|| format!("bad pass entry `{entry}`"))?;
+                        let fu: usize =
+                            fu.parse().map_err(|_| format!("bad pass entry `{entry}`"))?;
+                        parts.passes.push((TransferKey::parse_token(key)?, FuId::from_index(fu)));
+                    }
+                }
+                "b" => {
+                    if body != "-" && !body.is_empty() {
+                        parts.array_banks = body
+                            .split('.')
+                            .map(|p| p.parse().map_err(|_| format!("bad array bank `{p}`")))
+                            .collect::<Result<_, _>>()?;
+                    }
+                }
+                other => return Err(format!("unknown parts section `{other}`")),
+            }
+        }
+        Ok(parts)
+    }
+}
+
+fn decode_slot(text: &str) -> Result<ChainSlotImage, String> {
+    if text == "-" {
+        return Ok(None);
+    }
+    let (lo, regs) = text.split_once(':').ok_or_else(|| format!("bad chain slot `{text}`"))?;
+    let lo: usize = lo.parse().map_err(|_| format!("bad chain slot `{text}`"))?;
+    let regs: Vec<RegId> = regs
+        .split('.')
+        .map(|r| {
+            r.parse::<usize>()
+                .map(RegId::from_index)
+                .map_err(|_| format!("bad chain slot `{text}`"))
+        })
+        .collect::<Result<_, _>>()?;
+    if regs.is_empty() {
+        return Err(format!("bad chain slot `{text}`"));
+    }
+    Ok(Some((lo, regs)))
+}
+
 /// A complete allocation under the SALSA extended binding model.
 #[derive(Debug)]
 pub struct Binding<'a> {
@@ -1728,6 +1892,46 @@ mod tests {
     use salsa_cdfg::benchmarks::diffeq;
     use salsa_datapath::Datapath;
     use salsa_sched::{asap, fds_schedule, FuLibrary};
+
+    #[test]
+    fn binding_parts_text_roundtrips_exactly() {
+        // Hand-built to reach every spelling: all three transfer-key
+        // variants, dead chain slots, a value without storage and a bank
+        // table.
+        let parts = BindingParts {
+            op_fu: vec![FuId::from_index(2), FuId::from_index(0)],
+            op_swap: vec![true, false],
+            chains: vec![
+                vec![
+                    Some((0, vec![RegId::from_index(1), RegId::from_index(3)])),
+                    None,
+                    Some((1, vec![RegId::from_index(0)])),
+                ],
+                vec![],
+            ],
+            use_chain: vec![[0, 2], [0, 0]],
+            passes: vec![
+                (
+                    TransferKey::Intra { value: ValueId::from_index(0), chain: 0, idx: 0 },
+                    FuId::from_index(1),
+                ),
+                (
+                    TransferKey::CopyFeed { value: ValueId::from_index(0), chain: 2 },
+                    FuId::from_index(2),
+                ),
+                (TransferKey::Boundary { state: ValueId::from_index(1) }, FuId::from_index(0)),
+            ],
+            array_banks: vec![1, 0],
+        };
+        let text = parts.encode();
+        assert_eq!(text, "u=2.1.0.2,0.0.0.0;c=0:1.3|-|1:0,;p=i0.0.0:1,c0.2:2,b1:0;b=1.0");
+        assert_eq!(BindingParts::decode(&text), Ok(parts));
+
+        // Untrusted text fails with a message, never a panic.
+        for bad in ["u=1.0", "x=1", "c=0:", "p=q0:1", "p=é1:0", "b=z", "u"] {
+            assert!(BindingParts::decode(bad).is_err(), "`{bad}` must be rejected");
+        }
+    }
 
     #[test]
     fn from_parts_rejects_swapped_operands_on_non_commutative_ops() {

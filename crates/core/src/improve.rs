@@ -218,38 +218,27 @@ pub enum SearchExit {
 ///
 /// If the configuration carries a [`CancelToken`] that trips mid-search,
 /// the binding is left at the best allocation seen so far and the exit
-/// condition is silently dropped — use [`improve_bounded`] (or the
+/// condition is silently dropped — use the
 /// [`Allocator`](crate::Allocator) driver, which surfaces
-/// [`AllocError::Cancelled`](crate::AllocError)) when the caller must
+/// [`AllocError::Cancelled`](crate::AllocError), when the caller must
 /// distinguish a cancelled run from a converged one.
 pub fn improve(binding: &mut Binding<'_>, config: &ImproveConfig, rng: &mut StdRng) -> ImproveStats {
-    improve_bounded(binding, config, rng, None).0
+    improve_traced(binding, config, rng, None, None).0
 }
 
-/// [`improve`] under an optional portfolio watch. Returns the statistics
-/// and how the run ended: [`SearchExit::Abandoned`] means the best-bound
-/// cutoff pruned the chain (the binding still holds its best-so-far
-/// allocation, but the portfolio reduction must exclude it — see the
-/// `portfolio` module docs for why that preserves determinism), and
-/// [`SearchExit::Cancelled`] means the configured token tripped.
+/// [`improve`] under an optional portfolio watch and an optional
+/// move-trace recorder. Returns the statistics and how the run ended:
+/// [`SearchExit::Abandoned`] means the best-bound cutoff pruned the chain
+/// (the binding still holds its best-so-far allocation, but the
+/// portfolio reduction must exclude it — see the `portfolio` module docs
+/// for why that preserves determinism), and [`SearchExit::Cancelled`]
+/// means the configured token tripped.
 ///
-/// Neither the watch nor the cancellation polls touch the RNG, so a chain
-/// that completes walks the exact same trajectory as an unwatched run
-/// with the same seed.
-pub fn improve_bounded(
-    binding: &mut Binding<'_>,
-    config: &ImproveConfig,
-    rng: &mut StdRng,
-    watch: Option<&SearchWatch<'_>>,
-) -> (ImproveStats, SearchExit) {
-    improve_traced(binding, config, rng, watch, None)
-}
-
-/// [`improve_bounded`] with an optional move-trace recorder. The recorder
-/// observes commits and best-restores without reading the RNG or altering
-/// control flow, so a recorded run walks the identical trajectory to an
-/// unrecorded one — the property `record_slot_trace` relies on to record
-/// a portfolio winner after the fact.
+/// Neither the watch, the cancellation polls nor the recorder touch the
+/// RNG or alter control flow, so a chain that completes walks the exact
+/// same trajectory as an unwatched, unrecorded run with the same seed —
+/// the property `record_slot_trace` relies on to record a portfolio
+/// winner after the fact.
 pub(crate) fn improve_traced(
     binding: &mut Binding<'_>,
     config: &ImproveConfig,

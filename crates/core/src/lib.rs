@@ -69,22 +69,17 @@ pub use binding::{Binding, BindingParts, Chain, ChainSlotImage, PassMap};
 pub use cancel::{CancelToken, CANCEL_POLL_PERIOD};
 pub use context::AllocContext;
 pub use error::AllocError;
-pub use improve::{
-    improve, improve_bounded, ImproveConfig, ImproveStats, SearchExit, SearchWatch,
-};
+pub use improve::{improve, ImproveConfig, ImproveStats, SearchExit, SearchWatch};
 pub use initial::{initial_allocation, initial_binding, InitialBinding};
 pub use lower::{lower, verify_binding, verify_lowered};
 pub use plan::MovePlan;
 pub use polish::polish;
 pub use portfolio::{
-    portfolio_search, replay_slot, run_chain_slots, run_chain_slots_with_best, ChainOutcome,
-    ChainStat, PortfolioConfig, PortfolioOutcome, PortfolioStats, SearchBound, ShardBest,
+    portfolio_search, replay_slot, run_chain_slots, ChainOutcome, ChainStat, PortfolioConfig,
+    PortfolioOutcome, PortfolioStats, SearchBound, ShardBest,
 };
 pub use report::{portfolio_table, register_chart, report, unit_schedule};
 pub use moves::{MoveKind, MoveSet, Proposal};
 pub use trace::{record_slot_trace, replay_trace, MoveTrace, ReplayCheck, TraceError, TraceStep};
 pub use transfer::TransferKey;
 pub use warm::WarmSpec;
-// Id types appearing in `BindingParts`, for consumers (e.g. the cluster
-// protocol) that do not depend on the datapath crate directly.
-pub use salsa_datapath::{FuId, RegId};

@@ -39,8 +39,7 @@ pub fn lower(binding: &Binding<'_>) -> (Rtl, Claims) {
     let ctx = binding.ctx();
     let n = ctx.n_steps();
     let mut rtl = Rtl::new(n);
-    let mut claims = Claims::default();
-    claims.array_banks = binding.array_banks().to_vec();
+    let mut claims = Claims { array_banks: binding.array_banks().to_vec(), ..Claims::default() };
 
     // Operation issues and result loads.
     for op in ctx.graph.ops() {

@@ -49,7 +49,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::improve::{improve_bounded, SearchExit, SearchWatch};
+use crate::improve::{improve_traced, SearchExit, SearchWatch};
+use crate::trace::TraceRecorder;
 use crate::{
     initial_binding, polish, AllocContext, AllocError, Binding, ImproveConfig, ImproveStats,
     InitialBinding,
@@ -182,12 +183,12 @@ impl PortfolioStats {
 }
 
 /// One finished or abandoned chain, before reduction.
-struct ChainRun<'a> {
-    stat: ChainStat,
+pub(crate) struct ChainRun<'a> {
+    pub(crate) stat: ChainStat,
     /// Raw improvement counters (merged into the aggregate).
-    improve: ImproveStats,
+    pub(crate) improve: ImproveStats,
     /// `Some` only for completed chains: the full-trajectory result.
-    result: Option<(u64, Binding<'a>)>,
+    pub(crate) result: Option<(u64, Binding<'a>)>,
 }
 
 /// The outcome of [`portfolio_search`]: the winning allocation and the
@@ -208,21 +209,30 @@ pub struct PortfolioOutcome<'a> {
 }
 
 /// Runs one chain: clone the initial allocation, improve under the watch,
-/// polish if not abandoned.
-fn run_chain<'a>(
+/// polish if not abandoned. The one chain runner: the portfolio, a
+/// cluster shard, a seed replay and the audit's recording re-run (which
+/// passes a `rec`) all walk their chains through it. Neither the watch,
+/// the cancellation polls nor the recorder touch the RNG, so a chain that
+/// completes walks the same trajectory under any of them.
+pub(crate) fn run_chain<'a>(
     initial: &Binding<'a>,
     config: &ImproveConfig,
     seed: u64,
     slot: usize,
     watch: Option<&SearchWatch<'_>>,
+    mut rec: Option<&mut TraceRecorder>,
 ) -> ChainRun<'a> {
     let start = Instant::now();
     let mut binding = initial.clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut stats, exit) = improve_bounded(&mut binding, config, &mut rng, watch);
+    let (mut stats, exit) =
+        improve_traced(&mut binding, config, &mut rng, watch, rec.as_deref_mut());
     let result = if exit != SearchExit::Completed {
         None
     } else {
+        if let Some(rec) = rec {
+            rec.searched_cost = stats.final_cost;
+        }
         stats.final_cost = polish(&mut binding, &config.weights, &config.move_set);
         if let Some(watch) = watch {
             watch.bound.publish(stats.final_cost);
@@ -247,10 +257,10 @@ fn run_chain<'a>(
 }
 
 /// One chain's outcome in owned, binding-free form — what a remote worker
-/// can report back over a wire. The winning slot's binding is *not* here:
-/// chains are pure functions of `(initial, config, seed)`, so the caller
-/// rematerializes the winner with [`replay_slot`] instead of shipping a
-/// serialized binding.
+/// reports back over a wire as statistics. The winning binding travels
+/// separately, as a [`BindingParts`](crate::BindingParts) image beside
+/// the shard's result; [`replay_slot`] rematerializes it from its seed
+/// when no usable image arrives.
 #[derive(Debug, Clone)]
 pub struct ChainOutcome {
     /// The report-table row for this chain.
@@ -261,10 +271,18 @@ pub struct ChainOutcome {
     pub cost: Option<u64>,
 }
 
+/// The shard's `(cost, slot)`-minimal completed chain: its slot and its
+/// final binding. `None` only when no chain in the range completed.
+pub type ShardBest<'a> = Option<(usize, Binding<'a>)>;
+
 /// Runs the primary chains of `slots` sequentially in slot order — the
-/// execution core of a cluster worker's shard. Seeds are
-/// `base_seed + slot`, exactly as [`portfolio_search`] derives them, so a
-/// shard's chains are indistinguishable from the same slots run locally.
+/// execution core of a cluster worker's shard — and keeps the binding of
+/// the shard's `(cost, slot)`-minimal completed chain, which the worker
+/// ships beside the chain statistics so the coordinator can rebuild the
+/// winner (via [`Binding::to_parts`]) instead of replaying its seed.
+/// Seeds are `base_seed + slot`, exactly as [`portfolio_search`] derives
+/// them, so a shard's chains are indistinguishable from the same slots
+/// run locally.
 ///
 /// With `watch == None` every chain runs unwatched to completion, matching
 /// the sequential (`threads == 1`) loop bit-for-bit. Passing a watch
@@ -276,30 +294,7 @@ pub struct ChainOutcome {
 /// Returns [`AllocError::Cancelled`] when the improve configuration's
 /// cancel token trips; like [`portfolio_search`], cancellation is
 /// all-or-nothing and never yields a partial shard.
-pub fn run_chain_slots(
-    ctx: &AllocContext<'_>,
-    improve_config: &ImproveConfig,
-    base_seed: u64,
-    slots: std::ops::Range<usize>,
-    watch: Option<&SearchWatch<'_>>,
-) -> Result<Vec<ChainOutcome>, AllocError> {
-    run_chain_slots_with_best(ctx, improve_config, base_seed, slots, watch)
-        .map(|(outcomes, _)| outcomes)
-}
-
-/// The shard's `(cost, slot)`-minimal completed chain: its slot and its
-/// final binding. `None` only when no chain in the range completed.
-pub type ShardBest<'a> = Option<(usize, Binding<'a>)>;
-
-/// [`run_chain_slots`], additionally keeping the binding of the shard's
-/// `(cost, slot)`-minimal completed chain — what a cluster worker ships
-/// alongside the chain statistics so the coordinator can reconstruct the
-/// winner (via [`Binding::to_parts`]) instead of replaying its seed.
-///
-/// # Errors
-///
-/// Returns [`AllocError::Cancelled`] exactly as [`run_chain_slots`] does.
-pub fn run_chain_slots_with_best<'a>(
+pub fn run_chain_slots<'a>(
     ctx: &'a AllocContext<'a>,
     improve_config: &ImproveConfig,
     base_seed: u64,
@@ -320,6 +315,7 @@ pub fn run_chain_slots_with_best<'a>(
             base_seed.wrapping_add(slot as u64),
             slot,
             watch,
+            None,
         );
         let cost = run.result.as_ref().map(|(cost, _)| *cost);
         if let Some((cost, binding)) = run.result {
@@ -354,7 +350,8 @@ pub fn replay_slot<'a>(
     slot: usize,
 ) -> Result<(ChainOutcome, Binding<'a>), AllocError> {
     let (initial, _) = initial_binding(ctx, improve_config.warm.as_deref());
-    let run = run_chain(&initial, improve_config, base_seed.wrapping_add(slot as u64), slot, None);
+    let seed = base_seed.wrapping_add(slot as u64);
+    let run = run_chain(&initial, improve_config, seed, slot, None, None);
     match run.result {
         Some((cost, binding)) => Ok((
             ChainOutcome { stat: run.stat, improve: run.improve, cost: Some(cost) },
@@ -409,7 +406,7 @@ pub fn portfolio_search<'a>(
                 break;
             }
             let seed = base_seed.wrapping_add(slot as u64);
-            runs.push(run_chain(&initial, improve_config, seed, slot, watch.as_ref()));
+            runs.push(run_chain(&initial, improve_config, seed, slot, watch.as_ref(), None));
         }
         runs
     };
@@ -437,7 +434,7 @@ pub fn portfolio_search<'a>(
     // itself (factor >= 1), so at least one chain completes; if a future
     // change breaks that, fall back to a deterministic unwatched chain 0.
     if !runs.iter().any(|r| r.result.is_some()) {
-        runs.insert(0, run_chain(&initial, improve_config, base_seed, 0, None));
+        runs.insert(0, run_chain(&initial, improve_config, base_seed, 0, None, None));
     }
 
     // Deterministic reduction: minimal (cost, slot) over completed slots.

@@ -32,14 +32,12 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use salsa_cdfg::{fnv1a_128, OpId, ValueId};
 use salsa_datapath::{FuId, RegId};
 
-use crate::improve::{improve_traced, weighted_cost, SearchExit};
+use crate::improve::weighted_cost;
 use crate::moves::{apply_proposal, Proposal};
+use crate::portfolio::run_chain;
 use crate::{initial_binding, polish, AllocContext, AllocError, Binding, ImproveConfig, TransferKey};
 
 /// One recorded step of a search trajectory.
@@ -76,10 +74,12 @@ pub struct MoveTrace {
     pub steps: Vec<TraceStep>,
 }
 
-/// Collects [`TraceStep`]s as the search engine commits and restores.
+/// Collects [`TraceStep`]s as the search engine commits and restores,
+/// and the chain's cost between search and polish.
 #[derive(Debug, Default)]
 pub(crate) struct TraceRecorder {
     pub(crate) steps: Vec<TraceStep>,
+    pub(crate) searched_cost: u64,
 }
 
 impl TraceRecorder {
@@ -185,12 +185,13 @@ pub enum ReplayCheck {
 /// Re-runs one primary portfolio slot with move recording enabled and
 /// returns its trace together with the finished binding.
 ///
-/// The trajectory is identical to [`replay_slot`](crate::replay_slot) —
-/// an unwatched chain at seed `base_seed + slot`, improved to
-/// convergence, then polished — so recording the portfolio winner's slot
-/// after the fact yields exactly the trace the winning chain would have
-/// produced live. Recording off the serving path keeps the allocation
-/// lane overhead-free when verification is disabled.
+/// The re-run is the search's own chain runner — an unwatched chain at
+/// seed `base_seed + slot`, improved to convergence, then polished, the
+/// trajectory [`replay_slot`](crate::replay_slot) also walks — so
+/// recording the portfolio winner's slot after the fact yields exactly
+/// the trace the winning chain would have produced live. Recording off
+/// the serving path keeps the allocation lane overhead-free when
+/// verification is disabled.
 ///
 /// # Errors
 ///
@@ -203,22 +204,17 @@ pub fn record_slot_trace<'a>(
     base_seed: u64,
     slot: usize,
 ) -> Result<(MoveTrace, Binding<'a>), AllocError> {
-    let mut binding = initial_binding(ctx, config.warm.as_deref()).0;
+    let initial = initial_binding(ctx, config.warm.as_deref()).0;
     let seed = base_seed.wrapping_add(slot as u64);
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut rec = TraceRecorder::default();
-    let (stats, exit) = improve_traced(&mut binding, config, &mut rng, None, Some(&mut rec));
-    if exit != SearchExit::Completed {
-        return Err(AllocError::Cancelled);
-    }
-    let searched_cost = stats.final_cost;
-    let final_cost = polish(&mut binding, &config.weights, &config.move_set);
+    let run = run_chain(&initial, config, seed, slot, None, Some(&mut rec));
+    let (final_cost, binding) = run.result.ok_or(AllocError::Cancelled)?;
     let trace = MoveTrace {
         base_seed,
         slot,
         seed,
-        initial_cost: stats.initial_cost,
-        searched_cost,
+        initial_cost: run.improve.initial_cost,
+        searched_cost: rec.searched_cost,
         final_cost,
         steps: rec.steps,
     };
@@ -364,40 +360,6 @@ pub fn replay_trace<'a>(
     Ok(binding)
 }
 
-fn encode_key(key: TransferKey, out: &mut String) {
-    use std::fmt::Write;
-    match key {
-        TransferKey::Intra { value, chain, idx } => {
-            let _ = write!(out, "i{}.{}.{}", value.index(), chain, idx);
-        }
-        TransferKey::CopyFeed { value, chain } => {
-            let _ = write!(out, "c{}.{}", value.index(), chain);
-        }
-        TransferKey::Boundary { state } => {
-            let _ = write!(out, "b{}", state.index());
-        }
-    }
-}
-
-fn decode_key(tok: &str) -> Result<TransferKey, TraceError> {
-    let malformed = || TraceError::Malformed { detail: format!("bad transfer key `{tok}`") };
-    let (tag, rest) = tok.split_at(tok.len().min(1));
-    let nums: Vec<usize> =
-        rest.split('.').map(|p| p.parse().map_err(|_| malformed())).collect::<Result<_, _>>()?;
-    match (tag, nums.as_slice()) {
-        ("i", [v, chain, idx]) => Ok(TransferKey::Intra {
-            value: ValueId::from_index(*v),
-            chain: *chain,
-            idx: *idx,
-        }),
-        ("c", [v, chain]) => {
-            Ok(TransferKey::CopyFeed { value: ValueId::from_index(*v), chain: *chain })
-        }
-        ("b", [v]) => Ok(TransferKey::Boundary { state: ValueId::from_index(*v) }),
-        _ => Err(malformed()),
-    }
-}
-
 fn encode_proposal(p: Proposal, out: &mut String) {
     use std::fmt::Write;
     match p {
@@ -412,12 +374,12 @@ fn encode_proposal(p: Proposal, out: &mut String) {
         }
         Proposal::PassBind { key, fu } => {
             let _ = write!(out, "F4:");
-            encode_key(key, out);
+            key.write_token(out);
             let _ = write!(out, ",{}", fu.index());
         }
         Proposal::PassUnbind { key } => {
             let _ = write!(out, "F5:");
-            encode_key(key, out);
+            key.write_token(out);
         }
         Proposal::SegmentExchange { step, v1, s1, r1, v2, s2, r2 } => {
             let _ = write!(
@@ -481,6 +443,9 @@ fn decode_proposal(tok: &str) -> Result<Proposal, TraceError> {
     let (tag, body) = tok.split_once(':').ok_or_else(malformed)?;
     let parts: Vec<&str> = body.split(',').collect();
     let num = |s: &str| -> Result<usize, TraceError> { s.parse().map_err(|_| malformed()) };
+    let transfer_key = |s: &str| {
+        TransferKey::parse_token(s).map_err(|detail| TraceError::Malformed { detail })
+    };
     let flag = |s: &str| -> Result<bool, TraceError> {
         match s {
             "f" => Ok(true),
@@ -499,9 +464,9 @@ fn decode_proposal(tok: &str) -> Result<Proposal, TraceError> {
         }),
         ("F3", [op]) => Ok(Proposal::OperandReverse { op: OpId::from_index(num(op)?) }),
         ("F4", [key, fu]) => {
-            Ok(Proposal::PassBind { key: decode_key(key)?, fu: FuId::from_index(num(fu)?) })
+            Ok(Proposal::PassBind { key: transfer_key(key)?, fu: FuId::from_index(num(fu)?) })
         }
-        ("F5", [key]) => Ok(Proposal::PassUnbind { key: decode_key(key)? }),
+        ("F5", [key]) => Ok(Proposal::PassUnbind { key: transfer_key(key)? }),
         ("R1", [step, v1, s1, r1, v2, s2, r2]) => Ok(Proposal::SegmentExchange {
             step: num(step)?,
             v1: ValueId::from_index(num(v1)?),
@@ -826,7 +791,7 @@ mod tests {
             let mut foreign = trace.clone();
             foreign.steps.insert(
                 0,
-                TraceStep::Commit { proposal: proposal.clone(), cost_after: trace.initial_cost },
+                TraceStep::Commit { proposal, cost_after: trace.initial_cost },
             );
             assert!(
                 matches!(
@@ -889,7 +854,7 @@ mod tests {
             let mut tampered = trace.clone();
             tampered.steps.insert(
                 0,
-                TraceStep::Commit { proposal: proposal.clone(), cost_after: trace.initial_cost },
+                TraceStep::Commit { proposal, cost_after: trace.initial_cost },
             );
             assert!(
                 matches!(

@@ -56,6 +56,44 @@ impl fmt::Display for TransferKey {
     }
 }
 
+impl TransferKey {
+    /// Appends the key's token spelling — `i<value>.<chain>.<idx>`,
+    /// `c<value>.<chain>` or `b<state>` — shared by the move-trace text
+    /// and the binding-image text.
+    pub(crate) fn write_token(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = match *self {
+            TransferKey::Intra { value, chain, idx } => {
+                write!(out, "i{}.{}.{}", value.index(), chain, idx)
+            }
+            TransferKey::CopyFeed { value, chain } => write!(out, "c{}.{}", value.index(), chain),
+            TransferKey::Boundary { state } => write!(out, "b{}", state.index()),
+        };
+    }
+
+    /// Parses a token written by [`write_token`](Self::write_token).
+    pub(crate) fn parse_token(tok: &str) -> Result<TransferKey, String> {
+        let malformed = || format!("bad transfer key `{tok}`");
+        let (tag, rest) = tok.split_at_checked(1).ok_or_else(malformed)?;
+        let nums: Vec<usize> = rest
+            .split('.')
+            .map(|p| p.parse().map_err(|_| malformed()))
+            .collect::<Result<_, _>>()?;
+        match (tag, nums.as_slice()) {
+            ("i", [v, chain, idx]) => Ok(TransferKey::Intra {
+                value: ValueId::from_index(*v),
+                chain: *chain,
+                idx: *idx,
+            }),
+            ("c", [v, chain]) => {
+                Ok(TransferKey::CopyFeed { value: ValueId::from_index(*v), chain: *chain })
+            }
+            ("b", [v]) => Ok(TransferKey::Boundary { state: ValueId::from_index(*v) }),
+            _ => Err(malformed()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,10 +29,8 @@
 //!    gets one re-draw), concentrating early search effort where the
 //!    design actually changed.
 
-use salsa_datapath::{FuId, RegId};
-
 use crate::moves::Proposal;
-use crate::{BindingParts, ChainSlotImage, TransferKey};
+use crate::{BindingParts, TransferKey};
 
 /// The text-codec header (versioned like `salsa-trace/1`).
 const HEADER: &str = "salsa-seed/1";
@@ -174,7 +172,7 @@ impl WarmSpec {
         out.push_str(" parts=");
         match &self.parts {
             None => out.push('-'),
-            Some(parts) => encode_parts(&mut out, parts),
+            Some(parts) => out.push_str(&parts.encode()),
         }
         out
     }
@@ -208,7 +206,8 @@ impl WarmSpec {
                 "of" => spec.op_fu = decode_pairs(val)?,
                 "vr" => spec.value_reg = decode_pairs(val)?,
                 "parts" => {
-                    spec.parts = if val == "-" { None } else { Some(decode_parts(val)?) };
+                    spec.parts =
+                        if val == "-" { None } else { Some(BindingParts::decode(val)?) };
                 }
                 other => return Err(format!("unknown field `{other}`")),
             }
@@ -282,200 +281,11 @@ fn decode_pairs(text: &str) -> Result<Vec<(u32, u32)>, String> {
         .collect()
 }
 
-// --- BindingParts codec ----------------------------------------------------
-//
-// No spaces (the spec's fields are whitespace-separated tokens). Sections
-// are `;`-joined: `u=` one `<fu>.<swap>.<uc0>.<uc1>` entry per op (`,`),
-// `c=` one chain list per value (`,`; slots `|`-joined, a dead slot is
-// `-`, a live slot `<lo>:r.r.r`), `p=` the pass map (`,`; `<key>:<fu>`
-// with the trace codec's key spelling `i./c./b.`).
-
-fn encode_parts(out: &mut String, parts: &BindingParts) {
-    use std::fmt::Write;
-    out.push_str("u=");
-    for i in 0..parts.op_fu.len() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{}.{}.{}.{}",
-            parts.op_fu[i].index(),
-            u8::from(parts.op_swap[i]),
-            parts.use_chain[i][0],
-            parts.use_chain[i][1]
-        );
-    }
-    out.push_str(";c=");
-    for (vi, chains) in parts.chains.iter().enumerate() {
-        if vi > 0 {
-            out.push(',');
-        }
-        for (si, slot) in chains.iter().enumerate() {
-            if si > 0 {
-                out.push('|');
-            }
-            match slot {
-                None => out.push('-'),
-                Some((lo, regs)) => {
-                    let _ = write!(out, "{lo}:");
-                    for (ri, r) in regs.iter().enumerate() {
-                        if ri > 0 {
-                            out.push('.');
-                        }
-                        let _ = write!(out, "{}", r.index());
-                    }
-                }
-            }
-        }
-    }
-    out.push_str(";p=");
-    for (pi, (key, fu)) in parts.passes.iter().enumerate() {
-        if pi > 0 {
-            out.push(',');
-        }
-        encode_transfer_key(out, key);
-        let _ = write!(out, ":{}", fu.index());
-    }
-    out.push_str(";b=");
-    if parts.array_banks.is_empty() {
-        out.push('-');
-    } else {
-        for (bi, bank) in parts.array_banks.iter().enumerate() {
-            if bi > 0 {
-                out.push('.');
-            }
-            let _ = write!(out, "{bank}");
-        }
-    }
-}
-
-fn decode_parts(text: &str) -> Result<BindingParts, String> {
-    let mut parts = BindingParts {
-        op_fu: Vec::new(),
-        op_swap: Vec::new(),
-        chains: Vec::new(),
-        use_chain: Vec::new(),
-        passes: Vec::new(),
-        array_banks: Vec::new(),
-    };
-    for section in text.split(';') {
-        let (tag, body) =
-            section.split_once('=').ok_or_else(|| format!("bad parts section `{section}`"))?;
-        match tag {
-            "u" => {
-                for entry in body.split(',').filter(|e| !e.is_empty()) {
-                    let nums: Vec<usize> = entry
-                        .split('.')
-                        .map(|p| p.parse().map_err(|_| format!("bad op entry `{entry}`")))
-                        .collect::<Result<_, _>>()?;
-                    let [fu, swap, uc0, uc1] = nums[..] else {
-                        return Err(format!("bad op entry `{entry}`"));
-                    };
-                    parts.op_fu.push(FuId::from_index(fu));
-                    parts.op_swap.push(swap != 0);
-                    parts.use_chain.push([uc0, uc1]);
-                }
-            }
-            "c" => {
-                if body.is_empty() {
-                    continue;
-                }
-                for value in body.split(',') {
-                    let chains: Vec<ChainSlotImage> = if value.is_empty() {
-                        Vec::new()
-                    } else {
-                        value
-                            .split('|')
-                            .map(decode_slot)
-                            .collect::<Result<_, _>>()?
-                    };
-                    parts.chains.push(chains);
-                }
-            }
-            "p" => {
-                for entry in body.split(',').filter(|e| !e.is_empty()) {
-                    let (key, fu) = entry
-                        .rsplit_once(':')
-                        .ok_or_else(|| format!("bad pass entry `{entry}`"))?;
-                    let fu: usize =
-                        fu.parse().map_err(|_| format!("bad pass entry `{entry}`"))?;
-                    parts.passes.push((decode_transfer_key(key)?, FuId::from_index(fu)));
-                }
-            }
-            "b" => {
-                if body != "-" && !body.is_empty() {
-                    parts.array_banks = body
-                        .split('.')
-                        .map(|p| p.parse().map_err(|_| format!("bad array bank `{p}`")))
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            other => return Err(format!("unknown parts section `{other}`")),
-        }
-    }
-    Ok(parts)
-}
-
-fn decode_slot(text: &str) -> Result<ChainSlotImage, String> {
-    if text == "-" {
-        return Ok(None);
-    }
-    let (lo, regs) = text.split_once(':').ok_or_else(|| format!("bad chain slot `{text}`"))?;
-    let lo: usize = lo.parse().map_err(|_| format!("bad chain slot `{text}`"))?;
-    let regs: Vec<RegId> = regs
-        .split('.')
-        .map(|r| {
-            r.parse::<usize>()
-                .map(RegId::from_index)
-                .map_err(|_| format!("bad chain slot `{text}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    if regs.is_empty() {
-        return Err(format!("bad chain slot `{text}`"));
-    }
-    Ok(Some((lo, regs)))
-}
-
-fn encode_transfer_key(out: &mut String, key: &TransferKey) {
-    use std::fmt::Write;
-    match *key {
-        TransferKey::Intra { value, chain, idx } => {
-            let _ = write!(out, "i{}.{}.{}", value.index(), chain, idx);
-        }
-        TransferKey::CopyFeed { value, chain } => {
-            let _ = write!(out, "c{}.{}", value.index(), chain);
-        }
-        TransferKey::Boundary { state } => {
-            let _ = write!(out, "b{}", state.index());
-        }
-    }
-}
-
-fn decode_transfer_key(tok: &str) -> Result<TransferKey, String> {
-    use salsa_cdfg::ValueId;
-    let malformed = || format!("bad transfer key `{tok}`");
-    let (tag, rest) = tok.split_at(tok.len().min(1));
-    let nums: Vec<usize> =
-        rest.split('.').map(|p| p.parse().map_err(|_| malformed())).collect::<Result<_, _>>()?;
-    match (tag, nums.as_slice()) {
-        ("i", [v, chain, idx]) => Ok(TransferKey::Intra {
-            value: ValueId::from_index(*v),
-            chain: *chain,
-            idx: *idx,
-        }),
-        ("c", [v, chain]) => {
-            Ok(TransferKey::CopyFeed { value: ValueId::from_index(*v), chain: *chain })
-        }
-        ("b", [v]) => Ok(TransferKey::Boundary { state: ValueId::from_index(*v) }),
-        _ => Err(malformed()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{initial_allocation, AllocContext};
+    use salsa_datapath::{FuId, RegId};
     use salsa_cdfg::benchmarks::paper_example;
     use salsa_datapath::Datapath;
     use salsa_sched::{fds_schedule, FuLibrary};

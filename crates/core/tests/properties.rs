@@ -8,7 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use salsa_alloc::{
-    improve, initial_allocation, lower, moves, AllocContext, Binding, ImproveConfig, MoveSet,
+    improve, initial_allocation, lower, moves, AllocContext, Binding, BindingParts, ImproveConfig,
+    MoveSet,
 };
 use salsa_cdfg::{random_cdfg, RandomCdfgConfig};
 use salsa_datapath::{verify, Datapath};
@@ -106,7 +107,9 @@ proptest! {
         let rebuilt = Binding::from_parts(&ctx, &parts)
             .map_err(|e| TestCaseError::fail(format!("from_parts rejected own parts: {e}")))?;
         prop_assert!(rebuilt == binding, "rebuilt binding differs from the original");
-        prop_assert_eq!(rebuilt.to_parts(), parts);
+        prop_assert_eq!(rebuilt.to_parts(), parts.clone());
+        // The parts text (the shipped and warm-seed image) is exact too.
+        prop_assert_eq!(BindingParts::decode(&parts.encode()), Ok(parts));
 
         // Corrupted images are rejected with an error, never a panic and
         // never silent acceptance: here, a unit table that no longer

@@ -18,12 +18,12 @@
 //! is derived state, never an identity, so aliasing costs memory, not
 //! correctness; the result cache still keys on canonical text.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use salsa_cdfg::{fnv1a_128, Cdfg};
 
+use crate::cache::FifoCache;
 use crate::exec::{map_alloc_error, plan_job, resolve_graph, resolve_knobs, JobPlan};
 use crate::protocol::{GraphSource, Knobs, ServeError};
 use crate::similarity::Sketch;
@@ -85,30 +85,10 @@ impl AdmissionArtifact {
     }
 }
 
-struct CacheInner {
-    map: HashMap<u128, Arc<AdmissionArtifact>>,
-    order: VecDeque<u128>,
-}
-
 /// Bounded FIFO cache of admission artifacts, keyed by request spelling.
-pub struct AdmissionCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub type AdmissionCache = FifoCache<AdmissionArtifact>;
 
-impl AdmissionCache {
-    /// A cache holding at most `capacity` designs (min 1).
-    pub fn new(capacity: usize) -> Self {
-        AdmissionCache {
-            inner: Mutex::new(CacheInner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
+impl FifoCache<AdmissionArtifact> {
     fn source_key(source: &GraphSource) -> u128 {
         match source {
             GraphSource::Bench(name) => {
@@ -122,42 +102,12 @@ impl AdmissionCache {
     /// sketching only on the first sighting of this spelling.
     pub fn resolve(&self, source: &GraphSource) -> Result<Arc<AdmissionArtifact>, ServeError> {
         let key = Self::source_key(source);
-        if let Some(hit) = self.inner.lock().expect("admission poisoned").map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.get(key) {
+            return Ok(hit);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let artifact = Arc::new(AdmissionArtifact::new(resolve_graph(source)?));
-        let mut inner = self.inner.lock().expect("admission poisoned");
-        if inner.map.insert(key, Arc::clone(&artifact)).is_none() {
-            inner.order.push_back(key);
-            while inner.order.len() > self.capacity {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
-                }
-            }
-        }
+        self.insert(key, Arc::clone(&artifact));
         Ok(artifact)
-    }
-
-    /// Designs currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("admission poisoned").map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 

@@ -1,22 +1,25 @@
-//! Content-addressed result cache: completed allocation responses keyed
-//! by the 128-bit FNV-1a fingerprint of `(canonical CDFG text, search
-//! knobs)`.
+//! The service's one bounded cache: a thread-safe FIFO map from a
+//! 128-bit fingerprint to a shared value, with lifetime hit, miss and
+//! eviction counters. The result cache, the verdict cache, the admission
+//! cache and the seed index are all instances of [`FifoCache`]; each adds
+//! only its own lookups on top.
 //!
-//! Soundness rests on two properties established elsewhere in the
-//! workspace: the canonical text is a *fixpoint* of `parse ∘ print`
-//! (spelling variants of the same design collapse to one key — see
-//! `crates/cdfg/tests/canonical.rs`), and the portfolio search is
-//! *deterministic* for identical inputs (same graph + same knobs ⇒ same
-//! winning allocation). An exact hit can therefore replay the stored
+//! **The result cache** ([`ResultCache`]) holds completed allocation
+//! responses keyed by the FNV-1a 128 fingerprint of `(canonical CDFG
+//! text, search knobs)`. Soundness rests on two properties established
+//! elsewhere in the workspace: the canonical text is a *fixpoint* of
+//! `parse ∘ print` (spelling variants of the same design collapse to one
+//! key — see `crates/cdfg/tests/canonical.rs`), and the portfolio search
+//! is *deterministic* for identical inputs (same graph + same knobs ⇒
+//! same winning allocation). An exact hit can therefore replay the stored
 //! response **bytes** — not a re-rendering — so a cached reply is
 //! byte-identical to the one the original job produced. Entries are
 //! [`Payload`]s (one JSON document with lazily cached text and binary
 //! renderings), so one entry serves line-mode and binary-mode clients
 //! their respective verbatim bytes.
 //!
-//! The cache is bounded with FIFO eviction: allocation responses are a
-//! few KiB and jobs are expensive, so recency tracking buys little over
-//! insertion order here.
+//! Eviction is FIFO: cached values are a few KiB and take a job to
+//! compute, so recency tracking buys little over insertion order here.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,24 +27,27 @@ use std::sync::{Arc, Mutex};
 
 use salsa_wire::frame::Payload;
 
-struct Inner {
-    map: HashMap<u128, Arc<Payload>>,
+/// The content-addressed response cache.
+pub type ResultCache = FifoCache<Payload>;
+
+struct Inner<V> {
+    map: HashMap<u128, Arc<V>>,
     order: VecDeque<u128>,
 }
 
-/// Bounded, thread-safe response cache.
-pub struct ResultCache {
-    inner: Mutex<Inner>,
+/// Bounded, thread-safe FIFO cache keyed by a 128-bit fingerprint.
+pub struct FifoCache<V> {
+    inner: Mutex<Inner<V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl ResultCache {
-    /// A cache holding at most `capacity` responses (min 1).
+impl<V> FifoCache<V> {
+    /// A cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
-        ResultCache {
+        FifoCache {
             inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
@@ -50,28 +56,36 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, counting the access as a hit or miss.
-    pub fn get(&self, key: u128) -> Option<Arc<Payload>> {
-        let inner = self.inner.lock().expect("cache poisoned");
-        match inner.map.get(&key) {
-            Some(bytes) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(bytes))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<V>> {
+        self.inner.lock().expect("cache poisoned")
     }
 
-    /// Stores `response` under `key`, evicting the oldest entry when at
-    /// capacity. Re-inserting an existing key refreshes the bytes without
-    /// growing the cache.
-    pub fn insert(&self, key: u128, response: Arc<Payload>) {
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        if inner.map.insert(key, response).is_some() {
-            return; // key already tracked in `order`
+    /// Looks up `key`, counting the access as a hit or miss.
+    pub fn get(&self, key: u128) -> Option<Arc<V>> {
+        let found = self.peek(key);
+        self.count(found.is_some());
+        found
+    }
+
+    /// Looks up `key` without touching the hit/miss counters.
+    pub fn peek(&self, key: u128) -> Option<Arc<V>> {
+        self.lock().map.get(&key).map(Arc::clone)
+    }
+
+    /// Counts one lookup answered by the caller's own search (a
+    /// [`scan`](Self::scan)) as a hit or a miss.
+    pub fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Stores `value` under `key`, evicting the oldest entries beyond
+    /// capacity. Re-inserting an existing key replaces its value in
+    /// place, keeping its position in the eviction order.
+    pub fn insert(&self, key: u128, value: Arc<V>) {
+        let mut inner = self.lock();
+        if inner.map.insert(key, value).is_some() {
+            return;
         }
         inner.order.push_back(key);
         while inner.order.len() > self.capacity {
@@ -82,9 +96,18 @@ impl ResultCache {
         }
     }
 
+    /// Visits every entry, oldest first, under the cache lock. Not
+    /// counted as a hit or miss.
+    pub fn scan(&self, mut visit: impl FnMut(&Arc<V>)) {
+        let inner = self.lock();
+        for key in &inner.order {
+            visit(&inner.map[key]);
+        }
+    }
+
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache poisoned").map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -134,6 +157,8 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        assert!(cache.peek(1).is_some() && cache.peek(2).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1), "peek is uncounted");
     }
 
     #[test]
@@ -147,6 +172,9 @@ mod tests {
         assert!(cache.get(1).is_none(), "oldest entry evicted first");
         assert!(cache.get(2).is_some());
         assert!(cache.get(3).is_some());
+        let mut order = Vec::new();
+        cache.scan(|p| order.push(p.json().as_str().unwrap().to_string()));
+        assert_eq!(order, ["b", "c"], "scan visits oldest first");
     }
 
     #[test]

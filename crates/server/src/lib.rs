@@ -15,8 +15,9 @@
 //!   scratch buffers reused across jobs), per-job deadlines delivered as
 //!   cooperative [`CancelToken`](salsa_alloc::CancelToken)s into the
 //!   search, and graceful drain-then-exit shutdown;
-//! - [`cache`] — a content-addressed result cache keyed by the FNV-1a
-//!   128 fingerprint of `(canonical CDFG text, knobs)`;
+//! - [`cache`] — the one bounded FIFO cache behind the result cache
+//!   (keyed by the FNV-1a 128 fingerprint of `(canonical CDFG text,
+//!   knobs)`), the verdict cache, the admission cache and the seed index;
 //! - [`stats`] — job counters and p50/p95/p99 latency for the wire
 //!   `stats` command;
 //! - [`json`] / [`report`] — a std-only JSON model and the report

@@ -484,27 +484,16 @@ pub fn knobs_to_json(knobs: &Knobs) -> Json {
 }
 
 /// The content address of a job: FNV-1a 128 over the canonical CDFG text
-/// plus a canonical rendering of every search knob. Sound as a cache key
+/// plus the knobs' request spelling ([`knobs_to_json`], whose rendering
+/// round-trips every knob). Sound as a cache key
 /// because the canonical text is a print/parse fixpoint and the search is
 /// deterministic in (text, knobs) — see the crate docs.
 pub fn cache_key(canonical_text: &str, knobs: &Knobs) -> u128 {
-    let mut keyed = String::with_capacity(canonical_text.len() + 96);
+    let knobs = knobs_to_json(knobs).to_string_compact();
+    let mut keyed = String::with_capacity(canonical_text.len() + knobs.len() + 8);
     keyed.push_str(canonical_text);
     keyed.push_str("\x00knobs\x00");
-    keyed.push_str(&format!(
-        "steps={:?};extra_regs={};seed={};restarts={};threads={:?};cutoff={:?};pipelined={};traditional={};mem_moves={};verify={};warm={}",
-        knobs.steps,
-        knobs.extra_regs,
-        knobs.seed,
-        knobs.restarts,
-        knobs.threads,
-        knobs.cutoff,
-        knobs.pipelined,
-        knobs.traditional,
-        knobs.mem_moves,
-        knobs.verify.as_str(),
-        knobs.warm.as_ref().map_or_else(|| "-".to_string(), |w| w.encode()),
-    ));
+    keyed.push_str(&knobs);
     fnv1a_128(keyed.as_bytes())
 }
 

@@ -368,7 +368,7 @@ fn handle_allocate(
             // The explicit `reallocate` verb: seed from a named prior
             // winner, or fail loudly — silently running cold would hide
             // an expired base id from an incremental flow.
-            match shared.seeds.get(base_key) {
+            match shared.seeds.peek(base_key) {
                 Some(entry) => {
                     let distance = artifact.sketch.distance(&entry.sketch);
                     knobs.warm =
@@ -549,13 +549,14 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             // carries.
             if let Some(parts) = winner {
                 let cost = report.get("cost").and_then(Json::as_u64).unwrap_or(0);
-                shared.seeds.insert(SeedEntry {
+                let entry = SeedEntry {
                     key: job.key,
                     graph: job.artifact.graph.clone(),
                     parts,
                     cost,
                     sketch: job.artifact.sketch.clone(),
-                });
+                };
+                shared.seeds.insert(job.key, Arc::new(entry));
             }
             if job.knobs.verify != VerifyMode::Off {
                 // Hand the completed report (and the reply) to the

@@ -19,12 +19,13 @@
 //! Neither consults an id or a label. `tests/warmstart.rs` pins the
 //! invariance property.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use salsa_alloc::{BindingParts, WarmSpec};
 use salsa_cdfg::{Cdfg, OpKind};
+
+use crate::cache::FifoCache;
 
 /// Accept a similarity seed when `distance * 1000 <= weight *
 /// SEED_DISTANCE_PERMILLE` — i.e. the designs differ in at most 40% of
@@ -117,100 +118,30 @@ pub struct SeedEntry {
     pub sketch: Sketch,
 }
 
-struct IndexInner {
-    by_key: HashMap<u128, Arc<SeedEntry>>,
-    order: VecDeque<u128>,
-}
+/// A bounded FIFO index of recent winners keyed by job key, queried two
+/// ways: exactly by key ([`FifoCache::peek`], the `reallocate` verb) and
+/// nearest-by-sketch (transparent similarity seeding). Nearest-neighbour
+/// scan is linear — the index holds at most a few dozen entries and a
+/// scan is nanoseconds next to one allocation job.
+pub type SeedIndex = FifoCache<SeedEntry>;
 
-/// A bounded FIFO index of recent winners, queried two ways: exactly by
-/// job key (the `reallocate` verb) and nearest-by-sketch (transparent
-/// similarity seeding). Nearest-neighbour scan is linear — the index
-/// holds at most a few dozen entries and a scan is nanoseconds next to
-/// one allocation job.
-pub struct SeedIndex {
-    inner: Mutex<IndexInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SeedIndex {
-    /// An index holding at most `capacity` winners (min 1).
-    pub fn new(capacity: usize) -> Self {
-        SeedIndex {
-            inner: Mutex::new(IndexInner { by_key: HashMap::new(), order: VecDeque::new() }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Remembers a winner, evicting the oldest entry at capacity.
-    /// Re-inserting a key refreshes its entry without growing the index.
-    pub fn insert(&self, entry: SeedEntry) {
-        let mut inner = self.inner.lock().expect("seed index poisoned");
-        let key = entry.key;
-        if inner.by_key.insert(key, Arc::new(entry)).is_some() {
-            return;
-        }
-        inner.order.push_back(key);
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.by_key.remove(&old);
-            }
-        }
-    }
-
-    /// Exact lookup by job key (the `reallocate` base).
-    pub fn get(&self, key: u128) -> Option<Arc<SeedEntry>> {
-        let inner = self.inner.lock().expect("seed index poisoned");
-        inner.by_key.get(&key).map(Arc::clone)
-    }
-
+impl FifoCache<SeedEntry> {
     /// The entry nearest to `sketch` that passes the acceptance
-    /// threshold, with its distance. Deterministic: lowest distance
-    /// wins, ties break toward the *oldest* entry (insertion order), so
-    /// the same index contents always seed the same way.
+    /// threshold, with its distance, counted as a hit or a miss.
+    /// Deterministic: lowest distance wins, ties break toward the
+    /// *oldest* entry (insertion order), so the same index contents
+    /// always seed the same way.
     pub fn nearest(&self, sketch: &Sketch) -> Option<(Arc<SeedEntry>, u64)> {
-        let inner = self.inner.lock().expect("seed index poisoned");
         let mut best: Option<(Arc<SeedEntry>, u64)> = None;
-        for key in &inner.order {
-            let entry = &inner.by_key[key];
+        self.scan(|entry| {
             let d = sketch.distance(&entry.sketch);
             if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
                 best = Some((Arc::clone(entry), d));
             }
-        }
-        match best {
-            Some((entry, d)) if sketch.accepts(d) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((entry, d))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Entries currently remembered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("seed index poisoned").by_key.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime count of nearest() calls that produced a seed.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of nearest() calls that found nothing close.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        });
+        let seed = best.filter(|(_, d)| sketch.accepts(*d));
+        self.count(seed.is_some());
+        seed
     }
 }
 
@@ -351,29 +282,27 @@ mod tests {
     fn index_serves_nearest_with_deterministic_ties_and_fifo_eviction() {
         let index = SeedIndex::new(2);
         assert!(index.nearest(&Sketch::of(&parse_cdfg(BASE).unwrap())).is_none());
-        index.insert(entry(1, BASE));
+        index.insert(1, Arc::new(entry(1, BASE)));
         // Same structure under different labels: distance 0, and the
         // *older* of two equal entries wins.
-        index.insert(entry(
-            2,
-            "cdfg u\ninput p\ninput q\nop m = add p q\nop n = mul m p\noutput n\n",
-        ));
+        let twin = "cdfg u\ninput p\ninput q\nop m = add p q\nop n = mul m p\noutput n\n";
+        index.insert(2, Arc::new(entry(2, twin)));
         let probe = Sketch::of(&parse_cdfg(BASE).unwrap());
         let (hit, d) = index.nearest(&probe).expect("seed");
         assert_eq!((hit.key, d), (1, 0));
-        assert!(index.get(1).is_some());
+        assert!(index.peek(1).is_some());
 
         // Capacity 2: a third insert evicts the oldest.
-        index.insert(entry(3, BASE));
+        index.insert(3, Arc::new(entry(3, BASE)));
         assert_eq!(index.len(), 2);
-        assert!(index.get(1).is_none());
+        assert!(index.peek(1).is_none());
         assert_eq!(index.nearest(&probe).unwrap().0.key, 2);
         assert_eq!((index.hits(), index.misses()), (2, 1));
     }
 
     #[test]
     fn warm_spec_matches_by_label_and_focuses_the_delta() {
-        use salsa_alloc::FuId;
+        use salsa_datapath::FuId;
         let mut base = entry(9, BASE);
         base.parts.op_fu = vec![FuId::from_index(1), FuId::from_index(0)];
         // One op added, one untouched; `x` feeds the new op so its own

@@ -14,16 +14,14 @@
 //! Verdicts are cached content-addressed by **result fingerprint** —
 //! FNV-1a 128 over `(canonical design text, canonical report, verify
 //! mode)` — beside the existing result cache. Two jobs whose knobs
-//! differ only in result-invariant ways (thread counts, the move-plan
-//! A/B toggle) produce the same canonical report and therefore share one
-//! verdict: the second certification is a cache hit, recorded in the
-//! certificate's `cache` field. Each cached entry also carries the
-//! portable [`TraceArtifact`] envelope, served by the wire `trace`
-//! command for offline audit (`salsa audit`).
+//! differ only in result-invariant ways (thread counts, a cutoff the
+//! one-thread loop never consults) produce the same canonical report and
+//! therefore share one verdict: the second certification is a cache hit,
+//! recorded in the certificate's `cache` field. Each cached entry also
+//! carries the portable [`TraceArtifact`] envelope, served by the wire
+//! `trace` command for offline audit (`salsa audit`).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use salsa_audit::{certify, Certification, TraceArtifact, VerifyMode};
@@ -31,6 +29,7 @@ use salsa_cdfg::{fnv1a_128, Cdfg};
 use salsa_wire::net::ReplyHandle;
 
 use crate::admission::AdmissionArtifact;
+use crate::cache::FifoCache;
 use crate::exec::with_replay_env;
 use crate::json::Json;
 use crate::protocol::{knobs_to_json, ErrorKind, Knobs, ServeError};
@@ -62,7 +61,7 @@ pub struct VerifyJob {
 /// for the same reason the result cache is — both inputs are
 /// deterministic in `(design, knobs)` — but deliberately *coarser* than
 /// the result-cache key: knobs that never change the result (thread
-/// counts, the plan toggle) collapse onto one fingerprint.
+/// counts, a one-thread run's cutoff) collapse onto one fingerprint.
 pub fn result_fingerprint(canonical_text: &str, canonical_report: &str, mode: VerifyMode) -> u128 {
     let mut keyed =
         String::with_capacity(canonical_text.len() + canonical_report.len() + 16);
@@ -88,7 +87,7 @@ pub fn parse_trace_id(id: &str) -> Option<u128> {
 /// One cached certification: the certificate section (as first
 /// computed, provenance `miss`) and the trace artifact behind it.
 pub struct CertEntry {
-    /// The trace fingerprint, for the secondary `trace_id` index.
+    /// The trace fingerprint the `trace` command looks entries up by.
     pub trace_id: u128,
     /// The `certificate` JSON section (provenance field patched per
     /// reply).
@@ -97,96 +96,22 @@ pub struct CertEntry {
     pub artifact: Json,
 }
 
-struct CacheInner {
-    by_result: HashMap<u128, Arc<CertEntry>>,
-    by_trace: HashMap<u128, Arc<CertEntry>>,
-    order: VecDeque<u128>,
-}
+/// Bounded FIFO verdict cache keyed by [`result_fingerprint`].
+pub type VerdictCache = FifoCache<CertEntry>;
 
-/// Bounded, thread-safe verdict cache with FIFO eviction, keyed by
-/// [`result_fingerprint`] with a secondary index by trace id.
-pub struct VerdictCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl VerdictCache {
-    /// A cache holding at most `capacity` verdicts (min 1).
-    pub fn new(capacity: usize) -> Self {
-        VerdictCache {
-            inner: Mutex::new(CacheInner {
-                by_result: HashMap::new(),
-                by_trace: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up a verdict by result fingerprint, counting hit/miss.
-    pub fn get(&self, fingerprint: u128) -> Option<Arc<CertEntry>> {
-        let inner = self.inner.lock().expect("verdict cache poisoned");
-        match inner.by_result.get(&fingerprint) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
+impl FifoCache<CertEntry> {
     /// Looks up a verdict by trace id (the `trace` command's path; not
-    /// counted as a hit or miss).
+    /// counted as a hit or miss). Several results can share one trace —
+    /// the same job certified at `sample` and at `full` — so the scan
+    /// answers with the newest live entry carrying it.
     pub fn get_by_trace(&self, trace_id: u128) -> Option<Arc<CertEntry>> {
-        let inner = self.inner.lock().expect("verdict cache poisoned");
-        inner.by_trace.get(&trace_id).map(Arc::clone)
-    }
-
-    /// Stores `entry` under `fingerprint`, evicting FIFO at capacity.
-    pub fn insert(&self, fingerprint: u128, entry: Arc<CertEntry>) {
-        let mut inner = self.inner.lock().expect("verdict cache poisoned");
-        let trace_id = entry.trace_id;
-        if let Some(old) = inner.by_result.insert(fingerprint, Arc::clone(&entry)) {
-            inner.by_trace.remove(&old.trace_id);
-            inner.by_trace.insert(trace_id, entry);
-            return; // fingerprint already tracked in `order`
-        }
-        inner.by_trace.insert(trace_id, entry);
-        inner.order.push_back(fingerprint);
-        while inner.order.len() > self.capacity {
-            if let Some(old_key) = inner.order.pop_front() {
-                if let Some(old) = inner.by_result.remove(&old_key) {
-                    inner.by_trace.remove(&old.trace_id);
-                }
+        let mut found = None;
+        self.scan(|entry| {
+            if entry.trace_id == trace_id {
+                found = Some(Arc::clone(entry));
             }
-        }
-    }
-
-    /// Verdicts currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("verdict cache poisoned").by_result.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        });
+        found
     }
 }
 
@@ -280,16 +205,17 @@ mod tests {
         assert_eq!(parse_trace_id(&"f".repeat(33)), None);
     }
 
+    fn entry(trace_id: u128) -> Arc<CertEntry> {
+        Arc::new(CertEntry {
+            trace_id,
+            certificate: Json::obj(vec![("cache", Json::Str("miss".into()))]),
+            artifact: Json::Null,
+        })
+    }
+
     #[test]
     fn verdict_cache_serves_both_indexes_and_evicts_fifo() {
         let cache = VerdictCache::new(2);
-        let entry = |trace_id: u128| {
-            Arc::new(CertEntry {
-                trace_id,
-                certificate: Json::obj(vec![("cache", Json::Str("miss".into()))]),
-                artifact: Json::Null,
-            })
-        };
         assert!(cache.get(1).is_none());
         cache.insert(1, entry(11));
         cache.insert(2, entry(22));
@@ -297,7 +223,7 @@ mod tests {
         assert_eq!(cache.get_by_trace(22).unwrap().trace_id, 22);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
-        // Eviction drops the oldest entry from both indexes.
+        // Eviction drops the oldest entry from both lookups.
         cache.insert(3, entry(33));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(1).is_none());
@@ -312,6 +238,20 @@ mod tests {
         set_cache_provenance(&mut cert, "hit");
         assert_eq!(cert.get("cache").and_then(Json::as_str), Some("hit"));
         assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
+    }
+
+    #[test]
+    fn trace_lookup_outlives_an_evicted_twin() {
+        // One job certified at `sample` and then at `full`: two result
+        // fingerprints, one trace id. Evicting the older entry must not
+        // hide the live one from `trace`.
+        let cache = VerdictCache::new(2);
+        let (sample, full) = (entry(7), entry(7));
+        cache.insert(1, sample);
+        cache.insert(2, Arc::clone(&full));
+        cache.insert(3, entry(8));
+        let found = cache.get_by_trace(7).expect("fp2's certificate is still cached");
+        assert!(Arc::ptr_eq(&found, &full));
     }
 
     #[test]

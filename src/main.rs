@@ -32,7 +32,7 @@ use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, Ver
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::cluster::{run_worker, ClusterBackend, ClusterConfig, Coordinator, WorkerConfig};
 use salsa_hls::serve::{
-    canonicalize_report, plan_job, Json, JobPlan, Knobs, Server, ServerConfig,
+    canonicalize_report, knobs_to_json, plan_job, Json, JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -736,33 +736,13 @@ fn build_submit_request(args: &[String]) -> Result<Json, String> {
         };
         pairs.push(("cdfg".to_string(), Json::Str(text)));
     }
-    for (flag, key) in [
-        ("--steps", "steps"),
-        ("--extra-regs", "extra_regs"),
-        ("--seed", "seed"),
-        ("--restarts", "restarts"),
-        ("--threads", "threads"),
-        ("--timeout-ms", "timeout_ms"),
-    ] {
-        if let Some(value) = flag_parse::<i64>(args, flag)? {
-            pairs.push((key.to_string(), Json::Int(value)));
-        }
+    // The knobs travel in their one request spelling, so `submit`
+    // accepts exactly the knob flags `allocate` and `bench` do.
+    if let Json::Obj(knobs) = knobs_to_json(&knobs_from_args(args)?) {
+        pairs.extend(knobs);
     }
-    if let Some(cutoff) = flag_parse::<f64>(args, "--cutoff")? {
-        pairs.push(("cutoff".to_string(), Json::Float(cutoff)));
-    }
-    for (flag, key) in [("--pipelined", "pipelined"), ("--traditional", "traditional")] {
-        if has_flag(args, flag) {
-            pairs.push((key.to_string(), Json::Bool(true)));
-        }
-    }
-    if has_flag(args, "--no-mem-moves") {
-        pairs.push(("mem_moves".to_string(), Json::Bool(false)));
-    }
-    if let Some(verify) = flag_value(args, "--verify")? {
-        // Validated locally so a typo fails before the job is queued.
-        parse_verify(args)?;
-        pairs.push(("verify".to_string(), Json::Str(verify)));
+    if let Some(timeout) = flag_parse::<u64>(args, "--timeout-ms")? {
+        pairs.push(("timeout_ms".to_string(), Json::Int(timeout as i64)));
     }
     Ok(Json::Obj(pairs))
 }
