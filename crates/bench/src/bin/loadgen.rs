@@ -6,9 +6,7 @@
 //!
 //! Each client holds **one** connection for its whole share of the run
 //! and keeps up to `--pipeline` requests in flight on it, paired to
-//! responses by correlation id (binary protocol) or strict request order
-//! (JSON lines). `--protocol` picks the wire encoding; the default
-//! `auto` negotiates binary frames when the server speaks them.
+//! responses by correlation id.
 //!
 //! By default an in-process server is spun up on a loopback port so the
 //! run is self-contained; pass `--addr HOST:PORT` to aim at an external
@@ -46,7 +44,7 @@
 //!
 //! Usage: `cargo run -p salsa-bench --bin loadgen --release --
 //! [--quick] [--clients N] [--requests N] [--pipeline N]
-//! [--protocol json|binary|auto] [--verify-mix F]
+//! [--verify-mix F]
 //! [--verify-mode sample|full] [--repeats N] [--warm-mix] [--mem-mix]
 //! [--addr HOST:PORT] [--pr LABEL] [--no-write]`
 
@@ -110,7 +108,6 @@ struct ClientOutcome {
     /// down because others did.
     unverified_finish_us: Vec<u64>,
     counts: WireCounts,
-    mode: &'static str,
 }
 
 fn flag_value(name: &str) -> Option<String> {
@@ -176,11 +173,10 @@ fn request_json(mix: Mix, mix_index: usize, verify: VerifySpec) -> Json {
     Json::obj(fields)
 }
 
-/// The shape of one pass's load: the wire protocol, how many clients
-/// share how many requests, and each client's in-flight window.
+/// The shape of one pass's load: how many clients share how many
+/// requests, and each client's in-flight window.
 #[derive(Clone, Copy)]
 struct Load {
-    protocol: Protocol,
     clients: usize,
     requests: usize,
     pipeline: usize,
@@ -197,8 +193,8 @@ fn client(
     verify: VerifySpec,
     epoch: Instant,
 ) -> ClientOutcome {
-    let Load { protocol, clients, requests: total, pipeline } = load;
-    let mut conn = Connection::connect(addr, protocol).expect("connect");
+    let Load { clients, requests: total, pipeline } = load;
+    let mut conn = connect(addr);
     let mut outcome = ClientOutcome {
         ok: 0,
         errors: 0,
@@ -206,7 +202,6 @@ fn client(
         latencies_us: Vec::new(),
         unverified_finish_us: Vec::new(),
         counts: WireCounts::default(),
-        mode: conn.mode_name(),
     };
     // Jittered exponential backoff for backpressure, seeded per client so
     // runs are reproducible but clients never retry in lockstep. The
@@ -264,8 +259,12 @@ fn client(
     outcome
 }
 
-fn server_stats(addr: &str, protocol: Protocol) -> Json {
-    let mut conn = Connection::connect(addr, protocol).expect("connect for stats");
+fn connect(addr: &str) -> Connection {
+    Connection::connect(addr, Protocol::Binary).expect("connect")
+}
+
+fn server_stats(addr: &str) -> Json {
+    let mut conn = connect(addr);
     let reply = conn
         .call(&Json::obj(vec![("cmd", Json::Str("stats".into()))]))
         .expect("stats");
@@ -305,7 +304,6 @@ struct Pass {
     p95: f64,
     p99: f64,
     wire: WireCounts,
-    mode: &'static str,
     stats: Json,
 }
 
@@ -322,7 +320,7 @@ struct Pass {
 /// certificate cost stays visible in the verify latency percentiles.
 fn run_pass(addr: &str, load: Load, mix: Mix, verify: VerifySpec, warm: bool) -> Pass {
     if warm {
-        let mut conn = Connection::connect(addr, load.protocol).expect("warmup connect");
+        let mut conn = connect(addr);
         for i in 0..mix.entries.len() {
             loop {
                 let reply = conn.call(&request_json(mix, i, verify)).expect("warmup request");
@@ -343,12 +341,11 @@ fn run_pass(addr: &str, load: Load, mix: Mix, verify: VerifySpec, warm: bool) ->
         handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
     });
     let wall_secs = started.elapsed().as_secs_f64();
-    let stats = server_stats(addr, load.protocol);
+    let stats = server_stats(addr);
 
     let ok: usize = outcomes.iter().map(|o| o.ok).sum();
     let errors: usize = outcomes.iter().map(|o| o.errors).sum();
     let retries: usize = outcomes.iter().map(|o| o.retries).sum();
-    let mode = outcomes.first().map(|o| o.mode).unwrap_or("json");
     let mut wire = WireCounts::default();
     for outcome in &outcomes {
         wire.absorb(&outcome.counts);
@@ -373,7 +370,6 @@ fn run_pass(addr: &str, load: Load, mix: Mix, verify: VerifySpec, warm: bool) ->
         p95: percentile_ms(&latencies, 95.0),
         p99: percentile_ms(&latencies, 99.0),
         wire,
-        mode,
         stats,
     }
 }
@@ -404,11 +400,7 @@ fn main() {
         .map(|v| v.parse().expect("--pipeline takes a number"))
         .unwrap_or(1)
         .max(1);
-    let protocol = match flag_value("--protocol") {
-        None => Protocol::Auto,
-        Some(raw) => Protocol::parse(&raw).expect("--protocol takes json, binary or auto"),
-    };
-    let load = Load { protocol, clients, requests, pipeline };
+    let load = Load { clients, requests, pipeline };
     let verify_permille: usize = flag_value("--verify-mix")
         .map(|v| {
             let f: f64 = v.parse().expect("--verify-mix takes a fraction in 0..=1");
@@ -430,7 +422,7 @@ fn main() {
              in-process one; drop --addr"
         );
         let warm_pr = flag_value("--pr").unwrap_or_else(|| "PR9-warmstart".to_string());
-        run_warm_comparison(protocol, &warm_pr);
+        run_warm_comparison(&warm_pr);
         return;
     }
 
@@ -476,7 +468,7 @@ fn main() {
     let cache_misses = stat(&pass.stats, &["cache", "misses"]);
     let completed = stat(&pass.stats, &["completed"]);
     let rejected = stat(&pass.stats, &["rejected"]);
-    let (ok, errors, retries, mode) = (pass.ok, pass.errors, pass.retries, pass.mode);
+    let (ok, errors, retries) = (pass.ok, pass.errors, pass.retries);
     let wall_secs = pass.wall_secs;
     let throughput = pass.throughput;
     let (p50, p95, p99) = (pass.p50, pass.p95, pass.p99);
@@ -493,7 +485,7 @@ fn main() {
     assert_eq!(errors, 0, "the fixed mix contains no failing requests");
 
     println!(
-        "loadgen: {requests} requests, {clients} clients, pipeline {pipeline} ({mode} wire) -> \
+        "loadgen: {requests} requests, {clients} clients, pipeline {pipeline} -> \
          {ok} ok, {errors} errors, {retries} backpressure retries in {wall_secs:.2}s \
          ({throughput:.1} req/s)"
     );
@@ -512,7 +504,7 @@ fn main() {
         return;
     }
     let row = format!(
-        "{{\"name\": \"loadgen-mix1\", \"mode\": \"service\", \"protocol\": \"{mode}\", \
+        "{{\"name\": \"loadgen-mix1\", \"mode\": \"service\", \"protocol\": \"binary\", \
          \"pipeline\": {pipeline}, \"host_cores\": {cores}, \"clients\": {clients}, \
          \"requests\": {requests}, \"ok\": {ok}, \"backpressure_retries\": {retries}, \
          \"jobs_completed\": {completed}, \"cache_hits\": {cache_hits}, \
@@ -522,7 +514,7 @@ fn main() {
          \"p95_ms\": {p95:.1}, \"p99_ms\": {p99:.1}}}",
         cores = salsa_bench::host_cores(),
     );
-    write_row(&pr, "loadgen-mix1", mode, pipeline, row);
+    write_row(&pr, "loadgen-mix1", pipeline, row);
 }
 
 /// The `--verify-mix` comparison: a verification-off baseline and the
@@ -580,14 +572,13 @@ fn run_verify_comparison(load: Load, verify: VerifySpec, pr: &str) {
     // own certificates; unverified ones must not.
     let ratio = pass.unverified_throughput / baseline.unverified_throughput.max(1e-9);
     let e2e_ratio = pass.throughput / baseline.throughput.max(1e-9);
-    let mode = pass.mode;
 
     assert_eq!(verify_failed, 0, "certified jobs must not refute their own reports");
     assert!(verified > 0, "the mixed pass must actually verify something");
 
     println!(
         "loadgen verify-mix {verify_fraction:.2} ({vmode}): {requests} requests, \
-         {clients} clients, pipeline {pipeline} ({mode} wire)",
+         {clients} clients, pipeline {pipeline}",
         vmode = verify.mode,
     );
     println!(
@@ -617,7 +608,7 @@ fn run_verify_comparison(load: Load, verify: VerifySpec, pr: &str) {
         return;
     }
     let row = format!(
-        "{{\"name\": \"loadgen-verify\", \"mode\": \"service\", \"protocol\": \"{mode}\", \
+        "{{\"name\": \"loadgen-verify\", \"mode\": \"service\", \"protocol\": \"binary\", \
          \"pipeline\": {pipeline}, \"host_cores\": {cores}, \"clients\": {clients}, \
          \"requests\": {requests}, \
          \"repeats\": {repeats}, \"verify_fraction\": {verify_fraction:.3}, \"verify_mode\": \"{vmode}\", \
@@ -639,7 +630,7 @@ fn run_verify_comparison(load: Load, verify: VerifySpec, pr: &str) {
         lane_base = baseline.unverified_throughput,
         p95 = pass.p95,
     );
-    write_row(pr, "loadgen-verify", mode, pipeline, row);
+    write_row(pr, "loadgen-verify", pipeline, row);
 }
 
 /// The `--mem-mix` comparison: the ISSUE 10 memory-binding acceptance run.
@@ -653,7 +644,7 @@ fn run_verify_comparison(load: Load, verify: VerifySpec, pr: &str) {
 /// reaches a strictly lower certified cost on both benchmarks under the
 /// same budget.
 fn run_mem_comparison(load: Load, pr: &str) {
-    let Load { protocol, clients, requests, pipeline } = load;
+    let Load { clients, requests, pipeline } = load;
     let (server, addr) = in_process_server();
     let pass = run_pass(&addr, load, MEM_MIX, VerifySpec::OFF, false);
     server.shutdown();
@@ -684,8 +675,7 @@ fn run_mem_comparison(load: Load, pr: &str) {
     // differ so the cache keys differ (a memory job never aliases its
     // own ablation), and a shared server keeps the pass self-contained.
     let (server, addr) = in_process_server();
-    let mut conn = Connection::connect(&addr, protocol).expect("connect mem server");
-    let mode = conn.mode_name();
+    let mut conn = connect(&addr);
     let mut rows = Vec::new();
     for bench in ["fir8a", "mm2"] {
         let base = vec![
@@ -725,7 +715,7 @@ fn run_mem_comparison(load: Load, pr: &str) {
     server.shutdown();
 
     println!(
-        "loadgen mem-mix ({mode} wire): {requests} requests, {clients} clients, \
+        "loadgen mem-mix: {requests} requests, {clients} clients, \
          pipeline {pipeline} -> {ok} ok in {wall:.2}s ({tp:.1} req/s, p99 {p99:.1}ms)",
         ok = pass.ok,
         wall = pass.wall_secs,
@@ -754,7 +744,7 @@ fn run_mem_comparison(load: Load, pr: &str) {
         })
         .collect();
     let row = format!(
-        "{{\"name\": \"loadgen-memory\", \"mode\": \"service\", \"protocol\": \"{mode}\", \
+        "{{\"name\": \"loadgen-memory\", \"mode\": \"service\", \"protocol\": \"binary\", \
          \"pipeline\": {pipeline}, \"host_cores\": {cores}, \"clients\": {clients}, \
          \"requests\": {requests}, \"ok\": {ok}, \"backpressure_retries\": {retries}, \
          \"wall_time_sec\": {wall:.4}, \"throughput_rps\": {tp:.2}, \"p50_ms\": {p50:.1}, \
@@ -769,7 +759,7 @@ fn run_mem_comparison(load: Load, pr: &str) {
         p99 = pass.p99,
         per_bench = per_bench.join(", "),
     );
-    write_row(pr, "loadgen-memory", mode, pipeline, row);
+    write_row(pr, "loadgen-memory", pipeline, row);
 }
 
 /// The `--warm-mix` comparison: the ISSUE 9 warm-start acceptance run.
@@ -781,7 +771,7 @@ fn run_mem_comparison(load: Load, pr: &str) {
 /// provenance and certificate are both checked, and the recorded ratio —
 /// warm trials-to-best over the cold job's total trial budget — is the
 /// acceptance metric (must land under 0.25).
-fn run_warm_comparison(protocol: Protocol, pr: &str) {
+fn run_warm_comparison(pr: &str) {
     let variant = {
         let graph = salsa_cdfg::benchmarks::ewf();
         graph.canonical_text().replacen("= add", "= sub", 1)
@@ -813,8 +803,7 @@ fn run_warm_comparison(protocol: Protocol, pr: &str) {
 
     // Warm side: base job banks its winner, reallocate rides on it.
     let (server, addr) = in_process_server();
-    let mut conn = Connection::connect(&addr, protocol).expect("connect warm server");
-    let mode = conn.mode_name();
+    let mut conn = connect(&addr);
     let base = call_ok(
         &mut conn,
         &request(vec![("cmd", Json::Str("allocate".into())), ("bench", Json::Str("ewf".into()))]),
@@ -833,7 +822,7 @@ fn run_warm_comparison(protocol: Protocol, pr: &str) {
     // Cold side: the identical variant and knobs against a fresh server
     // whose seed index has never seen EWF.
     let (server, addr) = in_process_server();
-    let mut conn = Connection::connect(&addr, protocol).expect("connect cold server");
+    let mut conn = connect(&addr);
     let cold = call_ok(
         &mut conn,
         &request(vec![("cmd", Json::Str("allocate".into())), ("cdfg", Json::Str(variant))]),
@@ -892,7 +881,7 @@ fn run_warm_comparison(protocol: Protocol, pr: &str) {
         "warm trials-to-best {warm_ttb} is not under 25% of the cold budget {cold_trials}"
     );
 
-    println!("loadgen warm-mix ({mode} wire): base ewf cost={base_cost} id={base_id}");
+    println!("loadgen warm-mix: base ewf cost={base_cost} id={base_id}");
     println!(
         "         cold variant: cost={cold_cost} in {cold_trials} trials \
          (best at trial {cold_ttb}), certificate {cold_verdict}"
@@ -910,7 +899,7 @@ fn run_warm_comparison(protocol: Protocol, pr: &str) {
         return;
     }
     let row = format!(
-        "{{\"name\": \"loadgen-warm\", \"mode\": \"service\", \"protocol\": \"{mode}\", \
+        "{{\"name\": \"loadgen-warm\", \"mode\": \"service\", \"protocol\": \"binary\", \
          \"pipeline\": 1, \"host_cores\": {cores}, \"base_cost\": {base_cost}, \
          \"cold_cost\": {cold_cost}, \"warm_cost\": {warm_cost}, \
          \"cold_trials\": {cold_trials}, \"cold_trials_to_best\": {cold_ttb}, \
@@ -919,17 +908,17 @@ fn run_warm_comparison(protocol: Protocol, pr: &str) {
          \"certificate\": \"{warm_verdict}\"}}",
         cores = salsa_bench::host_cores(),
     );
-    write_row(pr, "loadgen-warm", mode, 1, row);
+    write_row(pr, "loadgen-warm", 1, row);
 }
 
 /// Appends `row` to the `history` entry for `pr`, replacing a prior run
-/// of the same configuration (same name, protocol and pipeline depth)
-/// and keeping that label's other rows.
-fn write_row(pr: &str, name: &str, mode: &str, pipeline: usize, row: String) {
+/// of the same configuration (same name and pipeline depth) and keeping
+/// that label's other rows.
+fn write_row(pr: &str, name: &str, pipeline: usize, row: String) {
     let existing = std::fs::read_to_string(BENCH_FILE).unwrap_or_default();
     let benchmark_rows = existing_benchmark_rows(&existing);
     let dup_marker = format!(
-        "\"name\": \"{name}\", \"mode\": \"service\", \"protocol\": \"{mode}\", \
+        "\"name\": \"{name}\", \"mode\": \"service\", \"protocol\": \"binary\", \
          \"pipeline\": {pipeline},"
     );
     let mut rows: Vec<String> = same_label_rows(&existing, pr)

@@ -168,9 +168,8 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts accepting workers.
-    /// Workers connect on either wire protocol: the poll loop classifies
-    /// each connection from its first byte (binary hello vs JSON line).
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts accepting workers,
+    /// which connect with `salsa-wire`'s binary hello.
     pub fn bind(addr: &str, config: ClusterConfig) -> io::Result<Coordinator> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
@@ -180,12 +179,8 @@ impl Coordinator {
             config,
         });
         let handler_shared = Arc::clone(&shared);
-        let handler: Handler = Box::new(move |incoming, handle| {
-            let response = match incoming {
-                Ok(request) => handle_request(&request, &handler_shared),
-                Err(message) => error_json(&format!("invalid JSON: {message}")),
-            };
-            handle.send(Arc::new(Payload::new(response)));
+        let handler: Handler = Box::new(move |request, handle| {
+            handle.send(Arc::new(Payload::new(handle_request(&request, &handler_shared))));
         });
         let net_config = NetConfig {
             shutdown,

@@ -4,7 +4,7 @@
 //! matter how chains are scheduled; this crate cashes that property in at
 //! process scale. A **coordinator** ([`Coordinator`]) shards a job's
 //! restart chains into contiguous slot ranges, leases them over the
-//! `salsa-wire` TCP protocol ([`protocol`]; JSON lines or binary frames)
+//! `salsa-wire` binary-framed TCP protocol ([`protocol`])
 //! to **worker processes** ([`run_worker`]), and reduces the reported
 //! `(cost, slot)` pairs with the same deterministic minimum the local
 //! engine uses. Each result ships its shard's best binding as a

@@ -1,7 +1,7 @@
 //! The coordinator↔worker wire protocol.
 //!
 //! Workers drive every exchange (the coordinator never initiates), one
-//! JSON object per line, one response per request:
+//! JSON object per binary frame, one response per request:
 //!
 //! ```json
 //! > {"cmd":"poll","worker":"w0","bound":null}

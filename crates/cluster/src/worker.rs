@@ -2,10 +2,9 @@
 //! portfolio engine, heartbeat while they run, report the outcome.
 //!
 //! One worker process drives one shard at a time over a single reused
-//! [`Connection`] (binary frames when the coordinator speaks them, JSON
-//! lines otherwise — [`Protocol::Auto`] negotiates on connect). The
-//! connection is owned by the main thread, which heartbeats on a timer
-//! while an executor thread runs the chains; the two share a local
+//! binary-framed [`Connection`]. The connection is owned by the main
+//! thread, which heartbeats on a timer while an executor thread runs the
+//! chains; the two share a local
 //! [`SearchBound`] (fed by gossip from heartbeat acks) and a
 //! [`CancelToken`] (tripped when the coordinator revokes the lease or
 //! cancels the job). Chains are side-effect-free, so abandoning a shard
@@ -69,10 +68,6 @@ pub struct WorkerConfig {
     /// Give up after this many consecutive failed connection attempts
     /// (the coordinator is gone for good, not just restarting).
     pub max_reconnects: u32,
-    /// Wire protocol toward the coordinator. [`Protocol::Auto`] (the
-    /// default) negotiates binary frames and falls back to JSON lines
-    /// against a coordinator that does not speak them.
-    pub protocol: Protocol,
 }
 
 impl WorkerConfig {
@@ -85,7 +80,6 @@ impl WorkerConfig {
             heartbeat_ms: 250,
             fault: FaultPlan::None,
             max_reconnects: 40,
-            protocol: Protocol::Auto,
         }
     }
 }
@@ -117,7 +111,7 @@ pub fn run_worker(config: WorkerConfig) -> io::Result<()> {
     let mut chains_done = 0usize;
     let mut stalled = false;
     loop {
-        match Connection::connect(&config.addr, config.protocol) {
+        match Connection::connect(&config.addr, Protocol::Binary) {
             Ok(conn) => {
                 backoff.reset();
                 match serve_connection(&config, conn, &mut chains_done, &mut stalled) {

@@ -17,7 +17,6 @@ use salsa_cdfg::benchmarks::paper_example;
 use salsa_cdfg::{random_cdfg, Cdfg, RandomCdfgConfig};
 use salsa_cluster::{run_worker, ClusterBackend, ClusterConfig, Coordinator, FaultPlan, WorkerConfig};
 use salsa_serve::{canonicalize_report, run_allocation, Json, Knobs};
-use salsa_wire::Protocol;
 
 /// The local reference: the sequential portfolio (`threads = 1`), which
 /// the PR 2 contract pins to the plain restart loop.
@@ -29,21 +28,11 @@ fn local_canonical(graph: &Cdfg, knobs: &Knobs) -> String {
 }
 
 fn spawn_worker(addr: SocketAddr, name: &str, fault: FaultPlan) -> JoinHandle<()> {
-    spawn_worker_speaking(addr, name, fault, Protocol::Auto)
-}
-
-fn spawn_worker_speaking(
-    addr: SocketAddr,
-    name: &str,
-    fault: FaultPlan,
-    protocol: Protocol,
-) -> JoinHandle<()> {
     let config = WorkerConfig {
         fault,
         poll_ms: 5,
         heartbeat_ms: 40,
         max_reconnects: 3,
-        protocol,
         ..WorkerConfig::new(addr.to_string(), name)
     };
     std::thread::spawn(move || {
@@ -148,35 +137,6 @@ fn stalled_worker_is_reassigned_and_its_late_result_deduped() {
 }
 
 #[test]
-fn mixed_protocol_fleet_reproduces_local_portfolio_bytes() {
-    let graph = paper_example();
-    let knobs = Knobs { restarts: 6, seed: 9, ..Knobs::default() };
-    let local = local_canonical(&graph, &knobs);
-    // Three workers, one per wire mode: a line-only JSON worker, a
-    // strict binary worker, and a negotiating one, all against the same
-    // coordinator port. The transport must be invisible in the result.
-    let coordinator =
-        Coordinator::bind("127.0.0.1:0", ClusterConfig::default()).expect("bind coordinator");
-    let addr = coordinator.local_addr();
-    let workers = [
-        spawn_worker_speaking(addr, "w-json", FaultPlan::None, Protocol::Json),
-        spawn_worker_speaking(addr, "w-binary", FaultPlan::None, Protocol::Binary),
-        spawn_worker_speaking(addr, "w-auto", FaultPlan::None, Protocol::Auto),
-    ];
-    let mut report = coordinator.allocate(&graph, &knobs, None).expect("cluster allocation");
-    coordinator.shutdown();
-    for worker in workers {
-        let _ = worker.join();
-    }
-    canonicalize_report(&mut report);
-    assert_eq!(
-        report.to_string_compact(),
-        local,
-        "a protocol-mixed fleet must be byte-identical to the local portfolio"
-    );
-}
-
-#[test]
 fn cutoff_gossip_preserves_winner_identity() {
     let graph = paper_example();
     let knobs = Knobs { restarts: 6, seed: 5, ..Knobs::default() };
@@ -210,11 +170,10 @@ fn cutoff_gossip_preserves_winner_identity() {
 
 #[test]
 fn cluster_backend_plugs_into_the_service() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
     use std::sync::Arc;
 
     use salsa_serve::{parse_json, Server, ServerConfig};
+    use salsa_wire::{Connection, Protocol};
 
     let coordinator =
         Arc::new(Coordinator::bind("127.0.0.1:0", ClusterConfig::default()).expect("bind"));
@@ -226,14 +185,13 @@ fn cluster_backend_plugs_into_the_service() {
     )
     .expect("bind server");
 
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .write_all(b"{\"cmd\":\"allocate\",\"bench\":\"paper_example\",\"restarts\":2,\"timeout_ms\":60000}\n")
-        .expect("send");
-    let mut response = String::new();
-    BufReader::new(stream.try_clone().unwrap()).read_line(&mut response).expect("read");
-    let mut served = parse_json(response.trim_end()).expect("parse response");
-    assert_eq!(served.get("status").and_then(Json::as_str), Some("ok"), "{response}");
+    let mut conn = Connection::connect(&server.local_addr().to_string(), Protocol::Binary)
+        .expect("connect");
+    let request =
+        parse_json(r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"timeout_ms":60000}"#)
+            .unwrap();
+    let mut served = conn.call(&request).expect("round trip");
+    assert_eq!(served.get("status").and_then(Json::as_str), Some("ok"), "{served}");
 
     let graph = paper_example();
     let knobs = Knobs { restarts: 2, ..Knobs::default() };

@@ -14,9 +14,8 @@
 //! same winning allocation). An exact hit can therefore replay the stored
 //! response **bytes** — not a re-rendering — so a cached reply is
 //! byte-identical to the one the original job produced. Entries are
-//! [`Payload`]s (one JSON document with lazily cached text and binary
-//! renderings), so one entry serves line-mode and binary-mode clients
-//! their respective verbatim bytes.
+//! [`Payload`]s (one JSON document with a lazily cached binary
+//! rendering), so every hit sends the same verbatim bytes.
 //!
 //! Eviction is FIFO: cached values are a few KiB and take a job to
 //! compute, so recency tracking buys little over insertion order here.

@@ -1,10 +1,10 @@
 //! `salsa-serve` — an allocation service for the SALSA reproduction.
 //!
-//! A std-only multi-threaded TCP server speaking a newline-delimited
-//! JSON protocol: clients submit a CDFG (inline text or a benchmark
-//! name) plus resource constraints and search knobs; the server runs the
-//! parallel portfolio allocator and returns the allocation report as
-//! JSON. See [`protocol`] for the wire format.
+//! A std-only multi-threaded TCP server speaking `salsa-wire`'s binary
+//! frames: clients submit a CDFG (inline text or a benchmark name) plus
+//! resource constraints and search knobs as a JSON document; the server
+//! runs the parallel portfolio allocator and returns the allocation
+//! report as one. See [`protocol`] for the request grammar.
 //!
 //! The service is built from small, independently tested parts:
 //!

@@ -1,8 +1,9 @@
-//! The newline-delimited JSON wire protocol: request parsing, response
-//! shapes, structured errors, and the content-address of a job.
+//! The request grammar: request parsing, response shapes, structured
+//! errors, and the content-address of a job.
 //!
-//! One request per line, one JSON object per request; the server answers
-//! with exactly one JSON object per line. Commands:
+//! Each request is one JSON object sent as one binary frame (see
+//! `salsa_wire::frame`); the server answers each with exactly one
+//! object, under the request's correlation id. Commands:
 //!
 //! ```json
 //! {"cmd":"allocate","bench":"ewf","seed":1,"restarts":4,"timeout_ms":5000}
@@ -23,7 +24,9 @@
 //!
 //! Responses carry a `status` of `ok`, `error` (with a machine-readable
 //! `kind`, and `line`/`column` for CDFG parse errors), or `rejected`
-//! (backpressure, with a `retry_after_ms` hint).
+//! (backpressure, with a `retry_after_ms` hint). The wire core answers
+//! broken framing itself, in the same flat error shape with `kind`
+//! `bad-frame` (and `internal` for a job dropped without a reply).
 
 use std::sync::Arc;
 

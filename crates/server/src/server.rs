@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! net-io thread ── one nonblocking readiness loop over every
-//!                  connection (accept, classify JSON-line vs binary
-//!                  frames, parse, dispatch); cache hits, stats, ping
+//!                  connection (accept, hello, split frames,
+//!                  dispatch); cache hits, stats, ping
 //!                  and admission-control decisions answered inline,
 //!                  misses pushed to the bounded queue (or rejected
 //!                  with backpressure) carrying the reply handle
@@ -17,10 +17,9 @@
 //!
 //! The I/O loop lives in [`salsa_wire::net`]; this module supplies the
 //! dispatch handler. Responses are [`Payload`]s — one JSON document with
-//! lazily cached text and binary renderings — so the byte-replay cache
-//! serves line-mode and binary-mode clients identical bytes from one
-//! entry, and pipelined clients get per-request correlation on the
-//! binary protocol (line mode answers strictly in request order).
+//! a lazily cached binary rendering — so the byte-replay cache serves
+//! every client identical bytes from one entry, and pipelined clients
+//! get per-request correlation ids.
 //!
 //! Shutdown (via [`Server::begin_shutdown`] or the wire `shutdown`
 //! command) closes the queue: no new admissions, queued jobs still run
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 use salsa_alloc::CancelToken;
 use salsa_audit::VerifyMode;
 use salsa_wire::frame::Payload;
-use salsa_wire::net::{Handler, Incoming, NetConfig, NetMetrics, NetServer, ReplyHandle};
+use salsa_wire::net::{Handler, NetConfig, NetMetrics, NetServer, ReplyHandle};
 
 use crate::admission::AdmissionCache;
 use crate::backend::{AllocBackend, LocalBackend};
@@ -103,7 +102,7 @@ impl Default for ServerConfig {
 /// One queued allocation job. The design is admitted (artifact resolved,
 /// warm seed attached, cache consulted) at dispatch, so workers only
 /// ever see well-formed work. The reply handle completes the originating
-/// request on whichever protocol its connection negotiated.
+/// request on its connection.
 struct Job {
     artifact: Arc<crate::admission::AdmissionArtifact>,
     knobs: Knobs,
@@ -210,15 +209,14 @@ impl Server {
 
         let handler_shared = Arc::clone(&shared);
         let handler: Handler =
-            Box::new(move |incoming, handle| dispatch(&handler_shared, incoming, handle));
+            Box::new(move |request, handle| dispatch(&handler_shared, request, handle));
         let net_config = NetConfig {
             shutdown,
-            max_in_flight: config.max_in_flight,
-            busy_reply: Some(rejected_response(config.retry_after_ms)),
+            in_flight_limit: (config.max_in_flight > 0)
+                .then(|| (config.max_in_flight, rejected_response(config.retry_after_ms))),
             idle_timeout: config.idle_timeout_ms.map(Duration::from_millis),
             shutdown_linger: Duration::from_millis(0),
             metrics: wire,
-            ..NetConfig::default()
         };
         let net = NetServer::bind(addr, net_config, handler)?;
         let local_addr = net.local_addr();
@@ -276,15 +274,7 @@ fn payload(json: Json) -> Arc<Payload> {
 /// The wire dispatch handler, run on the I/O thread. Everything cheap is
 /// answered inline; allocation misses carry their reply handle into the
 /// worker queue.
-fn dispatch(shared: &Arc<Shared>, incoming: Incoming, handle: ReplyHandle) {
-    let request = match incoming {
-        Ok(json) => json,
-        Err(message) => {
-            let err = ServeError::new(ErrorKind::BadRequest, format!("invalid JSON: {message}"));
-            handle.send(payload(error_response(&err)));
-            return;
-        }
-    };
+fn dispatch(shared: &Arc<Shared>, request: Json, handle: ReplyHandle) {
     let command = match parse_command(&request) {
         Ok(command) => command,
         Err(e) => {
@@ -401,8 +391,8 @@ fn handle_allocate(
 
     let key = cache_key(&artifact.canonical_text, &knobs);
     if let Some(hit) = shared.cache.get(key) {
-        // Exact hit: replay the stored payload — byte-verbatim on both
-        // protocols, since the renderings live in the payload itself.
+        // Exact hit: replay the stored payload — byte-verbatim, since
+        // the rendering lives in the payload itself.
         handle.send(hit);
         return;
     }
@@ -660,29 +650,25 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
 mod tests {
     use super::*;
     use crate::json::parse_json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
+    use salsa_wire::{Connection, Protocol};
 
-    fn roundtrip(stream: &mut TcpStream, request: &str) -> Json {
-        let mut line = request.to_string();
-        line.push('\n');
-        stream.write_all(line.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        parse_json(response.trim()).unwrap_or_else(|e| panic!("{response:?}: {e:?}"))
+    fn connect(server: &Server) -> Connection {
+        Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap()
+    }
+
+    fn roundtrip(conn: &mut Connection, request: &str) -> Json {
+        conn.call(&parse_json(request).unwrap()).unwrap()
     }
 
     #[test]
     fn ping_stats_and_shutdown_over_the_wire() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let addr = server.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut conn = connect(&server);
 
-        let pong = roundtrip(&mut stream, r#"{"cmd":"ping"}"#);
+        let pong = roundtrip(&mut conn, r#"{"cmd":"ping"}"#);
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
 
-        let stats = roundtrip(&mut stream, r#"{"cmd":"stats"}"#);
+        let stats = roundtrip(&mut conn, r#"{"cmd":"stats"}"#);
         let body = stats.get("stats").expect("stats body");
         assert_eq!(body.get("accepted").and_then(Json::as_u64), Some(0));
         assert_eq!(
@@ -694,7 +680,7 @@ mod tests {
         assert!(wire.get("bytes_in").and_then(Json::as_u64).unwrap() > 0);
         assert_eq!(wire.get("conns_opened").and_then(Json::as_u64), Some(1));
 
-        let bye = roundtrip(&mut stream, r#"{"cmd":"shutdown"}"#);
+        let bye = roundtrip(&mut conn, r#"{"cmd":"shutdown"}"#);
         assert_eq!(bye.get("shutting_down").and_then(Json::as_bool), Some(true));
         server.join();
     }
@@ -702,10 +688,10 @@ mod tests {
     #[test]
     fn verify_full_certifies_and_serves_the_trace_artifact() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut conn = connect(&server);
 
         let response = roundtrip(
-            &mut stream,
+            &mut conn,
             r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"verify":"full"}"#,
         );
         assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
@@ -720,7 +706,7 @@ mod tests {
 
         // The artifact behind the certificate is served by `trace`, and
         // its embedded report is the canonical form of the live one.
-        let traced = roundtrip(&mut stream, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
+        let traced = roundtrip(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
         assert_eq!(traced.get("status").and_then(Json::as_str), Some("ok"));
         let artifact = traced.get("artifact").expect("artifact");
         assert_eq!(
@@ -741,7 +727,7 @@ mod tests {
         // one-thread sequential loop never consults) is a fresh job but
         // the same result: the verdict comes from the cache.
         let replayed = roundtrip(
-            &mut stream,
+            &mut conn,
             r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"cutoff":2.0,"verify":"full"}"#,
         );
         let cert2 = replayed.get("report").and_then(|r| r.get("certificate")).unwrap();
@@ -750,9 +736,9 @@ mod tests {
 
         // Unknown trace ids get a structured error; the stats response
         // shows the verifier lane's counters.
-        let missing = roundtrip(&mut stream, r#"{"cmd":"trace","id":"00"}"#);
+        let missing = roundtrip(&mut conn, r#"{"cmd":"trace","id":"00"}"#);
         assert_eq!(missing.get("status").and_then(Json::as_str), Some("error"));
-        let stats = roundtrip(&mut stream, r#"{"cmd":"stats"}"#);
+        let stats = roundtrip(&mut conn, r#"{"cmd":"stats"}"#);
         let verifier = stats.get("stats").and_then(|s| s.get("verifier")).expect("verifier");
         assert_eq!(verifier.get("verified").and_then(Json::as_u64), Some(2));
         let vcache = verifier.get("cache").unwrap();
@@ -765,12 +751,13 @@ mod tests {
     #[test]
     fn malformed_json_gets_a_structured_error_not_a_hangup() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let err = roundtrip(&mut stream, "{not json");
+        let mut conn = connect(&server);
+        // A well-framed document that is not a request object.
+        let err = conn.call(&Json::Str("{not json".into())).unwrap();
         assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad-request"));
-        // The connection survives the bad line.
-        let pong = roundtrip(&mut stream, r#"{"cmd":"ping"}"#);
+        // The connection survives the bad request.
+        let pong = roundtrip(&mut conn, r#"{"cmd":"ping"}"#);
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
         server.shutdown();
     }

@@ -3,37 +3,34 @@
 //! the stats counters), per-job deadlines that do not poison their
 //! worker, queue-overflow backpressure, and graceful shutdown.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use salsa_serve::{parse_json, Json, Server, ServerConfig};
 use salsa_wire::{Connection, Protocol};
 
-fn connect(server: &Server) -> TcpStream {
-    TcpStream::connect(server.local_addr()).expect("connect")
+fn connect_to(addr: SocketAddr) -> Connection {
+    Connection::connect(&addr.to_string(), Protocol::Binary).expect("connect")
 }
 
-/// Sends one request line and reads one response line (raw bytes).
-fn send_line(stream: &mut TcpStream, request: &str) -> String {
-    stream.write_all(request.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    assert!(response.ends_with('\n'), "response not newline-terminated: {response:?}");
-    response.trim_end().to_string()
+fn connect(server: &Server) -> Connection {
+    connect_to(server.local_addr())
 }
 
-fn send_json(stream: &mut TcpStream, request: &str) -> Json {
-    let raw = send_line(stream, request);
-    parse_json(&raw).unwrap_or_else(|e| panic!("bad response {raw:?}: {e:?}"))
+fn send_json(conn: &mut Connection, request: &str) -> Json {
+    conn.call(&parse_json(request).unwrap()).expect("round trip")
+}
+
+/// Sends one request and returns the response in compact text form —
+/// what `salsa-hls submit` prints, and what the byte-replay assertions
+/// compare.
+fn send_text(conn: &mut Connection, request: &str) -> String {
+    send_json(conn, request).to_string_compact()
 }
 
 fn stats(server: &Server) -> Json {
-    let mut stream = connect(server);
-    let response = send_json(&mut stream, r#"{"cmd":"stats"}"#);
+    let mut conn = connect(server);
+    let response = send_json(&mut conn, r#"{"cmd":"stats"}"#);
     response.get("stats").expect("stats body").clone()
 }
 
@@ -57,14 +54,8 @@ fn concurrent_jobs_then_cache_replay_then_graceful_shutdown() {
         r#"{"cmd":"allocate","bench":"dct","seed":1,"restarts":1,"threads":1,"timeout_ms":60000}"#;
     let (first_ewf, dct_response) = std::thread::scope(|scope| {
         let addr = server.local_addr();
-        let ewf = scope.spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            send_line(&mut stream, ewf_request)
-        });
-        let dct = scope.spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            send_line(&mut stream, dct_request)
-        });
+        let ewf = scope.spawn(move || send_text(&mut connect_to(addr), ewf_request));
+        let dct = scope.spawn(move || send_text(&mut connect_to(addr), dct_request));
         (ewf.join().unwrap(), dct.join().unwrap())
     });
     for (raw, design) in [(&first_ewf, "ewf"), (&dct_response, "dct")] {
@@ -83,8 +74,7 @@ fn concurrent_jobs_then_cache_replay_then_graceful_shutdown() {
 
     // The identical request again: served from the cache — observable
     // only through the counters — and byte-identical to the first reply.
-    let mut stream = connect(&server);
-    let replay = send_line(&mut stream, ewf_request);
+    let replay = send_text(&mut connect(&server), ewf_request);
     assert_eq!(replay, first_ewf, "cache replay must be byte-identical");
     let after_hit = stats(&server);
     assert_eq!(stat_u64(&after_hit, &["cache", "hits"]), 1);
@@ -93,8 +83,7 @@ fn concurrent_jobs_then_cache_replay_then_graceful_shutdown() {
 
     // Graceful shutdown over the wire: the drain acknowledges, the
     // server exits, and the port stops accepting.
-    let mut stream = connect(&server);
-    let bye = send_json(&mut stream, r#"{"cmd":"shutdown"}"#);
+    let bye = send_json(&mut connect(&server), r#"{"cmd":"shutdown"}"#);
     assert_eq!(bye.get("shutting_down").and_then(Json::as_bool), Some(true));
     let addr = server.local_addr();
     server.join();
@@ -104,43 +93,30 @@ fn concurrent_jobs_then_cache_replay_then_graceful_shutdown() {
 }
 
 #[test]
-fn binary_and_json_clients_get_byte_identical_reports() {
+fn cache_replays_are_byte_identical_across_connections() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let addr = server.local_addr().to_string();
-    let request =
-        r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"threads":1,"timeout_ms":60000}"#;
+    let request = parse_json(
+        r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"threads":1,"timeout_ms":60000}"#,
+    )
+    .unwrap();
 
-    // Legacy line-mode client first (populates the cache)...
-    let mut stream = connect(&server);
-    let json_reply = send_line(&mut stream, request);
-
-    // ...then the binary protocol, negotiated for real (strict: the
-    // connect fails if the hello is rebuffed), asking for the same job.
-    let mut conn = Connection::connect(&addr, Protocol::Binary).expect("binary handshake");
-    assert_eq!(conn.mode_name(), "binary");
-    let binary_reply = conn.call(&parse_json(request).unwrap()).expect("binary call");
+    // The first connection runs the job (and populates the cache)...
+    let first = connect(&server).call(&request).expect("first call");
+    assert_eq!(first.get("status").and_then(Json::as_str), Some("ok"), "{first}");
+    // ...a second connection gets the same frame body back.
+    let second = connect(&server).call(&request).expect("second call");
     assert_eq!(
-        binary_reply.to_string_compact(),
-        json_reply,
-        "the two protocols must carry the identical response document"
+        salsa_wire::binary::encode(&second),
+        salsa_wire::binary::encode(&first),
+        "a cache replay must carry the identical response bytes"
     );
+    assert_eq!(second.to_string_compact(), first.to_string_compact());
 
-    // The hit came from the cache: one job ran, both protocols replayed
-    // its payload.
+    // The hit came from the cache: one job ran, the second connection
+    // replayed its payload.
     let snapshot = stats(&server);
     assert_eq!(stat_u64(&snapshot, &["completed"]), 1);
     assert_eq!(stat_u64(&snapshot, &["cache", "hits"]), 1);
-
-    // Auto negotiation picks binary against this server; plain JSON mode
-    // still works on the same port and sees the same bytes.
-    let mut auto = Connection::connect(&addr, Protocol::Auto).expect("auto connect");
-    assert_eq!(auto.mode_name(), "binary");
-    let mut line_mode = Connection::connect(&addr, Protocol::Json).expect("json connect");
-    assert_eq!(line_mode.mode_name(), "json");
-    let from_auto = auto.call(&parse_json(request).unwrap()).expect("auto call");
-    let from_line = line_mode.call(&parse_json(request).unwrap()).expect("line call");
-    assert_eq!(from_auto.to_string_compact(), json_reply);
-    assert_eq!(from_line.to_string_compact(), json_reply);
 
     server.shutdown();
 }
@@ -194,12 +170,12 @@ fn deadline_timeout_does_not_poison_the_worker() {
     // could never complete.
     let config = ServerConfig { workers: 1, queue_capacity: 4, ..ServerConfig::default() };
     let server = Server::bind("127.0.0.1:0", config).unwrap();
-    let mut stream = connect(&server);
+    let mut conn = connect(&server);
 
     // 4096 restarts of EWF cannot finish in 300 ms; the deadline trips
     // the cooperative cancel and the job reports a timeout.
     let timeout = send_json(
-        &mut stream,
+        &mut conn,
         r#"{"cmd":"allocate","bench":"ewf","restarts":4096,"threads":1,"timeout_ms":300}"#,
     );
     assert_eq!(timeout.get("status").and_then(Json::as_str), Some("error"));
@@ -207,7 +183,7 @@ fn deadline_timeout_does_not_poison_the_worker() {
 
     // The same worker then serves a normal job.
     let ok = send_json(
-        &mut stream,
+        &mut conn,
         r#"{"cmd":"allocate","bench":"paper_example","seed":5,"timeout_ms":60000}"#,
     );
     assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"), "{ok}");
@@ -237,19 +213,12 @@ fn queue_overflow_yields_backpressure_rejection() {
         )
     };
     std::thread::scope(|scope| {
-        let occupant = scope.spawn(|| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            send_line(&mut stream, &slow(1))
-        });
+        let occupant = scope.spawn(|| send_text(&mut connect_to(addr), &slow(1)));
         std::thread::sleep(Duration::from_millis(250)); // worker now busy
-        let queued = scope.spawn(|| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            send_line(&mut stream, &slow(2))
-        });
+        let queued = scope.spawn(|| send_text(&mut connect_to(addr), &slow(2)));
         std::thread::sleep(Duration::from_millis(250)); // queue now full
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let rejection = send_json(&mut stream, &slow(3));
+        let rejection = send_json(&mut connect_to(addr), &slow(3));
         assert_eq!(
             rejection.get("status").and_then(Json::as_str),
             Some("rejected"),

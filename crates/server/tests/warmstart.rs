@@ -6,8 +6,6 @@
 //! design never share a result-cache entry.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -16,6 +14,7 @@ use salsa_serve::{
     build_warm_spec, parse_json, resolve_graph, run_artifact, AdmissionArtifact, GraphSource,
     Json, Knobs, SeedEntry, Server, ServerConfig, Sketch,
 };
+use salsa_wire::{Connection, Protocol};
 
 /// Re-spells a canonical CDFG: every op renamed and the op statements
 /// emitted in a *different* (but still valid) topological order, so the
@@ -222,24 +221,22 @@ fn warm_start_cost_never_exceeds_cold_at_equal_budget() {
     assert!(warm_start.get("trials_to_best").and_then(Json::as_u64).is_some());
 }
 
-fn send_json(stream: &mut TcpStream, request: &str) -> Json {
-    stream.write_all(request.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    parse_json(response.trim()).unwrap_or_else(|e| panic!("bad response {response:?}: {e:?}"))
+fn connect(server: &Server) -> Connection {
+    Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap()
+}
+
+fn send_json(conn: &mut Connection, request: &str) -> Json {
+    conn.call(&parse_json(request).unwrap()).expect("round trip")
 }
 
 #[test]
 fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut conn = connect(&server);
 
     // Base job: cold (the seed index is empty at admission), certified.
     let base_response = send_json(
-        &mut stream,
+        &mut conn,
         r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"threads":1,"verify":"full","timeout_ms":60000}"#,
     );
     assert_eq!(base_response.get("status").and_then(Json::as_str), Some("ok"));
@@ -265,7 +262,7 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     let realloc_line =
         format!("{},{knob_tail}}}", realloc.to_string_compact().trim_end_matches('}'));
 
-    let warm_response = send_json(&mut stream, &realloc_line);
+    let warm_response = send_json(&mut conn, &realloc_line);
     assert_eq!(
         warm_response.get("status").and_then(Json::as_str),
         Some("ok"),
@@ -294,15 +291,15 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
         r#"{{"cmd":"allocate","cdfg":{},{knob_tail}}}"#,
         Json::Str(edited.clone()).to_string_compact()
     );
-    let cold_response = send_json(&mut stream, &cold_line);
+    let cold_response = send_json(&mut conn, &cold_line);
     assert_eq!(cold_response.get("status").and_then(Json::as_str), Some("ok"));
     let cold_id = cold_response.get("id").and_then(Json::as_str).unwrap().to_string();
     assert_ne!(cold_id, warm_id, "warm and cold runs must never share a cache entry");
     assert!(cold_response.get("report").unwrap().get("warm_start").is_none());
 
     // Both entries replay independently and byte-identically.
-    let warm_replay = send_json(&mut stream, &realloc_line);
-    let cold_replay = send_json(&mut stream, &cold_line);
+    let warm_replay = send_json(&mut conn, &realloc_line);
+    let cold_replay = send_json(&mut conn, &cold_line);
     assert_eq!(warm_replay.to_string_compact(), warm_response.to_string_compact());
     assert_eq!(cold_replay.to_string_compact(), cold_response.to_string_compact());
 
@@ -311,12 +308,12 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
         r#"{{"cmd":"reallocate","base":"{:032x}","bench":"ewf",{knob_tail}}}"#,
         0xdead_beefu64
     );
-    let err = send_json(&mut stream, &bogus);
+    let err = send_json(&mut conn, &bogus);
     assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
     assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad-request"));
 
     // The operator counters saw the warm machinery work.
-    let stats = send_json(&mut stream, r#"{"cmd":"stats"}"#);
+    let stats = send_json(&mut conn, r#"{"cmd":"stats"}"#);
     let warm_stats = stats.get("stats").and_then(|s| s.get("warm")).expect("warm stats");
     // Two reallocate requests landed (the replay re-attaches its seed
     // before discovering the cache hit).
@@ -357,13 +354,13 @@ fn reallocating_an_add_to_sub_edit_of_a_swapped_add_certifies() {
     assert_ne!(edited, base.canonical_text, "the swapped add is spelled in the text");
 
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut conn = connect(&server);
     let knob_tail = format!(r#""seed":{seed},"restarts":2,"threads":1,"verify":"full""#);
     let base_line = format!(
         r#"{{"cmd":"allocate","cdfg":{},{knob_tail}}}"#,
         Json::Str(base.canonical_text.clone()).to_string_compact()
     );
-    let base_response = send_json(&mut stream, &base_line);
+    let base_response = send_json(&mut conn, &base_line);
     assert_eq!(base_response.get("status").and_then(Json::as_str), Some("ok"));
     let base_id = base_response.get("id").and_then(Json::as_str).unwrap();
 
@@ -371,7 +368,7 @@ fn reallocating_an_add_to_sub_edit_of_a_swapped_add_certifies() {
         r#"{{"cmd":"reallocate","base":"{base_id}","cdfg":{},{knob_tail}}}"#,
         Json::Str(edited).to_string_compact()
     );
-    let warm = send_json(&mut stream, &realloc_line);
+    let warm = send_json(&mut conn, &realloc_line);
     assert_eq!(warm.get("status").and_then(Json::as_str), Some("ok"), "{warm}");
     let report = warm.get("report").unwrap();
     let warm_start = report.get("warm_start").expect("warm provenance");

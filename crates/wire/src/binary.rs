@@ -1,11 +1,11 @@
 //! Compact binary encoding of the [`Json`] document model.
 //!
-//! The binary protocol transports exactly the same values as the
-//! newline-JSON protocol — a [`Json`] tree in, the identical [`Json`]
-//! tree out — so every determinism contract that holds for the text
-//! protocol (byte-replay caches, bit-exact cluster reduction, canonical
-//! report diffs) holds across protocols for free: both sides render
-//! reports from the same document with the same serializer.
+//! The wire transports exactly the values of the JSON text form — a
+//! [`Json`] tree in, the identical [`Json`] tree out — so every
+//! determinism contract stated over the text (byte-replay caches,
+//! bit-exact cluster reduction, canonical report diffs) holds over the
+//! wire for free: both sides render reports from the same document with
+//! the same serializer.
 //!
 //! Encoding, one tag byte per node:
 //!
@@ -289,8 +289,8 @@ mod tests {
         // per-job `verify` knob, a certified response (float `verify_ms`
         // must survive bit-for-bit — the canonicalizer, not the codec,
         // is what zeroes it), and the `trace` verb with its artifact.
-        // Offline audit byte-diffs reports fetched over either protocol,
-        // so the compact text must come back identical too.
+        // Offline audit byte-diffs reports fetched over the wire, so the
+        // compact text must come back identical too.
         for raw in [
             r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"verify":"full"}"#,
             r#"{"status":"ok","report":{"cost":2315,"certificate":{"verdict":"certified","mode":"full","verify_ms":96.593347,"trace_id":"4741f1f2b13990270848578bea51c16d","cache":"miss","commits":15922}}}"#,

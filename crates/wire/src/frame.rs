@@ -1,38 +1,29 @@
-//! Message framing, in both the legacy and the binary flavours.
+//! Binary message framing.
 //!
-//! *Line framing* — one compact JSON object per newline-terminated line —
-//! is the protocol the services launched with and remains the
-//! compatibility mode for old clients. *Binary framing* wraps the
-//! [`binary`](crate::binary) codec: each frame is a varint byte length
-//! followed by a varint correlation id and one encoded document. The
-//! correlation id lets a pipelined connection keep many requests in
-//! flight and match responses out of order; legacy line mode has no ids,
-//! so responses there are written strictly in request order.
+//! Each frame wraps the [`binary`] codec: a varint byte length, then a
+//! varint correlation id and one encoded document. The correlation id
+//! lets a pipelined connection keep many requests in flight and match
+//! responses out of order.
 //!
-//! A connection picks its flavour with a 3-byte hello (see
-//! [`MAGIC`]/[`WIRE_VERSION`]): binary clients lead with
-//! `[MAGIC, version, b'\n']`, which no JSON document can start with, and
-//! the server echoes the same shape with the minimum of the two versions.
-//! JSON documents always start with `{` (or whitespace), so a server can
-//! classify every connection from its first byte — and because the hello
-//! is newline-terminated, a binary-capable client that reaches a
-//! JSON-only line server gets a parse-error *line* back instead of a
-//! hang, which is what client-side fallback keys on.
+//! A connection opens with a 3-byte hello (see [`MAGIC`]/[`WIRE_VERSION`]):
+//! the client sends `[MAGIC, version, b'\n']` and the server echoes the
+//! same shape with the minimum of the two versions. A peer whose first
+//! byte is not [`MAGIC`] is not speaking this protocol; the server
+//! answers it with one JSON error line and closes (see
+//! [`net`](crate::net)).
 //!
 //! This module also holds [`Payload`], the render-once response body:
-//! one [`Json`] document with lazily cached compact-text and binary
-//! renderings, so a byte-replay cache serves both protocols verbatim
-//! without re-encoding.
+//! one [`Json`] document with a lazily cached binary rendering, so a
+//! byte-replay cache serves stored bytes without re-encoding.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Write};
 use std::sync::OnceLock;
 
 use crate::binary::{self, CodecError};
-use crate::json::{parse_json, Json, JsonError};
+use crate::json::Json;
 
-/// First byte of a binary-protocol hello. No JSON request can start with
-/// it, so it doubles as the protocol discriminator on the server side.
+/// First byte of a binary-protocol hello. No JSON text can start with
+/// it, so the server tells a foreign peer apart from its first byte.
 pub const MAGIC: u8 = 0xb5;
 
 /// The binary protocol version this build speaks. Peers agree on the
@@ -161,33 +152,27 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<(usize, u64, Json)>, CodecError>
     Ok(Some((body_end, id, doc)))
 }
 
-/// A response body rendered once per protocol, shared by reference.
+/// A response body rendered once, shared by reference.
 ///
 /// Built from the response [`Json`] (without any correlation id — ids are
-/// per-request and framed separately), it caches the compact-text line
-/// and the binary encoding on first use. The server's result cache stores
-/// `Arc<Payload>`, so a cache hit replays stored bytes verbatim on either
-/// protocol — the byte-replay determinism contract, now protocol-wide.
+/// per-request and framed separately), it caches the binary encoding on
+/// first use. The server's result cache stores `Arc<Payload>`, so a cache
+/// hit replays stored bytes verbatim — the byte-replay determinism
+/// contract.
 pub struct Payload {
     json: Json,
-    text: OnceLock<String>,
     bin: OnceLock<Vec<u8>>,
 }
 
 impl Payload {
     /// Wraps a response document.
     pub fn new(json: Json) -> Payload {
-        Payload { json, text: OnceLock::new(), bin: OnceLock::new() }
+        Payload { json, bin: OnceLock::new() }
     }
 
     /// The underlying document.
     pub fn json(&self) -> &Json {
         &self.json
-    }
-
-    /// Compact text rendering (no trailing newline), rendered once.
-    pub fn text(&self) -> &str {
-        self.text.get_or_init(|| self.json.to_string_compact())
     }
 
     /// Binary rendering (frame body sans correlation id), rendered once.
@@ -202,161 +187,11 @@ impl std::fmt::Debug for Payload {
     }
 }
 
-/// Writes `message` as one compact line and flushes.
-pub fn write_json_line<W: Write>(writer: &mut W, message: &Json) -> io::Result<()> {
-    let mut line = message.to_string_compact();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
-}
-
-/// Reads one line and parses it as JSON. Returns `Ok(None)` on a clean
-/// EOF (peer closed between messages); a parse failure is surfaced as
-/// [`io::ErrorKind::InvalidData`] carrying the [`JsonError`] text.
-pub fn read_json_line<R: BufRead>(reader: &mut R) -> io::Result<Option<Json>> {
-    let mut line = String::new();
-    loop {
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(None);
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            // Skip blank keep-alive lines between messages.
-            line.clear();
-            continue;
-        }
-        return parse_json(trimmed)
-            .map(Some)
-            .map_err(|e: JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-    }
-}
-
-/// A buffered line reader over a cloned read half of a [`TcpStream`],
-/// tolerant of read-timeout polls: [`poll_line`](LineReader::poll_line)
-/// distinguishes "nothing yet" from data and EOF so callers can interleave
-/// reads with shutdown checks, while partial lines stay buffered across
-/// polls.
-pub struct LineReader {
-    reader: BufReader<TcpStream>,
-    partial: String,
-}
-
-/// The outcome of one [`LineReader::poll_line`] call.
-#[derive(Debug, PartialEq)]
-pub enum Polled {
-    /// A complete line arrived and parsed.
-    Message(Json),
-    /// The read timed out with no complete line; try again later.
-    Pending,
-    /// The peer closed the connection.
-    Closed,
-}
-
-impl LineReader {
-    /// Wraps a read half (clone the stream; keep the original for writes).
-    pub fn new(stream: TcpStream) -> LineReader {
-        LineReader { reader: BufReader::new(stream), partial: String::new() }
-    }
-
-    /// Blocking read of the next JSON line (honours the stream's read
-    /// timeout by returning [`Polled::Pending`] on a timeout tick).
-    pub fn poll_line(&mut self) -> io::Result<Polled> {
-        match self.reader.read_line(&mut self.partial) {
-            Ok(0) => Ok(Polled::Closed),
-            Ok(_) if self.partial.ends_with('\n') => {
-                let text = std::mem::take(&mut self.partial);
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    return Ok(Polled::Pending);
-                }
-                parse_json(trimmed)
-                    .map(Polled::Message)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
-            // A read_line that grew the buffer without reaching '\n' hit
-            // EOF mid-line; report Closed (the fragment is unrecoverable).
-            Ok(_) => Ok(Polled::Closed),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(Polled::Pending)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// One blocking request/response round trip over a generic stream pair.
-pub fn roundtrip<S: Read + Write>(stream: &mut S, request: &Json) -> io::Result<Json>
-where
-    for<'a> &'a mut S: Read,
-{
-    write_json_line(stream, request)?;
-    let mut reader = BufReader::new(&mut *stream);
-    read_json_line(&mut reader)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    #[test]
-    fn lines_roundtrip_over_a_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let echo = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            while let Some(msg) = read_json_line(&mut reader).unwrap() {
-                write_json_line(&mut writer, &msg).unwrap();
-            }
-        });
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let request = parse_json(r#"{"cmd":"ping","n":3}"#).unwrap();
-        let reply = roundtrip(&mut stream, &request).unwrap();
-        assert_eq!(reply, request);
-        drop(stream);
-        echo.join().unwrap();
-    }
-
-    #[test]
-    fn poll_distinguishes_pending_from_closed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_read_timeout(Some(std::time::Duration::from_millis(20))).unwrap();
-        let mut reader = LineReader::new(server.try_clone().unwrap());
-
-        assert_eq!(reader.poll_line().unwrap(), Polled::Pending, "no data yet");
-        // A split line arrives across two polls.
-        client.write_all(b"{\"a\":").unwrap();
-        client.flush().unwrap();
-        assert_eq!(reader.poll_line().unwrap(), Polled::Pending, "half a line");
-        client.write_all(b"1}\n").unwrap();
-        client.flush().unwrap();
-        match reader.poll_line().unwrap() {
-            Polled::Message(json) => assert_eq!(json.get("a").and_then(Json::as_u64), Some(1)),
-            other => panic!("expected message, got {other:?}"),
-        }
-        drop(client);
-        assert_eq!(reader.poll_line().unwrap(), Polled::Closed);
-    }
-
-    #[test]
-    fn bad_json_is_invalid_data_not_a_panic() {
-        let mut reader = std::io::Cursor::new(b"{oops\n".to_vec());
-        let mut buffered = BufReader::new(&mut reader);
-        let err = read_json_line(&mut buffered).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
+    use crate::json::parse_json;
+    use std::io::BufReader;
 
     #[test]
     fn binary_frames_roundtrip_with_ids() {
@@ -392,10 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn payload_renders_both_protocols_from_one_document() {
+    fn payload_renders_the_binary_body_once() {
         let doc = parse_json(r#"{"status":"ok","cost":12}"#).unwrap();
         let payload = Payload::new(doc.clone());
-        assert_eq!(payload.text(), doc.to_string_compact());
         assert_eq!(crate::binary::decode(payload.bin()).unwrap(), doc);
+        assert!(std::ptr::eq(payload.bin(), payload.bin()), "one cached rendering");
     }
 }

@@ -1,31 +1,35 @@
 //! A non-blocking, poll-based server core (std-only).
 //!
-//! Both services used to burn one blocking thread per connection; this
-//! module replaces that with a single I/O thread driving every
-//! connection through nonblocking sockets: accept, classify the protocol
-//! from the first byte (binary hello vs. JSON line), buffer reads,
-//! parse complete messages, dispatch them to an app handler, and flush
-//! queued responses — all from one readiness loop with a short idle
-//! tick. The std library has no portable readiness API, so the loop is a
-//! scan over the (small) connection registry with `WouldBlock` as the
-//! readiness signal; per iteration it does strictly bounded work per
-//! connection, and it only sleeps when a full pass made no progress.
+//! A single I/O thread drives every connection through nonblocking
+//! sockets: accept, check the binary hello, buffer reads, split complete
+//! frames, dispatch them to an app handler, and flush queued responses —
+//! all from one readiness loop with a short (1 ms) idle tick. The std
+//! library has no portable readiness API, so the loop is a scan over the
+//! (small) connection registry with `WouldBlock` as the readiness
+//! signal; per iteration it does strictly bounded work per connection,
+//! and it only sleeps when a full pass made no progress.
 //!
 //! Responses flow through [`ReplyHandle`]s. A handler either replies
 //! synchronously (cache hits, stats, coordinator verbs) or moves the
 //! handle into a job for a worker pool to complete later; the loop
 //! drains completed replies into per-connection write buffers on its
-//! next pass. Line-mode connections carry no correlation ids, so their
-//! responses are written strictly in request (sequence) order; binary
-//! connections write completions as they land, tagged with the request's
-//! correlation id — that is what makes pipelining safe on both.
+//! next pass and writes them as they land, tagged with the request's
+//! correlation id — that is what makes pipelining safe.
 //!
-//! Per-connection bounds: a read-buffer cap (no unbounded lines or
-//! frames), an in-flight request limit answered with the app's
-//! backpressure reply, and idle-timeout eviction for connections with no
-//! traffic and no pending work. A dropped [`ReplyHandle`] (a job lost on
-//! a closed queue, a panicked worker) completes its slot with a
-//! structured internal error rather than leaving the client hanging.
+//! Per-connection bounds: a read-buffer cap (no unbounded frames), an
+//! in-flight request limit answered with the app's backpressure reply,
+//! and idle-timeout eviction for connections with no traffic and no
+//! pending work. Errors the core answers itself use the app's flat
+//! `{status, kind, message}` error shape:
+//!
+//! - a first byte other than [`MAGIC`] gets one compact JSON line,
+//!   `{"status":"error","kind":"bad-frame","message":"binary protocol required"}`,
+//!   and the connection closes once it is flushed;
+//! - a corrupt or oversized frame gets a `bad-frame` error frame on the
+//!   reserved id 0, then the connection closes;
+//! - a dropped [`ReplyHandle`] (a job lost on a closed queue, a panicked
+//!   worker) completes its slot with `kind: "internal"` rather than
+//!   leaving the client hanging.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -35,19 +39,20 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use crate::frame::{self, Payload, MAGIC, MAX_FRAME, WIRE_VERSION};
-use crate::json::{parse_json, Json};
+use crate::json::Json;
+
+/// Sleep between passes that made no progress.
+const TICK: Duration = Duration::from_millis(1);
 
 /// Tuning for one [`NetServer`].
 pub struct NetConfig {
     /// Cooperative shutdown flag: the app sets it (usually from a
     /// handler) and the loop stops accepting, drains, and exits.
     pub shutdown: Arc<AtomicBool>,
-    /// Max requests in flight per connection before the core answers
-    /// with `busy_reply` instead of dispatching. `0` disables the limit.
-    pub max_in_flight: usize,
-    /// Immediate reply for over-limit requests (the app's backpressure
-    /// shape). Required when `max_in_flight > 0`.
-    pub busy_reply: Option<Json>,
+    /// Max requests in flight per connection, and the immediate reply
+    /// (the app's backpressure shape) for requests over it, which are
+    /// not dispatched. `None` disables the limit.
+    pub in_flight_limit: Option<(usize, Json)>,
     /// Evict connections with no traffic and no pending work for this
     /// long. `None` keeps idle connections forever.
     pub idle_timeout: Option<Duration>,
@@ -55,8 +60,6 @@ pub struct NetConfig {
     /// for at least this long (lets cluster workers observe the
     /// `shutdown` status) before the drain-exit condition applies.
     pub shutdown_linger: Duration,
-    /// Sleep between passes that made no progress.
-    pub tick: Duration,
     /// Wire counters, shared so the app can surface them (e.g. in a
     /// `stats` verb). A fresh default is fine when nobody else reads it.
     pub metrics: Arc<NetMetrics>,
@@ -66,11 +69,9 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             shutdown: Arc::new(AtomicBool::new(false)),
-            max_in_flight: 0,
-            busy_reply: None,
+            in_flight_limit: None,
             idle_timeout: Some(Duration::from_secs(60)),
             shutdown_linger: Duration::from_millis(0),
-            tick: Duration::from_millis(1),
             metrics: Arc::new(NetMetrics::default()),
         }
     }
@@ -83,9 +84,9 @@ pub struct NetMetrics {
     pub bytes_in: AtomicU64,
     /// Bytes written to client sockets.
     pub bytes_out: AtomicU64,
-    /// Messages (frames or lines) received.
+    /// Frames received.
     pub frames_in: AtomicU64,
-    /// Messages (frames or lines) sent.
+    /// Frames sent.
     pub frames_out: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub conns_opened: AtomicU64,
@@ -95,14 +96,10 @@ pub struct NetMetrics {
     pub idle_evicted: AtomicU64,
 }
 
-/// An incoming message: parsed document, or the parse failure text for
-/// the app to shape into its own structured error (line mode only —
-/// binary framing errors are fatal to the connection).
-pub type Incoming = Result<Json, String>;
-
-/// The app-side dispatch callback, run on the I/O thread. Reply
-/// synchronously via the handle, or move the handle into a job.
-pub type Handler = Box<dyn FnMut(Incoming, ReplyHandle) + Send>;
+/// The app-side dispatch callback, run on the I/O thread with one decoded
+/// request. Reply synchronously via the handle, or move the handle into
+/// a job.
+pub type Handler = Box<dyn FnMut(Json, ReplyHandle) + Send>;
 
 /// Completed replies queued by handles, drained by the I/O loop.
 struct Outbox {
@@ -140,33 +137,32 @@ impl ReplyHandle {
 impl Drop for ReplyHandle {
     fn drop(&mut self) {
         if !self.sent {
-            let error = parse_json(
-                r#"{"status":"error","error":{"kind":"internal","message":"request dropped without a reply"}}"#,
-            )
-            .expect("static error json");
+            let error = error_json("internal", "request dropped without a reply");
             self.deliver(Arc::new(Payload::new(error)), false);
         }
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// First bytes not yet seen.
-    Unclassified,
-    Json,
-    Binary,
+/// The flat `{status, kind, message}` error document.
+fn error_json(kind: &str, message: &str) -> Json {
+    Json::Obj(vec![
+        ("status".into(), Json::Str("error".into())),
+        ("kind".into(), Json::Str(kind.into())),
+        ("message".into(), Json::Str(message.into())),
+    ])
 }
 
 struct Slot {
     seq: u64,
-    /// Correlation id (binary mode; line mode replies carry no id).
+    /// Correlation id of the request.
     id: u64,
     done: Option<(Arc<Payload>, bool)>,
 }
 
 struct Conn {
     stream: TcpStream,
-    mode: Mode,
+    /// The hello has been answered; frames follow.
+    greeted: bool,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     slots: Vec<Slot>,
@@ -238,7 +234,7 @@ const RBUF_CAP: usize = MAX_FRAME + 1024;
 /// Per-pass read chunk.
 const READ_CHUNK: usize = 64 * 1024;
 
-fn io_loop(listener: TcpListener, mut config: NetConfig, mut handler: Handler, metrics: Arc<NetMetrics>) {
+fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metrics: Arc<NetMetrics>) {
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = 0u64;
@@ -272,7 +268,7 @@ fn io_loop(listener: TcpListener, mut config: NetConfig, mut handler: Handler, m
                             next_token,
                             Conn {
                                 stream,
-                                mode: Mode::Unclassified,
+                                greeted: false,
                                 rbuf: Vec::new(),
                                 wbuf: Vec::new(),
                                 slots: Vec::new(),
@@ -294,7 +290,7 @@ fn io_loop(listener: TcpListener, mut config: NetConfig, mut handler: Handler, m
         let now = Instant::now();
         let mut dead: Vec<u64> = Vec::new();
         for (&token, conn) in conns.iter_mut() {
-            match drive_conn(conn, &mut config, &mut handler, &metrics, &mut scratch, now) {
+            match drive_conn(conn, &config, &mut handler, &metrics, &mut scratch, now) {
                 Ok(made_progress) => progress |= made_progress,
                 Err(_) => {
                     dead.push(token);
@@ -321,7 +317,7 @@ fn io_loop(listener: TcpListener, mut config: NetConfig, mut handler: Handler, m
         }
 
         if !progress {
-            std::thread::sleep(config.tick);
+            std::thread::sleep(TICK);
         }
     }
 }
@@ -332,7 +328,7 @@ fn io_loop(listener: TcpListener, mut config: NetConfig, mut handler: Handler, m
 /// dropped.
 fn drive_conn(
     conn: &mut Conn,
-    config: &mut NetConfig,
+    config: &NetConfig,
     handler: &mut Handler,
     metrics: &NetMetrics,
     scratch: &mut [u8],
@@ -355,7 +351,7 @@ fn drive_conn(
     if !conn.closing {
         loop {
             if conn.rbuf.len() >= RBUF_CAP {
-                // A line or frame larger than the cap: protocol-fatal.
+                // A frame larger than the cap: protocol-fatal.
                 return Err(io::Error::new(io::ErrorKind::InvalidData, "read buffer cap exceeded"));
             }
             match conn.stream.read(scratch) {
@@ -382,69 +378,44 @@ fn drive_conn(
         }
     }
 
-    // 3. Classify a fresh connection from its first byte.
-    if conn.mode == Mode::Unclassified && !conn.rbuf.is_empty() {
-        if conn.rbuf[0] == MAGIC {
-            if conn.rbuf.len() < 3 {
-                // Hello still arriving.
-            } else {
-                if conn.rbuf[2] != b'\n' || conn.rbuf[1] == 0 {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "malformed binary hello"));
-                }
-                let version = conn.rbuf[1].min(WIRE_VERSION);
-                conn.rbuf.drain(..3);
-                conn.wbuf.extend_from_slice(&[MAGIC, version, b'\n']);
-                conn.mode = Mode::Binary;
-                progress = true;
+    // 3. Answer the hello, or reject a peer that does not open with one.
+    if !conn.greeted && !conn.rbuf.is_empty() {
+        if conn.rbuf[0] != MAGIC {
+            let mut line = error_json("bad-frame", "binary protocol required").to_string_compact();
+            line.push('\n');
+            conn.wbuf.extend_from_slice(line.as_bytes());
+            conn.rbuf.clear();
+            conn.closing = true;
+            progress = true;
+        } else if conn.rbuf.len() >= 3 {
+            if conn.rbuf[2] != b'\n' || conn.rbuf[1] == 0 {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "malformed binary hello"));
             }
-        } else {
-            conn.mode = Mode::Json;
+            let version = conn.rbuf[1].min(WIRE_VERSION);
+            conn.rbuf.drain(..3);
+            conn.wbuf.extend_from_slice(&[MAGIC, version, b'\n']);
+            conn.greeted = true;
             progress = true;
         }
     }
 
-    // 4. Parse and dispatch complete messages.
-    loop {
-        let incoming: Option<(u64, Incoming)> = match conn.mode {
-            Mode::Unclassified => None,
-            Mode::Json => match take_line(&mut conn.rbuf) {
-                None => None,
-                Some(line) => {
-                    let text = String::from_utf8_lossy(&line);
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    Some((0, parse_json(trimmed).map_err(|e| e.to_string())))
-                }
-            },
-            Mode::Binary => match frame::split_frame(&conn.rbuf) {
-                Ok(None) => None,
-                Ok(Some((consumed, id, doc))) => {
-                    conn.rbuf.drain(..consumed);
-                    Some((id, Ok(doc)))
-                }
-                Err(e) => {
-                    // Framing is unrecoverable: best-effort error frame
-                    // on reserved id 0, then drop the connection.
-                    let error = Json::Obj(vec![
-                        ("status".into(), Json::Str("error".into())),
-                        (
-                            "error".into(),
-                            Json::Obj(vec![
-                                ("kind".into(), Json::Str("bad-frame".into())),
-                                ("message".into(), Json::Str(e.to_string())),
-                            ]),
-                        ),
-                    ]);
-                    let payload = Payload::new(error);
-                    frame::append_frame(&mut conn.wbuf, 0, payload.bin());
-                    flush_wbuf(conn, metrics)?;
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-            },
+    // 4. Split and dispatch complete frames.
+    while conn.greeted {
+        let (id, request) = match frame::split_frame(&conn.rbuf) {
+            Ok(None) => break,
+            Ok(Some((consumed, id, doc))) => {
+                conn.rbuf.drain(..consumed);
+                (id, doc)
+            }
+            Err(e) => {
+                // Framing is unrecoverable: best-effort error frame on
+                // reserved id 0, then drop the connection.
+                let payload = Payload::new(error_json("bad-frame", &e.to_string()));
+                frame::append_frame(&mut conn.wbuf, 0, payload.bin());
+                flush_wbuf(conn, metrics)?;
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+            }
         };
-        let Some((id, incoming)) = incoming else { break };
         metrics.frames_in.fetch_add(1, Ordering::Relaxed);
         progress = true;
 
@@ -452,17 +423,16 @@ fn drive_conn(
         conn.next_seq += 1;
         conn.slots.push(Slot { seq, id, done: None });
         let handle = ReplyHandle { outbox: Arc::downgrade(&conn.outbox), seq, sent: false };
-        let over_limit = config.max_in_flight > 0 && conn.slots.len() > config.max_in_flight;
-        if over_limit {
-            if let Some(busy) = config.busy_reply.clone() {
-                handle.send(Arc::new(Payload::new(busy)));
-                continue;
+        match &config.in_flight_limit {
+            Some((limit, busy)) if conn.slots.len() > *limit => {
+                handle.send(Arc::new(Payload::new(busy.clone())))
             }
+            _ => handler(request, handle),
         }
-        handler(incoming, handle);
     }
 
-    // 5. Stage completed replies into the write buffer.
+    // 5. Stage completed replies into the write buffer, in completion
+    // order, tagged with their correlation ids.
     {
         // Drain handles that completed synchronously in step 4.
         let mut completed = conn.outbox.completed.lock().expect("outbox lock");
@@ -472,43 +442,20 @@ fn drive_conn(
             }
         }
     }
-    match conn.mode {
-        Mode::Json => {
-            // No correlation ids on the wire: strictly sequence order.
-            while let Some(first) = conn.slots.first() {
-                if first.done.is_none() {
-                    break;
-                }
-                let slot = conn.slots.remove(0);
-                let (payload, close) = slot.done.expect("checked done");
-                conn.wbuf.extend_from_slice(payload.text().as_bytes());
-                conn.wbuf.push(b'\n');
-                metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-                if close {
-                    conn.closing = true;
-                }
-                progress = true;
+    let mut i = 0;
+    while i < conn.slots.len() {
+        if conn.slots[i].done.is_some() {
+            let slot = conn.slots.remove(i);
+            let (payload, close) = slot.done.expect("checked done");
+            frame::append_frame(&mut conn.wbuf, slot.id, payload.bin());
+            metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+            if close {
+                conn.closing = true;
             }
+            progress = true;
+        } else {
+            i += 1;
         }
-        Mode::Binary => {
-            // Completion order, tagged with correlation ids.
-            let mut i = 0;
-            while i < conn.slots.len() {
-                if conn.slots[i].done.is_some() {
-                    let slot = conn.slots.remove(i);
-                    let (payload, close) = slot.done.expect("checked done");
-                    frame::append_frame(&mut conn.wbuf, slot.id, payload.bin());
-                    metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-                    if close {
-                        conn.closing = true;
-                    }
-                    progress = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        Mode::Unclassified => {}
     }
 
     // 6. Flush.
@@ -555,51 +502,55 @@ fn flush_wbuf(conn: &mut Conn, metrics: &NetMetrics) -> io::Result<bool> {
     result.map(|()| written > 0)
 }
 
-/// Removes and returns the first newline-terminated line from `buf`
-/// (without the newline), if one is complete.
-fn take_line(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    let at = buf.iter().position(|&b| b == b'\n')?;
-    let mut line: Vec<u8> = buf.drain(..=at).collect();
-    line.pop();
-    Some(line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
     use crate::proto::{Connection, Protocol};
 
-    fn echo_server(max_in_flight: usize, busy: Option<Json>) -> NetServer {
+    fn echo_server(in_flight_limit: Option<(usize, Json)>) -> NetServer {
         let config = NetConfig {
-            max_in_flight,
-            busy_reply: busy,
+            in_flight_limit,
             idle_timeout: Some(Duration::from_secs(30)),
             ..NetConfig::default()
         };
-        let handler: Handler = Box::new(|incoming, handle| match incoming {
-            Ok(doc) => handle.send(Arc::new(Payload::new(doc))),
-            Err(msg) => {
-                let error = Json::Obj(vec![
-                    ("status".into(), Json::Str("error".into())),
-                    ("message".into(), Json::Str(msg)),
-                ]);
-                handle.send(Arc::new(Payload::new(error)));
-            }
-        });
+        let handler: Handler = Box::new(|doc, handle| handle.send(Arc::new(Payload::new(doc))));
         NetServer::bind("127.0.0.1:0", config, handler).unwrap()
     }
 
+    /// A raw client socket that has exchanged the hello.
+    fn greeted(server: &NetServer) -> TcpStream {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&[MAGIC, WIRE_VERSION, b'\n']).unwrap();
+        let mut hello = [0u8; 3];
+        stream.read_exact(&mut hello).unwrap();
+        assert_eq!(hello, [MAGIC, WIRE_VERSION, b'\n']);
+        stream
+    }
+
+    fn read_all(mut stream: TcpStream) -> Vec<u8> {
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).unwrap();
+        reply
+    }
+
+    fn kind(doc: &Json) -> Option<&str> {
+        doc.get("kind").and_then(Json::as_str)
+    }
+
+    /// Binary is the only protocol left, so "side by side" is now two
+    /// binary clients on one server, each answered independently.
     #[test]
     fn serves_json_and_binary_clients_side_by_side() {
-        let server = echo_server(0, None);
+        let server = echo_server(None);
         let addr = server.local_addr().to_string();
         let request = parse_json(r#"{"cmd":"ping","n":1}"#).unwrap();
 
-        let mut json_conn = Connection::connect(&addr, Protocol::Json).unwrap();
-        let mut bin_conn = Connection::connect(&addr, Protocol::Binary).unwrap();
-        assert_eq!(bin_conn.mode_name(), "binary");
-        assert_eq!(json_conn.call(&request).unwrap(), request);
-        assert_eq!(bin_conn.call(&request).unwrap(), request);
+        let mut first = Connection::connect(&addr, Protocol::Binary).unwrap();
+        let mut second = Connection::connect(&addr, Protocol::Binary).unwrap();
+        assert_eq!(first.call(&request).unwrap(), request);
+        assert_eq!(second.call(&request).unwrap(), request);
 
         let metrics = server.metrics();
         assert_eq!(metrics.frames_in.load(Ordering::Relaxed), 2);
@@ -610,9 +561,9 @@ mod tests {
 
     #[test]
     fn pipelined_requests_come_back_in_order_per_protocol() {
-        let server = echo_server(0, None);
+        let server = echo_server(None);
         let addr = server.local_addr().to_string();
-        for protocol in [Protocol::Json, Protocol::Binary] {
+        for protocol in [Protocol::Binary] {
             let mut conn = Connection::connect(&addr, protocol).unwrap();
             let ids: Vec<u64> = (0..8)
                 .map(|n| conn.send(&Json::Obj(vec![("n".into(), Json::Int(n))])).unwrap())
@@ -622,6 +573,8 @@ mod tests {
                 assert_eq!(doc.get("n").and_then(Json::as_i64), Some(n as i64));
             }
         }
+        server.shutdown_flag().store(true, Ordering::SeqCst);
+        server.join();
     }
 
     #[test]
@@ -630,17 +583,10 @@ mod tests {
         // Echo replies synchronously, so in-flight never exceeds 1 from
         // the server's view per message; use a handler that never
         // replies to pile slots up instead.
-        let config = NetConfig {
-            max_in_flight: 2,
-            busy_reply: Some(busy),
-            ..NetConfig::default()
-        };
+        let config = NetConfig { in_flight_limit: Some((2, busy)), ..NetConfig::default() };
         let parked: Arc<Mutex<Vec<ReplyHandle>>> = Arc::new(Mutex::new(Vec::new()));
         let parked_in = Arc::clone(&parked);
-        let handler: Handler = Box::new(move |incoming, handle| {
-            let _ = incoming;
-            parked_in.lock().unwrap().push(handle);
-        });
+        let handler: Handler = Box::new(move |_, handle| parked_in.lock().unwrap().push(handle));
         let server = NetServer::bind("127.0.0.1:0", config, handler).unwrap();
         let mut conn =
             Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap();
@@ -662,21 +608,91 @@ mod tests {
     }
 
     #[test]
+    fn dropped_reply_handle_gets_a_flat_internal_error() {
+        let handler: Handler = Box::new(|_, handle| drop(handle));
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handler).unwrap();
+        let mut conn =
+            Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap();
+        let reply = conn.call(&parse_json(r#"{"cmd":"ping"}"#).unwrap()).unwrap();
+        assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(kind(&reply), Some("internal"), "{reply}");
+        assert!(reply.get("message").and_then(Json::as_str).is_some(), "{reply}");
+    }
+
+    #[test]
     fn corrupt_binary_frame_gets_error_frame_then_close() {
-        let server = echo_server(0, None);
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(&[MAGIC, WIRE_VERSION, b'\n']).unwrap();
-        let mut hello = [0u8; 3];
-        stream.read_exact(&mut hello).unwrap();
-        assert_eq!(hello[0], MAGIC);
+        let server = echo_server(None);
+        let mut stream = greeted(&server);
         // A frame whose body is garbage (unknown tag).
         stream.write_all(&[3, 1, 0xff, 0xff]).unwrap();
-        stream.flush().unwrap();
-        let mut reply = Vec::new();
-        stream.read_to_end(&mut reply).unwrap();
-        let (_, id, doc) = frame::split_frame(&reply).unwrap().expect("error frame");
+        let reply = read_all(stream);
+        let (consumed, id, doc) = frame::split_frame(&reply).unwrap().expect("error frame");
+        assert_eq!(consumed, reply.len(), "nothing after the error frame");
         assert_eq!(id, 0, "connection-level error id");
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(kind(&doc), Some("bad-frame"), "{doc}");
+    }
+
+    #[test]
+    fn hostile_peers_never_stall_the_poll_core() {
+        let server = echo_server(None);
+        let mut witness =
+            Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap();
+        let ping = parse_json(r#"{"cmd":"ping"}"#).unwrap();
+        let mut check_witness = || assert_eq!(witness.call(&ping).unwrap(), ping);
+
+        // A request trickling in one byte at a time, with the witness
+        // served between bytes; it is answered once whole.
+        let mut slow = TcpStream::connect(server.local_addr()).unwrap();
+        slow.set_nodelay(true).unwrap();
+        slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let request = parse_json(r#"{"cmd":"allocate","bench":"ewf"}"#).unwrap();
+        let mut bytes = vec![MAGIC, WIRE_VERSION, b'\n'];
+        frame::append_frame(&mut bytes, 41, &crate::binary::encode(&request));
+        for (i, byte) in bytes.iter().enumerate() {
+            slow.write_all(&[*byte]).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            if i % 8 == 0 {
+                check_witness();
+            }
+        }
+        let mut reader = std::io::BufReader::new(slow);
+        let mut hello = [0u8; 3];
+        reader.read_exact(&mut hello).unwrap();
+        assert_eq!(hello[0], MAGIC);
+        let (id, echoed) = frame::read_frame(&mut reader).unwrap().expect("reply frame");
+        assert_eq!((id, echoed), (41, request));
+
+        // A length prefix past MAX_FRAME: a flat bad-frame error, then close.
+        let mut oversized = greeted(&server);
+        let mut prefix = Vec::new();
+        crate::binary::write_varint(&mut prefix, (MAX_FRAME + 1) as u64);
+        oversized.write_all(&prefix).unwrap();
+        let reply = read_all(oversized);
+        let (_, id, doc) = frame::split_frame(&reply).unwrap().expect("error frame");
+        assert_eq!((id, kind(&doc)), (0, Some("bad-frame")), "{doc}");
+        check_witness();
+
+        // A JSON line where the hello belongs: one structured rejection
+        // line, then close.
+        let mut line = TcpStream::connect(server.local_addr()).unwrap();
+        line.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        line.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+        let reply = String::from_utf8(read_all(line)).unwrap();
+        assert_eq!(
+            reply,
+            "{\"status\":\"error\",\"kind\":\"bad-frame\",\"message\":\"binary protocol required\"}\n"
+        );
+        check_witness();
+
+        // Malformed hellos (version 0, no newline): closed, no reply.
+        for hello in [[MAGIC, 0, b'\n'], [MAGIC, WIRE_VERSION, b'x']] {
+            let mut bad = TcpStream::connect(server.local_addr()).unwrap();
+            bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            bad.write_all(&hello).unwrap();
+            assert!(read_all(bad).is_empty(), "{hello:?}");
+            check_witness();
+        }
     }
 
     #[test]

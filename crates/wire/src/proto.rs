@@ -1,73 +1,53 @@
-//! Client-side connections: protocol negotiation, connection reuse and
+//! Client-side connections: the binary hello, connection reuse and
 //! request pipelining.
 //!
 //! A [`Connection`] holds one TCP socket for its whole life (no
-//! per-request reconnects), negotiates binary framing via the 3-byte
-//! hello (see [`frame`](crate::frame)) and keeps multiple requests in
-//! flight. In binary mode responses carry correlation ids and may return
-//! out of order; in legacy JSON line mode the server answers strictly in
-//! request order, so the connection pairs responses with the oldest
-//! outstanding id. Either way callers use the same API: [`send`] returns
-//! an id, [`recv_for`]/[`call`] deliver the matching response (stashing
-//! any other completions for their own waiters).
+//! per-request reconnects), opens it with the 3-byte binary hello (see
+//! [`frame`]) and keeps multiple requests in flight. Responses carry
+//! correlation ids and may return out of order:
+//! [`send`] returns an id, [`recv_for`]/[`call`] deliver the matching
+//! response (stashing any other completions for their own waiters).
 //!
-//! [`Protocol::Auto`] degrades gracefully: against a JSON-only peer the
-//! hello comes back as a parse-error *line* (never a hang — the hello is
-//! newline-terminated), which the client consumes before falling back to
-//! line mode. [`Protocol::Binary`] treats that as a hard error instead.
+//! A peer that does not echo the hello (it closes, or sends anything
+//! else) fails the connect with
+//! [`io::ErrorKind::InvalidData`] instead of hanging.
 //!
 //! Every connection counts its own traffic ([`WireCounts`]): socket
-//! bytes in/out and messages in/out, the numbers loadgen and the bench
+//! bytes in/out and frames in/out, the numbers loadgen and the bench
 //! harness report as bytes/message.
 //!
 //! [`send`]: Connection::send
 //! [`recv_for`]: Connection::recv_for
 //! [`call`]: Connection::call
 
-use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::frame::{read_json_line, write_frame, MAGIC, MAX_FRAME, WIRE_VERSION};
+use crate::frame::{write_frame, MAGIC, MAX_FRAME, WIRE_VERSION};
 use crate::json::Json;
 use crate::{binary, frame};
 
-/// Which wire protocol to speak (or negotiate).
+/// The wire protocol a [`Connection`] speaks. Binary frames are the only
+/// one; [`Connection::connect`] still takes it so its callers keep their
+/// signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
-    /// Legacy newline-delimited JSON. Works against every server.
-    Json,
-    /// Binary framing, required: fail if the peer cannot negotiate it.
+    /// Varint length-prefixed binary frames with correlation ids.
     Binary,
-    /// Try binary, fall back to JSON if the peer is line-only.
-    Auto,
 }
 
-impl Protocol {
-    /// Parses a `--protocol` flag value.
-    pub fn parse(text: &str) -> Option<Protocol> {
-        match text {
-            "json" => Some(Protocol::Json),
-            "binary" => Some(Protocol::Binary),
-            "auto" => Some(Protocol::Auto),
-            _ => None,
-        }
-    }
-}
-
-/// Traffic counters for one connection (socket bytes and whole messages).
+/// Traffic counters for one connection (socket bytes and whole frames).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCounts {
     /// Bytes read off the socket.
     pub bytes_in: u64,
     /// Bytes written to the socket.
     pub bytes_out: u64,
-    /// Messages (frames or lines) received.
+    /// Frames received.
     pub frames_in: u64,
-    /// Messages (frames or lines) sent.
+    /// Frames sent.
     pub frames_out: u64,
 }
 
@@ -96,22 +76,14 @@ impl Read for CountRead {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Json,
-    Binary(u8),
-}
-
-/// One negotiated, reusable, pipelined client connection.
+/// One reusable, pipelined client connection.
 #[derive(Debug)]
 pub struct Connection {
     writer: TcpStream,
     reader: BufReader<CountRead>,
-    mode: Mode,
     next_id: u64,
-    /// Outstanding request ids in send order (line mode answers in this
-    /// order; binary mode uses it only to cap pipelining bookkeeping).
-    pending: VecDeque<u64>,
+    /// Outstanding request ids.
+    pending: Vec<u64>,
     /// Responses that arrived for ids other than the one being awaited.
     stash: Vec<(u64, Json)>,
     bytes_in: Arc<AtomicU64>,
@@ -122,23 +94,10 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Connects to `addr` and negotiates `protocol`.
-    ///
-    /// With [`Protocol::Auto`], a peer that reacts to the binary hello
-    /// by erroring out or closing the connection (legacy line servers
-    /// treat the magic byte as invalid UTF-8) is retried once over a
-    /// fresh connection in plain JSON mode.
+    /// Connects to `addr` and exchanges the binary hello.
     pub fn connect(addr: &str, protocol: Protocol) -> io::Result<Connection> {
-        match Connection::from_stream(TcpStream::connect(addr)?, protocol) {
-            Err(e) if protocol == Protocol::Auto && hello_rebuffed(&e) => {
-                Connection::from_stream(TcpStream::connect(addr)?, Protocol::Json)
-            }
-            other => other,
-        }
-    }
-
-    /// Wraps an already-connected stream and negotiates `protocol`.
-    pub fn from_stream(stream: TcpStream, protocol: Protocol) -> io::Result<Connection> {
+        let Protocol::Binary = protocol;
+        let stream = TcpStream::connect(addr)?;
         // Small request/response messages interact badly with Nagle +
         // delayed ACK (tens of ms per round trip); every connection in
         // the system is latency-bound, so opt out unconditionally.
@@ -149,9 +108,8 @@ impl Connection {
         let mut conn = Connection {
             writer: stream,
             reader,
-            mode: Mode::Json,
             next_id: 1,
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             stash: Vec::new(),
             bytes_in,
             bytes_out: 0,
@@ -159,67 +117,31 @@ impl Connection {
             frames_out: 0,
             scratch: Vec::new(),
         };
-        match protocol {
-            Protocol::Json => {}
-            Protocol::Binary | Protocol::Auto => conn.hello(protocol == Protocol::Binary)?,
-        }
+        conn.hello()?;
         Ok(conn)
     }
 
-    /// Sends the binary hello and classifies the peer from its first
-    /// response byte. `strict` turns a JSON-only peer into an error.
-    fn hello(&mut self, strict: bool) -> io::Result<()> {
+    /// Sends the binary hello and checks the peer echoes one back.
+    fn hello(&mut self) -> io::Result<()> {
         self.writer.write_all(&[MAGIC, WIRE_VERSION, b'\n'])?;
         self.writer.flush()?;
         self.bytes_out += 3;
         let mut first = [0u8; 1];
-        if let Err(e) = self.reader.read_exact(&mut first) {
-            // A peer that hangs up on the magic byte is a line server
-            // that treated it as garbage input.
-            return Err(if strict && hello_rebuffed(&e) {
-                invalid("peer does not speak the binary protocol (closed on hello)")
-            } else {
-                e
-            });
-        }
-        if first[0] == MAGIC {
-            let mut rest = [0u8; 2];
-            self.reader.read_exact(&mut rest)?;
-            if rest[1] != b'\n' {
-                return Err(invalid("malformed binary hello from peer"));
+        match self.reader.read_exact(&mut first) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                return Err(invalid("peer does not speak the binary protocol (closed on hello)"));
             }
-            let version = rest[0].min(WIRE_VERSION);
-            if version == 0 {
-                return Err(invalid("peer offered binary protocol version 0"));
-            }
-            self.mode = Mode::Binary(version);
-            return Ok(());
+            other => other?,
         }
-        // A line server answered our hello with a parse-error line.
-        // Drain it, then either fall back to line mode or fail strictly.
-        let mut discard = Vec::new();
-        self.reader.read_until(b'\n', &mut discard)?;
-        if strict {
+        if first[0] != MAGIC {
             return Err(invalid("peer does not speak the binary protocol"));
         }
-        self.mode = Mode::Json;
+        let mut rest = [0u8; 2];
+        self.reader.read_exact(&mut rest)?;
+        if rest[1] != b'\n' || rest[0].min(WIRE_VERSION) == 0 {
+            return Err(invalid("malformed binary hello from peer"));
+        }
         Ok(())
-    }
-
-    /// `"json"` or `"binary"` — the negotiated mode.
-    pub fn mode_name(&self) -> &'static str {
-        match self.mode {
-            Mode::Json => "json",
-            Mode::Binary(_) => "binary",
-        }
-    }
-
-    /// Negotiated binary version, if in binary mode.
-    pub fn binary_version(&self) -> Option<u8> {
-        match self.mode {
-            Mode::Json => None,
-            Mode::Binary(v) => Some(v),
-        }
     }
 
     /// Number of requests sent and not yet answered.
@@ -237,39 +159,23 @@ impl Connection {
         }
     }
 
-    /// Sets the socket read timeout (used by pollers layered above).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.writer.set_read_timeout(timeout)
-    }
-
     /// Sends one request without waiting; returns its correlation id.
     pub fn send(&mut self, message: &Json) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        match self.mode {
-            Mode::Json => {
-                let mut line = message.to_string_compact();
-                line.push('\n');
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.flush()?;
-                self.bytes_out += line.len() as u64;
-            }
-            Mode::Binary(_) => {
-                self.scratch.clear();
-                binary::encode_into(message, &mut self.scratch);
-                if self.scratch.len() > MAX_FRAME {
-                    return Err(invalid("request exceeds MAX_FRAME"));
-                }
-                let before = self.scratch.len();
-                let body = std::mem::take(&mut self.scratch);
-                write_frame(&mut self.writer, id, &body)?;
-                self.scratch = body;
-                // Frame overhead: length prefix + id varint.
-                self.bytes_out += before as u64 + varint_len(id) + varint_len(before as u64 + varint_len(id));
-            }
+        self.scratch.clear();
+        binary::encode_into(message, &mut self.scratch);
+        if self.scratch.len() > MAX_FRAME {
+            return Err(invalid("request exceeds MAX_FRAME"));
         }
+        let before = self.scratch.len();
+        let body = std::mem::take(&mut self.scratch);
+        write_frame(&mut self.writer, id, &body)?;
+        self.scratch = body;
+        // Frame overhead: length prefix + id varint.
+        self.bytes_out += before as u64 + varint_len(id) + varint_len(before as u64 + varint_len(id));
         self.frames_out += 1;
-        self.pending.push_back(id);
+        self.pending.push(id);
         Ok(id)
     }
 
@@ -287,25 +193,11 @@ impl Connection {
     /// (so [`recv_for`](Connection::recv_for)'s stash-then-retry loop
     /// cannot feed itself its own stashed entries).
     fn recv_wire(&mut self) -> io::Result<(u64, Json)> {
-        match self.mode {
-            Mode::Json => {
-                let doc = read_json_line(&mut self.reader)?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))?;
-                let id = self
-                    .pending
-                    .pop_front()
-                    .ok_or_else(|| invalid("response line with no request outstanding"))?;
-                self.frames_in += 1;
-                Ok((id, doc))
-            }
-            Mode::Binary(_) => {
-                let (id, doc) = frame::read_frame(&mut self.reader)?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))?;
-                self.pending.retain(|&p| p != id);
-                self.frames_in += 1;
-                Ok((id, doc))
-            }
-        }
+        let (id, doc) = frame::read_frame(&mut self.reader)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))?;
+        self.pending.retain(|&p| p != id);
+        self.frames_in += 1;
+        Ok((id, doc))
     }
 
     /// Blocks until the response for `id` arrives, stashing any other
@@ -344,94 +236,38 @@ fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// Errors that mean "the peer rejected the binary hello outright"
-/// rather than "the network failed": worth one JSON-mode retry.
-fn hello_rebuffed(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::InvalidData
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_json_line;
-    use crate::json::parse_json;
+    use std::io::BufRead;
     use std::net::TcpListener;
 
-    /// A minimal JSON-only echo server, faithful to the legacy stack:
-    /// UTF-8 `read_line` framing, so the binary hello's magic byte makes
-    /// it drop the connection — exactly what old servers do. Serves
-    /// `conns` sequential connections, then exits.
-    fn line_echo_server(conns: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    /// A peer that reads one line and answers it with a JSON error line,
+    /// or hangs up on the first byte, then closes: neither speaks the
+    /// binary protocol.
+    fn line_peer(hang_up: bool) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            for _ in 0..conns {
-                let (stream, _) = listener.accept().unwrap();
-                let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut line = Vec::new();
+            reader.read_until(b'\n', &mut line).unwrap();
+            if !hang_up {
                 let mut writer = stream;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                        break;
-                    }
-                    match parse_json(line.trim()) {
-                        Ok(doc) => write_json_line(&mut writer, &doc).unwrap(),
-                        Err(_) => {
-                            let err = parse_json(r#"{"status":"error","kind":"parse"}"#).unwrap();
-                            write_json_line(&mut writer, &err).unwrap();
-                        }
-                    }
-                }
+                writer.write_all(b"{\"status\":\"error\",\"kind\":\"parse\"}\n").unwrap();
             }
         });
         (addr, handle)
     }
 
     #[test]
-    fn auto_falls_back_to_json_against_a_line_server() {
-        let (addr, handle) = line_echo_server(2);
-        let mut conn = Connection::connect(&addr.to_string(), Protocol::Auto).unwrap();
-        assert_eq!(conn.mode_name(), "json");
-        let request = parse_json(r#"{"cmd":"ping"}"#).unwrap();
-        let reply = conn.call(&request).unwrap();
-        assert_eq!(reply, request, "echo after fallback");
-        let counts = conn.counts();
-        assert!(counts.bytes_out > 0 && counts.bytes_in > 0);
-        assert_eq!(counts.frames_out, 1);
-        drop(conn);
-        handle.join().unwrap();
-    }
-
-    #[test]
     fn strict_binary_fails_against_a_line_server() {
-        let (addr, handle) = line_echo_server(1);
-        let err = Connection::connect(&addr.to_string(), Protocol::Binary).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn json_mode_pairs_pipelined_responses_in_order() {
-        let (addr, handle) = line_echo_server(1);
-        let mut conn = Connection::connect(&addr.to_string(), Protocol::Json).unwrap();
-        let a = conn.send(&parse_json(r#"{"n":1}"#).unwrap()).unwrap();
-        let b = conn.send(&parse_json(r#"{"n":2}"#).unwrap()).unwrap();
-        assert_eq!(conn.in_flight(), 2);
-        // Await the second first: the first gets stashed, ids stay right.
-        let doc_b = conn.recv_for(b).unwrap();
-        let doc_a = conn.recv_for(a).unwrap();
-        assert_eq!(doc_a.get("n").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc_b.get("n").and_then(Json::as_u64), Some(2));
-        assert_eq!(conn.in_flight(), 0);
-        drop(conn);
-        handle.join().unwrap();
+        for hang_up in [false, true] {
+            let (addr, handle) = line_peer(hang_up);
+            let err = Connection::connect(&addr.to_string(), Protocol::Binary).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "hang_up={hang_up}: {err}");
+            handle.join().unwrap();
+        }
     }
 }

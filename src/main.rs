@@ -11,7 +11,7 @@
 //! salsa-hls bench    <name|--list>                    run a built-in benchmark
 //! salsa-hls serve    [--addr H:P] [--workers N] [--queue N] [--cache N]
 //!                    [--backend local|cluster] [--cluster-listen H:P]
-//! salsa-hls submit   [--addr H:P] [--protocol P] (--bench NAME | <file.cdfg>) [knobs...]
+//! salsa-hls submit   [--addr H:P] (--bench NAME | <file.cdfg>) [knobs...]
 //!                    [--verify off|sample|full] [--dump-trace PATH]
 //! salsa-hls audit    <artifact.json>                  offline replay of a dumped trace
 //! salsa-hls cluster-alloc  (--bench NAME | <file.cdfg>) [knobs...]
@@ -95,7 +95,7 @@ usage:
                      [--threads T] [--cutoff F] [--pipelined]
                      [--traditional] [--verify off|sample|full]
                      [--dump-trace PATH] [--timeout-ms MS] [--pretty]
-                     [--retry N] [--protocol json|binary|auto]
+                     [--retry N]
   salsa-hls submit   [--addr HOST:PORT] (--ping | --stats | --shutdown)
   salsa-hls reallocate --base JOB_ID [--addr HOST:PORT]
                      (--bench NAME | <file.cdfg>) [submit knobs...]
@@ -107,7 +107,6 @@ usage:
                      [--canonical]
   salsa-hls cluster-worker [--addr HOST:PORT] [--name NAME] [--poll-ms MS]
                      [--heartbeat-ms MS] [--max-reconnects N]
-                     [--protocol json|binary|auto]
 
 --restarts runs R independent seeded search chains and keeps the best;
 --threads caps the portfolio workers spreading those chains (default: the
@@ -119,14 +118,10 @@ freezing bank assignment at the initial placement — the ablation
 baseline; scalar designs are unaffected.
 
 serve starts the allocation service (default 127.0.0.1:7741, port 0
-picks a free port) and runs until a shutdown command drains it. Both
-wire protocols are served on the one port: newline-delimited JSON, and
-length-prefixed binary frames negotiated by a client hello (see
+picks a free port) and runs until a shutdown command drains it. It
+speaks length-prefixed binary frames opened by a client hello (see
 DESIGN.md section 12). submit sends one request and prints the response
-(--json reports use the same serializer in both); --protocol picks its
-wire encoding (default auto: binary when the server speaks it). The two
-encodings carry the same documents, so reports are byte-identical
-either way. --retry N retries backpressure rejections and transient
+document as compact JSON, the serializer --json reports use. --retry N retries backpressure rejections and transient
 connection failures up to N times; any other error is final and is
 reported at once.
 
@@ -174,12 +169,14 @@ job against the fleet, print the report, shut down.
   output y
 ";
 
-/// Flags of removed search options. They fail loudly instead of being
-/// skipped, which would silently change the job — and `--batch K` would
-/// leave `K` behind to be read as the design path.
+/// Flags of removed options. They fail loudly instead of being skipped,
+/// which would silently change the job — and `--batch K` or
+/// `--protocol P` would leave their value behind to be read as the
+/// design path.
 const REMOVED_FLAGS: &[(&str, &str)] = &[
     ("--batch", "the speculative batch engine is gone; the search applies one move at a time"),
     ("--no-plan", "the compiled move plan is always on"),
+    ("--protocol", "the service speaks only binary frames"),
 ];
 
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
@@ -502,21 +499,11 @@ fn cluster_worker(args: &[String]) -> Result<(), String> {
     if let Some(limit) = flag_parse(args, "--max-reconnects")? {
         config.max_reconnects = limit;
     }
-    config.protocol = parse_protocol(args)?;
     run_worker(config).map_err(|e| format!("{addr}: {e}"))
-}
-
-fn parse_protocol(args: &[String]) -> Result<Protocol, String> {
-    match flag_value(args, "--protocol")? {
-        None => Ok(Protocol::Auto),
-        Some(raw) => Protocol::parse(&raw)
-            .ok_or_else(|| format!("--protocol: '{raw}' is not valid (json, binary or auto)")),
-    }
 }
 
 fn submit(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string());
-    let protocol = parse_protocol(args)?;
     let request = build_submit_request(args)?;
 
     // --retry N retries up to N times (N+1 total attempts), with seeded
@@ -538,7 +525,7 @@ fn submit(args: &[String]) -> Result<(), String> {
     loop {
         let exchanged = match &mut conn {
             Some(open) => open.call(&request).map_err(|e| format!("{addr}: {e}")),
-            None => Connection::connect(&addr, protocol)
+            None => Connection::connect(&addr, Protocol::Binary)
                 .map_err(|e| format!("{addr}: {e} (is 'salsa-hls serve' running?)"))
                 .and_then(|mut fresh| {
                     let reply = fresh.call(&request).map_err(|e| format!("{addr}: {e}"));
@@ -577,9 +564,6 @@ fn submit(args: &[String]) -> Result<(), String> {
         if has_flag(args, "--pretty") {
             println!("{}", parsed.to_string_pretty());
         } else {
-            // Compact form: for line-mode servers this is the exact
-            // response line; binary responses render identically because
-            // both protocols carry the same document.
             println!("{}", parsed.to_string_compact());
         }
         return match parsed.get("status").and_then(Json::as_str) {
@@ -689,7 +673,7 @@ fn audit(args: &[String]) -> Result<(), String> {
 fn submit_positional(args: &[String]) -> Option<&String> {
     const VALUE_FLAGS: &[&str] = &[
         "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
-        "--cutoff", "--timeout-ms", "--retry", "--protocol", "--verify", "--dump-trace",
+        "--cutoff", "--timeout-ms", "--retry", "--verify", "--dump-trace",
         "--base",
     ];
     let mut i = 1;

@@ -157,14 +157,18 @@ fn unknown_command_fails() {
 
 #[test]
 fn removed_flags_fail_and_say_so() {
-    // `--batch K` must not leave `K` to be read as the design path, and
-    // neither flag may be skipped silently.
+    // `--batch K` and `--protocol P` must not leave their value to be
+    // read as the design path, and no removed flag may be skipped
+    // silently.
     for (flag, args) in [
         ("--batch", &["submit", "--batch", "8", "f.cdfg"][..]),
         ("--batch", &["bench", "dct", "--batch", "8"][..]),
         ("--batch", &["cluster-alloc", "--bench", "dct", "--batch", "2"][..]),
         ("--no-plan", &["bench", "dct", "--no-plan"][..]),
         ("--no-plan", &["submit", "--bench", "ewf", "--no-plan"][..]),
+        ("--protocol", &["submit", "--protocol", "json", "f.cdfg"][..]),
+        ("--protocol", &["reallocate", "--base", "00", "--protocol", "auto", "f.cdfg"][..]),
+        ("--protocol", &["cluster-worker", "--protocol", "binary"][..]),
     ] {
         let out = Command::new(BIN).args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
