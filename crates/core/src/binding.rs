@@ -1237,17 +1237,6 @@ impl<'a> Binding<'a> {
         );
     }
 
-    /// The sorted, deduplicated owner set of one value, as a fresh `Vec`.
-    /// Convenience for cold paths (polish sweeps); the move loop uses
-    /// [`owners_of_value_into`](Self::owners_of_value_into) with scratch.
-    pub(crate) fn owners_of_value_sorted(&self, value: ValueId) -> Vec<Owner> {
-        let mut out = Vec::new();
-        self.owners_of_value_into(value, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Every owner in the binding (for full rebuilds and validation).
     pub(crate) fn all_owners(&self) -> Vec<Owner> {
         let mut owners: Vec<Owner> = self.ctx.graph.op_ids().map(Owner::Op).collect();

@@ -25,6 +25,8 @@ mod fu;
 mod mem;
 mod reg;
 
+pub(crate) use reg::{collect_affected, collect_owners};
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -405,7 +407,7 @@ pub(crate) fn propose_move(
 /// back — when the binding has drifted from the state the proposal was
 /// drawn against (a *stale* proposal: its precondition no longer holds).
 /// Fresh proposals always apply.
-pub(crate) fn apply_proposal(binding: &mut Binding<'_>, proposal: Proposal) -> bool {
+pub fn apply_proposal(binding: &mut Binding<'_>, proposal: Proposal) -> bool {
     match proposal {
         Proposal::FuExchange { a, z } => fu::apply_fu_exchange(binding, a, z),
         Proposal::FuMove { op, target } => fu::apply_fu_move(binding, op, target),

@@ -10,7 +10,8 @@
 //! The R2 ranking additionally uses an incremental delta kernel under the
 //! plan: only the owners whose connection items can reference the moved
 //! segment's register are re-costed per candidate (see
-//! [`collect_affected`]).
+//! [`collect_affected`]). The polish segment sweep evaluates its
+//! candidates with the same kernel.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -48,7 +49,7 @@ fn stored_values_into(b: &Binding<'_>, out: &mut Vec<ValueId>) {
 /// `out`. Sorting reproduces the iteration order of the `BTreeSet` this
 /// replaced (`Owner` derives `Ord`; keys are unique per value, so
 /// first-insert ties cannot reorder).
-fn collect_owners(b: &Binding<'_>, values: &[ValueId], out: &mut Vec<Owner>) {
+pub(crate) fn collect_owners(b: &Binding<'_>, values: &[ValueId], out: &mut Vec<Owner>) {
     out.clear();
     for &v in values {
         b.owners_of_value_into(v, out);
@@ -147,15 +148,17 @@ pub(crate) fn apply_segment_exchange(
     true
 }
 
-/// R2 delta-cost kernel: of a value's (retracted) owners, selects those
-/// whose connection items can reference the register of the moved segment
+/// R2 delta-cost kernel: of a value's owners, selects those whose
+/// connection items can reference the register of the moved segment
 /// `(slot, idx)`. Every other owner's items are identical for every
 /// candidate target, contributing a constant to the ranking sum — so
 /// costing only the affected subset preserves the argmin, the tie set and
-/// the tie order exactly. Over-approximation is safe (a never-changing
-/// owner adds the same constant); omission is not, so the conditions
-/// mirror [`Binding::items_into`] case by case.
-fn collect_affected(
+/// the tie order exactly. The polish segment sweep retracts and re-asserts
+/// only this subset, so it also decides which candidates polish accepts.
+/// Over-approximation is safe (a never-changing owner adds the same
+/// constant); omission is not, so the conditions mirror
+/// [`Binding::items_into`] case by case.
+pub(crate) fn collect_affected(
     b: &Binding<'_>,
     owners: &[Owner],
     v: ValueId,

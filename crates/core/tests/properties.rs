@@ -5,11 +5,12 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use salsa_alloc::{
-    improve, initial_allocation, lower, moves, AllocContext, Binding, BindingParts, ImproveConfig,
-    MoveSet,
+    improve, initial_allocation, lower, moves, polish_segment_candidate, AllocContext, Allocator,
+    Binding, BindingParts, ImproveConfig, MoveSet, Proposal,
 };
 use salsa_cdfg::{random_cdfg, RandomCdfgConfig};
 use salsa_datapath::{verify, Datapath};
@@ -213,5 +214,76 @@ proptest! {
             prop_assert_eq!(binding.breakdown(), binding.recomputed_breakdown());
         }
         binding.check_consistency();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The polish segment kernel retracts and re-asserts only the owners
+    /// whose items can reference the moved segment's register, and the
+    /// sweep accepts or rejects on the cost it reads there. So from any
+    /// reachable state (copies, passes, memory banks) every candidate must
+    /// land on exactly the binding — connection matrix and cost breakdown
+    /// included — that the full-retraction segment move reaches. An owner
+    /// the kernel misses leaves a stale item and fails here.
+    #[test]
+    fn polish_segment_kernel_matches_the_full_segment_move(
+        graph_seed in 0u64..1000,
+        move_seed in 0u64..1000,
+        ops in 8usize..28,
+        states in 0usize..4,
+        arrays in 0usize..3,
+        slack in 0usize..3,
+        extra_regs in 0usize..3,
+    ) {
+        let cfg = RandomCdfgConfig { ops, states, arrays, ..RandomCdfgConfig::default() };
+        let graph = random_cdfg(&cfg, graph_seed);
+        let library = FuLibrary::standard();
+        let cp = asap(&graph, &library).length;
+        let schedule = fds_schedule(&graph, &library, cp + slack).expect("cp + slack is feasible");
+        let allocator = Allocator::new(&graph, &schedule, &library).extra_registers(extra_regs);
+        let (ctx, config) = allocator.prepare().expect("the pool fits the schedule");
+        let mut binding = initial_allocation(&ctx);
+        let mut rng = StdRng::seed_from_u64(move_seed);
+        let mut checked = 0;
+        for round in 0..32 {
+            // Walk on, so candidates start from states with copies and
+            // passes, not just the constructive binding.
+            for _ in 0..6 {
+                moves::try_move(&mut binding, config.move_set.pick(&mut rng), &mut rng);
+            }
+            let stored: Vec<_> =
+                graph.value_ids().filter(|&v| binding.primal(v).is_some()).collect();
+            let Some(&value) = stored.choose(&mut rng) else { continue };
+            let chains: Vec<(usize, usize, usize)> =
+                binding.chains_of(value).map(|(s, c)| (s, c.lo(), c.hi())).collect();
+            let &(slot, lo, hi) = chains.choose(&mut rng).expect("stored value has chains");
+            let idx = rng.gen_range(lo..=hi);
+            let step = ctx.lifetimes.get(value).expect("stored").steps()[idx];
+            let free: Vec<_> =
+                ctx.datapath.reg_ids().filter(|&r| binding.reg_free(r, step)).collect();
+            let Some(&target) = free.choose(&mut rng) else { continue };
+
+            let mut full = binding.clone();
+            full.begin();
+            let proposal = Proposal::SegmentMove { value, slot, idx, target };
+            prop_assert!(moves::apply_proposal(&mut full, proposal));
+            full.commit();
+            let mut kernel = binding.clone();
+            kernel.begin();
+            prop_assert!(polish_segment_candidate(&mut kernel, value, slot, idx, target));
+            kernel.commit();
+
+            prop_assert_eq!(kernel.breakdown(), full.breakdown());
+            prop_assert_eq!(kernel.connections(), full.connections());
+            prop_assert!(kernel == full, "kernel diverged from the full move on {:?}", proposal);
+            kernel.check_consistency();
+            checked += 1;
+            if round % 4 == 3 {
+                binding = kernel;
+            }
+        }
+        prop_assert!(checked > 0, "some segment had a free register");
     }
 }
