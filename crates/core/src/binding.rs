@@ -551,11 +551,6 @@ pub struct Binding<'a> {
     // Transaction state.
     journal: Vec<UndoOp>,
     recording: bool,
-    // Whether the move proposers draw from the compiled plan tables
-    // (candidate-set fast paths and delta-cost kernels). Carried across
-    // clones; excluded from equality — it selects between trajectory-
-    // identical implementations, not between allocations.
-    use_plan: bool,
     // Scratch (excluded from equality and plain clones).
     pool: ChainPool,
     items_scratch: Vec<(Source, Sink)>,
@@ -582,7 +577,6 @@ impl Clone for Binding<'_> {
             fu_area: self.fu_area,
             journal: Vec::new(),
             recording: false,
-            use_plan: self.use_plan,
             pool: ChainPool::with_min_capacity(self.pool.min_capacity),
             items_scratch: Vec::new(),
             scratch: MoveScratch::default(),
@@ -613,7 +607,6 @@ impl Clone for Binding<'_> {
         self.fu_area = source.fu_area;
         self.journal.clear();
         self.recording = false;
-        self.use_plan = source.use_plan;
     }
 }
 
@@ -682,7 +675,6 @@ impl<'a> Binding<'a> {
             fu_area: 0,
             journal: Vec::new(),
             recording: false,
-            use_plan: true,
             pool: ChainPool::with_min_capacity(
                 ctx.plan.value_lt_len.iter().map(|&l| l as usize).max().unwrap_or(0),
             ),
@@ -794,7 +786,6 @@ impl<'a> Binding<'a> {
             fu_area: 0,
             journal: Vec::new(),
             recording: false,
-            use_plan: true,
             pool: ChainPool::with_min_capacity(
                 ctx.plan.value_lt_len.iter().map(|&l| l as usize).max().unwrap_or(0),
             ),
@@ -956,24 +947,6 @@ impl<'a> Binding<'a> {
     /// The pass-through assignments.
     pub fn passes(&self) -> &PassMap {
         &self.passes
-    }
-
-    /// Whether the move proposers use the compiled plan's candidate tables
-    /// and delta-cost kernels: always, unless a test switched them off
-    /// with [`set_plan_enabled`](Self::set_plan_enabled).
-    #[doc(hidden)]
-    pub fn plan_enabled(&self) -> bool {
-        self.use_plan
-    }
-
-    /// Test hook: `false` switches the move proposers to the legacy
-    /// re-derive-per-draw paths, the reference implementation the
-    /// compiled plan is checked against. Both paths walk bit-identical
-    /// trajectories (see the `plan` module docs). Clones inherit the
-    /// setting; no search option exposes it.
-    #[doc(hidden)]
-    pub fn set_plan_enabled(&mut self, on: bool) {
-        self.use_plan = on;
     }
 
     /// Number of live copy chains of a value.

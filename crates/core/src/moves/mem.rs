@@ -10,11 +10,9 @@
 //! The M family *exclusively* owns memory port assignment: F1/F2 skip
 //! `Mem`-class units and accesses entirely, so with M moves disabled the
 //! ports stay frozen at their initial greedy placement (the M-off
-//! ablation baseline). Unlike F1-F5 there is no legacy (pre-plan)
-//! implementation to stay draw-compatible with, so all three proposers
-//! draw from the compiled [`MovePlan`](crate::MovePlan) tables
-//! unconditionally — the plan is compiled at admission either way, which
-//! makes plan-on ≡ plan-off trivial for this family.
+//! ablation baseline). Like the F and R proposers, all three draw from
+//! the compiled [`MovePlan`](crate::MovePlan) tables, and their draw
+//! streams on fir8a and mm2 are pinned by `tests/golden/proposals.txt`.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

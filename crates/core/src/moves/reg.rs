@@ -2,16 +2,12 @@
 //! split into propose (draw + resolve, no net state change) and apply
 //! (replay inside the caller's transaction).
 //!
-//! As in the [`fu`](super::fu) module, each proposer has a compiled-plan
-//! path (prebuilt candidate tables + scratch buffers, selected by
-//! [`Binding::plan_enabled`]) and a legacy re-derive path, the test
-//! reference; both enumerate identical candidate lists so the trajectory
-//! is draw-for-draw the same.
-//! The R2 ranking additionally uses an incremental delta kernel under the
-//! plan: only the owners whose connection items can reference the moved
-//! segment's register are re-costed per candidate (see
-//! [`collect_affected`]). The polish segment sweep evaluates its
-//! candidates with the same kernel.
+//! As in the [`fu`](super::fu) module, each proposer draws from the
+//! compiled plan's candidate tables through scratch buffers.
+//! The R2 ranking additionally uses an incremental delta kernel: only the
+//! owners whose connection items can reference the moved segment's
+//! register are re-costed per candidate (see [`collect_affected`]). The
+//! polish segment sweep evaluates its candidates with the same kernel.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -28,18 +24,8 @@ use crate::{Binding, TransferKey};
 /// space (and undo state) bounded.
 const MAX_COPIES: usize = 2;
 
-/// Legacy stored-value population (re-collected per draw).
-fn stored_values(b: &Binding<'_>) -> Vec<ValueId> {
-    b.ctx
-        .graph
-        .value_ids()
-        .filter(|&v| b.primal(v).is_some())
-        .collect()
-}
-
-/// Compiled-plan stored-value population: the plan's storable table
-/// (values with a non-empty lifetime, in id order) filtered by actual
-/// storage — the same list `stored_values` collects.
+/// The stored-value population: the plan's storable table (values with
+/// a non-empty lifetime, in id order) filtered by actual storage.
 fn stored_values_into(b: &Binding<'_>, out: &mut Vec<ValueId>) {
     out.clear();
     out.extend(b.ctx.plan.storable.iter().copied().filter(|&v| b.primal(v).is_some()));
@@ -229,29 +215,17 @@ pub(crate) fn collect_affected(
 /// runs it under a journal checkpoint and reverts before returning.
 pub(crate) fn propose_segment_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let plan_on = b.plan_enabled();
-    let v = if plan_on {
-        let mut values = std::mem::take(&mut b.scratch.values);
-        stored_values_into(b, &mut values);
-        let pick = values.choose(rng).copied();
-        b.scratch.values = values;
-        pick?
-    } else {
-        let values = stored_values(b);
-        let &v = values.choose(rng)?;
-        v
-    };
-    let slot = if plan_on {
-        let mut slots = std::mem::take(&mut b.scratch.slots);
-        slots.clear();
-        slots.extend(b.chains_of(v).map(|(slot, _)| slot));
-        let pick = slots.choose(rng).copied();
-        b.scratch.slots = slots;
-        pick.expect("stored value has chains")
-    } else {
-        let chains: Vec<usize> = b.chains_of(v).map(|(slot, _)| slot).collect();
-        *chains.choose(rng).expect("stored value has chains")
-    };
+    let mut values = std::mem::take(&mut b.scratch.values);
+    stored_values_into(b, &mut values);
+    let pick = values.choose(rng).copied();
+    b.scratch.values = values;
+    let v = pick?;
+    let mut slots = std::mem::take(&mut b.scratch.slots);
+    slots.clear();
+    slots.extend(b.chains_of(v).map(|(slot, _)| slot));
+    let pick = slots.choose(rng).copied();
+    b.scratch.slots = slots;
+    let slot = pick.expect("stored value has chains");
     let (lo, hi) = {
         let chain = b.chains_of(v).find(|(s, _)| *s == slot).unwrap().1;
         (chain.lo(), chain.hi())
@@ -273,15 +247,11 @@ pub(crate) fn propose_segment_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Opt
     let mark = b.journal_len();
     let owners = retract_values(b, &[v]);
     b.vacate_seg(v, slot, idx);
-    // Under the plan, rank candidates over only the owners the move can
-    // re-route; every other owner's added cost is candidate-invariant.
+    // Rank candidates over only the owners the move can re-route; every
+    // other owner's added cost is candidate-invariant.
     let mut ranked = std::mem::take(&mut b.scratch.affected);
     ranked.clear();
-    if plan_on {
-        collect_affected(b, &owners, v, slot, idx, &mut ranked);
-    } else {
-        ranked.extend_from_slice(&owners);
-    }
+    collect_affected(b, &owners, v, slot, idx, &mut ranked);
     let mut best = std::mem::take(&mut b.scratch.best_regs);
     best.clear();
     let mut best_cost = u64::MAX;
@@ -352,46 +322,26 @@ fn exchange_ok(b: &Binding<'_>, value: ValueId, other: ValueId, target: RegId) -
 
 /// R3 — exchange the registers of two contiguously bound values.
 pub(crate) fn propose_value_exchange(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
-    let picked = if b.plan_enabled() {
-        let mut uniform = std::mem::take(&mut b.scratch.uniform);
-        uniform.clear();
-        for &v in &b.ctx.plan.storable {
-            let Some(primal) = b.primal(v) else { continue };
-            if primal.is_uniform() {
-                uniform.push((v, primal.regs()[0]));
-            }
+    let mut uniform = std::mem::take(&mut b.scratch.uniform);
+    uniform.clear();
+    for &v in &b.ctx.plan.storable {
+        let Some(primal) = b.primal(v) else { continue };
+        if primal.is_uniform() {
+            uniform.push((v, primal.regs()[0]));
         }
-        let pick = if uniform.len() < 2 {
-            None
-        } else {
-            let i = rng.gen_range(0..uniform.len());
-            let mut j = rng.gen_range(0..uniform.len());
-            if i == j {
-                j = (j + 1) % uniform.len();
-            }
-            Some((uniform[i], uniform[j]))
-        };
-        b.scratch.uniform = uniform;
-        pick?
+    }
+    let pick = if uniform.len() < 2 {
+        None
     } else {
-        let uniform: Vec<(ValueId, RegId)> = stored_values(b)
-            .into_iter()
-            .filter_map(|v| {
-                let primal = b.primal(v)?;
-                primal.is_uniform().then(|| (v, primal.regs()[0]))
-            })
-            .collect();
-        if uniform.len() < 2 {
-            return None;
-        }
         let i = rng.gen_range(0..uniform.len());
         let mut j = rng.gen_range(0..uniform.len());
         if i == j {
             j = (j + 1) % uniform.len();
         }
-        (uniform[i], uniform[j])
+        Some((uniform[i], uniform[j]))
     };
-    let ((v1, r1), (v2, r2)) = picked;
+    b.scratch.uniform = uniform;
+    let ((v1, r1), (v2, r2)) = pick?;
     if r1 == r2 {
         return None;
     }
@@ -446,17 +396,11 @@ pub(crate) fn apply_value_exchange(
 /// R4 — bind every (primal) segment of a value to one register.
 pub(crate) fn propose_value_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let v = if b.plan_enabled() {
-        let mut values = std::mem::take(&mut b.scratch.values);
-        stored_values_into(b, &mut values);
-        let pick = values.choose(rng).copied();
-        b.scratch.values = values;
-        pick?
-    } else {
-        let values = stored_values(b);
-        let &v = values.choose(rng)?;
-        v
-    };
+    let mut values = std::mem::take(&mut b.scratch.values);
+    stored_values_into(b, &mut values);
+    let pick = values.choose(rng).copied();
+    b.scratch.values = values;
+    let v = pick?;
     let steps = ctx.lifetimes.get(v).expect("stored").steps();
     let feasible = |b: &Binding<'_>, r: RegId| {
         steps.iter().all(|&s| match b.reg_occupant(r, s) {
@@ -464,19 +408,12 @@ pub(crate) fn propose_value_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Optio
             Some((occ_v, occ_slot)) => occ_v == v && occ_slot == 0,
         })
     };
-    let target = if b.plan_enabled() {
-        let mut candidates = std::mem::take(&mut b.scratch.regs);
-        candidates.clear();
-        candidates.extend(ctx.datapath.reg_ids().filter(|&r| feasible(b, r)));
-        let pick = candidates.choose(rng).copied();
-        b.scratch.regs = candidates;
-        pick?
-    } else {
-        let candidates: Vec<RegId> =
-            ctx.datapath.reg_ids().filter(|&r| feasible(b, r)).collect();
-        let &target = candidates.choose(rng)?;
-        target
-    };
+    let mut candidates = std::mem::take(&mut b.scratch.regs);
+    candidates.clear();
+    candidates.extend(ctx.datapath.reg_ids().filter(|&r| feasible(b, r)));
+    let pick = candidates.choose(rng).copied();
+    b.scratch.regs = candidates;
+    let target = pick?;
     if b.primal(v).unwrap().is_uniform() && b.primal(v).unwrap().regs()[0] == target {
         return None;
     }
@@ -515,45 +452,24 @@ pub(crate) fn apply_value_move(b: &mut Binding<'_>, v: ValueId, target: RegId) -
 /// rebind greedily to whichever chain adds less interconnect.
 pub(crate) fn propose_value_split(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let plan_on = b.plan_enabled();
-    let v = if plan_on {
-        let mut values = std::mem::take(&mut b.scratch.values);
-        stored_values_into(b, &mut values);
-        values.retain(|&v| b.num_copies(v) < MAX_COPIES || b.num_copies(v) > 0);
-        let pick = values.choose(rng).copied();
-        b.scratch.values = values;
-        pick?
-    } else {
-        let values: Vec<ValueId> = stored_values(b)
-            .into_iter()
-            .filter(|&v| b.num_copies(v) < MAX_COPIES || b.num_copies(v) > 0)
-            .collect();
-        let &v = values.choose(rng)?;
-        v
-    };
+    let mut values = std::mem::take(&mut b.scratch.values);
+    stored_values_into(b, &mut values);
+    let pick = values.choose(rng).copied();
+    b.scratch.values = values;
+    let v = pick?;
     let lt = ctx.lifetimes.get(v).expect("stored");
     let lt_len = lt.len();
     let steps = lt.steps();
 
     // Choose: create a new copy, or extend an existing one.
-    let copies_pick = if plan_on {
-        let mut copies = std::mem::take(&mut b.scratch.slots);
-        copies.clear();
-        copies.extend(b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0));
-        let extend = !copies.is_empty() && rng.gen_bool(0.5);
-        let slot = if extend { copies.choose(rng).copied() } else { None };
-        b.scratch.slots = copies;
-        (extend, slot)
-    } else {
-        let copies: Vec<usize> = b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0).collect();
-        let extend = !copies.is_empty() && rng.gen_bool(0.5);
-        let slot = if extend { copies.choose(rng).copied() } else { None };
-        (extend, slot)
-    };
-    let (extend, slot_pick) = copies_pick;
+    let mut copies = std::mem::take(&mut b.scratch.slots);
+    copies.clear();
+    copies.extend(b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0));
+    let extend = !copies.is_empty() && rng.gen_bool(0.5);
+    let slot_pick = if extend { copies.choose(rng).copied() } else { None };
+    b.scratch.slots = copies;
 
-    if extend {
-        let slot = slot_pick.expect("nonempty");
+    if let Some(slot) = slot_pick {
         let (lo, hi) = {
             let c = b.chains_of(v).find(|(s, _)| *s == slot).unwrap().1;
             (c.lo(), c.hi())
@@ -702,30 +618,18 @@ fn rebind_uses_greedily(b: &mut Binding<'_>, v: ValueId, slot: usize) {
 /// Consumers that were reading the vanished segments rebind to the primal
 /// chain.
 pub(crate) fn propose_value_merge(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
-    let picked = if b.plan_enabled() {
-        let mut values = std::mem::take(&mut b.scratch.values);
-        stored_values_into(b, &mut values);
-        values.retain(|&v| b.num_copies(v) > 0);
-        let pick = values.choose(rng).copied();
-        b.scratch.values = values;
-        let v = pick?;
-        let mut copies = std::mem::take(&mut b.scratch.slots);
-        copies.clear();
-        copies.extend(b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0));
-        let slot = copies.choose(rng).copied();
-        b.scratch.slots = copies;
-        (v, slot.expect("nonempty"))
-    } else {
-        let with_copies: Vec<ValueId> = stored_values(b)
-            .into_iter()
-            .filter(|&v| b.num_copies(v) > 0)
-            .collect();
-        let &v = with_copies.choose(rng)?;
-        let copies: Vec<usize> = b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0).collect();
-        let &slot = copies.choose(rng).expect("nonempty");
-        (v, slot)
-    };
-    let (v, slot) = picked;
+    let mut values = std::mem::take(&mut b.scratch.values);
+    stored_values_into(b, &mut values);
+    values.retain(|&v| b.num_copies(v) > 0);
+    let pick = values.choose(rng).copied();
+    b.scratch.values = values;
+    let v = pick?;
+    let mut copies = std::mem::take(&mut b.scratch.slots);
+    copies.clear();
+    copies.extend(b.chains_of(v).map(|(s, _)| s).filter(|&s| s > 0));
+    let pick = copies.choose(rng).copied();
+    b.scratch.slots = copies;
+    let slot = pick.expect("nonempty");
     let front = rng.gen_bool(0.5);
     Some(Proposal::ValueMerge { value: v, slot, front })
 }
