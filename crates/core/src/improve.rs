@@ -336,7 +336,7 @@ fn run_phase(
             // identical RNG draws and identical semantics (a fresh
             // proposal always applies), but the resolved proposal stays
             // in hand for the trace recorder. With `bias` unset the
-            // biased draw is exactly `pick` + `propose_move`, so cold
+            // biased draw is exactly `pick` + `propose`, so cold
             // trajectories are untouched.
             let proposal = match propose_biased(binding, set, rng, bias) {
                 Some(proposal) => proposal,
