@@ -236,6 +236,9 @@ enum UndoOp {
     ConnAdd { src: Source, sink: Sink },
     ConnRemove { src: Source, sink: Sink },
     ArrayBank { array: usize, old: u32 },
+    /// Two same-class units exchanged their bindings; the swap is its
+    /// own inverse.
+    FuSwap { a: FuId, z: FuId },
 }
 
 /// Reusable candidate/owner buffers for the move proposers. Scratch state
@@ -1440,6 +1443,7 @@ impl<'a> Binding<'a> {
             UndoOp::ConnAdd { src, sink } => self.conn.remove(src, sink),
             UndoOp::ConnRemove { src, sink } => self.conn.add(src, sink),
             UndoOp::ArrayBank { array, old } => self.array_bank[array] = old,
+            UndoOp::FuSwap { a, z } => self.swap_fus(a, z),
         }
     }
 
@@ -1536,6 +1540,38 @@ impl<'a> Binding<'a> {
     // Occupancy mutation primitives (no connection accounting; callers
     // retract/assert owners around these).
     // ------------------------------------------------------------------
+
+    /// Exchanges the complete bindings (operations and pass-throughs) of
+    /// two same-class units as one journaled relabel. A unit is only its
+    /// id and class, so every cost term is invariant under the swap; the
+    /// tables end cell for cell where retracting both units' cargo and
+    /// re-occupying it on the other unit would leave them.
+    pub(crate) fn exchange_fus(&mut self, a: FuId, z: FuId) {
+        self.j(UndoOp::FuSwap { a, z });
+        self.swap_fus(a, z);
+    }
+
+    fn swap_fus(&mut self, a: FuId, z: FuId) {
+        debug_assert_eq!(
+            self.ctx.datapath.fu(a).class(),
+            self.ctx.datapath.fu(z).class(),
+            "only same-class units relabel without changing fu_area"
+        );
+        let relabel = |fu: &mut FuId| {
+            if *fu == a {
+                *fu = z;
+            } else if *fu == z {
+                *fu = a;
+            }
+        };
+        self.op_fu.iter_mut().for_each(relabel);
+        // Pass keys are untouched, so the map stays sorted.
+        self.passes.entries.iter_mut().for_each(|(_, fu)| relabel(fu));
+        self.fu_occ.swap(a.index(), z.index());
+        self.fu_completes.swap(a.index(), z.index());
+        self.fu_item_count.swap(a.index(), z.index());
+        self.conn.swap_fus(a, z);
+    }
 
     pub(crate) fn occupy_op(&mut self, op: OpId, fu: FuId) {
         self.j(UndoOp::OpFu { op, old: self.op_fu[op.index()] });

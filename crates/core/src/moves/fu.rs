@@ -13,32 +13,15 @@ use rand::Rng;
 
 use salsa_cdfg::{OpId, ValueId};
 use salsa_datapath::FuId;
+use salsa_sched::FuClass;
 
 use crate::binding::Owner;
 use crate::moves::Proposal;
 use crate::{Binding, TransferKey};
 
-/// Appends the ops and pass bindings currently living on either of two
-/// units — the payload an F1 exchange swaps.
-fn exchange_cargo_into(
-    b: &Binding<'_>,
-    a: FuId,
-    z: FuId,
-    ops: &mut Vec<OpId>,
-    pass_keys: &mut Vec<TransferKey>,
-) {
-    ops.clear();
-    ops.extend(b.ctx.graph.op_ids().filter(|&o| b.op_fu(o) == a || b.op_fu(o) == z));
-    pass_keys.clear();
-    pass_keys.extend(
-        b.passes().iter().filter(|(_, &fu)| fu == a || fu == z).map(|(&k, _)| k),
-    );
-}
-
 /// Returns `true` if either unit carries any op or pass binding.
 fn has_exchange_cargo(b: &Binding<'_>, a: FuId, z: FuId) -> bool {
-    b.ctx.graph.op_ids().any(|o| b.op_fu(o) == a || b.op_fu(o) == z)
-        || b.passes().iter().any(|(_, &fu)| fu == a || fu == z)
+    b.fu_item_count[a.index()] + b.fu_item_count[z.index()] > 0
 }
 
 /// F1 — exchange the complete bindings (operators and pass-throughs) of
@@ -58,52 +41,21 @@ pub(crate) fn propose_fu_exchange(b: &mut Binding<'_>, rng: &mut StdRng) -> Opti
     Some(Proposal::FuExchange { a, z })
 }
 
+/// Applies F1 as a label swap ([`Binding::exchange_fus`]). A decoded
+/// trace is untrusted, so the pair is checked here: two distinct units
+/// of one non-`Mem` class, at least one of them in use. A memory port
+/// is not a pure label — its bank enters the memory cost terms — and
+/// port assignment belongs to the M family.
 pub(crate) fn apply_fu_exchange(b: &mut Binding<'_>, a: FuId, z: FuId) -> bool {
-    let mut ops = std::mem::take(&mut b.scratch.ops);
-    let mut pass_keys = std::mem::take(&mut b.scratch.keys);
-    exchange_cargo_into(b, a, z, &mut ops, &mut pass_keys);
-    if ops.is_empty() && pass_keys.is_empty() {
-        b.scratch.ops = ops;
-        b.scratch.keys = pass_keys;
+    let class = b.ctx.datapath.fu(a).class();
+    if a == z
+        || class != b.ctx.datapath.fu(z).class()
+        || class == FuClass::Mem
+        || !has_exchange_cargo(b, a, z)
+    {
         return false;
     }
-
-    let mut owners = std::mem::take(&mut b.scratch.owners);
-    owners.clear();
-    owners.extend(ops.iter().map(|&o| Owner::Op(o)));
-    owners.extend(pass_keys.iter().map(|&k| Owner::Transfer(k)));
-    for &o in &owners {
-        b.retract_owner(o);
-    }
-
-    let other = |fu: FuId| if fu == a { z } else { a };
-    let mut old_pass_fus = std::mem::take(&mut b.scratch.best_fus);
-    old_pass_fus.clear();
-    old_pass_fus.extend(pass_keys.iter().map(|&k| b.passes()[&k]));
-    let mut old_op_fus = std::mem::take(&mut b.scratch.fus);
-    old_op_fus.clear();
-    old_op_fus.extend(ops.iter().map(|&o| b.op_fu(o)));
-    for &op in &ops {
-        b.vacate_op(op);
-    }
-    for &key in &pass_keys {
-        b.set_pass(key, None);
-    }
-    for (&op, &old) in ops.iter().zip(&old_op_fus) {
-        b.occupy_op(op, other(old));
-    }
-    for (&key, &old) in pass_keys.iter().zip(&old_pass_fus) {
-        b.set_pass(key, Some(other(old)));
-    }
-
-    for &o in &owners {
-        b.assert_owner(o);
-    }
-    b.scratch.ops = ops;
-    b.scratch.keys = pass_keys;
-    b.scratch.owners = owners;
-    b.scratch.best_fus = old_pass_fus;
-    b.scratch.fus = old_op_fus;
+    b.exchange_fus(a, z);
     true
 }
 

@@ -769,6 +769,71 @@ mod tests {
     }
 
     #[test]
+    fn untrusted_unit_exchanges_are_rejected() {
+        use salsa_datapath::MemConfig;
+        use salsa_sched::FuClass;
+        // F1 applies as a relabel, which is only cost-neutral between two
+        // distinct same-class units. A tampered trace exchanging an ALU
+        // with a multiplier would otherwise leave ops on wrong-class
+        // units at an unchanged cost.
+        let graph = salsa_cdfg::benchmarks::ewf();
+        let library = FuLibrary::standard();
+        let schedule = fds_schedule(&graph, &library, 19).unwrap();
+        let datapath = datapath_for(&graph, &schedule, &library);
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let config = small_config();
+        let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+        let unit = |class: FuClass| ctx.datapath.fus_of_class(class).next().unwrap().id();
+        let (alu, mul) = (unit(FuClass::Alu), unit(FuClass::Mul));
+
+        for proposal in [
+            Proposal::FuExchange { a: alu, z: mul },
+            Proposal::FuExchange { a: mul, z: alu },
+            Proposal::FuExchange { a: alu, z: alu },
+        ] {
+            let mut tampered = trace.clone();
+            let at = tampered.steps.len() / 2;
+            tampered.steps.insert(at, TraceStep::Commit { proposal, cost_after: 0 });
+            assert!(
+                matches!(
+                    replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                    Err(TraceError::InfeasibleStep { step }) if step == at
+                ),
+                "{proposal:?} must be an infeasible step"
+            );
+        }
+
+        // Memory ports carry a bank, so exchanging two is not a relabel.
+        let graph = salsa_cdfg::benchmarks::fir_array();
+        let schedule = schedule_for(&graph, &library, 2);
+        let fu_counts = schedule.fu_demand(&graph, &library);
+        let mem = MemConfig::uniform(graph.num_arrays().max(1), 2);
+        let datapath = Datapath::new_with_memory(
+            &fu_counts,
+            schedule.register_demand(&graph, &library).max(1),
+            &mem,
+        );
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let config = ImproveConfig { move_set: crate::MoveSet::with_memory(), ..small_config() };
+        let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+        // A port the initial binding uses, so the pair carries cargo.
+        let busy = initial_binding(&ctx, None).0.op_fu(ctx.plan.mem_ops[0]);
+        let idle = ctx.datapath.fus_of_class(FuClass::Mem).map(|f| f.id()).find(|&f| f != busy);
+        let mut tampered = trace.clone();
+        tampered.steps.insert(
+            0,
+            TraceStep::Commit {
+                proposal: Proposal::FuExchange { a: busy, z: idle.expect("two ports") },
+                cost_after: trace.initial_cost,
+            },
+        );
+        assert!(matches!(
+            replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+            Err(TraceError::InfeasibleStep { step: 0 })
+        ));
+    }
+
+    #[test]
     fn memory_traces_are_rejected_against_scalar_graphs() {
         use salsa_datapath::FuId;
         // A trace carrying M moves replayed against a scalar design (no

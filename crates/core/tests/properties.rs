@@ -14,7 +14,7 @@ use salsa_alloc::{
 };
 use salsa_cdfg::{random_cdfg, RandomCdfgConfig};
 use salsa_datapath::{verify, Datapath};
-use salsa_sched::{asap, fds_schedule, FuLibrary};
+use salsa_sched::{asap, fds_schedule, FuClass, FuLibrary};
 
 fn build_case(
     graph_seed: u64,
@@ -285,5 +285,79 @@ proptest! {
             }
         }
         prop_assert!(checked > 0, "some segment had a free register");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// F1 applies as a label swap of two same-class units. From any
+    /// reachable state (copies, passes, memory banks) the swapped binding
+    /// must equal a from-scratch derivation of its own assignments, keep
+    /// the cost breakdown unchanged, and roll back to the pre-move
+    /// binding exactly.
+    #[test]
+    fn unit_exchange_is_an_exact_relabel(
+        graph_seed in 0u64..1000,
+        move_seed in 0u64..1000,
+        ops in 8usize..28,
+        states in 0usize..4,
+        arrays in 0usize..3,
+        slack in 0usize..3,
+        extra_regs in 0usize..3,
+    ) {
+        let cfg = RandomCdfgConfig { ops, states, arrays, ..RandomCdfgConfig::default() };
+        let graph = random_cdfg(&cfg, graph_seed);
+        let library = FuLibrary::standard();
+        let cp = asap(&graph, &library).length;
+        let schedule = fds_schedule(&graph, &library, cp + slack).expect("cp + slack is feasible");
+        let allocator = Allocator::new(&graph, &schedule, &library).extra_registers(extra_regs);
+        let (ctx, config) = allocator.prepare().expect("the pool fits the schedule");
+        let pairs: Vec<_> = ctx
+            .datapath
+            .fus()
+            .flat_map(|a| ctx.datapath.fus().map(move |z| (a, z)))
+            .filter(|(a, z)| a.id() != z.id() && a.class() == z.class())
+            .filter(|(a, _)| a.class() != FuClass::Mem)
+            .map(|(a, z)| (a.id(), z.id()))
+            .collect();
+        let mut binding = initial_allocation(&ctx);
+        let mut rng = StdRng::seed_from_u64(move_seed);
+        let mut swapped = 0;
+        for _ in 0..16 {
+            for _ in 0..12 {
+                moves::try_move(&mut binding, config.move_set.pick(&mut rng), &mut rng);
+            }
+            let Some(&(a, z)) = pairs.choose(&mut rng) else { break };
+            let before = binding.clone();
+            let cost = binding.breakdown();
+            binding.begin();
+            let exchange = Proposal::FuExchange { a, z };
+            if !moves::apply_proposal(&mut binding, exchange) {
+                // Only a pair with nothing bound to either unit refuses.
+                let idle = |fu| graph.op_ids().all(|o| before.op_fu(o) != fu)
+                    && before.passes().iter().all(|(_, &f)| f != fu);
+                prop_assert!(idle(a) && idle(z), "F1 {:?}<->{:?} refused with cargo", a, z);
+                binding.rollback();
+                prop_assert!(binding == before);
+                continue;
+            }
+            let rebuilt = Binding::from_parts(&ctx, &binding.to_parts())
+                .map_err(|e| TestCaseError::fail(format!("swapped state is invalid: {e}")))?;
+            prop_assert!(rebuilt == binding, "F1 {:?}<->{:?} diverged from a rebuild", a, z);
+            prop_assert_eq!(binding.breakdown(), cost);
+            binding.rollback();
+            prop_assert!(binding == before, "rollback of F1 {:?}<->{:?} diverged", a, z);
+            // Walk on from the swapped state half of the time.
+            if rng.gen_bool(0.5) {
+                let exchange = Proposal::FuExchange { a, z };
+                binding.begin();
+                prop_assert!(moves::apply_proposal(&mut binding, exchange));
+                binding.commit();
+                binding.check_consistency();
+            }
+            swapped += 1;
+        }
+        prop_assert!(pairs.is_empty() || swapped > 0, "some exchange applied");
     }
 }

@@ -76,6 +76,19 @@ impl SinkRow {
         &mut uses[idx]
     }
 
+    /// Exchanges the `FuOut(a)` and `FuOut(z)` columns. The row's
+    /// distinct-source count is unchanged.
+    fn swap_fu_sources(&mut self, a: usize, z: usize) {
+        let (lo, hi) = (a.min(z), a.max(z));
+        if lo >= self.fu_uses.len() {
+            return;
+        }
+        if hi >= self.fu_uses.len() {
+            self.fu_uses.resize(hi + 1, 0);
+        }
+        self.fu_uses.swap(lo, hi);
+    }
+
     fn live_sources(&self) -> impl Iterator<Item = (Source, usize)> + '_ {
         let fus = self
             .fu_uses
@@ -194,6 +207,24 @@ impl ConnectionMatrix {
         self.connections -= 1;
         if fanin_before >= 2 {
             self.mux_equiv -= 1;
+        }
+    }
+
+    /// Relabels unit `a` as `z` and `z` as `a` in every connection: the
+    /// `FuIn` rows of the two units trade places, and so do their
+    /// `FuOut` columns in every row. Fan-ins, the connection count and
+    /// the mux count are unchanged, so no running total moves. Swapping
+    /// twice is the identity.
+    pub fn swap_fus(&mut self, a: FuId, z: FuId) {
+        let hi = a.index().max(z.index());
+        if self.fu_sinks.len() < 2 * hi + 2 {
+            self.fu_sinks.resize_with(2 * hi + 2, SinkRow::default);
+        }
+        for port in 0..2 {
+            self.fu_sinks.swap(2 * a.index() + port, 2 * z.index() + port);
+        }
+        for row in self.fu_sinks.iter_mut().chain(&mut self.reg_sinks) {
+            row.swap_fu_sources(a.index(), z.index());
         }
     }
 
@@ -436,6 +467,75 @@ mod tests {
         assert_eq!(grown, fresh);
         fresh.add(Source::FuOut(f(1)), Sink::RegIn(r(0)));
         assert_ne!(grown, fresh, "use counts participate in equality");
+    }
+
+    #[test]
+    fn swap_fus_relabels_rows_and_columns() {
+        let relabel = |fu: FuId| match fu.index() {
+            1 => f(3),
+            3 => f(1),
+            _ => fu,
+        };
+        let wires = [
+            (Source::RegOut(r(0)), Sink::FuIn(f(1), Port::Left)),
+            (Source::RegOut(r(2)), Sink::FuIn(f(1), Port::Left)),
+            (Source::RegOut(r(1)), Sink::FuIn(f(1), Port::Right)),
+            (Source::FuOut(f(1)), Sink::RegIn(r(4))),
+            (Source::FuOut(f(1)), Sink::RegIn(r(4))),
+            (Source::FuOut(f(3)), Sink::RegIn(r(4))),
+            (Source::FuOut(f(1)), Sink::FuIn(f(3), Port::Left)),
+            (Source::FuOut(f(0)), Sink::FuIn(f(3), Port::Right)),
+            (Source::RegOut(r(0)), Sink::FuIn(f(2), Port::Left)),
+        ];
+        let mut m = ConnectionMatrix::new();
+        let mut expected = ConnectionMatrix::new();
+        for &(src, sink) in &wires {
+            m.add(src, sink);
+            let src = match src {
+                Source::FuOut(fu) => Source::FuOut(relabel(fu)),
+                other => other,
+            };
+            let sink = match sink {
+                Sink::FuIn(fu, port) => Sink::FuIn(relabel(fu), port),
+                other => other,
+            };
+            expected.add(src, sink);
+        }
+        let before = m.clone();
+        m.swap_fus(f(1), f(3));
+        assert_eq!(m, expected, "swap relabels every FuIn row and FuOut column");
+        assert_eq!(
+            (m.connections(), m.mux_equiv(), m.max_fanin()),
+            (before.connections(), before.mux_equiv(), before.max_fanin()),
+            "totals are relabel-invariant"
+        );
+        assert_eq!(m.fanin(Sink::FuIn(f(3), Port::Left)), 2);
+        m.swap_fus(f(3), f(1));
+        assert_eq!(m, before, "swapping twice is the identity");
+    }
+
+    #[test]
+    fn swap_fus_grows_rows_that_were_never_grown() {
+        // Only unit 0 and register 0 have rows; unit 5 has neither a sink
+        // row nor a source column anywhere.
+        let mut m = ConnectionMatrix::new();
+        m.add(Source::FuOut(f(0)), Sink::RegIn(r(0)));
+        m.add(Source::RegOut(r(0)), Sink::FuIn(f(0), Port::Right));
+        let before = m.clone();
+        m.swap_fus(f(0), f(5));
+        assert!(m.contains(Source::FuOut(f(5)), Sink::RegIn(r(0))));
+        assert!(m.contains(Source::RegOut(r(0)), Sink::FuIn(f(5), Port::Right)));
+        assert_eq!(m.fanin(Sink::FuIn(f(0), Port::Right)), 0);
+        assert_eq!((m.connections(), m.mux_equiv()), (2, 0));
+        m.swap_fus(f(5), f(0));
+        assert_eq!(m, before);
+
+        // Two units beyond every grown table: a no-op on the totals.
+        m.swap_fus(f(7), f(9));
+        assert_eq!(m, before);
+        // A unit swapped with itself is untouched.
+        m.swap_fus(f(0), f(0));
+        assert_eq!(m, before);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   cross-checks, verify symbolically) before the response — which
 //!   gains a `certificate` section — is sent; verdicts are cached
 //!   content-addressed beside the result cache, and the wire `trace`
-//!   command serves the portable artifact for offline audit.
+//!   command re-records the portable artifact on the same lane for
+//!   offline audit.
 //!
 //! # Why an exact-hit cache is sound
 //!

@@ -52,7 +52,7 @@ use crate::similarity::{build_warm_spec, SeedEntry, SeedIndex};
 use crate::stats::ServerStats;
 use crate::verifier::{
     certificate_json, certify_job, parse_trace_id, result_fingerprint, set_cache_provenance,
-    CertEntry, VerdictCache, VerifyJob,
+    CertEntry, LaneJob, VerdictCache, VerifyJob,
 };
 
 /// Service tuning. All fields have serviceable defaults.
@@ -114,7 +114,7 @@ struct Job {
 
 struct Shared {
     queue: JobQueue<Job>,
-    verify_queue: JobQueue<VerifyJob>,
+    verify_queue: JobQueue<LaneJob>,
     cache: ResultCache,
     verdicts: VerdictCache,
     admission: AdmissionCache,
@@ -310,21 +310,27 @@ fn dispatch(shared: &Arc<Shared>, request: Json, handle: ReplyHandle) {
             )
         }
         Command::Trace(id) => {
-            // Answered inline from the verdict cache: artifacts are
-            // already built, so this is a lookup, not a job.
-            let response = match parse_trace_id(&id)
-                .and_then(|trace_id| shared.verdicts.get_by_trace(trace_id))
-            {
-                Some(entry) => Json::obj(vec![
-                    ("status", Json::Str("ok".into())),
-                    ("artifact", entry.artifact.clone()),
-                ]),
-                None => error_response(&ServeError::new(
+            // The verdict cache keeps no trace text: the artifact is
+            // re-recorded on the verifier lane, never on this thread.
+            let Some(entry) =
+                parse_trace_id(&id).and_then(|trace_id| shared.verdicts.get_by_trace(trace_id))
+            else {
+                handle.send(payload(error_response(&ServeError::new(
                     ErrorKind::BadRequest,
                     format!("unknown trace id '{id}' (certificates are cached; re-run the job)"),
-                )),
+                ))));
+                return;
             };
-            handle.send(payload(response));
+            match shared.verify_queue.try_push(LaneJob::Trace { entry, reply: handle }) {
+                Err(PushError::Full(LaneJob::Trace { reply, .. })) => {
+                    reply.send(payload(rejected_response(shared.config.retry_after_ms)));
+                }
+                Err(PushError::Closed(LaneJob::Trace { reply, .. })) => {
+                    let err = ServeError::new(ErrorKind::ShuttingDown, "server is draining");
+                    reply.send(payload(error_response(&err)));
+                }
+                _ => {}
+            }
         }
     }
 }
@@ -562,14 +568,14 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
                     reply: job.reply,
                     report,
                 };
-                match shared.verify_queue.push_wait(handoff) {
-                    Ok(()) => {}
-                    Err(PushError::Full(missed)) | Err(PushError::Closed(missed)) => {
-                        // Shutdown race: the lane is gone, so answer
-                        // uncertified rather than dropping the reply
-                        // (and leave the cache alone).
-                        missed.reply.send(payload(ok_response_keyed(missed.report, missed.key)));
-                    }
+                if let Err(PushError::Full(LaneJob::Certify(missed)))
+                | Err(PushError::Closed(LaneJob::Certify(missed))) =
+                    shared.verify_queue.push_wait(LaneJob::Certify(handoff))
+                {
+                    // Shutdown race: the lane is gone, so answer
+                    // uncertified rather than dropping the reply (and
+                    // leave the cache alone).
+                    missed.reply.send(payload(ok_response_keyed(missed.report, missed.key)));
                 }
                 return;
             }
@@ -593,7 +599,19 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 
 fn verifier_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.verify_queue.pop() {
-        process_verify(shared, job);
+        match job {
+            LaneJob::Certify(job) => process_verify(shared, job),
+            LaneJob::Trace { entry, reply } => {
+                let response = match entry.trace_artifact() {
+                    Ok(artifact) => Json::obj(vec![
+                        ("status", Json::Str("ok".into())),
+                        ("artifact", artifact.to_json()),
+                    ]),
+                    Err(err) => error_response(&err),
+                };
+                reply.send(payload(response));
+            }
+        }
     }
 }
 
@@ -619,7 +637,11 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
                 let entry = Arc::new(CertEntry {
                     trace_id: cert.trace.fingerprint(),
                     certificate: certificate_json(&cert, mode, verify_ms, "miss"),
-                    artifact: artifact.to_json(),
+                    admission: Arc::clone(&job.artifact),
+                    knobs: job.knobs.clone(),
+                    slot: artifact.slot,
+                    cost: artifact.cost,
+                    report: artifact.report,
                 });
                 shared.verdicts.insert(fingerprint, Arc::clone(&entry));
                 (entry, "miss")
@@ -745,6 +767,39 @@ mod tests {
         assert_eq!(vcache.get("hits").and_then(Json::as_u64), Some(1));
         assert_eq!(vcache.get("entries").and_then(Json::as_u64), Some(1));
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn trace_after_a_verdict_cache_hit_replays() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut conn = connect(&server);
+        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"threads":1,"seed":9,"verify":"sample"}"#;
+        let first = roundtrip(&mut conn, request);
+        let cert = first.get("report").and_then(|r| r.get("certificate")).unwrap();
+        assert_eq!(cert.get("cache").and_then(Json::as_str), Some("miss"));
+        // The one-thread loop never consults the cutoff: a fresh job with
+        // the same result, so the verdict comes from the cache.
+        let second = roundtrip(&mut conn, &request.replace(r#""seed":9"#, r#""seed":9,"cutoff":2.0"#));
+        let cert = second.get("report").and_then(|r| r.get("certificate")).unwrap();
+        assert_eq!(cert.get("cache").and_then(Json::as_str), Some("hit"));
+        let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap();
+
+        let traced = roundtrip(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
+        assert_eq!(traced.get("status").and_then(Json::as_str), Some("ok"));
+        let artifact =
+            salsa_audit::TraceArtifact::from_json(traced.get("artifact").unwrap()).unwrap();
+        let trace = artifact.decode_trace().expect("the served trace decodes");
+        assert_eq!(crate::verifier::trace_id_hex(trace.fingerprint()), trace_id);
+        let graph = salsa_cdfg::parse_cdfg(&artifact.design).unwrap();
+        let knobs = crate::protocol::knobs_from_json(&artifact.knobs).unwrap();
+        let replayed = crate::exec::with_replay_env(&graph, &knobs, |ctx, config| {
+            salsa_alloc::replay_trace(ctx, config, &trace, salsa_alloc::ReplayCheck::Full)
+                .map(|binding| binding.breakdown())
+        })
+        .unwrap();
+        assert!(replayed.is_ok(), "the served trace replays: {replayed:?}");
+        assert_eq!(trace.final_cost, artifact.cost);
         server.shutdown();
     }
 

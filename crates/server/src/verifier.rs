@@ -18,12 +18,18 @@
 //! one-thread loop never consults) produce the same canonical report and
 //! therefore share one verdict: the second certification is a cache hit,
 //! recorded in the certificate's `cache` field. Each cached entry also
-//! carries the portable [`TraceArtifact`] envelope, served by the wire
-//! `trace` command for offline audit (`salsa audit`).
+//! keeps what the portable [`TraceArtifact`] envelope is made from — the
+//! shared admission artifact, the knobs, the winning slot, the cost and
+//! the canonical report — but not the trace text, which for a long
+//! search is hundreds of kilobytes. The wire `trace` command therefore
+//! costs one chain run: it re-records the slot's trace on this lane,
+//! checks its fingerprint against the certificate's `trace_id`, and
+//! serves the byte-identical artifact for offline audit (`salsa audit`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use salsa_alloc::{record_slot_trace, MoveTrace};
 use salsa_audit::{certify, Certification, TraceArtifact, VerifyMode};
 use salsa_cdfg::{fnv1a_128, Cdfg};
 use salsa_wire::net::ReplyHandle;
@@ -84,16 +90,91 @@ pub fn parse_trace_id(id: &str) -> Option<u128> {
     (!id.is_empty() && id.len() <= 32).then(|| u128::from_str_radix(id, 16).ok())?
 }
 
+/// Work for the verifier lane.
+pub enum LaneJob {
+    /// Certify a completed allocation and complete its reply.
+    Certify(VerifyJob),
+    /// Re-derive a cached certificate's trace artifact for the wire
+    /// `trace` command.
+    Trace {
+        /// The certificate whose artifact is requested.
+        entry: Arc<CertEntry>,
+        /// Completes the `trace` request.
+        reply: ReplyHandle,
+    },
+}
+
 /// One cached certification: the certificate section (as first
-/// computed, provenance `miss`) and the trace artifact behind it.
+/// computed, provenance `miss`) and what re-deriving the trace artifact
+/// behind it needs. The trace text itself is not kept.
 pub struct CertEntry {
     /// The trace fingerprint the `trace` command looks entries up by.
     pub trace_id: u128,
     /// The `certificate` JSON section (provenance field patched per
     /// reply).
     pub certificate: Json,
-    /// The portable [`TraceArtifact`] envelope, served by `trace`.
-    pub artifact: Json,
+    /// The job's admission artifact, shared with the admission cache:
+    /// the design and its canonical text.
+    pub admission: Arc<AdmissionArtifact>,
+    /// The job's knobs.
+    pub knobs: Knobs,
+    /// The winning portfolio slot the trace records.
+    pub slot: usize,
+    /// The certified final weighted cost.
+    pub cost: u64,
+    /// The canonical (timing-zeroed) compact report.
+    pub report: String,
+}
+
+impl CertEntry {
+    /// Re-records the winning slot's trace and packages the artifact —
+    /// byte-identical to the one certification produced, since the
+    /// recording is a pure function of `(design, knobs, slot)`. Costs
+    /// one chain run, so it belongs on the verifier lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ServeError`] of kind [`ErrorKind::Audit`] if the
+    /// re-run fails or its trace fingerprint differs from
+    /// [`trace_id`](Self::trace_id).
+    pub fn trace_artifact(&self) -> Result<TraceArtifact, ServeError> {
+        let trace = with_replay_env(&self.admission.graph, &self.knobs, |ctx, config| {
+            record_slot_trace(ctx, config, self.knobs.seed, self.slot).map(|(trace, _)| trace)
+        })?
+        .map_err(|e| ServeError::new(ErrorKind::Audit, format!("re-recording the trace: {e}")))?;
+        let derived = trace.fingerprint();
+        if derived != self.trace_id {
+            return Err(ServeError::new(
+                ErrorKind::Audit,
+                format!(
+                    "re-recorded trace {} differs from the certified {}",
+                    trace_id_hex(derived),
+                    trace_id_hex(self.trace_id)
+                ),
+            ));
+        }
+        Ok(assemble_artifact(
+            self.admission.canonical_text.clone(),
+            &self.knobs,
+            self.slot,
+            &trace,
+            self.cost,
+            self.report.clone(),
+        ))
+    }
+}
+
+/// Packages a certified job's trace into the portable envelope — the
+/// one assembly both certification and the `trace` command use.
+fn assemble_artifact(
+    design: String,
+    knobs: &Knobs,
+    slot: usize,
+    trace: &MoveTrace,
+    cost: u64,
+    report: String,
+) -> TraceArtifact {
+    TraceArtifact { design, knobs: knobs_to_json(knobs), slot, trace: trace.encode(), cost, report }
 }
 
 /// Bounded FIFO verdict cache keyed by [`result_fingerprint`].
@@ -178,14 +259,14 @@ pub fn certify_job(
 
     let mut canonical = report.clone();
     canonicalize_report(&mut canonical);
-    let artifact = TraceArtifact {
-        design: graph.canonical_text(),
-        knobs: knobs_to_json(knobs),
+    let artifact = assemble_artifact(
+        graph.canonical_text(),
+        knobs,
         slot,
-        trace: cert.trace.encode(),
+        &cert.trace,
         cost,
-        report: canonical.to_string_compact(),
-    };
+        canonical.to_string_compact(),
+    );
     Ok((cert, artifact))
 }
 
@@ -206,10 +287,15 @@ mod tests {
     }
 
     fn entry(trace_id: u128) -> Arc<CertEntry> {
+        let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
         Arc::new(CertEntry {
             trace_id,
             certificate: Json::obj(vec![("cache", Json::Str("miss".into()))]),
-            artifact: Json::Null,
+            admission: Arc::new(AdmissionArtifact::new(graph)),
+            knobs: Knobs::default(),
+            slot: 0,
+            cost: 0,
+            report: String::new(),
         })
     }
 
@@ -305,5 +391,40 @@ mod tests {
         }
         let err = certify_job(&graph, &knobs, &lied).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Audit);
+    }
+
+    #[test]
+    fn cached_entries_re_derive_the_certified_artifact() {
+        let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
+        let knobs = Knobs {
+            restarts: 3,
+            threads: Some(1),
+            verify: VerifyMode::Sample,
+            ..Knobs::default()
+        };
+        let report = run_allocation(&graph, &knobs, None).unwrap();
+        let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
+        let entry = CertEntry {
+            trace_id: cert.trace.fingerprint(),
+            certificate: Json::Null,
+            admission: Arc::new(AdmissionArtifact::new(graph)),
+            knobs,
+            slot: artifact.slot,
+            cost: artifact.cost,
+            report: artifact.report.clone(),
+        };
+        let derived = entry.trace_artifact().unwrap();
+        assert_eq!(derived, artifact, "re-recording reproduces the certified artifact");
+        assert_eq!(
+            derived.to_json().to_string_compact(),
+            artifact.to_json().to_string_compact()
+        );
+
+        // An entry whose trace id the re-run cannot reproduce is an
+        // audit failure, not a silently different artifact.
+        let forged = CertEntry { trace_id: entry.trace_id ^ 1, ..entry };
+        let err = forged.trace_artifact().unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Audit);
+        assert!(err.message.contains("differs"), "{}", err.message);
     }
 }
