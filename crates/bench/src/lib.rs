@@ -17,18 +17,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod jsonstore;
-
 use salsa_alloc::{AllocResult, Allocator, ImproveConfig, MoveSet};
 use salsa_cdfg::Cdfg;
 use salsa_sched::{fds_schedule, FuClass, FuLibrary};
-
-/// Logical CPUs on the host running the benchmark, recorded in every
-/// `BENCH_alloc.json` row so cross-machine wall-clock comparisons carry
-/// their hardware context. Falls back to 1 when the platform can't say.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
 
 /// Search effort preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

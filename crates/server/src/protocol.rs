@@ -331,6 +331,15 @@ fn reject_removed_knobs(obj: &Json) -> Result<(), ServeError> {
 /// the work a single job may demand.
 pub const MAX_RESTARTS: usize = 4096;
 
+/// Upper bound on `steps`. FDS, pool construction and plan compile run
+/// before the search first polls its cancel token, so a job's deadline
+/// cannot stop them; their cost grows with the schedule length.
+pub const MAX_STEPS: usize = 256;
+
+/// Upper bound on `extra_regs`, for the same reason as [`MAX_STEPS`]:
+/// the register pool is built before the deadline is first checked.
+pub const MAX_EXTRA_REGS: usize = 256;
+
 /// Parses one request object into a [`Command`].
 pub fn parse_command(request: &Json) -> Result<Command, ServeError> {
     if !matches!(request, Json::Obj(_)) {
@@ -404,22 +413,11 @@ fn parse_alloc_request(obj: &Json) -> Result<AllocRequest, ServeError> {
 /// parsing and the cluster protocol, which ships a job's knobs to worker
 /// processes in exactly the request spelling.
 pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
-    let steps = field_u64(obj, "steps")?.map(|s| s as usize);
-    if steps == Some(0) {
-        return Err(ServeError::new(ErrorKind::BadRequest, "'steps' must be at least 1"));
-    }
-    let restarts = field_u64(obj, "restarts")?.map(|r| r as usize).unwrap_or(1);
-    if restarts == 0 || restarts > MAX_RESTARTS {
-        return Err(ServeError::new(
-            ErrorKind::BadRequest,
-            format!("'restarts' must be in 1..={MAX_RESTARTS}"),
-        ));
-    }
-    Ok(Knobs {
-        steps,
+    let knobs = Knobs {
+        steps: field_u64(obj, "steps")?.map(|s| s as usize),
         extra_regs: field_u64(obj, "extra_regs")?.map(|e| e as usize).unwrap_or(0),
         seed: field_u64(obj, "seed")?.unwrap_or(42),
-        restarts,
+        restarts: field_u64(obj, "restarts")?.map(|r| r as usize).unwrap_or(1),
         threads: field_u64(obj, "threads")?.map(|t| (t as usize).max(1)),
         cutoff: field_f64(obj, "cutoff")?,
         pipelined: field_bool(obj, "pipelined")?,
@@ -448,7 +446,29 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
                 })?))
             }
         },
-    })
+    };
+    knobs.check_bounds()?;
+    Ok(knobs)
+}
+
+impl Knobs {
+    /// Rejects knobs outside the ranges a job may ask for: `steps` in
+    /// `1..=MAX_STEPS`, `extra_regs` up to [`MAX_EXTRA_REGS`] and
+    /// `restarts` in `1..=MAX_RESTARTS`. [`knobs_from_json`] applies it
+    /// to every parsed request, and the CLI to the knobs its flags spell.
+    pub fn check_bounds(&self) -> Result<(), ServeError> {
+        let bad = |message: String| Err(ServeError::new(ErrorKind::BadRequest, message));
+        if self.steps.is_some_and(|s| s == 0 || s > MAX_STEPS) {
+            return bad(format!("'steps' must be in 1..={MAX_STEPS}"));
+        }
+        if self.extra_regs > MAX_EXTRA_REGS {
+            return bad(format!("'extra_regs' must be at most {MAX_EXTRA_REGS}"));
+        }
+        if self.restarts == 0 || self.restarts > MAX_RESTARTS {
+            return bad(format!("'restarts' must be in 1..={MAX_RESTARTS}"));
+        }
+        Ok(())
+    }
 }
 
 /// Renders knobs as a JSON object in the request spelling, the inverse
@@ -558,7 +578,12 @@ mod tests {
             (r#"{"cmd":"allocate"}"#, "needs a design"),
             (r#"{"cmd":"allocate","bench":"ewf","cdfg":"x"}"#, "not both"),
             (r#"{"cmd":"allocate","bench":"ewf","steps":0}"#, "steps"),
+            (r#"{"cmd":"allocate","bench":"ewf","steps":257}"#, "'steps' must be in 1..=256"),
+            (r#"{"cmd":"allocate","bench":"ewf","steps":100000000}"#, "steps"),
+            (r#"{"cmd":"allocate","bench":"ewf","extra_regs":257}"#, "'extra_regs' must be at most 256"),
+            (r#"{"cmd":"allocate","bench":"ewf","extra_regs":100000000}"#, "extra_regs"),
             (r#"{"cmd":"allocate","bench":"ewf","restarts":0}"#, "restarts"),
+            (r#"{"cmd":"allocate","bench":"ewf","restarts":4097}"#, "restarts"),
             (r#"{"cmd":"allocate","bench":"ewf","seed":-3}"#, "seed"),
             (r#"{"cmd":"allocate","bench":"ewf","pipelined":"yes"}"#, "boolean"),
             (r#"{"cmd":"allocate","bench":"ewf","verify":"loud"}"#, "verify"),

@@ -129,24 +129,32 @@ fn pipelined_requests_on_one_connection_and_wire_counters() {
 
     // Six requests in flight on one socket before any response is read;
     // correlation ids pair each answer to its question whatever order
-    // completions arrive in.
+    // completions arrive in. Every other request asks for a sampled
+    // certificate, so the verifier lane runs under the pipelined load.
     let benches = ["ewf", "dct", "paper_example", "ewf", "dct", "paper_example"];
+    let verified = |i: usize| i.is_multiple_of(2);
     let ids: Vec<u64> = benches
         .iter()
-        .map(|bench| {
+        .enumerate()
+        .map(|(i, bench)| {
+            let verify = if verified(i) { r#","verify":"sample""# } else { "" };
             let request = format!(
-                r#"{{"cmd":"allocate","bench":"{bench}","seed":2,"threads":1,"timeout_ms":60000}}"#
+                r#"{{"cmd":"allocate","bench":"{bench}","seed":2,"threads":1,"timeout_ms":60000{verify}}}"#
             );
             conn.send(&parse_json(&request).unwrap()).expect("pipelined send")
         })
         .collect();
     assert_eq!(conn.in_flight(), benches.len());
     // Collect out of submission order on purpose.
-    for (id, bench) in ids.iter().zip(benches).rev() {
+    for (i, (id, bench)) in ids.iter().zip(benches).enumerate().rev() {
         let reply = conn.recv_for(*id).expect("pipelined recv");
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{bench}");
-        let design = reply.get("report").and_then(|r| r.get("design")).and_then(Json::as_str);
+        let report = reply.get("report").unwrap();
+        let design = report.get("design").and_then(Json::as_str);
         assert_eq!(design, Some(bench), "correlation id must pair request and response");
+        let verdict =
+            report.get("certificate").and_then(|c| c.get("verdict")).and_then(Json::as_str);
+        assert_eq!(verdict, verified(i).then_some("certified"), "{bench} #{i}");
     }
     assert_eq!(conn.in_flight(), 0);
 
@@ -160,6 +168,8 @@ fn pipelined_requests_on_one_connection_and_wire_counters() {
     assert!(stat_u64(&snapshot, &["wire", "bytes_in"]) >= counts.bytes_out);
     assert!(stat_u64(&snapshot, &["wire", "frames_in"]) >= counts.frames_out);
     assert!(stat_u64(&snapshot, &["wire", "conns_opened"]) >= 1);
+    assert!(stat_u64(&snapshot, &["verifier", "verified"]) > 0);
+    assert_eq!(stat_u64(&snapshot, &["verifier", "failed"]), 0);
 
     server.shutdown();
 }

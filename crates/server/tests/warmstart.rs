@@ -219,6 +219,17 @@ fn warm_start_cost_never_exceeds_cold_at_equal_budget() {
         "unknown warm mode {mode}"
     );
     assert!(warm_start.get("trials_to_best").and_then(Json::as_u64).is_some());
+
+    // The warm search reaches its best in under a quarter of the cold
+    // run's trial budget (deterministic: best at trial 1 of 10).
+    let search = |report: &Json, key: &str| {
+        report.get("search").and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap()
+    };
+    let (warm_ttb, cold_trials) = (search(&warm, "trials_to_best"), search(&cold, "trials"));
+    assert!(
+        (warm_ttb as f64) < 0.25 * cold_trials as f64,
+        "warm best at trial {warm_ttb} is not under 25% of the cold budget {cold_trials}"
+    );
 }
 
 fn connect(server: &Server) -> Connection {
@@ -295,7 +306,18 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     assert_eq!(cold_response.get("status").and_then(Json::as_str), Some("ok"));
     let cold_id = cold_response.get("id").and_then(Json::as_str).unwrap().to_string();
     assert_ne!(cold_id, warm_id, "warm and cold runs must never share a cache entry");
-    assert!(cold_response.get("report").unwrap().get("warm_start").is_none());
+    let cold_report = cold_response.get("report").unwrap();
+    assert!(cold_report.get("warm_start").is_none());
+    // Both sides certify, and the warm start does not lose to cold.
+    let cold_cert = cold_report.get("certificate").expect("cold certificate");
+    assert_eq!(cold_cert.get("verdict").and_then(Json::as_str), Some("certified"));
+    let cost = |report: &Json| report.get("cost").and_then(Json::as_u64).unwrap();
+    assert!(
+        cost(warm_report) <= cost(cold_report),
+        "warm ({}) must not lose to cold ({})",
+        cost(warm_report),
+        cost(cold_report)
+    );
 
     // Both entries replay independently and byte-identically.
     let warm_replay = send_json(&mut conn, &realloc_line);

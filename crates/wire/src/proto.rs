@@ -13,8 +13,8 @@
 //! [`io::ErrorKind::InvalidData`] instead of hanging.
 //!
 //! Every connection counts its own traffic ([`WireCounts`]): socket
-//! bytes in/out and frames in/out, the numbers loadgen and the bench
-//! harness report as bytes/message.
+//! bytes in/out and frames in/out, which the repository benchmark
+//! (`perfbench/`) reports as bytes per message.
 //!
 //! [`send`]: Connection::send
 //! [`recv_for`]: Connection::recv_for
@@ -179,27 +179,6 @@ impl Connection {
         Ok(id)
     }
 
-    /// Blocks for the next response from the wire (or the stash), in
-    /// completion order, returning `(correlation_id, document)`.
-    pub fn recv_any(&mut self) -> io::Result<(u64, Json)> {
-        if !self.stash.is_empty() {
-            let (id, doc) = self.stash.remove(0);
-            return Ok((id, doc));
-        }
-        self.recv_wire()
-    }
-
-    /// Blocks for the next response off the socket, bypassing the stash
-    /// (so [`recv_for`](Connection::recv_for)'s stash-then-retry loop
-    /// cannot feed itself its own stashed entries).
-    fn recv_wire(&mut self) -> io::Result<(u64, Json)> {
-        let (id, doc) = frame::read_frame(&mut self.reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))?;
-        self.pending.retain(|&p| p != id);
-        self.frames_in += 1;
-        Ok((id, doc))
-    }
-
     /// Blocks until the response for `id` arrives, stashing any other
     /// completions for their own waiters.
     pub fn recv_for(&mut self, id: u64) -> io::Result<Json> {
@@ -207,7 +186,11 @@ impl Connection {
             return Ok(self.stash.remove(at).1);
         }
         loop {
-            let (got, doc) = self.recv_wire()?;
+            let (got, doc) = frame::read_frame(&mut self.reader)?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying")
+            })?;
+            self.pending.retain(|&p| p != got);
+            self.frames_in += 1;
             if got == id {
                 return Ok(doc);
             }

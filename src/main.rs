@@ -424,8 +424,9 @@ fn cluster_config(args: &[String]) -> Result<ClusterConfig, String> {
 /// The allocation knobs the flags spell, shared by `schedule`,
 /// `allocate`, `bench` and `cluster-alloc` (the cluster pins every chain
 /// to one thread whatever `--threads` says — its parallelism is workers).
+/// They pass the same range checks as a wire request's knobs.
 fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
-    Ok(Knobs {
+    let knobs = Knobs {
         steps: flag_parse(args, "--steps")?,
         extra_regs: flag_parse(args, "--extra-regs")?.unwrap_or(0),
         seed: flag_parse(args, "--seed")?.unwrap_or(42),
@@ -437,7 +438,9 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         mem_moves: !has_flag(args, "--no-mem-moves"),
         verify: parse_verify(args)?,
         warm: None,
-    })
+    };
+    knobs.check_bounds().map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
+    Ok(knobs)
 }
 
 fn parse_verify(args: &[String]) -> Result<salsa_hls::audit::VerifyMode, String> {

@@ -189,6 +189,25 @@ fn infeasible_schedule_is_a_clean_error() {
 }
 
 #[test]
+fn out_of_range_knobs_are_a_clean_error() {
+    // The wire's knob bounds apply to the flags too: an out-of-range
+    // knob is a structured error, never an allocator panic (zero
+    // restarts) or minutes of FDS and pool construction that no
+    // deadline can stop (huge step or register counts).
+    for (flag, value, needle) in [
+        ("--restarts", "0", "'restarts' must be in 1..=4096"),
+        ("--steps", "100000000", "'steps' must be in 1..=256"),
+        ("--extra-regs", "100000000", "'extra_regs' must be at most 256"),
+    ] {
+        let out = Command::new(BIN).args(["bench", "ewf", flag, value]).output().unwrap();
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {text}");
+        assert!(text.contains(&format!("[bad-request] {needle}")), "{flag} {value}: {text}");
+        assert!(!text.contains("panicked"), "{flag} {value}: {text}");
+    }
+}
+
+#[test]
 fn allocate_json_emits_the_protocol_report() {
     let path = write_temp(IIR);
     let out = Command::new(BIN)
