@@ -7,6 +7,10 @@
 //! <design> <library> steps=<n> weight=<w>: <issue step per op, in op order>
 //! ```
 //!
+//! The large random designs (100-119 operations) sit at the top of the
+//! benchmark's size range, where the best-pick's early stop skips the most
+//! candidates.
+//!
 //! The allocator's canonical reports run FDS only at the critical path,
 //! where the demand descent has almost no room to move. These cases add
 //! slack, so any change to the descent's search order, its feasibility
@@ -27,6 +31,9 @@ const GOLDEN: &str = include_str!("golden/fds_schedules.txt");
 /// Seed of the random-design sequence.
 const RANDOM_SEED: u64 = 0x00f0_5eed;
 const RANDOM_DESIGNS: usize = 24;
+/// Seed and length of the large random-design sequence.
+const LARGE_SEED: u64 = 0x1a26_5eed;
+const LARGE_DESIGNS: usize = 8;
 
 fn case_line(graph: &Cdfg, library: (&str, &FuLibrary), steps: usize, weight: usize) -> String {
     let (lib_name, lib) = library;
@@ -36,13 +43,13 @@ fn case_line(graph: &Cdfg, library: (&str, &FuLibrary), steps: usize, weight: us
     format!("{} {lib_name} steps={steps} weight={weight}: {}", graph.name(), table.join(" "))
 }
 
-/// Random designs of 40-90 operations; every fourth declares one or two
-/// memory arrays.
-fn random_designs() -> Vec<Cdfg> {
-    let mut rng = StdRng::seed_from_u64(RANDOM_SEED);
-    (0..RANDOM_DESIGNS)
+/// `count` random designs of `ops` operations; every fourth declares one
+/// or two memory arrays.
+fn random_designs(seed: u64, count: usize, ops: std::ops::RangeInclusive<usize>) -> Vec<Cdfg> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
         .map(|i| {
-            let ops = rng.gen_range(40..=90usize);
+            let ops = rng.gen_range(ops.clone());
             let arrays = if i % 4 == 3 { rng.gen_range(1..=2usize) } else { 0 };
             let config = RandomCdfgConfig {
                 ops,
@@ -76,9 +83,15 @@ fn actual_lines() -> Vec<String> {
             lines.push(case_line(&graph, libraries[0], cp + slack, 2));
         }
     }
-    for graph in random_designs() {
+    for graph in random_designs(RANDOM_SEED, RANDOM_DESIGNS, 40..=90) {
         let cp = asap(&graph, &standard).length;
         lines.push(case_line(&graph, libraries[0], cp + 2, 0));
+    }
+    for graph in random_designs(LARGE_SEED, LARGE_DESIGNS, 100..=119) {
+        let cp = asap(&graph, &standard).length;
+        for slack in [2, 4] {
+            lines.push(case_line(&graph, libraries[0], cp + slack, 0));
+        }
     }
     lines
 }
