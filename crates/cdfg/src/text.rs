@@ -22,7 +22,7 @@
 //! name declared earlier (the format is topologically ordered, like the
 //! builder API it maps onto).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -390,10 +390,19 @@ pub fn parse_cdfg(source: &str) -> Result<Cdfg, ParseError> {
 
     let mut b = builder
         .ok_or_else(|| err(0, 0, K::Syntax, "empty input: missing 'cdfg <name>'"))?;
+    let mut fed: HashSet<ValueId> = HashSet::new();
     for (line_no, (state_col, state), (from_col, from)) in feedbacks {
         let &sid = states.get(&state).ok_or_else(|| {
             err(line_no, state_col, K::UnknownValue, format!("'{state}' is not a state"))
         })?;
+        if !fed.insert(sid) {
+            return Err(err(
+                line_no,
+                state_col,
+                K::DuplicateDefinition,
+                format!("state '{state}' already has a feedback source"),
+            ));
+        }
         let &vid = names.get(&from).ok_or_else(|| {
             err(line_no, from_col, K::UnknownValue, format!("unknown value '{from}'"))
         })?;
@@ -411,7 +420,6 @@ pub fn parse_cdfg(source: &str) -> Result<Cdfg, ParseError> {
 /// Serializes a graph back to the text format (labels become names; a
 /// parse of the output reproduces an isomorphic graph).
 pub fn cdfg_to_text(graph: &Cdfg) -> String {
-    use std::collections::{HashMap, HashSet};
     use std::fmt::Write as _;
     let mut out = String::new();
     // Canonical names: sanitized labels, disambiguated with the value id
@@ -659,6 +667,13 @@ output y
         ] {
             assert!(parse_cdfg(bad).is_err(), "expected an error for {bad:?}");
         }
+
+        // A second feedback source for one state is a parse error at the
+        // second line, never the builder's assertion.
+        let bad = "cdfg t\ninput x\nstate s\nop y = add x s\nfeedback s <- y\nfeedback s <- y\noutput y\n";
+        let e = parse_cdfg(bad).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::DuplicateDefinition);
+        assert_eq!((e.line, e.column), (6, 10));
     }
 
     #[test]

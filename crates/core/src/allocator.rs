@@ -191,11 +191,10 @@ impl<'a> Allocator<'a> {
 
     /// Builds the allocation context (pool construction) and the resolved
     /// improvement configuration — the part of [`run`](Allocator::run)
-    /// that precedes the search. Exposed so distributed drivers can run
-    /// the *same* prepared job on every participant: a cluster worker
-    /// prepares from identical inputs and executes a shard of chains; the
-    /// coordinator prepares identically and finishes with
-    /// [`complete`](Allocator::complete).
+    /// that precedes the search. Exposed so a caller can drive the stages
+    /// itself: a benchmark times the search and
+    /// [`complete`](Allocator::complete) separately, and the audit replays
+    /// a recorded trace against the prepared context.
     ///
     /// # Errors
     ///
@@ -228,8 +227,7 @@ impl<'a> Allocator<'a> {
         let mut config = self.config.clone();
         // Memory graphs get the M family appended in `MoveKind::all()`
         // order, so `full()`-configured runs land exactly on
-        // `MoveSet::with_memory()` — identical on every participant of a
-        // distributed run.
+        // `MoveSet::with_memory()`.
         if self.mem_moves && self.graph.has_memory() {
             for (kind, _) in MoveKind::all() {
                 if kind.is_memory() {

@@ -337,9 +337,9 @@ pub type ChainSlotImage = Option<(usize, Vec<RegId>)>;
 /// An owned, context-free image of a complete allocation: exactly the
 /// assignment state of a [`Binding`] (unit per operation, operand swaps,
 /// chain slots, serving chains, pass-throughs) with every derived table
-/// stripped. This is what a cluster worker ships for its best chain so
-/// the coordinator can rebuild the winning binding with
-/// [`Binding::from_parts`] instead of replaying the whole search.
+/// stripped. This is what a serving layer banks for a job's winner so a
+/// later warm start can rebuild it with [`Binding::from_parts`] instead
+/// of replaying the whole search.
 ///
 /// Dead chain slots are preserved as `None`: slot indices are allocation
 /// state (serving-chain references and transfer keys name them), so a
@@ -363,15 +363,14 @@ pub struct BindingParts {
 }
 
 impl BindingParts {
-    /// Serializes the image to its one-token text form, the spelling a
-    /// warm seed's `parts=` field and a cluster worker's shipped image
-    /// share. No spaces (a warm seed's fields are whitespace-separated
-    /// tokens). Sections are `;`-joined: `u=` one `<fu>.<swap>.<uc0>.<uc1>`
-    /// entry per op (`,`), `c=` one chain list per value (`,`; slots
-    /// `|`-joined, a dead slot is `-`, a live slot `<lo>:r.r.r`), `p=` the
-    /// pass map (`,`; `<key>:<fu>` with the move trace's transfer-key
-    /// spelling), `b=` the array banks (`.`; `-` when none). Round-trips
-    /// exactly through [`BindingParts::decode`].
+    /// Serializes the image to its one-token text form, the spelling of a
+    /// warm seed's `parts=` field. No spaces (a warm seed's fields are
+    /// whitespace-separated tokens). Sections are `;`-joined: `u=` one
+    /// `<fu>.<swap>.<uc0>.<uc1>` entry per op (`,`), `c=` one chain list
+    /// per value (`,`; slots `|`-joined, a dead slot is `-`, a live slot
+    /// `<lo>:r.r.r`), `p=` the pass map (`,`; `<key>:<fu>` with the move
+    /// trace's transfer-key spelling), `b=` the array banks (`.`; `-`
+    /// when none). Round-trips exactly through [`BindingParts::decode`].
     pub fn encode(&self) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(16 * self.op_fu.len() + 16);
@@ -760,8 +759,8 @@ impl<'a> Binding<'a> {
         }
         // Operand swap (F3) is only sound on commutative ops: a swapped
         // `sub` computes the negated difference. Images from outside the
-        // search (warm seeds remapped across an edit, cluster shards) can
-        // carry a swap onto an op whose kind no longer commutes.
+        // search (warm seeds remapped across an edit) can carry a swap
+        // onto an op whose kind no longer commutes.
         if let Some(op) = ctx
             .graph
             .ops()

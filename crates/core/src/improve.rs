@@ -193,13 +193,13 @@ impl ImproveStats {
 /// trial boundaries, abandon once `cutoff_factor` behind the global best
 /// after `min_trials` trials.
 #[derive(Debug, Clone, Copy)]
-pub struct SearchWatch<'a> {
+pub(crate) struct SearchWatch<'a> {
     /// The shared best-cost bound.
-    pub bound: &'a SearchBound,
+    pub(crate) bound: &'a SearchBound,
     /// Abandon when best-so-far exceeds `cutoff_factor * bound`.
-    pub cutoff_factor: f64,
+    pub(crate) cutoff_factor: f64,
     /// Trials to complete before the first cutoff check.
-    pub min_trials: usize,
+    pub(crate) min_trials: usize,
 }
 
 /// How a bounded improvement run ended.

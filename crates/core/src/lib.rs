@@ -69,14 +69,13 @@ pub use binding::{Binding, BindingParts, Chain, ChainSlotImage, PassMap};
 pub use cancel::{CancelToken, CANCEL_POLL_PERIOD};
 pub use context::AllocContext;
 pub use error::AllocError;
-pub use improve::{improve, ImproveConfig, ImproveStats, SearchExit, SearchWatch};
+pub use improve::{improve, ImproveConfig, ImproveStats, SearchExit};
 pub use initial::{initial_allocation, initial_binding, InitialBinding};
 pub use lower::{lower, verify_binding, verify_lowered};
 pub use plan::MovePlan;
 pub use polish::{polish, polish_segment_candidate};
 pub use portfolio::{
-    portfolio_search, replay_slot, run_chain_slots, ChainOutcome, ChainStat, PortfolioConfig,
-    PortfolioOutcome, PortfolioStats, SearchBound, ShardBest,
+    portfolio_search, ChainStat, PortfolioConfig, PortfolioOutcome, PortfolioStats,
 };
 pub use report::{portfolio_table, register_chart, report, unit_schedule};
 pub use moves::{MoveKind, MoveSet, Proposal};

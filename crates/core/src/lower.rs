@@ -10,8 +10,7 @@ use crate::{Binding, TransferKey};
 /// Lowers a binding and runs the full symbolic verification against its
 /// own context, returning the lowered program alongside the structured
 /// [`Verdict`] — the one shared gate every consumer (the allocator's
-/// completion, the audit lane, the cluster coordinator's rebuilt-image
-/// acceptance, the search-stage tests) funnels through.
+/// completion, the audit lane, the search-stage tests) funnels through.
 pub fn verify_lowered(binding: &Binding<'_>) -> (Rtl, Claims, Verdict) {
     let (rtl, claims) = lower(binding);
     let ctx = binding.ctx();

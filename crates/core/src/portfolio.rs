@@ -61,34 +61,24 @@ use crate::{
 /// monotonically decreasing hint, and the determinism argument (module
 /// docs) never depends on *when* an update becomes visible.
 #[derive(Debug)]
-pub struct SearchBound(AtomicU64);
+pub(crate) struct SearchBound(AtomicU64);
 
 impl SearchBound {
     /// A bound with no published cost yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SearchBound(AtomicU64::new(u64::MAX))
     }
 
     /// Lowers the bound to `cost` if it improves on the current value.
-    pub fn publish(&self, cost: u64) {
+    pub(crate) fn publish(&self, cost: u64) {
         self.0.fetch_min(cost, Ordering::Relaxed);
     }
 
-    /// The current global best cost (`u64::MAX` before any publish).
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Returns `true` if `cost` trails the bound by more than `factor`.
-    pub fn exceeded_by(&self, cost: u64, factor: f64) -> bool {
-        let bound = self.get();
+    /// Returns `true` if `cost` trails the bound by more than `factor`
+    /// (never before the first publish).
+    pub(crate) fn exceeded_by(&self, cost: u64, factor: f64) -> bool {
+        let bound = self.0.load(Ordering::Relaxed);
         bound != u64::MAX && cost as f64 > bound as f64 * factor.max(1.0)
-    }
-}
-
-impl Default for SearchBound {
-    fn default() -> Self {
-        SearchBound::new()
     }
 }
 
@@ -209,11 +199,11 @@ pub struct PortfolioOutcome<'a> {
 }
 
 /// Runs one chain: clone the initial allocation, improve under the watch,
-/// polish if not abandoned. The one chain runner: the portfolio, a
-/// cluster shard, a seed replay and the audit's recording re-run (which
-/// passes a `rec`) all walk their chains through it. Neither the watch,
-/// the cancellation polls nor the recorder touch the RNG, so a chain that
-/// completes walks the same trajectory under any of them.
+/// polish if not abandoned. The one chain runner: the portfolio and the
+/// audit's recording re-run (which passes a `rec`) both walk their
+/// chains through it. Neither the watch, the cancellation polls nor the
+/// recorder touch the RNG, so a chain that completes walks the same
+/// trajectory under any of them.
 pub(crate) fn run_chain<'a>(
     initial: &Binding<'a>,
     config: &ImproveConfig,
@@ -253,111 +243,6 @@ pub(crate) fn run_chain<'a>(
         },
         improve: stats,
         result,
-    }
-}
-
-/// One chain's outcome in owned, binding-free form — what a remote worker
-/// reports back over a wire as statistics. The winning binding travels
-/// separately, as a [`BindingParts`](crate::BindingParts) image beside
-/// the shard's result; [`replay_slot`] rematerializes it from its seed
-/// when no usable image arrives.
-#[derive(Debug, Clone)]
-pub struct ChainOutcome {
-    /// The report-table row for this chain.
-    pub stat: ChainStat,
-    /// Raw improvement counters (for the portfolio aggregate).
-    pub improve: ImproveStats,
-    /// Final cost, `Some` only for completed chains.
-    pub cost: Option<u64>,
-}
-
-/// The shard's `(cost, slot)`-minimal completed chain: its slot and its
-/// final binding. `None` only when no chain in the range completed.
-pub type ShardBest<'a> = Option<(usize, Binding<'a>)>;
-
-/// Runs the primary chains of `slots` sequentially in slot order — the
-/// execution core of a cluster worker's shard — and keeps the binding of
-/// the shard's `(cost, slot)`-minimal completed chain, which the worker
-/// ships beside the chain statistics so the coordinator can rebuild the
-/// winner (via [`Binding::to_parts`]) instead of replaying its seed.
-/// Seeds are `base_seed + slot`, exactly as [`portfolio_search`] derives
-/// them, so a shard's chains are indistinguishable from the same slots
-/// run locally.
-///
-/// With `watch == None` every chain runs unwatched to completion, matching
-/// the sequential (`threads == 1`) loop bit-for-bit. Passing a watch
-/// enables the best-bound cutoff against an externally maintained
-/// [`SearchBound`] (e.g. one fed by coordinator gossip).
-///
-/// # Errors
-///
-/// Returns [`AllocError::Cancelled`] when the improve configuration's
-/// cancel token trips; like [`portfolio_search`], cancellation is
-/// all-or-nothing and never yields a partial shard.
-pub fn run_chain_slots<'a>(
-    ctx: &'a AllocContext<'a>,
-    improve_config: &ImproveConfig,
-    base_seed: u64,
-    slots: std::ops::Range<usize>,
-    watch: Option<&SearchWatch<'_>>,
-) -> Result<(Vec<ChainOutcome>, ShardBest<'a>), AllocError> {
-    let (initial, _) = initial_binding(ctx, improve_config.warm.as_deref());
-    let cancelled = || improve_config.cancel.as_ref().is_some_and(|t| t.is_cancelled());
-    let mut outcomes = Vec::with_capacity(slots.len());
-    let mut best: Option<(u64, usize, Binding<'a>)> = None;
-    for slot in slots {
-        if cancelled() {
-            return Err(AllocError::Cancelled);
-        }
-        let run = run_chain(
-            &initial,
-            improve_config,
-            base_seed.wrapping_add(slot as u64),
-            slot,
-            watch,
-            None,
-        );
-        let cost = run.result.as_ref().map(|(cost, _)| *cost);
-        if let Some((cost, binding)) = run.result {
-            // Strict `<` keeps the lowest slot on ties; slots ascend.
-            if best.as_ref().is_none_or(|(best_cost, _, _)| cost < *best_cost) {
-                best = Some((cost, slot, binding));
-            }
-        }
-        outcomes.push(ChainOutcome { stat: run.stat, improve: run.improve, cost });
-    }
-    if cancelled() {
-        return Err(AllocError::Cancelled);
-    }
-    Ok((outcomes, best.map(|(_, slot, binding)| (slot, binding))))
-}
-
-/// Re-runs one primary slot unwatched and returns its binding — the seed
-/// replay that turns a remote winner's `(cost, slot)` back into an
-/// allocation. Deterministic: the replayed trajectory is identical to the
-/// one the reporting worker ran, so the returned cost always equals the
-/// reported one.
-///
-/// # Errors
-///
-/// Returns [`AllocError::Cancelled`] if the improve configuration carries
-/// a tripped cancel token (the only way an unwatched chain can fail to
-/// complete).
-pub fn replay_slot<'a>(
-    ctx: &'a AllocContext<'a>,
-    improve_config: &ImproveConfig,
-    base_seed: u64,
-    slot: usize,
-) -> Result<(ChainOutcome, Binding<'a>), AllocError> {
-    let (initial, _) = initial_binding(ctx, improve_config.warm.as_deref());
-    let seed = base_seed.wrapping_add(slot as u64);
-    let run = run_chain(&initial, improve_config, seed, slot, None, None);
-    match run.result {
-        Some((cost, binding)) => Ok((
-            ChainOutcome { stat: run.stat, improve: run.improve, cost: Some(cost) },
-            binding,
-        )),
-        None => Err(AllocError::Cancelled),
     }
 }
 

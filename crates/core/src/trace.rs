@@ -187,7 +187,7 @@ pub enum ReplayCheck {
 ///
 /// The re-run is the search's own chain runner — an unwatched chain at
 /// seed `base_seed + slot`, improved to convergence, then polished, the
-/// trajectory [`replay_slot`](crate::replay_slot) also walks — so
+/// trajectory the sequential portfolio walks for that slot — so
 /// recording the portfolio winner's slot after the fact yields exactly
 /// the trace the winning chain would have produced live. Recording off
 /// the serving path keeps the allocation lane overhead-free when

@@ -6,9 +6,9 @@
 //! `(graph, knobs)`: library, step count and force-directed schedule,
 //! and — through [`JobPlan::allocator`] — move set, seed, register
 //! headroom, restarts, threads, cutoff, warm seed and `mem_moves`. The
-//! server's workers, the verifier lane, offline audit, the cluster's
-//! coordinator and workers, and the CLI all go through it, so every
-//! entry point prepares a job bit-identically by construction.
+//! server's workers, the verifier lane, offline audit and the CLI all go
+//! through it, so every entry point prepares a job bit-identically by
+//! construction.
 
 use std::sync::Arc;
 
@@ -290,6 +290,22 @@ mod tests {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         let err = run_allocation(&graph, &knobs, Some(token)).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Timeout);
+    }
+
+    #[test]
+    fn plans_resolve_steps_and_are_repeatable() {
+        let graph = salsa_cdfg::benchmarks::paper_example();
+        let knobs = Knobs { restarts: 2, ..Knobs::default() };
+        let plan = plan_job(&graph, &knobs).unwrap();
+        // Unset steps resolve to the ASAP length, and the schedule spans
+        // exactly the resolved count.
+        let steps = plan.knobs().steps.expect("steps resolved");
+        assert_eq!(steps, asap(&graph, plan.library()).length);
+        assert_eq!(plan.schedule().n_steps(), steps);
+        // Planning twice is bit-identical input to the search.
+        let again = plan_job(&graph, &knobs).unwrap();
+        assert_eq!(plan.knobs(), again.knobs());
+        assert_eq!(plan.schedule(), again.schedule());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   serializer shared with the CLI's `--json` mode;
 //! - [`exec`] — the request → schedule → allocate → report pipeline,
 //!   built on [`plan_job`], the one derivation of a job's setup from its
-//!   knobs that the CLI, verifier and cluster share;
+//!   knobs that the CLI and verifier share;
 //! - [`verifier`] — verification as a service: jobs submitted with
 //!   `verify: sample|full` are certified on a dedicated worker lane
 //!   (record the winning chain's move trace, replay it with cost
@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod backend;
 pub mod cache;
 pub mod exec;
 pub mod similarity;
@@ -61,7 +60,6 @@ pub mod stats;
 pub mod verifier;
 
 pub use admission::{AdmissionArtifact, AdmissionCache};
-pub use backend::{AllocBackend, LocalBackend};
 pub use cache::ResultCache;
 pub use exec::{
     map_alloc_error, plan_job, resolve_graph, run_allocation, run_artifact, with_replay_env,

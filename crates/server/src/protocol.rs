@@ -410,8 +410,8 @@ fn parse_alloc_request(obj: &Json) -> Result<AllocRequest, ServeError> {
 
 /// Parses the knob fields out of a request-shaped object (unset fields
 /// take their [`Knobs::default`] values). Shared by `allocate` request
-/// parsing and the cluster protocol, which ships a job's knobs to worker
-/// processes in exactly the request spelling.
+/// parsing and the audit of a trace artifact, which stores a job's knobs
+/// in exactly the request spelling.
 pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
     let knobs = Knobs {
         steps: field_u64(obj, "steps")?.map(|s| s as usize),

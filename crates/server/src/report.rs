@@ -105,8 +105,8 @@ pub fn report_json(graph: &Cdfg, schedule: &Schedule, seed: u64, result: &AllocR
 ///
 /// Everything else in a report is deterministic in `(design, knobs)`;
 /// only these three measure the run that produced them. The byte-exact
-/// contracts (`threads(1)` ≡ sequential, 1-worker cluster ≡ local
-/// portfolio), the CI report diffs and the golden reports compare
+/// contract (`threads(1)` ≡ sequential, any thread count ≡ the same
+/// winner), the CI report diffs and the golden reports compare
 /// reports in this canonical form. Accepts either a bare report object
 /// or a full `{"status":"ok","report":{...}}` response.
 pub fn canonicalize_report(json: &mut Json) {

@@ -40,8 +40,8 @@ use salsa_wire::frame::Payload;
 use salsa_wire::net::{Handler, NetConfig, NetMetrics, NetServer, ReplyHandle};
 
 use crate::admission::AdmissionCache;
-use crate::backend::{AllocBackend, LocalBackend};
 use crate::cache::ResultCache;
+use crate::exec::run_artifact;
 use crate::json::Json;
 use crate::protocol::{
     cache_key, error_response, ok_response_keyed, parse_command, rejected_response, Command,
@@ -126,7 +126,6 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
     wire: Arc<NetMetrics>,
     config: ServerConfig,
-    backend: Arc<dyn AllocBackend>,
 }
 
 impl Shared {
@@ -156,19 +155,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an OS-assigned port) and
-    /// starts the I/O loop and worker threads, running jobs on the
-    /// in-process [`LocalBackend`].
+    /// starts the I/O loop and worker threads.
     pub fn bind(addr: &str, config: ServerConfig) -> io::Result<Server> {
-        Server::bind_with_backend(addr, config, Arc::new(LocalBackend))
-    }
-
-    /// Like [`bind`](Server::bind) but with an explicit allocation
-    /// backend (e.g. the cluster coordinator's).
-    pub fn bind_with_backend(
-        addr: &str,
-        config: ServerConfig,
-        backend: Arc<dyn AllocBackend>,
-    ) -> io::Result<Server> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let wire = Arc::new(NetMetrics::default());
         let shared = Arc::new(Shared {
@@ -185,7 +173,6 @@ impl Server {
             shutdown: Arc::clone(&shutdown),
             wire: Arc::clone(&wire),
             config: config.clone(),
-            backend,
         });
 
         let workers = (0..config.workers.max(1))
@@ -215,7 +202,6 @@ impl Server {
             in_flight_limit: (config.max_in_flight > 0)
                 .then(|| (config.max_in_flight, rejected_response(config.retry_after_ms))),
             idle_timeout: config.idle_timeout_ms.map(Duration::from_millis),
-            shutdown_linger: Duration::from_millis(0),
             metrics: wire,
         };
         let net = NetServer::bind(addr, net_config, handler)?;
@@ -520,7 +506,6 @@ fn stats_response(shared: &Arc<Shared>) -> Json {
                     ]),
                 ),
                 ("workers", Json::Int(shared.config.workers as i64)),
-                ("backend", Json::Str(shared.backend.name().to_string())),
             ]),
         ),
     ])
@@ -534,26 +519,23 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn process_job(shared: &Arc<Shared>, job: Job) {
     let cancel = job.deadline.map(CancelToken::with_deadline);
-    let outcome = shared.backend.allocate(&job.artifact, &job.knobs, cancel);
+    let outcome = run_artifact(&job.artifact, &job.knobs, cancel);
     let latency = job.accepted_at.elapsed();
     let body = match outcome {
         Ok((report, winner)) => {
             shared.stats.record_completed(latency);
-            // Bank the winner (when the backend can hand one back) so
-            // future near-duplicate designs warm-start from it. The job
-            // key doubles as the `reallocate` base id the response
-            // carries.
-            if let Some(parts) = winner {
-                let cost = report.get("cost").and_then(Json::as_u64).unwrap_or(0);
-                let entry = SeedEntry {
-                    key: job.key,
-                    graph: job.artifact.graph.clone(),
-                    parts,
-                    cost,
-                    sketch: job.artifact.sketch.clone(),
-                };
-                shared.seeds.insert(job.key, Arc::new(entry));
-            }
+            // Bank the winner so future near-duplicate designs
+            // warm-start from it. The job key doubles as the
+            // `reallocate` base id the response carries.
+            let cost = report.get("cost").and_then(Json::as_u64).unwrap_or(0);
+            let entry = SeedEntry {
+                key: job.key,
+                graph: job.artifact.graph.clone(),
+                parts: winner,
+                cost,
+                sketch: job.artifact.sketch.clone(),
+            };
+            shared.seeds.insert(job.key, Arc::new(entry));
             if job.knobs.verify != VerifyMode::Off {
                 // Hand the completed report (and the reply) to the
                 // verifier lane; this worker goes straight back to
@@ -813,6 +795,30 @@ mod tests {
         assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad-request"));
         // The connection survives the bad request.
         let pong = roundtrip(&mut conn, r#"{"cmd":"ping"}"#);
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+        server.shutdown();
+    }
+
+    #[test]
+    fn duplicate_feedback_gets_a_parse_error_and_the_server_lives() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut conn = connect(&server);
+        // A second feedback source for one state is parsed on the I/O
+        // thread: a panic there would take the listener down with it.
+        let design = "cdfg t\ninput x\nstate s\nop y = add x s\n\
+                      feedback s <- y\nfeedback s <- y\noutput y\n";
+        let request = Json::obj(vec![
+            ("cmd", Json::Str("allocate".into())),
+            ("cdfg", Json::Str(design.into())),
+        ]);
+        let err = conn.call(&request).unwrap();
+        assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("parse"));
+        assert_eq!(err.get("line").and_then(Json::as_i64), Some(6));
+        // The same server still answers, on the same and a new connection.
+        let pong = roundtrip(&mut conn, r#"{"cmd":"ping"}"#);
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+        let pong = roundtrip(&mut connect(&server), r#"{"cmd":"ping"}"#);
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
         server.shutdown();
     }

@@ -1,12 +1,11 @@
 //! Seeded, jittered exponential backoff.
 //!
-//! Retry loops against the allocation service (load generator clients,
-//! `submit --retry`, worker reconnects) used to sleep a fixed
-//! `retry_after_ms` hint, which synchronises rejected clients into retry
-//! stampedes. [`Backoff`] replaces that with the standard
-//! exponential-plus-full-jitter schedule, driven by a tiny splitmix64
-//! generator so a given seed always yields the same delay sequence —
-//! load-generator rows stay reproducible run to run.
+//! Retry loops against the allocation service (`submit --retry`) used
+//! to sleep a fixed `retry_after_ms` hint, which synchronises rejected
+//! clients into retry stampedes. [`Backoff`] replaces that with the
+//! standard exponential-plus-full-jitter schedule, driven by a tiny
+//! splitmix64 generator so a given seed always yields the same delay
+//! sequence.
 
 use std::time::Duration;
 

@@ -3,7 +3,7 @@
 //! The wire transports exactly the values of the JSON text form — a
 //! [`Json`] tree in, the identical [`Json`] tree out — so every
 //! determinism contract stated over the text (byte-replay caches,
-//! bit-exact cluster reduction, canonical report diffs) holds over the
+//! canonical report diffs) holds over the
 //! wire for free: both sides render reports from the same document with
 //! the same serializer.
 //!

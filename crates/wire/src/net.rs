@@ -10,7 +10,7 @@
 //! and it only sleeps when a full pass made no progress.
 //!
 //! Responses flow through [`ReplyHandle`]s. A handler either replies
-//! synchronously (cache hits, stats, coordinator verbs) or moves the
+//! synchronously (cache hits, stats, ping) or moves the
 //! handle into a job for a worker pool to complete later; the loop
 //! drains completed replies into per-connection write buffers on its
 //! next pass and writes them as they land, tagged with the request's
@@ -56,10 +56,6 @@ pub struct NetConfig {
     /// Evict connections with no traffic and no pending work for this
     /// long. `None` keeps idle connections forever.
     pub idle_timeout: Option<Duration>,
-    /// After shutdown is flagged, keep answering already-connected peers
-    /// for at least this long (lets cluster workers observe the
-    /// `shutdown` status) before the drain-exit condition applies.
-    pub shutdown_linger: Duration,
     /// Wire counters, shared so the app can surface them (e.g. in a
     /// `stats` verb). A fresh default is fine when nobody else reads it.
     pub metrics: Arc<NetMetrics>,
@@ -71,7 +67,6 @@ impl Default for NetConfig {
             shutdown: Arc::new(AtomicBool::new(false)),
             in_flight_limit: None,
             idle_timeout: Some(Duration::from_secs(60)),
-            shutdown_linger: Duration::from_millis(0),
             metrics: Arc::new(NetMetrics::default()),
         }
     }
@@ -238,16 +233,12 @@ fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metri
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = 0u64;
-    let mut shutdown_at: Option<Instant> = None;
     let mut scratch = vec![0u8; READ_CHUNK];
 
     loop {
         let mut progress = false;
         let shutting_down = config.shutdown.load(Ordering::SeqCst);
         if shutting_down {
-            if shutdown_at.is_none() {
-                shutdown_at = Some(Instant::now());
-            }
             // Refuse new connections immediately: drop the listener so
             // post-shutdown connects are refused, not silently queued.
             if listener.take().is_some() {
@@ -307,13 +298,8 @@ fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metri
         }
         metrics.conns_active.store(conns.len() as u64, Ordering::Relaxed);
 
-        if shutting_down {
-            let lingered =
-                shutdown_at.map(|at| now.duration_since(at) >= config.shutdown_linger).unwrap_or(true);
-            let drained = conns.values().all(|c| c.slots.is_empty() && c.wbuf.is_empty());
-            if lingered && drained {
-                return;
-            }
+        if shutting_down && conns.values().all(|c| c.slots.is_empty() && c.wbuf.is_empty()) {
+            return;
         }
 
         if !progress {

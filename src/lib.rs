@@ -19,11 +19,8 @@
 //! * [`serve`] — the TCP allocation service (bounded job queue,
 //!   content-addressed result cache, worker pool with per-job
 //!   deadlines) and the JSON report serializer,
-//! * [`wire`] — the shared newline-delimited-JSON wire layer (parser,
-//!   line framing, seeded reconnect backoff),
-//! * [`cluster`] — distributed portfolio search: a coordinator leasing
-//!   restart-chain shards to worker processes with heartbeat failover
-//!   and a bit-exact deterministic reduction.
+//! * [`wire`] — the service's wire layer (JSON model, binary frames,
+//!   the poll-based server core, seeded retry backoff).
 //!
 //! # Quickstart
 //!
@@ -46,7 +43,6 @@ pub use salsa_alloc as alloc;
 pub use salsa_audit as audit;
 pub use salsa_baseline as baseline;
 pub use salsa_cdfg as cdfg;
-pub use salsa_cluster as cluster;
 pub use salsa_rtlgen as rtlgen;
 pub use salsa_datapath as datapath;
 pub use salsa_sched as sched;

@@ -10,14 +10,9 @@
 //!                    [--verilog PATH] [--testbench PATH] [--dot PATH]
 //! salsa-hls bench    <name|--list>                    run a built-in benchmark
 //! salsa-hls serve    [--addr H:P] [--workers N] [--queue N] [--cache N]
-//!                    [--backend local|cluster] [--cluster-listen H:P]
 //! salsa-hls submit   [--addr H:P] (--bench NAME | <file.cdfg>) [knobs...]
 //!                    [--verify off|sample|full] [--dump-trace PATH]
 //! salsa-hls audit    <artifact.json>                  offline replay of a dumped trace
-//! salsa-hls cluster-alloc  (--bench NAME | <file.cdfg>) [knobs...]
-//!                    [--listen H:P] [--shard-chains N] [--lease-ms MS]
-//! salsa-hls cluster-worker [--addr H:P] [--name NAME] [--poll-ms MS]
-//!                    [--heartbeat-ms MS] [--max-reconnects N]
 //! ```
 //!
 //! `<file.cdfg>` uses the text format documented in
@@ -30,7 +25,6 @@ use salsa_hls::cdfg::{parse_cdfg, Cdfg};
 use salsa_hls::datapath::{bus_allocate, traffic_from_rtl};
 use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, VerilogOptions};
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
-use salsa_hls::cluster::{run_worker, ClusterBackend, ClusterConfig, Coordinator, WorkerConfig};
 use salsa_hls::serve::{
     canonicalize_report, knobs_to_json, plan_job, Json, JobPlan, Knobs, Server, ServerConfig,
 };
@@ -60,8 +54,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "submit" => submit(args),
         "reallocate" => submit(args),
         "audit" => audit(args),
-        "cluster-alloc" => cluster_alloc(args),
-        "cluster-worker" => cluster_worker(args),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
             Ok(())
@@ -81,15 +73,14 @@ usage:
                      [--restarts R] [--threads T] [--cutoff F]
                      [--pipelined] [--traditional] [--no-mem-moves]
                      [--controller]
-                     [--report] [--json] [--verilog PATH] [--testbench PATH]
+                     [--report] [--json] [--canonical]
+                     [--verilog PATH] [--testbench PATH]
                      [--dot PATH]
   salsa-hls bench    <name|--list>
   salsa-hls serve    [--addr HOST:PORT] [--workers N] [--verify-workers N]
                      [--queue N] [--cache N]
                      [--default-timeout-ms MS] [--max-in-flight N]
-                     [--idle-timeout-ms MS] [--backend local|cluster]
-                     [--cluster-listen HOST:PORT] [--shard-chains N]
-                     [--lease-ms MS]
+                     [--idle-timeout-ms MS]
   salsa-hls submit   [--addr HOST:PORT] (--bench NAME | <file.cdfg>)
                      [--steps N] [--extra-regs K] [--seed S] [--restarts R]
                      [--threads T] [--cutoff F] [--pipelined]
@@ -100,13 +91,6 @@ usage:
   salsa-hls reallocate --base JOB_ID [--addr HOST:PORT]
                      (--bench NAME | <file.cdfg>) [submit knobs...]
   salsa-hls audit    <artifact.json>
-  salsa-hls cluster-alloc  (--bench NAME | <file.cdfg>) [--steps N]
-                     [--extra-regs K] [--seed S] [--restarts R]
-                     [--cutoff F] [--pipelined] [--traditional]
-                     [--listen HOST:PORT] [--shard-chains N] [--lease-ms MS]
-                     [--canonical]
-  salsa-hls cluster-worker [--addr HOST:PORT] [--name NAME] [--poll-ms MS]
-                     [--heartbeat-ms MS] [--max-reconnects N]
 
 --restarts runs R independent seeded search chains and keeps the best;
 --threads caps the portfolio workers spreading those chains (default: the
@@ -116,6 +100,9 @@ the sequential loop (one thread) never consults it.
 --no-mem-moves disables the M move family on memory (array) designs,
 freezing bank assignment at the initial placement — the ablation
 baseline; scalar designs are unaffected.
+--canonical prints the report as compact JSON with its wall-clock fields
+zeroed (search.elapsed_ms, search.moves_per_sec, portfolio.speedup), the
+form byte-diffs and the golden reports compare.
 
 serve starts the allocation service (default 127.0.0.1:7741, port 0
 picks a free port) and runs until a shutdown command drains it. It
@@ -147,17 +134,6 @@ structurally similar prior design; the report's warm_start section
 records the seed's provenance either way, and warm and cold runs never
 share a result-cache entry.
 
---backend cluster makes serve dispatch each job to a worker fleet: it
-also binds a coordinator on --cluster-listen (default 127.0.0.1:7742)
-and waits for 'salsa-hls cluster-worker' processes to poll it. Restart
-chains are leased out in shards; a worker that dies or stalls past its
-lease loses the shard to a peer (chains are pure functions of the seed,
-so reruns are exact). With no --cutoff the final report is byte-identical
-to the local sequential portfolio in canonical form (--canonical zeroes
-the wall-clock fields: search.elapsed_ms, search.moves_per_sec,
-portfolio.speedup). cluster-alloc is the one-shot form: bind, run one
-job against the fleet, print the report, shut down.
-
 <file.cdfg> is the text CDFG format ('-' reads stdin), e.g.:
   cdfg iir1
   input x
@@ -170,13 +146,15 @@ job against the fleet, print the report, shut down.
 ";
 
 /// Flags of removed options. They fail loudly instead of being skipped,
-/// which would silently change the job — and `--batch K` or
-/// `--protocol P` would leave their value behind to be read as the
-/// design path.
+/// which would silently change the job — and `--batch K`,
+/// `--protocol P` or `--backend B` would leave their value behind to be
+/// read as the design path.
 const REMOVED_FLAGS: &[(&str, &str)] = &[
     ("--batch", "the speculative batch engine is gone; the search applies one move at a time"),
     ("--no-plan", "the compiled move plan is always on"),
     ("--protocol", "the service speaks only binary frames"),
+    ("--backend", "the distributed backend is gone; the service runs every job in-process"),
+    ("--cluster-listen", "the distributed backend is gone; the service runs every job in-process"),
 ];
 
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
@@ -258,7 +236,7 @@ fn schedule_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// The job the knob flags describe on `graph`, derived exactly as the
-/// service, verifier and cluster derive it.
+/// service and verifier derive it.
 fn plan(graph: &Cdfg, args: &[String]) -> Result<JobPlan, String> {
     plan_job(graph, &knobs_from_args(args)?).map_err(|e| e.message)
 }
@@ -274,8 +252,8 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
     let (schedule, lib) = (job.schedule(), job.library());
 
     if has_flag(args, "--canonical") {
-        // Canonical form for byte-exact diffs against a cluster run:
-        // compact, with the wall-clock fields zeroed.
+        // Canonical form for byte-exact diffs against the service's
+        // report: compact, with the wall-clock fields zeroed.
         let mut report = job.report(graph, &result);
         canonicalize_report(&mut report);
         println!("{}", report.to_string_compact());
@@ -340,7 +318,6 @@ fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
 }
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7741";
-const DEFAULT_CLUSTER_ADDR: &str = "127.0.0.1:7742";
 
 fn serve(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string());
@@ -368,63 +345,19 @@ fn serve(args: &[String]) -> Result<(), String> {
         config.idle_timeout_ms = if ms == 0 { None } else { Some(ms) };
     }
 
-    let backend = flag_value(args, "--backend")?.unwrap_or_else(|| "local".to_string());
-    let coordinator = match backend.as_str() {
-        "local" => None,
-        "cluster" => {
-            let listen =
-                flag_value(args, "--cluster-listen")?.unwrap_or_else(|| DEFAULT_CLUSTER_ADDR.to_string());
-            let coordinator = std::sync::Arc::new(
-                Coordinator::bind(&listen, cluster_config(args)?)
-                    .map_err(|e| format!("{listen}: {e}"))?,
-            );
-            println!("cluster listening on {}", coordinator.local_addr());
-            Some(coordinator)
-        }
-        other => return Err(format!("unknown backend '{other}' (try local or cluster)")),
-    };
-
-    let server = match &coordinator {
-        Some(coordinator) => Server::bind_with_backend(
-            &addr,
-            config,
-            std::sync::Arc::new(ClusterBackend::new(std::sync::Arc::clone(coordinator))),
-        ),
-        None => Server::bind(&addr, config),
-    }
-    .map_err(|e| format!("{addr}: {e}"))?;
+    let server = Server::bind(&addr, config).map_err(|e| format!("{addr}: {e}"))?;
     println!("listening on {}", server.local_addr());
     // The banner must reach pipes promptly: scripts wait for it before
     // submitting.
     let _ = std::io::stdout().flush();
     server.join();
-    if let Some(coordinator) = coordinator {
-        // Tell polling workers to exit; give them one poll period to
-        // hear it before the process (and the listener) goes away.
-        coordinator.begin_shutdown();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
     println!("drained and stopped");
     Ok(())
 }
 
-/// Coordinator tuning shared by `serve --backend cluster` and
-/// `cluster-alloc`.
-fn cluster_config(args: &[String]) -> Result<ClusterConfig, String> {
-    let mut config = ClusterConfig::default();
-    if let Some(chains) = flag_parse(args, "--shard-chains")? {
-        config.shard_chains = chains;
-    }
-    if let Some(ms) = flag_parse(args, "--lease-ms")? {
-        config.lease_ms = ms;
-    }
-    Ok(config)
-}
-
 /// The allocation knobs the flags spell, shared by `schedule`,
-/// `allocate`, `bench` and `cluster-alloc` (the cluster pins every chain
-/// to one thread whatever `--threads` says — its parallelism is workers).
-/// They pass the same range checks as a wire request's knobs.
+/// `allocate`, `bench`, `submit` and `reallocate`. They pass the same
+/// range checks as a wire request's knobs.
 fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
     let knobs = Knobs {
         steps: flag_parse(args, "--steps")?,
@@ -449,60 +382,6 @@ fn parse_verify(args: &[String]) -> Result<salsa_hls::audit::VerifyMode, String>
         Some(raw) => salsa_hls::audit::VerifyMode::parse(&raw)
             .ok_or_else(|| format!("--verify: '{raw}' is not valid (off, sample or full)")),
     }
-}
-
-fn load_graph_or_bench(args: &[String]) -> Result<Cdfg, String> {
-    if let Some(name) = flag_value(args, "--bench")? {
-        return salsa_hls::cdfg::benchmarks::all()
-            .into_iter()
-            .find(|g| g.name() == name)
-            .ok_or_else(|| format!("unknown benchmark '{name}' (try 'salsa-hls bench --list')"));
-    }
-    load_graph(args)
-}
-
-/// One-shot distributed allocation: bind a coordinator, run a single job
-/// against whatever workers poll it, print the report, shut down.
-fn cluster_alloc(args: &[String]) -> Result<(), String> {
-    let graph = load_graph_or_bench(args)?;
-    let knobs = knobs_from_args(args)?;
-    let listen = flag_value(args, "--listen")?.unwrap_or_else(|| DEFAULT_CLUSTER_ADDR.to_string());
-    let coordinator = Coordinator::bind(&listen, cluster_config(args)?)
-        .map_err(|e| format!("{listen}: {e}"))?;
-    // Banner first and flushed: scripts wait for it before starting the
-    // workers that will carry this job.
-    println!("cluster listening on {}", coordinator.local_addr());
-    let _ = std::io::stdout().flush();
-
-    let outcome = coordinator.allocate(&graph, &knobs, None);
-    coordinator.shutdown();
-    let mut report = outcome.map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
-    if has_flag(args, "--canonical") {
-        canonicalize_report(&mut report);
-        println!("{}", report.to_string_compact());
-    } else {
-        println!("{}", report.to_string_pretty());
-    }
-    Ok(())
-}
-
-/// A cluster worker process: polls the coordinator for leased shards,
-/// runs their chains, heartbeats while they run, reports the outcomes.
-fn cluster_worker(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--addr")?.unwrap_or_else(|| DEFAULT_CLUSTER_ADDR.to_string());
-    let name = flag_value(args, "--name")?
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let mut config = WorkerConfig::new(addr.clone(), name);
-    if let Some(ms) = flag_parse(args, "--poll-ms")? {
-        config.poll_ms = ms;
-    }
-    if let Some(ms) = flag_parse(args, "--heartbeat-ms")? {
-        config.heartbeat_ms = ms;
-    }
-    if let Some(limit) = flag_parse(args, "--max-reconnects")? {
-        config.max_reconnects = limit;
-    }
-    run_worker(config).map_err(|e| format!("{addr}: {e}"))
 }
 
 fn submit(args: &[String]) -> Result<(), String> {

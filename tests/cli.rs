@@ -150,25 +150,31 @@ fn parse_errors_are_reported_with_lines() {
 
 #[test]
 fn unknown_command_fails() {
-    let out = Command::new(BIN).arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown command"));
+    // The verbs of the removed cluster backend are unknown commands too.
+    for verb in ["frobnicate", "cluster-alloc", "cluster-worker"] {
+        let out = Command::new(BIN).args([verb, "--bench", "dct"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb} must exit 1");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains("unknown command"), "{verb}: {text}");
+    }
 }
 
 #[test]
 fn removed_flags_fail_and_say_so() {
-    // `--batch K` and `--protocol P` must not leave their value to be
-    // read as the design path, and no removed flag may be skipped
-    // silently.
+    // `--batch K`, `--protocol P` and `--backend B` must not leave their
+    // value to be read as the design path, and no removed flag may be
+    // skipped silently.
     for (flag, args) in [
         ("--batch", &["submit", "--batch", "8", "f.cdfg"][..]),
         ("--batch", &["bench", "dct", "--batch", "8"][..]),
-        ("--batch", &["cluster-alloc", "--bench", "dct", "--batch", "2"][..]),
+        ("--batch", &["submit", "--bench", "dct", "--batch", "2"][..]),
         ("--no-plan", &["bench", "dct", "--no-plan"][..]),
         ("--no-plan", &["submit", "--bench", "ewf", "--no-plan"][..]),
         ("--protocol", &["submit", "--protocol", "json", "f.cdfg"][..]),
         ("--protocol", &["reallocate", "--base", "00", "--protocol", "auto", "f.cdfg"][..]),
-        ("--protocol", &["cluster-worker", "--protocol", "binary"][..]),
+        ("--protocol", &["submit", "--bench", "ewf", "--protocol", "binary"][..]),
+        ("--backend", &["serve", "--backend", "cluster"][..]),
+        ("--cluster-listen", &["serve", "--cluster-listen", "127.0.0.1:0"][..]),
     ] {
         let out = Command::new(BIN).args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
