@@ -256,7 +256,7 @@ pub(crate) struct MoveScratch {
     pub(crate) slots: Vec<usize>,
     pub(crate) ops: Vec<OpId>,
     pub(crate) keys: Vec<TransferKey>,
-    pub(crate) transfers: Vec<(TransferKey, usize)>,
+    pub(crate) transfers: Vec<(TransferKey, RegId, RegId, usize)>,
     pub(crate) seen_states: Vec<ValueId>,
     pub(crate) owners: Vec<Owner>,
     pub(crate) affected: Vec<Owner>,
@@ -1154,6 +1154,58 @@ impl<'a> Binding<'a> {
         }
     }
 
+    /// Replaces `out` with every active transfer (one that moves a value
+    /// between two distinct registers) as `(key, src, dst, step)`, in
+    /// first-encounter order over the values in id order — the order of
+    /// [`transfer_keys_into`](Self::transfer_keys_into), with the
+    /// endpoints of [`transfer_endpoints`](Self::transfer_endpoints).
+    /// Chain transfers are read off the chains' register pairs directly;
+    /// only boundary keys are resolved through `transfer_endpoints`. A
+    /// boundary key is listed by both its state and its source value, and
+    /// only its first listing counts.
+    pub(crate) fn active_transfers_into(
+        &mut self,
+        out: &mut Vec<(TransferKey, RegId, RegId, usize)>,
+    ) {
+        let mut seen_states = std::mem::take(&mut self.scratch.seen_states);
+        seen_states.clear();
+        out.clear();
+        let ctx = self.ctx;
+        let mut push = |key: TransferKey, src: RegId, dst: RegId, step: usize| {
+            if src != dst {
+                out.push((key, src, dst, step));
+            }
+        };
+        for value in ctx.graph.value_ids() {
+            if let Some(primal) = self.primal(value) {
+                let steps = ctx.lifetimes.get(value).expect("stored").steps();
+                for (slot, chain) in self.chains_of(value) {
+                    let lo = chain.lo;
+                    for (i, pair) in chain.regs.windows(2).enumerate() {
+                        let key = TransferKey::Intra { value, chain: slot, idx: lo + i };
+                        push(key, pair[0], pair[1], steps[lo + i]);
+                    }
+                    if slot > 0 && lo > 0 {
+                        let key = TransferKey::CopyFeed { value, chain: slot };
+                        push(key, primal.reg_at(lo - 1), chain.regs[0], steps[lo - 1]);
+                    }
+                }
+            }
+            for &key in &ctx.plan.value_boundaries[value.index()] {
+                if let TransferKey::Boundary { state } = key {
+                    if seen_states.contains(&state) {
+                        continue;
+                    }
+                    seen_states.push(state);
+                }
+                if let Some((src, dst, step)) = self.transfer_endpoints(key) {
+                    push(key, src, dst, step);
+                }
+            }
+        }
+        self.scratch.seen_states = seen_states;
+    }
+
     fn chain(&self, value: ValueId, slot: usize) -> Option<&Chain> {
         self.chains[value.index()].get(slot).and_then(|c| c.as_ref())
     }
@@ -1303,15 +1355,22 @@ impl<'a> Binding<'a> {
         for &owner in owners {
             items.clear();
             self.items_into(owner, &mut items);
-            for &(src, sink) in &items {
-                if !self.conn.contains(src, sink) {
-                    total += 1 + 4 * self.conn.added_mux_cost(src, sink) as u64;
-                }
-            }
+            total += items.iter().map(|&(src, sink)| self.item_cost(src, sink)).sum::<u64>();
         }
         items.clear();
         self.items_scratch = items;
         total
+    }
+
+    /// What one connection item would add to the current matrix, in the
+    /// weights of [`added_cost_of`](Self::added_cost_of): nothing for an
+    /// existing connection, else one wire plus four per new mux input.
+    pub(crate) fn item_cost(&self, src: Source, sink: Sink) -> u64 {
+        if self.conn.contains(src, sink) {
+            0
+        } else {
+            1 + 4 * self.conn.added_mux_cost(src, sink) as u64
+        }
     }
 
     pub(crate) fn assert_owner(&mut self, owner: Owner) {

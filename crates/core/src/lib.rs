@@ -73,7 +73,7 @@ pub use improve::{improve, ImproveConfig, ImproveStats, SearchExit};
 pub use initial::{initial_allocation, initial_binding, InitialBinding};
 pub use lower::{lower, verify_binding, verify_lowered};
 pub use plan::MovePlan;
-pub use polish::{polish, polish_segment_candidate};
+pub use polish::polish;
 pub use portfolio::{
     portfolio_search, ChainStat, PortfolioConfig, PortfolioOutcome, PortfolioStats,
 };

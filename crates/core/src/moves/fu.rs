@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use salsa_cdfg::{OpId, ValueId};
-use salsa_datapath::FuId;
+use salsa_cdfg::OpId;
+use salsa_datapath::{FuId, Port, Sink, Source};
 use salsa_sched::FuClass;
 
 use crate::binding::Owner;
@@ -111,61 +111,27 @@ pub(crate) fn apply_operand_reverse(b: &mut Binding<'_>, op: OpId) -> bool {
     true
 }
 
-/// Appends the active transfers without a bound pass, each with its
-/// step, in first-encounter order over the values in id order. Only
-/// boundary keys can repeat across values (once from the feeding source,
-/// once from the state), so `seen_states` is the whole deduplication
-/// state.
-fn unbound_transfers_into(
-    b: &Binding<'_>,
-    keys: &mut Vec<TransferKey>,
-    seen_states: &mut Vec<ValueId>,
-    out: &mut Vec<(TransferKey, usize)>,
-) {
-    seen_states.clear();
-    out.clear();
-    for value in b.ctx.graph.value_ids() {
-        keys.clear();
-        b.transfer_keys_into(value, keys);
-        for &key in keys.iter() {
-            if let TransferKey::Boundary { state } = key {
-                if seen_states.contains(&state) {
-                    continue;
-                }
-                seen_states.push(state);
-            }
-            if b.passes().contains_key(&key) {
-                continue;
-            }
-            if let Some((_, _, step)) = b.transfer_endpoints(key) {
-                out.push((key, step));
-            }
-        }
-    }
-}
-
 /// F4 — bind an unserved transfer to an idle, pass-capable unit,
 /// converting a register-register connection into reuse of the unit's
 /// existing paths.
 ///
 /// Pass-throughs pay off only when they reuse the unit's existing
 /// connections (Figure 3); the proposal ranks candidates by added
-/// interconnect (random tie-break), which requires transiently retracting
-/// the transfer and trying each unit — all reverted through a journal
-/// checkpoint before returning.
+/// interconnect (random tie-break). A pass through unit `g` implies the
+/// two items `RegOut(src) → FuIn(g, Left)` and `FuOut(g) → RegIn(dst)`,
+/// costed against the matrix with the transfer's direct connection
+/// retracted. Binding the pass writes no connection cell, so the items
+/// are costed without binding it (DESIGN.md §19).
 pub(crate) fn propose_pass_bind(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
     let mut units = std::mem::take(&mut b.scratch.fus);
     units.clear();
-    let mut keys = std::mem::take(&mut b.scratch.keys);
-    let mut seen_states = std::mem::take(&mut b.scratch.seen_states);
     let mut unbound = std::mem::take(&mut b.scratch.transfers);
-    unbound_transfers_into(b, &mut keys, &mut seen_states, &mut unbound);
+    b.active_transfers_into(&mut unbound);
+    unbound.retain(|&(key, ..)| !b.passes().contains_key(&key));
     let pick = unbound.choose(rng).copied();
-    b.scratch.keys = keys;
-    b.scratch.seen_states = seen_states;
     b.scratch.transfers = unbound;
-    let Some((key, step)) = pick else {
+    let Some((key, src, dst, step)) = pick else {
         b.scratch.fus = units;
         return None;
     };
@@ -175,19 +141,16 @@ pub(crate) fn propose_pass_bind(b: &mut Binding<'_>, rng: &mut StdRng) -> Option
         return None;
     }
 
-    let outer = b.in_txn();
-    if !outer {
-        b.begin();
-    }
-    let mark = b.journal_len();
-    b.retract_owner(Owner::Transfer(key));
+    // The direct connection comes back before the proposal returns, so
+    // the matrix is left as it was and nothing is journaled.
+    let direct = (Source::RegOut(src), Sink::RegIn(dst));
+    b.conn.remove(direct.0, direct.1);
     let mut best = std::mem::take(&mut b.scratch.best_fus);
     best.clear();
     let mut best_cost = u64::MAX;
     for &cand in &units {
-        b.set_pass(key, Some(cand));
-        let cost = b.added_cost_of(&[Owner::Transfer(key)]);
-        b.set_pass(key, None);
+        let cost = b.item_cost(Source::RegOut(src), Sink::FuIn(cand, Port::Left))
+            + b.item_cost(Source::FuOut(cand), Sink::RegIn(dst));
         match cost.cmp(&best_cost) {
             std::cmp::Ordering::Less => {
                 best_cost = cost;
@@ -198,10 +161,7 @@ pub(crate) fn propose_pass_bind(b: &mut Binding<'_>, rng: &mut StdRng) -> Option
             std::cmp::Ordering::Greater => {}
         }
     }
-    b.undo_to(mark);
-    if !outer {
-        b.rollback();
-    }
+    b.conn.add(direct.0, direct.1);
     let fu = *best.choose(rng).expect("at least one candidate");
     b.scratch.fus = units;
     b.scratch.best_fus = best;

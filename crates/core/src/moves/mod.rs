@@ -25,7 +25,7 @@ mod fu;
 mod mem;
 mod reg;
 
-pub(crate) use reg::{collect_affected, collect_owners};
+pub(crate) use reg::{collect_owners, place_segment, retract_segment, Rerouted};
 
 use rand::rngs::StdRng;
 use rand::Rng;

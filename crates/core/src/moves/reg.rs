@@ -4,10 +4,11 @@
 //!
 //! As in the [`fu`](super::fu) module, each proposer draws from the
 //! compiled plan's candidate tables through scratch buffers.
-//! The R2 ranking additionally uses an incremental delta kernel: only the
-//! owners whose connection items can reference the moved segment's
-//! register are re-costed per candidate (see [`collect_affected`]). The
-//! polish segment sweep evaluates its candidates with the same kernel.
+//! The segment moves use an incremental delta kernel: only the owners
+//! whose connection items can reference a moved segment's register (see
+//! [`collect_affected`]) are re-costed per R2 candidate, and retracted and
+//! re-asserted by the R1 and R2 applies. The polish segment sweep places
+//! its candidates with the same kernel (DESIGN.md §17, §19).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,6 +68,98 @@ fn assert_values(b: &mut Binding<'_>, values: &[ValueId]) {
     b.scratch.owners = owners;
 }
 
+/// The owners one register move re-routes, and their transfer keys — the
+/// only keys whose pass can go stale when the moved segments change
+/// register. For a segment move the owners are the [`collect_affected`]
+/// subset; the polish value sweep uses a value's whole owner set.
+#[derive(Default)]
+pub(crate) struct Rerouted {
+    pub(crate) owners: Vec<Owner>,
+    keys: Vec<TransferKey>,
+}
+
+impl Rerouted {
+    /// Borrows the binding's scratch buffers; hand them back with
+    /// [`restore`](Self::restore).
+    fn take(b: &mut Binding<'_>) -> Self {
+        Rerouted {
+            owners: std::mem::take(&mut b.scratch.affected),
+            keys: std::mem::take(&mut b.scratch.keys),
+        }
+    }
+
+    fn restore(self, b: &mut Binding<'_>) {
+        b.scratch.affected = self.owners;
+        b.scratch.keys = self.keys;
+    }
+
+    /// Selects the owners, out of `owners` (the sorted owner set of `v`),
+    /// that a move of segment `(v, slot, idx)` re-routes.
+    pub(crate) fn select_segment(
+        &mut self,
+        b: &Binding<'_>,
+        owners: &[Owner],
+        v: ValueId,
+        slot: usize,
+        idx: usize,
+    ) {
+        self.owners.clear();
+        collect_affected(b, owners, v, slot, idx, &mut self.owners);
+        self.set_keys();
+    }
+
+    /// Re-derives the transfer keys from `owners`.
+    pub(crate) fn set_keys(&mut self) {
+        self.keys.clear();
+        self.keys.extend(self.owners.iter().filter_map(|&o| match o {
+            Owner::Transfer(key) => Some(key),
+            Owner::Op(_) => None,
+        }));
+    }
+
+    pub(crate) fn retract(&self, b: &mut Binding<'_>) {
+        for &o in &self.owners {
+            b.retract_owner(o);
+        }
+    }
+
+    /// Drops the passes the move left stale, then re-asserts the owners.
+    pub(crate) fn reassert(&self, b: &mut Binding<'_>) {
+        b.drop_stale_passes(self.keys.iter().copied());
+        for &o in &self.owners {
+            b.assert_owner(o);
+        }
+    }
+}
+
+/// Retracts the group's owners and vacates segment `(v, slot, idx)`.
+pub(crate) fn retract_segment(
+    b: &mut Binding<'_>,
+    group: &Rerouted,
+    v: ValueId,
+    slot: usize,
+    idx: usize,
+) {
+    group.retract(b);
+    b.vacate_seg(v, slot, idx);
+}
+
+/// Places the vacated segment `(v, slot, idx)` in `target` and re-asserts
+/// the group's owners. R2's apply and the polish segment sweep both land
+/// a segment move here.
+pub(crate) fn place_segment(
+    b: &mut Binding<'_>,
+    group: &Rerouted,
+    v: ValueId,
+    slot: usize,
+    idx: usize,
+    target: RegId,
+) {
+    b.chain_reg_mut(v, slot, idx, target);
+    b.occupy_seg(v, slot, idx);
+    group.reassert(b);
+}
+
 fn drop_stale_for(b: &mut Binding<'_>, values: &[ValueId]) {
     let mut keys = std::mem::take(&mut b.scratch.keys);
     for &v in values {
@@ -113,37 +206,52 @@ pub(crate) fn apply_segment_exchange(
     s2: usize,
     r2: RegId,
 ) -> bool {
-    if b.reg_occupant(r1, step) != Some((v1, s1)) || b.reg_occupant(r2, step) != Some((v2, s2)) {
+    // A segment exchanged with itself (a decoded trace can carry one) is
+    // not a move, as F1 refuses a unit exchanged with itself.
+    if r1 == r2
+        || b.reg_occupant(r1, step) != Some((v1, s1))
+        || b.reg_occupant(r2, step) != Some((v2, s2))
+    {
         return false;
     }
     let idx1 = b.ctx.lifetime_index(v1, step).expect("occupant is stored at step");
     let idx2 = b.ctx.lifetime_index(v2, step).expect("occupant is stored at step");
 
-    let values = if v1 == v2 { [v1, v1] } else { [v1, v2] };
-    let values = if v1 == v2 { &values[..1] } else { &values[..] };
-    let owners = retract_values(b, values);
+    // Only the owners that can reference either moved segment's register
+    // change; an owner of both is retracted once.
+    let mut group = Rerouted::take(b);
+    group.owners.clear();
+    let mut owners = std::mem::take(&mut b.scratch.owners);
+    collect_owners(b, &[v1], &mut owners);
+    collect_affected(b, &owners, v1, s1, idx1, &mut group.owners);
+    collect_owners(b, &[v2], &mut owners);
+    collect_affected(b, &owners, v2, s2, idx2, &mut group.owners);
     b.scratch.owners = owners;
+    group.owners.sort_unstable();
+    group.owners.dedup();
+    group.set_keys();
+
+    group.retract(b);
     b.vacate_seg(v1, s1, idx1);
     b.vacate_seg(v2, s2, idx2);
     b.chain_reg_mut(v1, s1, idx1, r2);
     b.chain_reg_mut(v2, s2, idx2, r1);
     b.occupy_seg(v1, s1, idx1);
     b.occupy_seg(v2, s2, idx2);
-    drop_stale_for(b, values);
-    assert_values(b, values);
+    group.reassert(b);
+    group.restore(b);
     true
 }
 
-/// R2 delta-cost kernel: of a value's owners, selects those whose
-/// connection items can reference the register of the moved segment
-/// `(slot, idx)`. Every other owner's items are identical for every
-/// candidate target, contributing a constant to the ranking sum — so
-/// costing only the affected subset preserves the argmin, the tie set and
-/// the tie order exactly. The polish segment sweep retracts and re-asserts
-/// only this subset, so it also decides which candidates polish accepts.
-/// Over-approximation is safe (a never-changing owner adds the same
-/// constant); omission is not, so the conditions mirror
-/// [`Binding::items_into`] case by case.
+/// The segment delta kernel: of a value's owners, appends to `out` those
+/// whose connection items can reference the register of the moved
+/// segment `(slot, idx)`. Every other owner's items are identical for
+/// every target register. So R2's ranking costs only this subset (a
+/// constant drops out of every candidate's sum: same argmin, tie set and
+/// tie order), and the R1 and R2 applies and the polish segment sweep
+/// retract and re-assert only it (an unchanged owner's retract and
+/// re-assert cancel). Over-approximation is safe; omission is not, so the
+/// conditions mirror [`Binding::items_into`] case by case.
 pub(crate) fn collect_affected(
     b: &Binding<'_>,
     owners: &[Owner],
@@ -295,13 +403,14 @@ pub(crate) fn apply_segment_move(
     if !b.reg_free(target, step) {
         return false;
     }
-    let owners = retract_values(b, &[v]);
+    let mut group = Rerouted::take(b);
+    let mut owners = std::mem::take(&mut b.scratch.owners);
+    collect_owners(b, &[v], &mut owners);
+    group.select_segment(b, &owners, v, slot, idx);
     b.scratch.owners = owners;
-    b.vacate_seg(v, slot, idx);
-    b.chain_reg_mut(v, slot, idx, target);
-    b.occupy_seg(v, slot, idx);
-    drop_stale_for(b, &[v]);
-    assert_values(b, &[v]);
+    retract_segment(b, &group, v, slot, idx);
+    place_segment(b, &group, v, slot, idx, target);
+    group.restore(b);
     true
 }
 

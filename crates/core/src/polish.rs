@@ -19,8 +19,10 @@ use salsa_datapath::{CostWeights, FuId, RegId};
 
 use crate::binding::Owner;
 use crate::improve::weighted_cost;
-use crate::moves::{apply_proposal, collect_affected, collect_owners, Proposal};
-use crate::{Binding, MoveKind, MoveSet, TransferKey};
+use crate::moves::{
+    apply_proposal, collect_owners, place_segment, retract_segment, Proposal, Rerouted,
+};
+use crate::{Binding, MoveKind, MoveSet};
 
 /// Runs greedy descent to a fixpoint over the neighborhoods the move set
 /// permits (a traditional-model polish stays within the traditional model);
@@ -128,38 +130,6 @@ fn sweep_operand_reversals(
     improved
 }
 
-/// The owners one candidate group of a register sweep re-routes, and
-/// their transfer keys — the only keys whose pass can go stale when the
-/// group's registers change.
-#[derive(Default)]
-struct Rerouted {
-    owners: Vec<Owner>,
-    keys: Vec<TransferKey>,
-}
-
-impl Rerouted {
-    fn set_keys(&mut self) {
-        self.keys.clear();
-        self.keys.extend(self.owners.iter().filter_map(|&o| match o {
-            Owner::Transfer(key) => Some(key),
-            Owner::Op(_) => None,
-        }));
-    }
-
-    fn retract(&self, binding: &mut Binding<'_>) {
-        for &o in &self.owners {
-            binding.retract_owner(o);
-        }
-    }
-
-    fn reassert(&self, binding: &mut Binding<'_>) {
-        binding.drop_stale_passes(self.keys.iter().copied());
-        for &o in &self.owners {
-            binding.assert_owner(o);
-        }
-    }
-}
-
 /// Whether the value's primal chain sits wholly in `reg`, which makes an
 /// R4 move there a no-op.
 fn already_in(binding: &Binding<'_>, v: ValueId, reg: RegId) -> bool {
@@ -228,27 +198,10 @@ fn sweep_value_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mu
 fn sweep_passes(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
-    // Active transfers in first-seen order. A boundary key is listed by
-    // both its state and its source value; only its first listing counts.
-    let mut keys: Vec<(TransferKey, usize)> = Vec::new();
-    let mut value_keys: Vec<TransferKey> = Vec::new();
-    let mut seen_state = vec![false; ctx.graph.num_values()];
-    for v in ctx.graph.value_ids() {
-        value_keys.clear();
-        binding.transfer_keys_into(v, &mut value_keys);
-        for &key in &value_keys {
-            if let TransferKey::Boundary { state } = key {
-                if std::mem::replace(&mut seen_state[state.index()], true) {
-                    continue;
-                }
-            }
-            if let Some((_, _, step)) = binding.transfer_endpoints(key) {
-                keys.push((key, step));
-            }
-        }
-    }
+    let mut keys = Vec::new();
+    binding.active_transfers_into(&mut keys);
     let mut candidates: Vec<Option<FuId>> = Vec::new();
-    for (key, step) in keys {
+    for (key, _, _, step) in keys {
         // Candidates: every pass-capable idle unit, plus "no pass".
         let current = binding.passes().get(&key).copied();
         candidates.clear();
@@ -276,39 +229,13 @@ fn sweep_passes(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64
     improved
 }
 
-/// Retracts the group's owners and vacates segment `(value, slot, idx)`.
-fn retract_segment(
-    binding: &mut Binding<'_>,
-    group: &Rerouted,
-    v: ValueId,
-    slot: usize,
-    idx: usize,
-) {
-    group.retract(binding);
-    binding.vacate_seg(v, slot, idx);
-}
-
-/// Places the vacated segment `(value, slot, idx)` in `target` and
-/// re-asserts the group's owners.
-fn place_segment(
-    binding: &mut Binding<'_>,
-    group: &Rerouted,
-    v: ValueId,
-    slot: usize,
-    idx: usize,
-    target: RegId,
-) {
-    binding.chain_reg_mut(v, slot, idx, target);
-    binding.occupy_seg(v, slot, idx);
-    group.reassert(binding);
-}
-
 /// R2 over every segment and every register free at its step. Per
 /// segment, only the owners whose items can reference its register are
-/// retracted ([`collect_affected`]), once; each target is then placed,
-/// re-asserted, costed and undone back to that checkpoint. The other
-/// owners' items are the same for every target, so the cost read equals
-/// the full retract-and-reassert cost.
+/// retracted ([`Rerouted::select_segment`]), once; each target is then
+/// placed through the kernel R2's apply uses ([`place_segment`]), costed
+/// and undone back to that checkpoint. The other owners' items are the
+/// same for every target, so the cost read equals the full
+/// retract-and-reassert cost.
 fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
@@ -335,9 +262,7 @@ fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &
                 if free.is_empty() {
                     continue;
                 }
-                group.owners.clear();
-                collect_affected(binding, &owners, v, slot, idx, &mut group.owners);
-                group.set_keys();
+                group.select_segment(binding, &owners, v, slot, idx);
                 let open = |binding: &mut Binding<'_>, group: &Rerouted| {
                     binding.begin();
                     retract_segment(binding, group, v, slot, idx);
@@ -358,38 +283,6 @@ fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &
         }
     }
     improved
-}
-
-/// Applies the segment move `(value, slot, idx) → target` inside the
-/// caller's open transaction exactly as the segment sweep evaluates a
-/// candidate: only the owners whose items can reference the segment's
-/// register are retracted and re-asserted. Returns `false`, touching
-/// nothing, when the segment is not live or `target` is not free at its
-/// step. A test hook: the kernel-exactness property checks it against the
-/// full-retraction [`apply_proposal`](crate::moves::apply_proposal) path.
-#[doc(hidden)]
-pub fn polish_segment_candidate(
-    binding: &mut Binding<'_>,
-    v: ValueId,
-    slot: usize,
-    idx: usize,
-    target: RegId,
-) -> bool {
-    if !binding.chains_of(v).any(|(s, c)| s == slot && c.covers(idx)) {
-        return false;
-    }
-    let step = binding.ctx.lifetimes.get(v).expect("stored").steps()[idx];
-    if !binding.reg_free(target, step) {
-        return false;
-    }
-    let mut owners = Vec::new();
-    collect_owners(binding, &[v], &mut owners);
-    let mut group = Rerouted::default();
-    collect_affected(binding, &owners, v, slot, idx, &mut group.owners);
-    group.set_keys();
-    retract_segment(binding, &group, v, slot, idx);
-    place_segment(binding, &group, v, slot, idx, target);
-    true
 }
 
 /// M3 over the complete (access, bank port) grid: each load/store against

@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use salsa_alloc::{
-    improve, initial_allocation, lower, moves, polish_segment_candidate, AllocContext, Allocator,
+    improve, initial_allocation, lower, moves, AllocContext, Allocator,
     Binding, BindingParts, ImproveConfig, MoveSet, Proposal,
 };
 use salsa_cdfg::{random_cdfg, RandomCdfgConfig};
@@ -217,18 +217,55 @@ proptest! {
     }
 }
 
+/// A random R2 candidate: a live segment and a register free at its step.
+fn draw_segment_move(binding: &Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
+    let ctx = binding.ctx();
+    let stored: Vec<_> =
+        ctx.graph.value_ids().filter(|&v| binding.primal(v).is_some()).collect();
+    let &value = stored.choose(rng)?;
+    let chains: Vec<(usize, usize, usize)> =
+        binding.chains_of(value).map(|(s, c)| (s, c.lo(), c.hi())).collect();
+    let &(slot, lo, hi) = chains.choose(rng).expect("stored value has chains");
+    let idx = rng.gen_range(lo..=hi);
+    let step = ctx.lifetimes.get(value).expect("stored").steps()[idx];
+    let free: Vec<_> = ctx.datapath.reg_ids().filter(|&r| binding.reg_free(r, step)).collect();
+    let &target = free.choose(rng)?;
+    Some(Proposal::SegmentMove { value, slot, idx, target })
+}
+
+/// A random R1 candidate: two registers occupied at one step.
+fn draw_segment_exchange(binding: &Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
+    let ctx = binding.ctx();
+    let step = rng.gen_range(0..ctx.n_steps());
+    let occupied: Vec<_> = ctx
+        .datapath
+        .reg_ids()
+        .filter_map(|r| binding.reg_occupant(r, step).map(|o| (r, o)))
+        .collect();
+    if occupied.len() < 2 {
+        return None;
+    }
+    let i = rng.gen_range(0..occupied.len());
+    let j = (i + rng.gen_range(1..occupied.len())) % occupied.len();
+    let ((r1, (v1, s1)), (r2, (v2, s2))) = (occupied[i], occupied[j]);
+    Some(Proposal::SegmentExchange { step, v1, s1, r1, v2, s2, r2 })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The polish segment kernel retracts and re-asserts only the owners
-    /// whose items can reference the moved segment's register, and the
-    /// sweep accepts or rejects on the cost it reads there. So from any
-    /// reachable state (copies, passes, memory banks) every candidate must
-    /// land on exactly the binding — connection matrix and cost breakdown
-    /// included — that the full-retraction segment move reaches. An owner
-    /// the kernel misses leaves a stale item and fails here.
+    /// R1 and R2 retract and re-assert only the owners whose items can
+    /// reference a moved segment's register (R1 the union over its two
+    /// segments), and drop stale passes on those owners' transfer keys
+    /// only. From any reachable state (copies, passes, memory banks) each
+    /// applied move must equal a from-scratch derivation of its own
+    /// assignments, keep the cost caches exact, and roll back to the
+    /// pre-move binding exactly. An owner the kernel misses leaves a stale
+    /// item in the matrix, and a pass it fails to drop is left bound to a
+    /// transfer that no longer exists; either fails here. An R1 of a
+    /// segment with itself must be refused.
     #[test]
-    fn polish_segment_kernel_matches_the_full_segment_move(
+    fn segment_moves_match_a_rebuild(
         graph_seed in 0u64..1000,
         move_seed in 0u64..1000,
         ops in 8usize..28,
@@ -246,45 +283,50 @@ proptest! {
         let (ctx, config) = allocator.prepare().expect("the pool fits the schedule");
         let mut binding = initial_allocation(&ctx);
         let mut rng = StdRng::seed_from_u64(move_seed);
-        let mut checked = 0;
-        for round in 0..32 {
-            // Walk on, so candidates start from states with copies and
-            // passes, not just the constructive binding.
+        let mut applied = [0usize; 2];
+        for _ in 0..32 {
+            // Walk on, so moves start from states with copies and passes,
+            // not just the constructive binding.
             for _ in 0..6 {
                 moves::try_move(&mut binding, config.move_set.pick(&mut rng), &mut rng);
             }
-            let stored: Vec<_> =
-                graph.value_ids().filter(|&v| binding.primal(v).is_some()).collect();
-            let Some(&value) = stored.choose(&mut rng) else { continue };
-            let chains: Vec<(usize, usize, usize)> =
-                binding.chains_of(value).map(|(s, c)| (s, c.lo(), c.hi())).collect();
-            let &(slot, lo, hi) = chains.choose(&mut rng).expect("stored value has chains");
-            let idx = rng.gen_range(lo..=hi);
-            let step = ctx.lifetimes.get(value).expect("stored").steps()[idx];
-            let free: Vec<_> =
-                ctx.datapath.reg_ids().filter(|&r| binding.reg_free(r, step)).collect();
-            let Some(&target) = free.choose(&mut rng) else { continue };
-
-            let mut full = binding.clone();
-            full.begin();
-            let proposal = Proposal::SegmentMove { value, slot, idx, target };
-            prop_assert!(moves::apply_proposal(&mut full, proposal));
-            full.commit();
-            let mut kernel = binding.clone();
-            kernel.begin();
-            prop_assert!(polish_segment_candidate(&mut kernel, value, slot, idx, target));
-            kernel.commit();
-
-            prop_assert_eq!(kernel.breakdown(), full.breakdown());
-            prop_assert_eq!(kernel.connections(), full.connections());
-            prop_assert!(kernel == full, "kernel diverged from the full move on {:?}", proposal);
-            kernel.check_consistency();
-            checked += 1;
-            if round % 4 == 3 {
-                binding = kernel;
+            let draws: [fn(&Binding<'_>, &mut StdRng) -> Option<Proposal>; 2] =
+                [draw_segment_move, draw_segment_exchange];
+            for (draw, applied) in draws.into_iter().zip(&mut applied) {
+                let Some(proposal) = draw(&binding, &mut rng) else { continue };
+                let before = binding.clone();
+                if let Proposal::SegmentExchange { step, v1, s1, r1, .. } = proposal {
+                    // A segment exchanged with itself, as a decoded trace
+                    // step can carry, is refused and changes nothing.
+                    let itself =
+                        Proposal::SegmentExchange { step, v1, s1, r1, v2: v1, s2: s1, r2: r1 };
+                    binding.begin();
+                    let refused = !moves::apply_proposal(&mut binding, itself);
+                    prop_assert!(refused, "{:?} applied", itself);
+                    binding.rollback();
+                    prop_assert!(binding == before, "refused {:?} changed the binding", itself);
+                }
+                binding.begin();
+                prop_assert!(moves::apply_proposal(&mut binding, proposal));
+                let rebuilt = Binding::from_parts(&ctx, &binding.to_parts()).map_err(|e| {
+                    TestCaseError::fail(format!("{proposal:?} left an invalid state: {e}"))
+                })?;
+                prop_assert!(rebuilt == binding, "{:?} diverged from a rebuild", proposal);
+                prop_assert_eq!(binding.breakdown(), binding.recomputed_breakdown());
+                binding.rollback();
+                prop_assert!(binding == before, "rollback of {:?} diverged", proposal);
+                // Walk on from the moved state half of the time.
+                if rng.gen_bool(0.5) {
+                    binding.begin();
+                    prop_assert!(moves::apply_proposal(&mut binding, proposal));
+                    binding.commit();
+                    binding.check_consistency();
+                }
+                *applied += 1;
             }
         }
-        prop_assert!(checked > 0, "some segment had a free register");
+        prop_assert!(applied[0] > 0, "some segment had a free register");
+        prop_assert!(applied[1] > 0, "some step held two segments");
     }
 }
 

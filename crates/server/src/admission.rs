@@ -35,13 +35,14 @@ type ShapeKey = (bool, Option<usize>, usize);
 
 /// Everything admission derives from one design.
 pub struct AdmissionArtifact {
-    /// The resolved (and, for benchmarks, canonicalized) graph.
-    pub graph: Cdfg,
+    /// The resolved (and, for benchmarks, canonicalized) graph, shared
+    /// with the seed index entries of this design's winners.
+    pub graph: Arc<Cdfg>,
     /// `graph.canonical_text()`, rendered once — the result-cache key
     /// and the verifier both read it from here.
     pub canonical_text: String,
-    /// The similarity sketch for warm-start seeding.
-    pub sketch: Sketch,
+    /// The similarity sketch for warm-start seeding, shared like `graph`.
+    pub sketch: Arc<Sketch>,
     /// One job plan per knob shape, holding the shared schedule and
     /// compiled move plan.
     shapes: Mutex<HashMap<ShapeKey, JobPlan>>,
@@ -51,7 +52,8 @@ impl AdmissionArtifact {
     /// Builds the artifact for a resolved graph.
     pub fn new(graph: Cdfg) -> Self {
         let canonical_text = graph.canonical_text();
-        let sketch = Sketch::of(&graph);
+        let sketch = Arc::new(Sketch::of(&graph));
+        let graph = Arc::new(graph);
         AdmissionArtifact { graph, canonical_text, sketch, shapes: Mutex::new(HashMap::new()) }
     }
 

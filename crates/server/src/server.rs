@@ -530,10 +530,10 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             let cost = report.get("cost").and_then(Json::as_u64).unwrap_or(0);
             let entry = SeedEntry {
                 key: job.key,
-                graph: job.artifact.graph.clone(),
+                graph: Arc::clone(&job.artifact.graph),
                 parts: winner,
                 cost,
-                sketch: job.artifact.sketch.clone(),
+                sketch: Arc::clone(&job.artifact.sketch),
             };
             shared.seeds.insert(job.key, Arc::new(entry));
             if job.knobs.verify != VerifyMode::Off {

@@ -108,14 +108,15 @@ pub struct SeedEntry {
     /// The base job's result-cache key (the `source` provenance of any
     /// spec built from this entry, and the `reallocate` verb's handle).
     pub key: u128,
-    /// The base design, canonicalized (label matching runs against it).
-    pub graph: Cdfg,
+    /// The base design, canonicalized (label matching runs against it),
+    /// shared with its admission artifact rather than copied.
+    pub graph: Arc<Cdfg>,
     /// The winning allocation image.
     pub parts: BindingParts,
     /// The winning cost, for operator-facing logging.
     pub cost: u64,
-    /// The base design's sketch.
-    pub sketch: Sketch,
+    /// The base design's sketch, shared like `graph`.
+    pub sketch: Arc<Sketch>,
 }
 
 /// A bounded FIFO index of recent winners keyed by job key, queried two
@@ -226,10 +227,10 @@ mod tests {
 
     fn entry(key: u128, text: &str) -> SeedEntry {
         let graph = parse_cdfg(text).unwrap();
-        let sketch = Sketch::of(&graph);
+        let sketch = Arc::new(Sketch::of(&graph));
         SeedEntry {
             key,
-            graph,
+            graph: Arc::new(graph),
             parts: BindingParts {
                 op_fu: Vec::new(),
                 op_swap: Vec::new(),

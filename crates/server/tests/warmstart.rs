@@ -181,10 +181,10 @@ fn warm_start_cost_never_exceeds_cold_at_equal_budget() {
     let (base_report, base_winner) = run_artifact(&base, &knobs, None).unwrap();
     let entry = SeedEntry {
         key: 0xb0b,
-        graph: base.graph.clone(),
+        graph: Arc::clone(&base.graph),
         parts: base_winner,
         cost: base_report.get("cost").and_then(Json::as_u64).unwrap(),
-        sketch: base.sketch.clone(),
+        sketch: Arc::clone(&base.sketch),
     };
 
     let variant =

@@ -26,7 +26,8 @@ use salsa_hls::datapath::{bus_allocate, traffic_from_rtl};
 use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, VerilogOptions};
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::serve::{
-    canonicalize_report, knobs_to_json, plan_job, Json, JobPlan, Knobs, Server, ServerConfig,
+    canonicalize_report, knobs_to_json, plan_job, resolve_graph, ErrorKind, GraphSource, Json,
+    JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -622,10 +623,16 @@ fn bench(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
+    // The graph the service, trace artifacts and `allocate` of the
+    // canonical text allocate: the benchmark re-parsed from its canonical
+    // text. A constructed graph can number its values differently, and
+    // the numbering steers the search.
     let name = &args[1];
-    let graph = all
-        .into_iter()
-        .find(|g| g.name() == *name)
-        .ok_or_else(|| format!("unknown benchmark '{name}' (try 'salsa-hls bench --list')"))?;
+    let graph = resolve_graph(&GraphSource::Bench(name.clone())).map_err(|e| match e.kind {
+        ErrorKind::BadRequest => {
+            format!("unknown benchmark '{name}' (try 'salsa-hls bench --list')")
+        }
+        _ => e.message,
+    })?;
     allocate_graph(&graph, args)
 }

@@ -102,20 +102,35 @@ fn bench_list_and_run() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8(out.stdout).unwrap().contains("cost breakdown"));
+
+    let out = Command::new(BIN).args(["bench", "no_such_design"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("unknown benchmark 'no_such_design' (try 'salsa-hls bench --list')"),
+        "{err}"
+    );
 }
 
 /// `bench --canonical` and the service's `run_allocation` derive the job
-/// through the same plan, so for the same knobs they print the same
+/// through the same plan from the same graph, the benchmark re-parsed
+/// from its canonical text, so for the same knobs they print the same
 /// canonical report, byte for byte.
 #[test]
 fn bench_canonical_matches_the_service_report() {
     use salsa_hls::serve::{canonicalize_report, run_allocation, Knobs};
 
-    let cases: [(&str, &[&str], Knobs); 4] = [
+    // fft_stage's constructed graph numbers its values differently from
+    // its canonical text, which changes the search trajectory.
+    let fft =
+        Knobs { steps: Some(6), seed: 7919, restarts: 4, threads: Some(1), ..Knobs::default() };
+    let fft_flags = ["--steps", "6", "--seed", "7919", "--restarts", "4", "--threads", "1"];
+    let cases: [(&str, &[&str], Knobs); 5] = [
         ("ewf", &[], Knobs::default()),
         ("diffeq", &["--traditional"], Knobs { traditional: true, ..Knobs::default() }),
         ("diffeq", &["--pipelined"], Knobs { pipelined: true, ..Knobs::default() }),
         ("fir8a", &["--no-mem-moves"], Knobs { mem_moves: false, ..Knobs::default() }),
+        ("fft_stage", &fft_flags, fft),
     ];
     for (name, flags, knobs) in cases {
         let out = Command::new(BIN)
@@ -124,10 +139,13 @@ fn bench_canonical_matches_the_service_report() {
             .output()
             .unwrap();
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let graph = salsa_hls::cdfg::benchmarks::all()
+        // The service allocates the benchmark re-parsed from its
+        // canonical text, not the constructed graph.
+        let built = salsa_hls::cdfg::benchmarks::all()
             .into_iter()
             .find(|g| g.name() == name)
             .unwrap();
+        let graph = salsa_hls::cdfg::parse_cdfg(&built.canonical_text()).unwrap();
         let mut report = run_allocation(&graph, &knobs, None).unwrap();
         canonicalize_report(&mut report);
         assert_eq!(
