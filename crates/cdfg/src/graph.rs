@@ -121,12 +121,6 @@ impl Cdfg {
         (0..self.values.len()).map(ValueId::from_index)
     }
 
-    /// Iterates over the values that must be stored in registers: everything
-    /// except constants.
-    pub fn stored_values(&self) -> impl Iterator<Item = &Value> + '_ {
-        self.values.iter().filter(|v| !v.is_const())
-    }
-
     /// The ids of all loop-carried state values.
     pub fn state_values(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.values.iter().filter(|v| v.is_state()).map(|v| v.id)

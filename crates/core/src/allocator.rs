@@ -1,13 +1,12 @@
 //! The top-level allocation driver: pool sizing, initial allocation,
 //! iterative improvement, lowering, verification, and mux merging.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use salsa_cdfg::Cdfg;
 use salsa_datapath::{
-    merge_muxes, traffic_from_rtl, Claims, CostBreakdown, CostWeights, Datapath, MemConfig,
-    MuxMergeResult, Rtl,
+    merge_muxes, traffic_from_rtl, Claims, CostBreakdown, Datapath, MemConfig, MuxMergeResult,
+    Rtl,
 };
 use salsa_sched::{FuClass, FuLibrary, Schedule};
 
@@ -32,13 +31,11 @@ pub struct Allocator<'a> {
     library: &'a FuLibrary,
     extra_registers: usize,
     registers_override: Option<usize>,
-    extra_units: BTreeMap<FuClass, usize>,
     config: ImproveConfig,
     seed: u64,
     restarts: usize,
     portfolio: PortfolioConfig,
     compiled_plan: Option<Arc<MovePlan>>,
-    memory: Option<MemConfig>,
     mem_moves: bool,
 }
 
@@ -52,13 +49,11 @@ impl<'a> Allocator<'a> {
             library,
             extra_registers: 0,
             registers_override: None,
-            extra_units: BTreeMap::new(),
             config: ImproveConfig::default(),
             seed: 0,
             restarts: 1,
             portfolio: PortfolioConfig::default(),
             compiled_plan: None,
-            memory: None,
             mem_moves: true,
         }
     }
@@ -75,22 +70,6 @@ impl<'a> Allocator<'a> {
         self
     }
 
-    /// Adds functional units of a class beyond the schedule's minimum.
-    pub fn extra_units(mut self, class: FuClass, extra: usize) -> Self {
-        self.extra_units.insert(class, extra);
-        self
-    }
-
-    /// Replaces the default memory pool with an explicit bank layout.
-    /// The default (for graphs with arrays) is one bank per array, each
-    /// with as many ports as the schedule's `Mem` demand — every bank can
-    /// host every access, so re-banking is always feasible and the search
-    /// decides how many banks the design actually pays for.
-    pub fn memory(mut self, config: MemConfig) -> Self {
-        self.memory = Some(config);
-        self
-    }
-
     /// Enables or disables the memory move family M1-M3 (on by default;
     /// only meaningful for graphs with arrays). With memory moves off the
     /// array→bank table and the access ports stay frozen at the initial
@@ -104,12 +83,6 @@ impl<'a> Allocator<'a> {
     /// uphill budget, cost weights).
     pub fn config(mut self, config: ImproveConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the cost weights, keeping the rest of the configuration.
-    pub fn weights(mut self, weights: CostWeights) -> Self {
-        self.config.weights = weights;
         self
     }
 
@@ -200,18 +173,17 @@ impl<'a> Allocator<'a> {
     ///
     /// Returns [`AllocError`] if the pool cannot fit the schedule.
     pub fn prepare(&self) -> Result<(AllocContext<'a>, ImproveConfig), AllocError> {
-        let mut fu_counts = self.schedule.fu_demand(self.graph, self.library);
-        for (class, extra) in &self.extra_units {
-            *fu_counts.entry(*class).or_insert(0) += extra;
-        }
+        let fu_counts = self.schedule.fu_demand(self.graph, self.library);
         let regs = self.registers_override.unwrap_or_else(|| {
             self.schedule.register_demand(self.graph, self.library) + self.extra_registers
         });
         let datapath = if self.graph.has_memory() {
-            let mem = self.memory.clone().unwrap_or_else(|| {
-                let ports = fu_counts.get(&FuClass::Mem).copied().unwrap_or(1).max(1);
-                MemConfig::uniform(self.graph.num_arrays().max(1), ports)
-            });
+            // One bank per array, each with as many ports as the
+            // schedule's `Mem` demand: every bank can host every access,
+            // so re-banking is always feasible and the search decides how
+            // many banks the design actually pays for.
+            let ports = fu_counts.get(&FuClass::Mem).copied().unwrap_or(1).max(1);
+            let mem = MemConfig::uniform(self.graph.num_arrays().max(1), ports);
             Datapath::new_with_memory(&fu_counts, regs.max(1), &mem)
         } else {
             Datapath::new(&fu_counts, regs.max(1))

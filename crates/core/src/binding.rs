@@ -638,72 +638,6 @@ impl PartialEq for Binding<'_> {
 impl Eq for Binding<'_> {}
 
 impl<'a> Binding<'a> {
-    /// Builds a binding from raw assignments (no copies, no passes): one
-    /// unit per operation and, for each stored value, one register per
-    /// lifetime step (`primal_regs[value]` empty for constants and
-    /// boundary-born values). Used by the constructive initial allocation
-    /// and by external constructive binders (e.g. the traditional-model
-    /// baselines). All occupancy tables and the connection matrix are
-    /// derived here.
-    ///
-    /// # Panics
-    ///
-    /// Panics on conflicting assignments (two operations on one unit at one
-    /// step, two values in one register at one step) or wrong-length
-    /// register vectors — constructive allocators must guarantee
-    /// conflict-freedom.
-    pub fn from_assignments(
-        ctx: &'a AllocContext<'a>,
-        op_fu: Vec<FuId>,
-        primal_regs: Vec<Vec<RegId>>,
-    ) -> Self {
-        let n = ctx.n_steps();
-        let num_ops = ctx.graph.num_ops();
-        let mut binding = Binding {
-            ctx,
-            op_fu: vec![FuId::from_index(0); num_ops],
-            op_swap: vec![false; num_ops],
-            chains: vec![Vec::new(); ctx.graph.num_values()],
-            use_chain: vec![[0, 0]; num_ops],
-            passes: PassMap::default(),
-            fu_occ: vec![vec![None; n]; ctx.datapath.num_fus()],
-            fu_completes: vec![vec![None; n]; ctx.datapath.num_fus()],
-            reg_occ: vec![vec![None; n]; ctx.datapath.num_regs()],
-            conn: ConnectionMatrix::with_capacity(ctx.datapath.num_fus(), ctx.datapath.num_regs()),
-            reg_seg_count: vec![0; ctx.datapath.num_regs()],
-            fu_item_count: vec![0; ctx.datapath.num_fus()],
-            array_bank: default_array_banks(ctx),
-            used_regs: 0,
-            fu_area: 0,
-            journal: Vec::new(),
-            recording: false,
-            pool: ChainPool::with_min_capacity(
-                ctx.plan.value_lt_len.iter().map(|&l| l as usize).max().unwrap_or(0),
-            ),
-            items_scratch: Vec::new(),
-            scratch: MoveScratch::default(),
-        };
-        for (op, fu) in ctx.graph.op_ids().zip(op_fu) {
-            binding.occupy_op(op, fu);
-        }
-        for value in ctx.graph.value_ids() {
-            let regs = &primal_regs[value.index()];
-            if regs.is_empty() {
-                continue;
-            }
-            let lt = ctx.lifetimes.get(value).expect("stored value has a lifetime");
-            assert_eq!(regs.len(), lt.len(), "primal chain must cover the whole lifetime");
-            binding.chains[value.index()] = vec![Some(Chain { lo: 0, regs: regs.clone() })];
-            for idx in 0..regs.len() {
-                binding.occupy_seg(value, 0, idx);
-            }
-        }
-        for owner in binding.all_owners() {
-            binding.assert_owner(owner);
-        }
-        binding
-    }
-
     /// Extracts the serializable assignment state. Round-trips through
     /// [`from_parts`](Self::from_parts) to an allocation equal to this one
     /// (`PartialEq` covers every derived table, so equality here means

@@ -62,8 +62,6 @@ pub struct ImproveConfig {
     pub max_uphill_delta: u64,
     /// The move kinds in play (restrict for baselines/ablations).
     pub move_set: MoveSet,
-    /// Run the traditional-subset phase before the full-set phase.
-    pub phased: bool,
     /// Cost weights.
     pub weights: CostWeights,
     /// Cooperative cancellation (per-job deadlines, shutdown drains).
@@ -92,7 +90,6 @@ impl Default for ImproveConfig {
             max_uphill: 12,
             max_uphill_delta: 24,
             move_set: MoveSet::full(),
-            phased: true,
             weights: CostWeights::default(),
             cancel: None,
             warm: None,
@@ -102,12 +99,8 @@ impl Default for ImproveConfig {
 
 impl ImproveConfig {
     /// The move-set sequence the search runs: the traditional subset of the
-    /// configured set (when phasing is on and the subset is proper), then
-    /// the configured set.
+    /// configured set (when the subset is proper), then the configured set.
     fn phases(&self) -> Vec<MoveSet> {
-        if !self.phased {
-            return vec![self.move_set.clone()];
-        }
         let mut restricted = self.move_set.clone();
         for (kind, _) in MoveKind::all() {
             if !MoveSet::traditional().contains(kind) {

@@ -16,7 +16,7 @@ use salsa_cdfg::{OpId, ValueId};
 use salsa_datapath::{FuId, Port, RegId, Sink, Source};
 
 use crate::warm::WarmSpec;
-use crate::{AllocContext, Binding};
+use crate::{AllocContext, Binding, BindingParts, ChainSlotImage};
 
 /// How the improvement search's starting binding was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,7 +173,7 @@ fn build<'a>(ctx: &'a AllocContext<'a>, warm: Option<&WarmSpec>) -> Binding<'a> 
     // Proto-interconnect: sink fan-in sets used to estimate added
     // multiplexer inputs before the real matrix exists.
     let mut proto: HashSet<(Source, Sink)> = HashSet::new();
-    let mut primal_regs: Vec<Vec<RegId>> = vec![Vec::new(); ctx.graph.num_values()];
+    let mut chains: Vec<Vec<ChainSlotImage>> = vec![Vec::new(); ctx.graph.num_values()];
 
     for v in values {
         let steps: Vec<usize> = ctx.lifetimes.get(v).expect("stored").steps().to_vec();
@@ -226,10 +226,21 @@ fn build<'a>(ctx: &'a AllocContext<'a>, warm: Option<&WarmSpec>) -> Binding<'a> 
             reg_busy[r.index()][s] = true;
         }
         record_proto(ctx, &mut proto, &op_fu, v, &assignment, &steps);
-        primal_regs[v.index()] = assignment;
+        chains[v.index()] = vec![Some((0, assignment))];
     }
 
-    Binding::from_assignments(ctx, op_fu, primal_regs)
+    // Every stored value starts as one primal chain read at slot 0, with
+    // no swaps, copies or passes.
+    let num_ops = ctx.graph.num_ops();
+    let parts = BindingParts {
+        op_fu,
+        op_swap: vec![false; num_ops],
+        chains,
+        use_chain: vec![[0, 0]; num_ops],
+        passes: Vec::new(),
+        array_banks: default_banks,
+    };
+    Binding::from_parts(ctx, &parts).expect("constructive allocation is conflict-free")
 }
 
 /// New (source, sink) pairs this contiguous candidate would add.

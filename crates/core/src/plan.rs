@@ -293,18 +293,4 @@ impl MovePlan {
     pub(crate) fn is_memory_op(&self, op: OpId) -> bool {
         self.op_array[op.index()].is_some()
     }
-
-    /// Total number of compiled candidate-table entries — a size metric
-    /// for reports and tests.
-    pub fn table_entries(&self) -> usize {
-        self.class_units.iter().map(Vec::len).sum::<usize>()
-            + self.commutative.len()
-            + self.pass_units.len()
-            + self.storable.len()
-            + self.op_reads.iter().map(Vec::len).sum::<usize>()
-            + self.value_op_owners.iter().map(Vec::len).sum::<usize>()
-            + self.value_boundaries.iter().map(Vec::len).sum::<usize>()
-            + self.mem_ops.len()
-            + self.bank_units.iter().map(Vec::len).sum::<usize>()
-    }
 }

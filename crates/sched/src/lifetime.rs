@@ -73,11 +73,6 @@ impl Lifetime {
     pub fn first_step(&self) -> Option<usize> {
         self.steps.first().copied()
     }
-
-    /// Last stored step, if any.
-    pub fn last_step(&self) -> Option<usize> {
-        self.steps.last().copied()
-    }
 }
 
 /// Lifetimes of all stored values of a scheduled CDFG.

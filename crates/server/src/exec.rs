@@ -21,7 +21,9 @@ use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
 use crate::admission::AdmissionArtifact;
 use crate::json::Json;
-use crate::protocol::{canonical_bench_name, ErrorKind, GraphSource, Knobs, ServeError};
+use crate::protocol::{
+    canonical_bench_name, ErrorKind, GraphSource, Knobs, ServeError, BENCH_ALIASES,
+};
 use crate::report::report_json;
 
 /// Resolves the request's design into a graph: benchmark lookup (with
@@ -41,17 +43,20 @@ pub fn resolve_graph(source: &GraphSource) -> Result<Cdfg, ServeError> {
     match source {
         GraphSource::Bench(name) => {
             let canonical = canonical_bench_name(name);
-            let graph = salsa_cdfg::benchmarks::all()
-                .into_iter()
-                .find(|g| g.name() == canonical)
-                .ok_or_else(|| {
-                    ServeError::new(
-                        ErrorKind::BadRequest,
-                        format!(
-                            "unknown benchmark '{name}' (try ewf, dct, hal, fir, ar, fir8a or mm2)"
-                        ),
-                    )
-                })?;
+            let graphs = salsa_cdfg::benchmarks::all();
+            let Some(graph) = graphs.iter().find(|g| g.name() == canonical) else {
+                // The hint names everything servable: each registered
+                // benchmark, then the paper's aliases.
+                let names: Vec<&str> = graphs
+                    .iter()
+                    .map(|g| g.name())
+                    .chain(BENCH_ALIASES.iter().map(|&(alias, _)| alias))
+                    .collect();
+                return Err(ServeError::new(
+                    ErrorKind::BadRequest,
+                    format!("unknown benchmark '{name}' (try {})", names.join(", ")),
+                ));
+            };
             parse_cdfg(&graph.canonical_text()).map_err(|e| ServeError::from_parse(&e))
         }
         GraphSource::Text(text) => parse_cdfg(text).map_err(|e| ServeError::from_parse(&e)),
@@ -220,6 +225,20 @@ mod tests {
         }
         let err = resolve_graph(&GraphSource::Bench("nosuch".into())).unwrap_err();
         assert_eq!(err.kind, ErrorKind::BadRequest);
+    }
+
+    #[test]
+    fn unknown_benchmark_hint_names_every_servable_name() {
+        let err = resolve_graph(&GraphSource::Bench("nosuch".into())).unwrap_err();
+        let graphs = salsa_cdfg::benchmarks::all();
+        let names = graphs.iter().map(|g| g.name()).chain(BENCH_ALIASES.iter().map(|&(a, _)| a));
+        for name in names {
+            assert!(
+                err.message.split([' ', ',', '(', ')']).any(|word| word == name),
+                "hint omits '{name}': {}",
+                err.message
+            );
+        }
     }
 
     #[test]

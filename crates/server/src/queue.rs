@@ -120,11 +120,6 @@ impl<T> JobQueue<T> {
         self.available.notify_all();
         self.space.notify_all();
     }
-
-    /// Whether [`close`](JobQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]

@@ -221,11 +221,6 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Whether shutdown has been initiated (locally or over the wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
     /// Waits for the service to exit: the I/O loop (which drains every
     /// outstanding reply before stopping) and every worker. Blocks until
     /// the wire `shutdown` command or

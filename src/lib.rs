@@ -14,7 +14,6 @@
 //!   paper's contribution),
 //! * [`audit`] — verification as a service: move-trace certificates,
 //!   record/replay re-derivation of results, portable trace artifacts,
-//! * [`baseline`] — traditional-binding-model comparators,
 //! * [`rtlgen`] — structural Verilog export of allocated datapaths,
 //! * [`serve`] — the TCP allocation service (bounded job queue,
 //!   content-addressed result cache, worker pool with per-job
@@ -41,7 +40,6 @@
 
 pub use salsa_alloc as alloc;
 pub use salsa_audit as audit;
-pub use salsa_baseline as baseline;
 pub use salsa_cdfg as cdfg;
 pub use salsa_rtlgen as rtlgen;
 pub use salsa_datapath as datapath;
