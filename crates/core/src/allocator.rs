@@ -30,7 +30,6 @@ pub struct Allocator<'a> {
     schedule: &'a Schedule,
     library: &'a FuLibrary,
     extra_registers: usize,
-    registers_override: Option<usize>,
     config: ImproveConfig,
     seed: u64,
     restarts: usize,
@@ -48,7 +47,6 @@ impl<'a> Allocator<'a> {
             schedule,
             library,
             extra_registers: 0,
-            registers_override: None,
             config: ImproveConfig::default(),
             seed: 0,
             restarts: 1,
@@ -61,12 +59,6 @@ impl<'a> Allocator<'a> {
     /// Adds registers beyond the schedule's minimum (the Table 2 knob).
     pub fn extra_registers(mut self, extra: usize) -> Self {
         self.extra_registers = extra;
-        self
-    }
-
-    /// Sets the register count explicitly (overrides `extra_registers`).
-    pub fn registers(mut self, count: usize) -> Self {
-        self.registers_override = Some(count);
         self
     }
 
@@ -108,25 +100,10 @@ impl<'a> Allocator<'a> {
 
     /// Caps the portfolio worker threads. The default
     /// ([`PortfolioConfig::default`]) uses the machine's available
-    /// parallelism; an effective count of 1 reproduces the sequential
-    /// multi-seed loop bit-for-bit.
+    /// parallelism. The count changes only wall time: every restart chain
+    /// runs to completion, so the winner is the same at any count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.portfolio.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the portfolio best-bound cutoff factor (clamped to `>= 1.0`):
-    /// a chain abandons once its best-so-far exceeds `factor` times the
-    /// global best after its minimum trial count.
-    pub fn cutoff_factor(mut self, factor: f64) -> Self {
-        self.portfolio.cutoff_factor = factor;
-        self
-    }
-
-    /// Replaces the whole portfolio configuration (threads, cutoff,
-    /// minimum trials before the cutoff).
-    pub fn portfolio(mut self, portfolio: PortfolioConfig) -> Self {
-        self.portfolio = portfolio;
         self
     }
 
@@ -174,9 +151,7 @@ impl<'a> Allocator<'a> {
     /// Returns [`AllocError`] if the pool cannot fit the schedule.
     pub fn prepare(&self) -> Result<(AllocContext<'a>, ImproveConfig), AllocError> {
         let fu_counts = self.schedule.fu_demand(self.graph, self.library);
-        let regs = self.registers_override.unwrap_or_else(|| {
-            self.schedule.register_demand(self.graph, self.library) + self.extra_registers
-        });
+        let regs = self.schedule.register_demand(self.graph, self.library) + self.extra_registers;
         let datapath = if self.graph.has_memory() {
             // One bank per array, each with as many ports as the
             // schedule's `Mem` demand: every bank can host every access,
@@ -271,8 +246,8 @@ impl<'a> Allocator<'a> {
         let (ctx, config) = self.prepare()?;
 
         // Restarts are a parallel portfolio: independent seeded chains on
-        // scoped workers sharing a best-bound cutoff, reduced
-        // deterministically by (cost, seed) — see the `portfolio` module.
+        // scoped workers, reduced deterministically by (cost, seed) — see
+        // the `portfolio` module.
         let outcome =
             portfolio_search(&ctx, &config, &self.portfolio, self.seed, self.restarts)?;
         self.complete(&ctx, outcome)

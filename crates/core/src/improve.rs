@@ -25,7 +25,6 @@ use salsa_datapath::CostWeights;
 
 use crate::cancel::{CancelToken, CANCEL_POLL_PERIOD};
 use crate::moves::{apply_proposal, propose_biased, MoveKind, MoveSet};
-use crate::portfolio::SearchBound;
 use crate::trace::TraceRecorder;
 use crate::warm::WarmSpec;
 use crate::Binding;
@@ -182,26 +181,11 @@ impl ImproveStats {
     }
 }
 
-/// A chain's view of the shared portfolio bound: publish best-so-far at
-/// trial boundaries, abandon once `cutoff_factor` behind the global best
-/// after `min_trials` trials.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SearchWatch<'a> {
-    /// The shared best-cost bound.
-    pub(crate) bound: &'a SearchBound,
-    /// Abandon when best-so-far exceeds `cutoff_factor * bound`.
-    pub(crate) cutoff_factor: f64,
-    /// Trials to complete before the first cutoff check.
-    pub(crate) min_trials: usize,
-}
-
-/// How a bounded improvement run ended.
+/// How an improvement run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchExit {
     /// Ran to natural convergence (trial cap or staleness).
     Completed,
-    /// Abandoned by the portfolio best-bound cutoff.
-    Abandoned,
     /// Aborted by the configured [`CancelToken`] (deadline or shutdown).
     Cancelled,
 }
@@ -216,27 +200,23 @@ pub enum SearchExit {
 /// [`AllocError::Cancelled`](crate::AllocError), when the caller must
 /// distinguish a cancelled run from a converged one.
 pub fn improve(binding: &mut Binding<'_>, config: &ImproveConfig, rng: &mut StdRng) -> ImproveStats {
-    improve_traced(binding, config, rng, None, None).0
+    improve_traced(binding, config, rng, None).0
 }
 
-/// [`improve`] under an optional portfolio watch and an optional
-/// move-trace recorder. Returns the statistics and how the run ended:
-/// [`SearchExit::Abandoned`] means the best-bound cutoff pruned the chain
-/// (the binding still holds its best-so-far allocation, but the
-/// portfolio reduction must exclude it — see the `portfolio` module docs
-/// for why that preserves determinism), and [`SearchExit::Cancelled`]
-/// means the configured token tripped.
+/// [`improve`] under an optional move-trace recorder. Returns the
+/// statistics and how the run ended: [`SearchExit::Cancelled`] means the
+/// configured token tripped (the binding still holds its best-so-far
+/// allocation).
 ///
-/// Neither the watch, the cancellation polls nor the recorder touch the
-/// RNG or alter control flow, so a chain that completes walks the exact
-/// same trajectory as an unwatched, unrecorded run with the same seed —
-/// the property `record_slot_trace` relies on to record a portfolio
-/// winner after the fact.
+/// Neither the cancellation polls nor the recorder touch the RNG or alter
+/// control flow, so a chain that completes walks the exact same
+/// trajectory as an unrecorded run with the same seed — the property
+/// `record_slot_trace` relies on to record a portfolio winner after the
+/// fact.
 pub(crate) fn improve_traced(
     binding: &mut Binding<'_>,
     config: &ImproveConfig,
     rng: &mut StdRng,
-    watch: Option<&SearchWatch<'_>>,
     mut rec: Option<&mut TraceRecorder>,
 ) -> (ImproveStats, SearchExit) {
     let start = std::time::Instant::now();
@@ -247,7 +227,7 @@ pub(crate) fn improve_traced(
     let mut exit = SearchExit::Completed;
     for set in config.phases() {
         if let Some(stop) =
-            run_phase(binding, config, &set, rng, &mut stats, watch, rec.as_deref_mut())
+            run_phase(binding, config, &set, rng, &mut stats, rec.as_deref_mut())
         {
             exit = stop;
             break;
@@ -258,16 +238,14 @@ pub(crate) fn improve_traced(
     (stats, exit)
 }
 
-/// Runs one move-set phase; returns `Some` when the watch abandoned the
-/// chain or the cancel token tripped (the binding is left at its
-/// best-so-far allocation either way).
+/// Runs one move-set phase; returns `Some` when the cancel token tripped
+/// (the binding is left at its best-so-far allocation).
 fn run_phase(
     binding: &mut Binding<'_>,
     config: &ImproveConfig,
     set: &MoveSet,
     rng: &mut StdRng,
     stats: &mut ImproveStats,
-    watch: Option<&SearchWatch<'_>>,
     mut rec: Option<&mut TraceRecorder>,
 ) -> Option<SearchExit> {
     let moves_per_trial = config
@@ -378,20 +356,6 @@ fn run_phase(
 
         #[cfg(debug_assertions)]
         binding.check_consistency();
-
-        if let Some(watch) = watch {
-            // Publish before checking: a chain whose best *is* the bound
-            // can never be `cutoff_factor >= 1` behind it, so the
-            // bound-holder always survives and the portfolio always has a
-            // completed chain to reduce over.
-            watch.bound.publish(best_cost);
-            if stats.trials >= watch.min_trials
-                && watch.bound.exceeded_by(best_cost, watch.cutoff_factor)
-            {
-                binding.clone_from(&best);
-                return Some(SearchExit::Abandoned);
-            }
-        }
 
         if best_cost < best_before {
             stale = 0;

@@ -1,13 +1,12 @@
 //! Parallel portfolio search: independent seeded restart chains on scoped
-//! worker threads, pruned by a shared best-bound, reduced deterministically.
+//! worker threads, reduced deterministically.
 //!
 //! The paper's search is "several trials ... random moves, bounded uphill
 //! acceptance" — a randomized multi-trial scheme that is embarrassingly
 //! parallel across *restarts* (the parallel-chains split of the parallel
 //! simulated-annealing literature, as opposed to parallel-moves). Each
 //! chain is a pure function of its seed on the transactional move engine,
-//! so chains share nothing but a single [`SearchBound`]: an `AtomicU64`
-//! holding the best cost any primary chain has achieved so far.
+//! so chains share no mutable state.
 //!
 //! **Worker model.** `seeds` chains occupy slots `0..seeds`; worker `w` of
 //! `K` owns slots `w, w+K, w+2K, ...` and runs them in slot order. Every
@@ -15,93 +14,34 @@
 //! improve → polish entirely on the undo-journal engine — no cross-thread
 //! mutation of bindings, no locks on the hot path.
 //!
-//! **Best-bound cutoff.** At every trial boundary a chain publishes its
-//! best-so-far cost into the bound (`fetch_min`) and, once past
-//! `min_trials`, abandons itself when it has fallen `cutoff_factor` behind
-//! the global best. An abandoned chain is recorded as such and contributes
-//! *nothing* to the result; its worker moves on to its next slot.
-//!
-//! **Deterministic reduction.** Results are collected per slot and the
-//! winner is the completed slot minimizing `(cost, slot)` — equivalently
-//! `(cost, seed)`, since slot seeds are `base_seed + slot`. Two properties
-//! make the reduction scheduling-invariant even though the cutoff reads
-//! the bound racily:
-//!
-//! 1. *All-or-nothing slots*: a chain either completes its full
-//!    deterministic trajectory (same result in every schedule) or is
-//!    excluded entirely — the cutoff affects only *when* a chain stops,
-//!    never what a completing chain returns.
-//! 2. *Bound dominance*: every published value is some primary chain's
-//!    achieved cost, hence `>=` that chain's final cost, hence `>=` the
-//!    best final cost `W`. A chain is abandoned only when its best-so-far
-//!    exceeds `cutoff_factor * bound >= cutoff_factor * W` — so the
-//!    winning chain survives every schedule as long as it never trails
-//!    `cutoff_factor * W` after `min_trials` (the *headroom invariant*,
-//!    validated across thread counts by the portfolio property tests).
-//!
-//! With `threads == 1` the single worker runs inline, unwatched (no bound,
-//! no cutoff): every chain completes, and the result is the sequential
-//! multi-seed loop's.
+//! **Every chain completes; reduce by `(cost, slot)`.** No chain stops
+//! early because of another, so every slot returns the same cost and
+//! binding under any schedule and any worker count. The winner is the
+//! slot minimizing `(cost, slot)` — equivalently `(cost, seed)`, since
+//! slot seeds are `base_seed + slot` — so the winner, and every byte of a
+//! canonical report but the worker count it records, is the same at any
+//! thread count by construction.
+//! With `threads == 1` the single worker runs inline on the calling
+//! thread: the sequential multi-seed loop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::improve::{improve_traced, SearchExit, SearchWatch};
+use crate::improve::{improve_traced, SearchExit};
 use crate::trace::TraceRecorder;
 use crate::{
     initial_binding, polish, AllocContext, AllocError, Binding, ImproveConfig, ImproveStats,
     InitialBinding,
 };
 
-/// The shared lower envelope of the portfolio: the best cost any primary
-/// chain has achieved so far. Plain relaxed atomics — the value is a
-/// monotonically decreasing hint, and the determinism argument (module
-/// docs) never depends on *when* an update becomes visible.
-#[derive(Debug)]
-pub(crate) struct SearchBound(AtomicU64);
-
-impl SearchBound {
-    /// A bound with no published cost yet.
-    pub(crate) fn new() -> Self {
-        SearchBound(AtomicU64::new(u64::MAX))
-    }
-
-    /// Lowers the bound to `cost` if it improves on the current value.
-    pub(crate) fn publish(&self, cost: u64) {
-        self.0.fetch_min(cost, Ordering::Relaxed);
-    }
-
-    /// Returns `true` if `cost` trails the bound by more than `factor`
-    /// (never before the first publish).
-    pub(crate) fn exceeded_by(&self, cost: u64, factor: f64) -> bool {
-        let bound = self.0.load(Ordering::Relaxed);
-        bound != u64::MAX && cost as f64 > bound as f64 * factor.max(1.0)
-    }
-}
-
 /// Tuning knobs of the parallel portfolio driver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
     /// Worker threads. `None` uses [`std::thread::available_parallelism`].
-    /// An effective count of 1 reproduces the sequential multi-seed loop
-    /// exactly (no bound, no cutoff).
+    /// The worker count changes only wall time, never the result.
     pub threads: Option<usize>,
-    /// A chain abandons when its best-so-far exceeds `cutoff_factor` times
-    /// the global best. Values are clamped to `>= 1.0`; larger is more
-    /// conservative (more headroom for the eventual winner, less pruning).
-    pub cutoff_factor: f64,
-    /// Trials a chain must complete before its first cutoff check, so the
-    /// noisy early descent cannot abandon an eventual winner.
-    pub min_trials: usize,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig { threads: None, cutoff_factor: 1.25, min_trials: 2 }
-    }
 }
 
 impl PortfolioConfig {
@@ -120,13 +60,11 @@ pub struct ChainStat {
     pub slot: usize,
     /// The chain's RNG seed.
     pub seed: u64,
-    /// `false` when the chain was abandoned by the best-bound cutoff.
-    pub completed: bool,
-    /// Trials executed before finishing or abandoning.
+    /// Trials executed.
     pub trials: usize,
     /// Moves attempted.
     pub attempted: usize,
-    /// Final cost (completed) or best-so-far at abandonment.
+    /// Final (polished) cost.
     pub best_cost: u64,
     /// Search throughput of this chain.
     pub moves_per_sec: f64,
@@ -145,19 +83,15 @@ pub struct PortfolioStats {
     pub winner_slot: usize,
     /// Wall-clock time of the whole portfolio, nanoseconds.
     pub wall_nanos: u64,
-    /// Counter totals merged over every chain (completed and abandoned).
+    /// Counter totals merged over every chain.
     pub aggregate: ImproveStats,
 }
 
 impl PortfolioStats {
-    /// Chains that ran to completion.
-    pub fn completed(&self) -> usize {
-        self.chains.iter().filter(|c| c.completed).count()
-    }
-
-    /// Chains abandoned by the best-bound cutoff.
+    /// Always `0`: every chain runs to completion. Kept only because
+    /// perfbench's `core.search.chains_cutoff` metric reads it.
     pub fn abandoned(&self) -> usize {
-        self.chains.iter().filter(|c| !c.completed).count()
+        0
     }
 
     /// Parallel speedup actually realized: total per-chain search time
@@ -172,19 +106,19 @@ impl PortfolioStats {
     }
 }
 
-/// One finished or abandoned chain, before reduction.
+/// One finished or cancelled chain, before reduction.
 pub(crate) struct ChainRun<'a> {
     pub(crate) stat: ChainStat,
     /// Raw improvement counters (merged into the aggregate).
     pub(crate) improve: ImproveStats,
-    /// `Some` only for completed chains: the full-trajectory result.
+    /// The full-trajectory result; `None` only for a cancelled chain.
     pub(crate) result: Option<(u64, Binding<'a>)>,
 }
 
 /// The outcome of [`portfolio_search`]: the winning allocation and the
 /// statistics of every chain that ran.
 pub struct PortfolioOutcome<'a> {
-    /// The winning binding (lowest `(cost, seed)` among completed chains).
+    /// The winning binding (lowest `(cost, seed)` over every chain).
     pub binding: Binding<'a>,
     /// The winning chain's search statistics.
     pub stats: ImproveStats,
@@ -198,25 +132,23 @@ pub struct PortfolioOutcome<'a> {
     pub portfolio: PortfolioStats,
 }
 
-/// Runs one chain: clone the initial allocation, improve under the watch,
-/// polish if not abandoned. The one chain runner: the portfolio and the
-/// audit's recording re-run (which passes a `rec`) both walk their
-/// chains through it. Neither the watch, the cancellation polls nor the
-/// recorder touch the RNG, so a chain that completes walks the same
-/// trajectory under any of them.
+/// Runs one chain: clone the initial allocation, improve, polish unless
+/// cancelled. The one chain runner: the portfolio and the audit's
+/// recording re-run (which passes a `rec`) both walk their chains through
+/// it. Neither the cancellation polls nor the recorder touch the RNG, so
+/// a chain that completes walks the same trajectory under either.
 pub(crate) fn run_chain<'a>(
     initial: &Binding<'a>,
     config: &ImproveConfig,
     seed: u64,
     slot: usize,
-    watch: Option<&SearchWatch<'_>>,
     mut rec: Option<&mut TraceRecorder>,
 ) -> ChainRun<'a> {
     let start = Instant::now();
     let mut binding = initial.clone();
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut stats, exit) =
-        improve_traced(&mut binding, config, &mut rng, watch, rec.as_deref_mut());
+        improve_traced(&mut binding, config, &mut rng, rec.as_deref_mut());
     let result = if exit != SearchExit::Completed {
         None
     } else {
@@ -224,9 +156,6 @@ pub(crate) fn run_chain<'a>(
             rec.searched_cost = stats.final_cost;
         }
         stats.final_cost = polish(&mut binding, &config.weights, &config.move_set);
-        if let Some(watch) = watch {
-            watch.bound.publish(stats.final_cost);
-        }
         Some((stats.final_cost, binding))
     };
     let wall_nanos = start.elapsed().as_nanos() as u64;
@@ -234,7 +163,6 @@ pub(crate) fn run_chain<'a>(
         stat: ChainStat {
             slot,
             seed,
-            completed: result.is_some(),
             trials: stats.trials,
             attempted: stats.attempted,
             best_cost: stats.final_cost,
@@ -248,7 +176,7 @@ pub(crate) fn run_chain<'a>(
 
 /// Runs the portfolio: `seeds` primary chains with seeds
 /// `base_seed..base_seed + seeds`, on up to `config.threads` workers, and
-/// reduces deterministically to the `(cost, seed)`-minimal completed chain.
+/// reduces deterministically to the `(cost, seed)`-minimal chain.
 ///
 /// # Errors
 ///
@@ -275,13 +203,6 @@ pub fn portfolio_search<'a>(
     let (initial, initial_origin) = initial_binding(ctx, improve_config.warm.as_deref());
     let cancelled = || improve_config.cancel.as_ref().is_some_and(|t| t.is_cancelled());
 
-    // One thread runs unwatched: no bound, no cutoff, every chain completes.
-    let bound = SearchBound::new();
-    let watch = (threads > 1).then_some(SearchWatch {
-        bound: &bound,
-        cutoff_factor: config.cutoff_factor,
-        min_trials: config.min_trials,
-    });
     // Worker `w` of `K` runs slots `w, w+K, w+2K, ...` in slot order; a
     // single worker runs inline on the calling thread.
     let worker = |w: usize| {
@@ -291,7 +212,7 @@ pub fn portfolio_search<'a>(
                 break;
             }
             let seed = base_seed.wrapping_add(slot as u64);
-            runs.push(run_chain(&initial, improve_config, seed, slot, watch.as_ref(), None));
+            runs.push(run_chain(&initial, improve_config, seed, slot, None));
         }
         runs
     };
@@ -315,21 +236,11 @@ pub fn portfolio_search<'a>(
         return Err(AllocError::Cancelled);
     }
 
-    // Safety net: the chain holding the published bound can never abandon
-    // itself (factor >= 1), so at least one chain completes; if a future
-    // change breaks that, fall back to a deterministic unwatched chain 0.
-    if !runs.iter().any(|r| r.result.is_some()) {
-        runs.insert(0, run_chain(&initial, improve_config, base_seed, 0, None, None));
-    }
-
-    // Deterministic reduction: minimal (cost, slot) over completed slots.
-    let winner_index = runs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.result.as_ref().map(|(cost, _)| (*cost, r.stat.slot, i)))
-        .min()
-        .map(|(_, _, i)| i)
-        .expect("at least one chain completes");
+    // Deterministic reduction: minimal (cost, slot). `runs` is in slot
+    // order and `min_by_key` keeps the first of equal keys.
+    let winner_index = (0..runs.len())
+        .min_by_key(|&i| runs[i].stat.best_cost)
+        .expect("at least one chain");
 
     let mut aggregate = ImproveStats::default();
     for run in &runs {
@@ -339,7 +250,7 @@ pub fn portfolio_search<'a>(
     let winner_slot = runs[winner_index].stat.slot;
     let stats = runs[winner_index].improve;
     let winner = runs.swap_remove(winner_index);
-    let (cost, binding) = winner.result.expect("winner completed");
+    let (cost, binding) = winner.result.expect("an uncancelled chain completes");
 
     Ok(PortfolioOutcome {
         binding,

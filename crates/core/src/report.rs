@@ -47,7 +47,7 @@ pub fn report(graph: &Cdfg, schedule: &Schedule, result: &AllocResult) -> String
 }
 
 /// The per-chain portfolio table: one row per restart chain with its
-/// trials, throughput, best cost and cutoff status, plus an aggregate
+/// trials, throughput, best cost and a mark on the winner, plus an aggregate
 /// line with the realized parallel speedup. Empty for a single-chain run
 /// (nothing to compare).
 pub fn portfolio_table(stats: &crate::PortfolioStats) -> String {
@@ -57,12 +57,10 @@ pub fn portfolio_table(stats: &crate::PortfolioStats) -> String {
     }
     let _ = writeln!(
         out,
-        "portfolio: {} thread{}, {} chains ({} completed, {} cutoff), {:.2}x parallel speedup",
+        "portfolio: {} thread{}, {} chains, {:.2}x parallel speedup",
         stats.threads,
         if stats.threads == 1 { "" } else { "s" },
         stats.chains.len(),
-        stats.completed(),
-        stats.abandoned(),
         stats.speedup(),
     );
     let _ = writeln!(
@@ -71,14 +69,14 @@ pub fn portfolio_table(stats: &crate::PortfolioStats) -> String {
         "chain", "seed", "trials", "moves", "moves/sec", "best-cost"
     );
     for chain in &stats.chains {
-        let status = match (chain.completed, chain.slot == stats.winner_slot) {
-            (true, true) => "winner",
-            (true, false) => "completed",
-            (false, _) => "cutoff",
+        let status = if chain.slot == stats.winner_slot {
+            "  winner"
+        } else {
+            ""
         };
         let _ = writeln!(
             out,
-            "  {:>5} {:>10} {:>7} {:>10} {:>11.0} {:>10}  {}",
+            "  {:>5} {:>10} {:>7} {:>10} {:>11.0} {:>10}{}",
             chain.slot, chain.seed, chain.trials, chain.attempted, chain.moves_per_sec,
             chain.best_cost, status
         );

@@ -196,8 +196,8 @@ pub enum ReplayCheck {
 /// # Errors
 ///
 /// Returns [`AllocError::Cancelled`] if the improve configuration
-/// carries a tripped cancel token (the only way an unwatched chain can
-/// fail to complete).
+/// carries a tripped cancel token (the only way a chain can fail to
+/// complete).
 pub fn record_slot_trace<'a>(
     ctx: &'a AllocContext<'a>,
     config: &ImproveConfig,
@@ -207,7 +207,7 @@ pub fn record_slot_trace<'a>(
     let initial = initial_binding(ctx, config.warm.as_deref()).0;
     let seed = base_seed.wrapping_add(slot as u64);
     let mut rec = TraceRecorder::default();
-    let run = run_chain(&initial, config, seed, slot, None, Some(&mut rec));
+    let run = run_chain(&initial, config, seed, slot, Some(&mut rec));
     let (final_cost, binding) = run.result.ok_or(AllocError::Cancelled)?;
     let trace = MoveTrace {
         base_seed,
@@ -659,7 +659,7 @@ mod tests {
     /// the recorded binding, the decoded round-trip and the full replay
     /// all land bit-for-bit on the portfolio winner.
     fn check_roundtrip(ctx: &AllocContext<'_>, config: &ImproveConfig, threads: usize) {
-        let pconfig = PortfolioConfig { threads: Some(threads), ..PortfolioConfig::default() };
+        let pconfig = PortfolioConfig { threads: Some(threads) };
         let outcome = portfolio_search(ctx, config, &pconfig, 42, 2).expect("search completes");
         let (trace, recorded) =
             record_slot_trace(ctx, config, 42, outcome.portfolio.winner_slot)

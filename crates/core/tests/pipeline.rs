@@ -237,14 +237,3 @@ fn chain_pool_recycles_on_a_sustained_move_stream() {
     );
 }
 
-#[test]
-fn insufficient_pool_is_reported() {
-    let graph = benchmarks::dct();
-    let library = FuLibrary::standard();
-    let schedule = fds_schedule(&graph, &library, 8).unwrap();
-    let err = Allocator::new(&graph, &schedule, &library)
-        .registers(2)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, salsa_alloc::AllocError::InsufficientRegisters { .. }));
-}

@@ -68,11 +68,6 @@ impl Lifetime {
     pub fn live_at(&self, step: usize) -> bool {
         self.steps.contains(&step)
     }
-
-    /// First stored step, if any.
-    pub fn first_step(&self) -> Option<usize> {
-        self.steps.first().copied()
-    }
 }
 
 /// Lifetimes of all stored values of a scheduled CDFG.

@@ -5,7 +5,7 @@
 //! [`plan_job`] is the one place the allocation setup is derived from
 //! `(graph, knobs)`: library, step count and force-directed schedule,
 //! and — through [`JobPlan::allocator`] — move set, seed, register
-//! headroom, restarts, threads, cutoff, warm seed and `mem_moves`. The
+//! headroom, restarts, threads, warm seed and `mem_moves`. The
 //! server's workers, the verifier lane, offline audit and the CLI all go
 //! through it, so every entry point prepares a job bit-identically by
 //! construction.
@@ -128,9 +128,6 @@ impl JobPlan {
             .mem_moves(knobs.mem_moves);
         if let Some(threads) = knobs.threads {
             allocator = allocator.threads(threads);
-        }
-        if let Some(cutoff) = knobs.cutoff {
-            allocator = allocator.cutoff_factor(cutoff);
         }
         if let Some(plan) = &self.compiled {
             allocator = allocator.compiled_plan(Arc::clone(plan));

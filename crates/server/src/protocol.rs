@@ -88,8 +88,6 @@ pub struct Knobs {
     pub restarts: usize,
     /// Portfolio worker cap; `None` = machine parallelism.
     pub threads: Option<usize>,
-    /// Best-bound cutoff factor; `None` = the allocator default.
-    pub cutoff: Option<f64>,
     /// Use the pipelined functional-unit library.
     pub pipelined: bool,
     /// Restrict to the traditional (pre-SALSA) move set.
@@ -121,7 +119,6 @@ impl Default for Knobs {
             seed: 42,
             restarts: 1,
             threads: None,
-            cutoff: None,
             pipelined: false,
             traditional: false,
             mem_moves: true,
@@ -280,16 +277,6 @@ fn field_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-fn field_f64(obj: &Json, key: &str) -> Result<Option<f64>, ServeError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ServeError::new(ErrorKind::BadRequest, format!("'{key}' must be a number"))),
-    }
-}
-
 fn field_bool(obj: &Json, key: &str) -> Result<bool, ServeError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(false),
@@ -303,10 +290,11 @@ fn field_bool(obj: &Json, key: &str) -> Result<bool, ServeError> {
 /// structured error rather than ignoring them: a `batch` job would
 /// otherwise run a different trajectory than its sender asked for. Only
 /// the spellings that select today's behaviour pass — `batch` absent,
-/// null or 1, and `plan` absent, null or true. Stored knobs (trace
-/// artifacts under audit) are not checked: `plan` never changed a
-/// trajectory, and an artifact of the removed batch engine fails its
-/// audit as a report mismatch.
+/// null or 1, `plan` absent, null or true, and `cutoff` absent or null.
+/// Stored knobs (trace artifacts under audit) are not checked: neither
+/// `plan` nor `cutoff` ever changed a completing chain's trajectory, and
+/// an artifact of the removed batch engine fails its audit as a report
+/// mismatch.
 fn reject_removed_knobs(obj: &Json) -> Result<(), ServeError> {
     match obj.get("batch") {
         None | Some(Json::Null) => {}
@@ -319,10 +307,19 @@ fn reject_removed_knobs(obj: &Json) -> Result<(), ServeError> {
         }
     }
     match obj.get("plan") {
-        None | Some(Json::Null) | Some(Json::Bool(true)) => Ok(()),
+        None | Some(Json::Null) | Some(Json::Bool(true)) => {}
+        Some(_) => {
+            return Err(ServeError::new(
+                ErrorKind::BadRequest,
+                "'plan' was removed: the compiled move plan is always on; omit it (or send true)",
+            ))
+        }
+    }
+    match obj.get("cutoff") {
+        None | Some(Json::Null) => Ok(()),
         Some(_) => Err(ServeError::new(
             ErrorKind::BadRequest,
-            "'plan' was removed: the compiled move plan is always on; omit it (or send true)",
+            "'cutoff' was removed: every restart chain runs to completion; omit it",
         )),
     }
 }
@@ -330,6 +327,10 @@ fn reject_removed_knobs(obj: &Json) -> Result<(), ServeError> {
 /// Upper bound on `restarts` per job — the queue bounds jobs, this bounds
 /// the work a single job may demand.
 pub const MAX_RESTARTS: usize = 4096;
+
+/// Upper bound on `threads`: a job starts `min(threads, restarts)` scoped
+/// worker threads, so this bounds the OS threads a single job may start.
+pub const MAX_THREADS: usize = 64;
 
 /// Upper bound on `steps`. FDS, pool construction and plan compile run
 /// before the search first polls its cancel token, so a job's deadline
@@ -419,7 +420,6 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
         seed: field_u64(obj, "seed")?.unwrap_or(42),
         restarts: field_u64(obj, "restarts")?.map(|r| r as usize).unwrap_or(1),
         threads: field_u64(obj, "threads")?.map(|t| (t as usize).max(1)),
-        cutoff: field_f64(obj, "cutoff")?,
         pipelined: field_bool(obj, "pipelined")?,
         traditional: field_bool(obj, "traditional")?,
         // Unlike the other booleans, absent means *true*.
@@ -453,9 +453,10 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
 
 impl Knobs {
     /// Rejects knobs outside the ranges a job may ask for: `steps` in
-    /// `1..=MAX_STEPS`, `extra_regs` up to [`MAX_EXTRA_REGS`] and
-    /// `restarts` in `1..=MAX_RESTARTS`. [`knobs_from_json`] applies it
-    /// to every parsed request, and the CLI to the knobs its flags spell.
+    /// `1..=MAX_STEPS`, `extra_regs` up to [`MAX_EXTRA_REGS`], `restarts`
+    /// in `1..=MAX_RESTARTS` and `threads` up to [`MAX_THREADS`].
+    /// [`knobs_from_json`] applies it to every parsed request, and the CLI
+    /// to the knobs its flags spell.
     pub fn check_bounds(&self) -> Result<(), ServeError> {
         let bad = |message: String| Err(ServeError::new(ErrorKind::BadRequest, message));
         if self.steps.is_some_and(|s| s == 0 || s > MAX_STEPS) {
@@ -467,13 +468,16 @@ impl Knobs {
         if self.restarts == 0 || self.restarts > MAX_RESTARTS {
             return bad(format!("'restarts' must be in 1..={MAX_RESTARTS}"));
         }
+        if self.threads.is_some_and(|t| t > MAX_THREADS) {
+            return bad(format!("'threads' must be at most {MAX_THREADS}"));
+        }
         Ok(())
     }
 }
 
 /// Renders knobs as a JSON object in the request spelling, the inverse
 /// of [`knobs_from_json`]: unset options are omitted, and the rendering
-/// round-trips exactly (floats use shortest-roundtrip formatting).
+/// round-trips exactly.
 pub fn knobs_to_json(knobs: &Knobs) -> Json {
     let mut pairs = Vec::with_capacity(9);
     if let Some(steps) = knobs.steps {
@@ -484,9 +488,6 @@ pub fn knobs_to_json(knobs: &Knobs) -> Json {
     pairs.push(("restarts", Json::Int(knobs.restarts as i64)));
     if let Some(threads) = knobs.threads {
         pairs.push(("threads", Json::Int(threads as i64)));
-    }
-    if let Some(cutoff) = knobs.cutoff {
-        pairs.push(("cutoff", Json::Float(cutoff)));
     }
     if knobs.pipelined {
         pairs.push(("pipelined", Json::Bool(true)));
@@ -529,7 +530,7 @@ mod tests {
     fn parses_a_full_allocate_request() {
         let req = parse_json(
             r#"{"cmd":"allocate","bench":"ewf","steps":17,"seed":7,"restarts":4,
-                "threads":2,"cutoff":1.5,"extra_regs":1,"pipelined":true,
+                "threads":2,"extra_regs":1,"pipelined":true,
                 "traditional":true,"verify":"full","timeout_ms":2000}"#,
         )
         .unwrap();
@@ -541,7 +542,6 @@ mod tests {
         assert_eq!(alloc.knobs.seed, 7);
         assert_eq!(alloc.knobs.restarts, 4);
         assert_eq!(alloc.knobs.threads, Some(2));
-        assert_eq!(alloc.knobs.cutoff, Some(1.5));
         assert_eq!(alloc.knobs.extra_regs, 1);
         assert!(alloc.knobs.pipelined);
         assert!(alloc.knobs.traditional);
@@ -560,7 +560,9 @@ mod tests {
         assert_eq!(alloc.timeout_ms, None);
         // The removed knobs' spellings that select today's behaviour
         // still parse, to the defaults.
-        for extra in [r#""batch":1"#, r#""batch":null"#, r#""plan":true"#, r#""plan":null"#] {
+        for extra in
+            [r#""batch":1"#, r#""batch":null"#, r#""plan":true"#, r#""plan":null"#, r#""cutoff":null"#]
+        {
             let raw = format!(r#"{{"cmd":"allocate","bench":"dct",{extra}}}"#);
             let Ok(Command::Allocate(alloc)) = parse_command(&parse_json(&raw).unwrap()) else {
                 panic!("{raw} should parse")
@@ -584,6 +586,12 @@ mod tests {
             (r#"{"cmd":"allocate","bench":"ewf","extra_regs":100000000}"#, "extra_regs"),
             (r#"{"cmd":"allocate","bench":"ewf","restarts":0}"#, "restarts"),
             (r#"{"cmd":"allocate","bench":"ewf","restarts":4097}"#, "restarts"),
+            (r#"{"cmd":"allocate","bench":"ewf","threads":65}"#, "'threads' must be at most 64"),
+            // Rejected at parse: no worker thread starts.
+            (
+                r#"{"cmd":"allocate","bench":"ewf","restarts":4096,"threads":4096}"#,
+                "'threads' must be at most 64",
+            ),
             (r#"{"cmd":"allocate","bench":"ewf","seed":-3}"#, "seed"),
             (r#"{"cmd":"allocate","bench":"ewf","pipelined":"yes"}"#, "boolean"),
             (r#"{"cmd":"allocate","bench":"ewf","verify":"loud"}"#, "verify"),
@@ -591,15 +599,17 @@ mod tests {
             (r#"{"cmd":"reallocate","bench":"ewf"}"#, "base"),
             (r#"{"cmd":"reallocate","base":"xyz","bench":"ewf"}"#, "job id"),
             (r#"{"cmd":"trace"}"#, "id"),
-            // The batch engine and the plan on/off toggle are gone; a job
-            // asking for them fails loudly instead of running something
-            // else.
+            // The batch engine, the plan on/off toggle and the portfolio
+            // cutoff are gone; a job asking for them fails loudly instead
+            // of running something else.
             (r#"{"cmd":"allocate","bench":"ewf","batch":8}"#, "'batch' was removed"),
             (r#"{"cmd":"allocate","bench":"ewf","batch":0}"#, "'batch' was removed"),
             (r#"{"cmd":"allocate","bench":"ewf","batch":"8"}"#, "'batch' was removed"),
             (r#"{"cmd":"reallocate","base":"ab","bench":"ewf","batch":2}"#, "'batch' was removed"),
             (r#"{"cmd":"allocate","bench":"ewf","plan":false}"#, "'plan' was removed"),
             (r#"{"cmd":"allocate","bench":"ewf","plan":"off"}"#, "'plan' was removed"),
+            (r#"{"cmd":"allocate","bench":"ewf","cutoff":1.25}"#, "'cutoff' was removed"),
+            (r#"{"cmd":"reallocate","base":"ab","bench":"ewf","cutoff":2}"#, "'cutoff' was removed"),
         ];
         for (raw, needle) in cases {
             let req = parse_json(raw).unwrap();
@@ -631,7 +641,6 @@ mod tests {
             Knobs { seed: 43, ..base.clone() },
             Knobs { restarts: 2, ..base.clone() },
             Knobs { threads: Some(2), ..base.clone() },
-            Knobs { cutoff: Some(1.5), ..base.clone() },
             Knobs { pipelined: true, ..base.clone() },
             Knobs { traditional: true, ..base.clone() },
             Knobs { mem_moves: false, ..base.clone() },
@@ -661,7 +670,6 @@ mod tests {
             seed: 7,
             restarts: 4,
             threads: Some(2),
-            cutoff: Some(1.25),
             pipelined: true,
             traditional: true,
             mem_moves: false,
@@ -683,10 +691,12 @@ mod tests {
 
     #[test]
     fn stored_knobs_of_removed_options_still_parse() {
-        // Trace artifacts dumped before the plan toggle went away carry
-        // `"plan":false`; the toggle never changed a trajectory, so the
-        // artifact must still audit. Only the wire rejects it.
-        let stored = parse_json(r#"{"seed":7,"restarts":2,"plan":false}"#).unwrap();
+        // Trace artifacts dumped before the plan toggle and the cutoff
+        // went away carry `"plan":false` or a `"cutoff"`; neither changed
+        // a recorded (completed) chain's trajectory, so the artifact must
+        // still audit. Only the wire rejects them.
+        let stored =
+            parse_json(r#"{"seed":7,"restarts":2,"plan":false,"cutoff":1.25}"#).unwrap();
         let knobs = knobs_from_json(&stored).unwrap();
         assert_eq!(knobs, Knobs { seed: 7, restarts: 2, ..Knobs::default() });
     }

@@ -72,8 +72,6 @@ pub fn report_json(graph: &Cdfg, schedule: &Schedule, seed: u64, result: &AllocR
             Json::obj(vec![
                 ("threads", Json::Int(portfolio.threads as i64)),
                 ("chains", Json::Int(portfolio.chains.len() as i64)),
-                ("completed", Json::Int(portfolio.completed() as i64)),
-                ("cutoff", Json::Int(portfolio.abandoned() as i64)),
                 ("winner_slot", Json::Int(portfolio.winner_slot as i64)),
                 ("speedup", Json::Float(portfolio.speedup())),
             ]),

@@ -691,7 +691,7 @@ mod tests {
 
         let response = roundtrip(
             &mut conn,
-            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"verify":"full"}"#,
+            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":2,"verify":"full"}"#,
         );
         assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
         let report = response.get("report").expect("report");
@@ -722,12 +722,12 @@ mod tests {
             Some(canonical.to_string_compact().as_str())
         );
 
-        // A result-invariant knob change (a cutoff factor, which the
-        // one-thread sequential loop never consults) is a fresh job but
-        // the same result: the verdict comes from the cache.
+        // A result-invariant knob change (a thread cap of 3 against 2 on
+        // two restarts: both run two workers) is a fresh job but the same
+        // result: the verdict comes from the cache.
         let replayed = roundtrip(
             &mut conn,
-            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":1,"cutoff":2.0,"verify":"full"}"#,
+            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":3,"verify":"full"}"#,
         );
         let cert2 = replayed.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert2.get("cache").and_then(Json::as_str), Some("hit"));
@@ -751,13 +751,13 @@ mod tests {
     fn trace_after_a_verdict_cache_hit_replays() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut conn = connect(&server);
-        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"threads":1,"seed":9,"verify":"sample"}"#;
+        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"threads":2,"seed":9,"verify":"sample"}"#;
         let first = roundtrip(&mut conn, request);
         let cert = first.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert.get("cache").and_then(Json::as_str), Some("miss"));
-        // The one-thread loop never consults the cutoff: a fresh job with
-        // the same result, so the verdict comes from the cache.
-        let second = roundtrip(&mut conn, &request.replace(r#""seed":9"#, r#""seed":9,"cutoff":2.0"#));
+        // Two restarts run two workers under a cap of 2 or 3: a fresh job
+        // with the same result, so the verdict comes from the cache.
+        let second = roundtrip(&mut conn, &request.replace(r#""threads":2"#, r#""threads":3"#));
         let cert = second.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert.get("cache").and_then(Json::as_str), Some("hit"));
         let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap();

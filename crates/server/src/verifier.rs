@@ -14,10 +14,12 @@
 //! Verdicts are cached content-addressed by **result fingerprint** —
 //! FNV-1a 128 over `(canonical design text, canonical report, verify
 //! mode)` — beside the existing result cache. Two jobs whose knobs
-//! differ only in result-invariant ways (thread counts, a cutoff the
-//! one-thread loop never consults) produce the same canonical report and
-//! therefore share one verdict: the second certification is a cache hit,
-//! recorded in the certificate's `cache` field. Each cached entry also
+//! differ only in result-invariant ways produce the same canonical report
+//! and therefore share one verdict: the second certification is a cache
+//! hit, recorded in the certificate's `cache` field. The worker count is
+//! in the canonical report (`portfolio.threads`), so only thread caps at
+//! or above the restart count, which all run one worker per chain,
+//! collapse. Each cached entry also
 //! keeps what the portable [`TraceArtifact`] envelope is made from — the
 //! shared admission artifact, the knobs, the winning slot, the cost and
 //! the canonical report — but not the trace text, which for a long
@@ -66,8 +68,10 @@ pub struct VerifyJob {
 /// canonical (timing-zeroed) compact report, and the verify mode. Sound
 /// for the same reason the result cache is — both inputs are
 /// deterministic in `(design, knobs)` — but deliberately *coarser* than
-/// the result-cache key: knobs that never change the result (thread
-/// counts, a one-thread run's cutoff) collapse onto one fingerprint.
+/// the result-cache key: knobs that never change the canonical report
+/// collapse onto one fingerprint. The worker count is in that report, so
+/// of the thread caps only those at or above the restart count (one
+/// worker per chain either way) collapse.
 pub fn result_fingerprint(canonical_text: &str, canonical_report: &str, mode: VerifyMode) -> u128 {
     let mut keyed =
         String::with_capacity(canonical_text.len() + canonical_report.len() + 16);
@@ -345,7 +349,7 @@ mod tests {
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
         let knobs = Knobs {
             restarts: 2,
-            threads: Some(1),
+            threads: Some(2),
             verify: VerifyMode::Full,
             ..Knobs::default()
         };
@@ -362,18 +366,18 @@ mod tests {
         canonicalize_report(&mut canonical);
         assert_eq!(artifact.report, canonical.to_string_compact());
 
-        // A knob the canonical report does not reflect (the cutoff
-        // factor, which the one-thread sequential loop never consults)
-        // makes a different job with the identical report, so it lands
-        // on the same verdict fingerprint; the verify mode does not.
+        // A knob the canonical report does not reflect (a thread cap of 3
+        // against 2 on two restarts: both run two workers) makes a
+        // different job with the identical report, so it lands on the
+        // same verdict fingerprint; the verify mode does not.
         let canon = canonical.to_string_compact();
         let text = graph.canonical_text();
         let fp = result_fingerprint(&text, &canon, VerifyMode::Full);
-        let toggled = Knobs { cutoff: Some(2.0), ..knobs.clone() };
+        let toggled = Knobs { threads: Some(3), ..knobs.clone() };
         assert_ne!(cache_key(&text, &toggled), cache_key(&text, &knobs));
         let mut other = run_allocation(&graph, &toggled, None).unwrap();
         canonicalize_report(&mut other);
-        assert_eq!(other.to_string_compact(), canon, "the cutoff is invisible at one thread");
+        assert_eq!(other.to_string_compact(), canon, "both caps run two workers");
         assert_eq!(
             result_fingerprint(&text, &other.to_string_compact(), VerifyMode::Full),
             fp

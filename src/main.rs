@@ -5,7 +5,7 @@
 //! salsa-hls dot      <file.cdfg>                      Graphviz rendering of the CDFG
 //! salsa-hls schedule <file.cdfg> [--steps N] [--pipelined]
 //! salsa-hls allocate <file.cdfg> [--steps N] [--extra-regs K] [--seed S]
-//!                    [--restarts R] [--threads T] [--cutoff F]
+//!                    [--restarts R] [--threads T]
 //!                    [--pipelined] [--traditional] [--controller]
 //!                    [--verilog PATH] [--testbench PATH] [--dot PATH]
 //! salsa-hls bench    <name|--list>                    run a built-in benchmark
@@ -71,7 +71,7 @@ usage:
   salsa-hls dot      <file.cdfg>
   salsa-hls schedule <file.cdfg> [--steps N] [--pipelined]
   salsa-hls allocate <file.cdfg> [--steps N] [--extra-regs K] [--seed S]
-                     [--restarts R] [--threads T] [--cutoff F]
+                     [--restarts R] [--threads T]
                      [--pipelined] [--traditional] [--no-mem-moves]
                      [--controller]
                      [--report] [--json] [--canonical]
@@ -84,7 +84,7 @@ usage:
                      [--idle-timeout-ms MS]
   salsa-hls submit   [--addr HOST:PORT] (--bench NAME | <file.cdfg>)
                      [--steps N] [--extra-regs K] [--seed S] [--restarts R]
-                     [--threads T] [--cutoff F] [--pipelined]
+                     [--threads T] [--pipelined]
                      [--traditional] [--verify off|sample|full]
                      [--dump-trace PATH] [--timeout-ms MS] [--pretty]
                      [--retry N]
@@ -94,10 +94,9 @@ usage:
   salsa-hls audit    <artifact.json>
 
 --restarts runs R independent seeded search chains and keeps the best;
---threads caps the portfolio workers spreading those chains (default: the
-machine's parallelism; 1 reproduces the sequential loop bit-for-bit);
---cutoff sets the shared best-bound cutoff factor (>= 1.0, default 1.25);
-the sequential loop (one thread) never consults it.
+--threads caps the portfolio workers spreading those chains (at most 64;
+default: the machine's parallelism). Every chain runs to completion, so
+the winner is the same at any thread count.
 --no-mem-moves disables the M move family on memory (array) designs,
 freezing bank assignment at the initial placement — the ablation
 baseline; scalar designs are unaffected.
@@ -156,6 +155,7 @@ const REMOVED_FLAGS: &[(&str, &str)] = &[
     ("--protocol", "the service speaks only binary frames"),
     ("--backend", "the distributed backend is gone; the service runs every job in-process"),
     ("--cluster-listen", "the distributed backend is gone; the service runs every job in-process"),
+    ("--cutoff", "every restart chain runs to completion"),
 ];
 
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
@@ -366,7 +366,6 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         seed: flag_parse(args, "--seed")?.unwrap_or(42),
         restarts: flag_parse(args, "--restarts")?.unwrap_or(1),
         threads: flag_parse(args, "--threads")?,
-        cutoff: flag_parse(args, "--cutoff")?,
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),
         mem_moves: !has_flag(args, "--no-mem-moves"),
@@ -556,8 +555,7 @@ fn audit(args: &[String]) -> Result<(), String> {
 fn submit_positional(args: &[String]) -> Option<&String> {
     const VALUE_FLAGS: &[&str] = &[
         "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
-        "--cutoff", "--timeout-ms", "--retry", "--verify", "--dump-trace",
-        "--base",
+        "--timeout-ms", "--retry", "--verify", "--dump-trace", "--base",
     ];
     let mut i = 1;
     while i < args.len() {

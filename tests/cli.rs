@@ -179,9 +179,9 @@ fn unknown_command_fails() {
 
 #[test]
 fn removed_flags_fail_and_say_so() {
-    // `--batch K`, `--protocol P` and `--backend B` must not leave their
-    // value to be read as the design path, and no removed flag may be
-    // skipped silently.
+    // `--batch K`, `--protocol P`, `--backend B` and `--cutoff F` must not
+    // leave their value to be read as the design path, and no removed flag
+    // may be skipped silently.
     for (flag, args) in [
         ("--batch", &["submit", "--batch", "8", "f.cdfg"][..]),
         ("--batch", &["bench", "dct", "--batch", "8"][..]),
@@ -193,6 +193,8 @@ fn removed_flags_fail_and_say_so() {
         ("--protocol", &["submit", "--bench", "ewf", "--protocol", "binary"][..]),
         ("--backend", &["serve", "--backend", "cluster"][..]),
         ("--cluster-listen", &["serve", "--cluster-listen", "127.0.0.1:0"][..]),
+        ("--cutoff", &["submit", "--cutoff", "2.0", "f.cdfg"][..]),
+        ("--cutoff", &["bench", "ewf", "--threads", "2", "--cutoff", "1.25"][..]),
     ] {
         let out = Command::new(BIN).args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
@@ -222,6 +224,7 @@ fn out_of_range_knobs_are_a_clean_error() {
         ("--restarts", "0", "'restarts' must be in 1..=4096"),
         ("--steps", "100000000", "'steps' must be in 1..=256"),
         ("--extra-regs", "100000000", "'extra_regs' must be at most 256"),
+        ("--threads", "65", "'threads' must be at most 64"),
     ] {
         let out = Command::new(BIN).args(["bench", "ewf", flag, value]).output().unwrap();
         let text = String::from_utf8(out.stderr).unwrap();

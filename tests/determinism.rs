@@ -4,8 +4,7 @@
 //! in debug and release alike because its rollback cross-checks are
 //! selected by a deterministic counter, never the search RNG. The parallel
 //! portfolio keeps it true across worker counts because chains are pure
-//! functions of their seed, the shared best-bound cutoff only decides
-//! *whether* a chain's full trajectory enters the reduction, and the
+//! functions of their seed, every chain runs to completion, and the
 //! reduction orders by `(cost, slot)` — see DESIGN.md §7.
 
 use proptest::prelude::*;
@@ -14,7 +13,7 @@ use rand::SeedableRng;
 
 use salsa_alloc::{
     improve, initial_allocation, lower, polish, AllocContext, AllocResult, Allocator,
-    ImproveConfig, MoveSet, PortfolioConfig,
+    ImproveConfig, MoveSet,
 };
 use salsa_cdfg::{random_cdfg, Cdfg, RandomCdfgConfig};
 use salsa_datapath::{Claims, Datapath, Rtl};
@@ -163,10 +162,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 60, ..ProptestConfig::default() })]
 
     /// Across random designs and seeds, the portfolio returns the identical
-    /// final cost and winning allocation at 1, 2 and 4 worker threads —
-    /// with the cutoff aggressive enough (`factor 1.3`, `min_trials 1`)
-    /// that multi-thread runs really do abandon chains. This is the
-    /// empirical validation of the headroom invariant (DESIGN.md §7).
+    /// final cost and winning allocation at 1, 2 and 4 worker threads
+    /// (DESIGN.md §7).
     #[test]
     fn portfolio_winner_is_thread_count_independent(
         graph_seed in 0u64..400,
@@ -189,11 +186,7 @@ proptest! {
                 .seed(seed)
                 .config(config.clone())
                 .restarts(3)
-                .portfolio(PortfolioConfig {
-                    threads: Some(threads),
-                    cutoff_factor: 1.3,
-                    min_trials: 1,
-                })
+                .threads(threads)
                 .run()
                 .unwrap()
         };

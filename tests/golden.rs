@@ -10,10 +10,6 @@
 //! a refactor or a deletion that changes any trajectory, cost, report
 //! key or emitted netlist shows up here as a line diff.
 //!
-//! The portfolio cases disable the best-bound cutoff. With a finite
-//! cutoff, *which* losing chains are abandoned depends on thread timing
-//! (the winner never does), and the report counts them.
-//!
 //! On a mismatch the test writes the lines it computed to a file under
 //! `target/` and prints its path; after reviewing the diff, copy that
 //! file over the golden one to accept a deliberate change.
@@ -45,15 +41,13 @@ fn case_line(graph: &Cdfg, threads: usize, restarts: usize, seed: u64) -> String
     let library = FuLibrary::standard();
     let steps = asap(graph, &library).length;
     let schedule = fds_schedule(graph, &library, steps).expect("ASAP length is feasible");
-    let mut allocator = Allocator::new(graph, &schedule, &library)
+    let result = Allocator::new(graph, &schedule, &library)
         .seed(seed)
         .restarts(restarts)
         .threads(threads)
-        .config(budget(graph));
-    if threads > 1 {
-        allocator = allocator.cutoff_factor(f64::INFINITY);
-    }
-    let result = allocator.run().expect("benchmark allocates");
+        .config(budget(graph))
+        .run()
+        .expect("benchmark allocates");
     let mut report = report_json(graph, &schedule, seed, &result);
     canonicalize_report(&mut report);
     let options = VerilogOptions { module_name: format!("dp_{}", graph.name()), width: 16 };
