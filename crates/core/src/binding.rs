@@ -26,7 +26,20 @@
 use salsa_cdfg::{OpId, ValueId};
 use salsa_datapath::{ConnectionMatrix, CostBreakdown, FuId, Port, RegId, Sink, Source};
 
+use crate::moves::SegmentRanking;
 use crate::{AllocContext, TransferKey};
+
+/// What one connection item adds to a matrix, in the weights the moves
+/// rank candidates by (new-wire and new-mux-input weights fixed at the
+/// default 1:4 ratio): nothing when the connection exists, else one wire,
+/// plus one mux input when the sink is already driven.
+pub(crate) fn added_item_cost(exists: bool, sink_driven: bool) -> u64 {
+    if exists {
+        0
+    } else {
+        1 + 4 * u64::from(sink_driven)
+    }
+}
 
 /// The default bank of each array: round-robin over the pool's banks
 /// (array `i` → bank `i % num_banks`). The constructive initial
@@ -262,6 +275,7 @@ pub(crate) struct MoveScratch {
     pub(crate) affected: Vec<Owner>,
     pub(crate) occupied: Vec<(RegId, (ValueId, usize))>,
     pub(crate) uniform: Vec<(ValueId, RegId)>,
+    pub(crate) ranking: SegmentRanking,
 }
 
 /// An arena-lite free list of register buffers for [`Chain`] storage.
@@ -1217,9 +1231,8 @@ impl<'a> Binding<'a> {
     /// (which is *not* cleared — callers reuse one buffer across owners).
     /// The allocation-free core of [`items`](Self::items): the hot paths
     /// ([`assert_owner`](Self::assert_owner),
-    /// [`retract_owner`](Self::retract_owner),
-    /// [`added_cost_of`](Self::added_cost_of)) drive it through the
-    /// binding's scratch buffer so the steady-state move stream stays off
+    /// [`retract_owner`](Self::retract_owner), R2's ranking) drive it
+    /// through scratch buffers so the steady-state move stream stays off
     /// the global allocator.
     pub(crate) fn items_into(&self, owner: Owner, out: &mut Vec<(Source, Sink)>) {
         match owner {
@@ -1277,34 +1290,12 @@ impl<'a> Binding<'a> {
         items
     }
 
-    /// Weighted cost the given owners' items would add to the current
-    /// connection matrix (new-wire and new-mux-input weights fixed at the
-    /// default 1:4 ratio). Used by moves to rank candidate targets while
-    /// the affected owners are retracted; removals are identical across
-    /// candidates, so ranking by additions is sound. Takes `&mut self`
-    /// only for the scratch buffer — the binding state is not changed.
-    pub(crate) fn added_cost_of(&mut self, owners: &[Owner]) -> u64 {
-        let mut items = std::mem::take(&mut self.items_scratch);
-        let mut total = 0u64;
-        for &owner in owners {
-            items.clear();
-            self.items_into(owner, &mut items);
-            total += items.iter().map(|&(src, sink)| self.item_cost(src, sink)).sum::<u64>();
-        }
-        items.clear();
-        self.items_scratch = items;
-        total
-    }
-
     /// What one connection item would add to the current matrix, in the
-    /// weights of [`added_cost_of`](Self::added_cost_of): nothing for an
-    /// existing connection, else one wire plus four per new mux input.
+    /// weights of [`added_item_cost`]. The moves rank candidate targets
+    /// by the sum over the items a target implies; removals are identical
+    /// across candidates, so ranking by additions is sound.
     pub(crate) fn item_cost(&self, src: Source, sink: Sink) -> u64 {
-        if self.conn.contains(src, sink) {
-            0
-        } else {
-            1 + 4 * self.conn.added_mux_cost(src, sink) as u64
-        }
+        added_item_cost(self.conn.contains(src, sink), self.conn.fanin(sink) > 0)
     }
 
     pub(crate) fn assert_owner(&mut self, owner: Owner) {
@@ -1691,6 +1682,23 @@ impl<'a> Binding<'a> {
         } else {
             chain.regs.pop();
         }
+    }
+
+    /// Overwrites one chain cell and returns the register it held,
+    /// journaling nothing and touching neither occupancy nor the matrix.
+    /// R2's ranking writes an out-of-range sentinel here to read which
+    /// items name the cell, and writes the old register back before it
+    /// returns; the binding is inconsistent in between.
+    pub(crate) fn replace_chain_reg(
+        &mut self,
+        value: ValueId,
+        slot: usize,
+        idx: usize,
+        reg: RegId,
+    ) -> RegId {
+        let chain = self.chains[value.index()][slot].as_mut().expect("live chain");
+        let offset = idx - chain.lo;
+        std::mem::replace(&mut chain.regs[offset], reg)
     }
 
     /// Directly rewrites a chain's register without touching occupancy —

@@ -183,7 +183,7 @@ impl ImproveStats {
 
 /// How an improvement run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchExit {
+pub(crate) enum SearchExit {
     /// Ran to natural convergence (trial cap or staleness).
     Completed,
     /// Aborted by the configured [`CancelToken`] (deadline or shutdown).

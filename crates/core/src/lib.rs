@@ -69,7 +69,7 @@ pub use binding::{Binding, BindingParts, Chain, ChainSlotImage, PassMap};
 pub use cancel::{CancelToken, CANCEL_POLL_PERIOD};
 pub use context::AllocContext;
 pub use error::AllocError;
-pub use improve::{improve, ImproveConfig, ImproveStats, SearchExit};
+pub use improve::{improve, ImproveConfig, ImproveStats};
 pub use initial::{initial_allocation, initial_binding, InitialBinding};
 pub use lower::{lower, verify_binding, verify_lowered};
 pub use plan::MovePlan;

@@ -73,9 +73,9 @@ fn rebank_and_rehome(b: &mut Binding<'_>, rebanks: &[(usize, u32)]) -> bool {
     true
 }
 
-/// Trial-applies a re-banking under a journal checkpoint (the F4 idiom)
-/// and reverts it, reporting whether it would go through — the
-/// feasibility proof a fresh M1/M2 proposal carries.
+/// Trial-applies a re-banking under a journal checkpoint and reverts it,
+/// reporting whether it would go through — the feasibility proof a fresh
+/// M1/M2 proposal carries.
 fn rebank_feasible(b: &mut Binding<'_>, rebanks: &[(usize, u32)]) -> bool {
     let outer = b.in_txn();
     if !outer {

@@ -25,7 +25,7 @@ mod fu;
 mod mem;
 mod reg;
 
-pub(crate) use reg::{collect_owners, place_segment, retract_segment, Rerouted};
+pub(crate) use reg::{collect_owners, place_segment, retract_segment, Rerouted, SegmentRanking};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -375,10 +375,11 @@ pub enum Proposal {
 /// The RNG draw sequence is identical to the historical combined
 /// `try_move` for every kind, so a `propose` + [`apply_proposal`] pair
 /// walks the exact same trajectory as the old code — the contract trace
-/// recording and replay rest on. The ranked moves (F4, R2) need transient
-/// mutations to reproduce their exact candidate costs; those run under a
-/// journal checkpoint ([`Binding::undo_to`]) and are fully reverted before
-/// returning.
+/// recording and replay rest on. The ranked moves (F4, R2) cost their
+/// candidates against the connection matrix read-only: they open no
+/// transaction and journal nothing (DESIGN.md §19). M1 and M2 prove
+/// feasibility by trial-applying the re-banking under a journal
+/// checkpoint ([`Binding::undo_to`]) and revert it before returning.
 pub fn propose(binding: &mut Binding<'_>, kind: MoveKind, rng: &mut StdRng) -> Option<Proposal> {
     match kind {
         MoveKind::FuExchange => fu::propose_fu_exchange(binding, rng),

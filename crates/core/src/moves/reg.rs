@@ -6,31 +6,25 @@
 //! compiled plan's candidate tables through scratch buffers.
 //! The segment moves use an incremental delta kernel: only the owners
 //! whose connection items can reference a moved segment's register (see
-//! [`collect_affected`]) are re-costed per R2 candidate, and retracted and
-//! re-asserted by the R1 and R2 applies. The polish segment sweep places
-//! its candidates with the same kernel (DESIGN.md §17, §19).
+//! [`collect_affected`]) are retracted and re-asserted by the R1 and R2
+//! applies, and R2's ranking costs only those of their items a target
+//! can change ([`SegmentRanking`]). The polish segment sweep places its
+//! candidates with the same kernel (DESIGN.md §17, §19).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use salsa_cdfg::ValueId;
-use salsa_datapath::{Port, RegId, Sink, Source};
+use salsa_datapath::{ConnectionMatrix, Port, RegId, Sink, Source};
 
-use crate::binding::Owner;
+use crate::binding::{added_item_cost, Owner};
 use crate::moves::Proposal;
 use crate::{Binding, TransferKey};
 
 /// Upper bound on concurrent copies per value, keeping the configuration
 /// space (and undo state) bounded.
 const MAX_COPIES: usize = 2;
-
-/// The stored-value population: the plan's storable table (values with
-/// a non-empty lifetime, in id order) filtered by actual storage.
-fn stored_values_into(b: &Binding<'_>, out: &mut Vec<ValueId>) {
-    out.clear();
-    out.extend(b.ctx.plan.storable.iter().copied().filter(|&v| b.primal(v).is_some()));
-}
 
 /// Collects the sorted, deduplicated owner set of the given values into
 /// `out`. Sorting reproduces the iteration order of the `BTreeSet` this
@@ -315,19 +309,179 @@ pub(crate) fn collect_affected(
     }
 }
 
+/// R2's ranking of the registers a segment can move to, read-only: no
+/// transaction, no journal entry, no matrix write (DESIGN.md §19).
+///
+/// The exact ranking costs the items of the segment's
+/// [`collect_affected`] owners with the candidate written into the
+/// segment, against the matrix with *every* owner of the value
+/// retracted, each item on its own. [`prepare`](Self::prepare) reads
+/// those items once with an out-of-range sentinel in the segment and
+/// keeps as terms only the ones a candidate can change: an op item that
+/// names the sentinel, and every item of a transfer with a sentinel
+/// endpoint, tagged with its other endpoint (a candidate equal to it
+/// collapses the transfer, and all its items vanish). Every other item is
+/// the same for every candidate, so it adds a constant to each sum and
+/// leaves the argmin, the tie set and the tie order unchanged. The
+/// retracted matrix is the live one seen through [`Retracted`], which
+/// subtracts the value's own owner items.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentRanking {
+    /// The items of every owner of the value, in the current state.
+    own: Vec<(Source, Sink)>,
+    /// One affected owner's items, read with the sentinel in place.
+    probe: Vec<(Source, Sink)>,
+    terms: Vec<Term>,
+}
+
+/// One kept item with its candidate-invariant part costed.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    /// `RegOut(target) -> sink`; costs `miss` when that wire is absent
+    /// (the sink's retracted fan-in does not depend on the target).
+    FromTarget { sink: Sink, miss: u64, collapse: Option<RegId> },
+    /// `src -> RegIn(target)`.
+    IntoTarget { src: Source, collapse: Option<RegId> },
+    /// An item of a transfer from or to the segment that names neither
+    /// side's target, such as a pass unit's output into the transfer's
+    /// far register: it costs `cost` unless the target collapses the
+    /// transfer.
+    Fixed { cost: u64, collapse: RegId },
+}
+
+/// The connection matrix as it reads with the given items retracted,
+/// without writing it: per cell the uses the items contribute come off,
+/// and per sink the sources whose every use is among them vanish.
+struct Retracted<'m> {
+    conn: &'m ConnectionMatrix,
+    own: &'m [(Source, Sink)],
+}
+
+impl Retracted<'_> {
+    // The items are asserted in the matrix, so neither subtraction below
+    // can underflow: each item is one of its cell's uses, and each
+    // vanished source is a distinct live source of its sink.
+    fn uses(&self, src: Source, sink: Sink) -> usize {
+        let live = self.conn.uses(src, sink);
+        if live == 0 {
+            return 0;
+        }
+        live - self.own.iter().filter(|&&item| item == (src, sink)).count()
+    }
+
+    fn fanin(&self, sink: Sink) -> usize {
+        let live = self.conn.fanin(sink);
+        if live == 0 {
+            return 0;
+        }
+        let vanished = self
+            .own
+            .iter()
+            .enumerate()
+            .filter(|&(i, &(src, k))| {
+                k == sink && !self.own[..i].contains(&(src, k)) && self.uses(src, k) == 0
+            })
+            .count();
+        live - vanished
+    }
+
+    /// [`Binding::item_cost`] against the retracted matrix.
+    fn item_cost(&self, src: Source, sink: Sink) -> u64 {
+        added_item_cost(self.uses(src, sink) > 0, self.fanin(sink) > 0)
+    }
+}
+
+impl SegmentRanking {
+    /// Builds the terms for a move of segment `(v, slot, idx)`.
+    pub(crate) fn prepare(&mut self, b: &mut Binding<'_>, v: ValueId, slot: usize, idx: usize) {
+        let mut owners = std::mem::take(&mut b.scratch.owners);
+        collect_owners(b, &[v], &mut owners);
+        self.own.clear();
+        for &o in &owners {
+            b.items_into(o, &mut self.own);
+        }
+        let mut affected = std::mem::take(&mut b.scratch.affected);
+        affected.clear();
+        collect_affected(b, &owners, v, slot, idx, &mut affected);
+
+        let sentinel = RegId::from_index(b.ctx.datapath.num_regs());
+        let held = b.replace_chain_reg(v, slot, idx, sentinel);
+        let view = Retracted { conn: b.connections(), own: &self.own };
+        self.terms.clear();
+        for &o in &affected {
+            let collapse = match o {
+                Owner::Op(_) => None,
+                Owner::Transfer(key) => match b.transfer_endpoints(key) {
+                    Some((src, dst, _)) if src == sentinel => Some(dst),
+                    Some((src, dst, _)) if dst == sentinel => Some(src),
+                    // No endpoint in the segment, or no movement for any
+                    // candidate: the same items for every candidate.
+                    _ => continue,
+                },
+            };
+            self.probe.clear();
+            b.items_into(o, &mut self.probe);
+            for &(src, sink) in &self.probe {
+                let term = if src == Source::RegOut(sentinel) {
+                    let miss = added_item_cost(false, view.fanin(sink) > 0);
+                    Term::FromTarget { sink, miss, collapse }
+                } else if sink == Sink::RegIn(sentinel) {
+                    Term::IntoTarget { src, collapse }
+                } else if let Some(collapse) = collapse {
+                    Term::Fixed { cost: view.item_cost(src, sink), collapse }
+                } else {
+                    continue; // an op item that does not read or write the segment
+                };
+                self.terms.push(term);
+            }
+        }
+        b.replace_chain_reg(v, slot, idx, held);
+        b.scratch.owners = owners;
+        b.scratch.affected = affected;
+    }
+
+    /// The prepared move's ranking cost with the segment in `target`: the
+    /// exact ranking's sum less a constant that is the same for every
+    /// target.
+    pub(crate) fn cost(&self, conn: &ConnectionMatrix, target: RegId) -> u64 {
+        let view = Retracted { conn, own: &self.own };
+        self.terms
+            .iter()
+            .map(|&term| match term {
+                Term::FromTarget { sink, miss, collapse } => {
+                    if collapse == Some(target) || view.uses(Source::RegOut(target), sink) > 0 {
+                        0
+                    } else {
+                        miss
+                    }
+                }
+                Term::IntoTarget { src, collapse } => {
+                    if collapse == Some(target) {
+                        0
+                    } else {
+                        view.item_cost(src, Sink::RegIn(target))
+                    }
+                }
+                Term::Fixed { cost, collapse } => {
+                    if collapse == target {
+                        0
+                    } else {
+                        cost
+                    }
+                }
+            })
+            .sum()
+    }
+}
+
 /// R2 — move one segment to a register free at its step. The segment is
 /// chosen at random; among the free target registers the one adding the
 /// least interconnect is taken (random tie-break), which makes individual
-/// segment moves productive instead of noise. The exact ranking needs the
-/// value's owners retracted and the candidate written, so the proposal
-/// runs it under a journal checkpoint and reverts before returning.
+/// segment moves productive instead of noise. [`SegmentRanking`] costs
+/// the candidates without changing the binding.
 pub(crate) fn propose_segment_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let mut values = std::mem::take(&mut b.scratch.values);
-    stored_values_into(b, &mut values);
-    let pick = values.choose(rng).copied();
-    b.scratch.values = values;
-    let v = pick?;
+    let v = *ctx.plan.storable.choose(rng)?;
     let mut slots = std::mem::take(&mut b.scratch.slots);
     slots.clear();
     slots.extend(b.chains_of(v).map(|(slot, _)| slot));
@@ -348,24 +502,14 @@ pub(crate) fn propose_segment_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Opt
         return None;
     }
 
-    let outer = b.in_txn();
-    if !outer {
-        b.begin();
-    }
-    let mark = b.journal_len();
-    let owners = retract_values(b, &[v]);
-    b.vacate_seg(v, slot, idx);
-    // Rank candidates over only the owners the move can re-route; every
-    // other owner's added cost is candidate-invariant.
-    let mut ranked = std::mem::take(&mut b.scratch.affected);
-    ranked.clear();
-    collect_affected(b, &owners, v, slot, idx, &mut ranked);
+    let journaled = b.journal_len();
+    let mut ranking = std::mem::take(&mut b.scratch.ranking);
+    ranking.prepare(b, v, slot, idx);
     let mut best = std::mem::take(&mut b.scratch.best_regs);
     best.clear();
     let mut best_cost = u64::MAX;
     for &cand in &free {
-        b.chain_reg_mut(v, slot, idx, cand);
-        let cost = b.added_cost_of(&ranked);
+        let cost = ranking.cost(b.connections(), cand);
         match cost.cmp(&best_cost) {
             std::cmp::Ordering::Less => {
                 best_cost = cost;
@@ -376,14 +520,10 @@ pub(crate) fn propose_segment_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Opt
             std::cmp::Ordering::Greater => {}
         }
     }
-    b.undo_to(mark);
-    if !outer {
-        b.rollback();
-    }
+    debug_assert_eq!(b.journal_len(), journaled, "R2's ranking journals nothing");
     let target = *best.choose(rng).expect("at least one free candidate");
     b.scratch.regs = free;
-    b.scratch.owners = owners;
-    b.scratch.affected = ranked;
+    b.scratch.ranking = ranking;
     b.scratch.best_regs = best;
     Some(Proposal::SegmentMove { value: v, slot, idx, target })
 }
@@ -505,11 +645,7 @@ pub(crate) fn apply_value_exchange(
 /// R4 — bind every (primal) segment of a value to one register.
 pub(crate) fn propose_value_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let mut values = std::mem::take(&mut b.scratch.values);
-    stored_values_into(b, &mut values);
-    let pick = values.choose(rng).copied();
-    b.scratch.values = values;
-    let v = pick?;
+    let v = *ctx.plan.storable.choose(rng)?;
     let steps = ctx.lifetimes.get(v).expect("stored").steps();
     let feasible = |b: &Binding<'_>, r: RegId| {
         steps.iter().all(|&s| match b.reg_occupant(r, s) {
@@ -561,11 +697,7 @@ pub(crate) fn apply_value_move(b: &mut Binding<'_>, v: ValueId, target: RegId) -
 /// rebind greedily to whichever chain adds less interconnect.
 pub(crate) fn propose_value_split(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
-    let mut values = std::mem::take(&mut b.scratch.values);
-    stored_values_into(b, &mut values);
-    let pick = values.choose(rng).copied();
-    b.scratch.values = values;
-    let v = pick?;
+    let v = *ctx.plan.storable.choose(rng)?;
     let lt = ctx.lifetimes.get(v).expect("stored");
     let lt_len = lt.len();
     let steps = lt.steps();
@@ -728,8 +860,8 @@ fn rebind_uses_greedily(b: &mut Binding<'_>, v: ValueId, slot: usize) {
 /// chain.
 pub(crate) fn propose_value_merge(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let mut values = std::mem::take(&mut b.scratch.values);
-    stored_values_into(b, &mut values);
-    values.retain(|&v| b.num_copies(v) > 0);
+    values.clear();
+    values.extend(b.ctx.plan.storable.iter().copied().filter(|&v| b.num_copies(v) > 0));
     let pick = values.choose(rng).copied();
     b.scratch.values = values;
     let v = pick?;
@@ -796,4 +928,169 @@ pub(crate) fn apply_value_merge(
     drop_stale_for(b, &[v]);
     assert_values(b, &[v]);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+
+    use salsa_cdfg::benchmarks::{ewf, fir_array};
+    use salsa_cdfg::{random_cdfg, Cdfg, RandomCdfgConfig};
+    use salsa_sched::{asap, fds_schedule, FuLibrary};
+
+    use super::*;
+    use crate::{initial_allocation, moves, Allocator};
+
+    /// The exact ranking as the proposer used to run it: every owner of
+    /// `v` retracted through the journal, the segment vacated, and each
+    /// candidate written in turn while the affected owners' items are
+    /// costed one by one against the retracted matrix. Also returns the
+    /// part of each sum that no candidate can change — the affected op
+    /// items that do not touch the segment and the items of affected
+    /// transfers with no endpoint in it, read with an out-of-range probe
+    /// register in the segment — and how many candidates equal the far
+    /// endpoint of a transfer to or from the segment.
+    fn full_retraction(
+        b: &mut Binding<'_>,
+        v: ValueId,
+        slot: usize,
+        idx: usize,
+        free: &[RegId],
+    ) -> (Vec<u64>, u64, usize) {
+        let before = b.clone();
+        b.begin();
+        let mut owners = Vec::new();
+        collect_owners(b, &[v], &mut owners);
+        for &o in &owners {
+            b.retract_owner(o);
+        }
+        b.vacate_seg(v, slot, idx);
+        let mut affected = Vec::new();
+        collect_affected(b, &owners, v, slot, idx, &mut affected);
+        let cost_of = |b: &Binding<'_>, items: &[(Source, Sink)]| -> u64 {
+            items.iter().map(|&(src, sink)| b.item_cost(src, sink)).sum()
+        };
+        let costs = free
+            .iter()
+            .map(|&cand| {
+                b.chain_reg_mut(v, slot, idx, cand);
+                affected.iter().map(|&o| cost_of(b, &b.items(o))).sum()
+            })
+            .collect();
+
+        let probe = RegId::from_index(b.ctx.datapath.num_regs() + 7);
+        b.chain_reg_mut(v, slot, idx, probe);
+        let (mut invariant, mut collapsible) = (0, 0);
+        for &o in &affected {
+            let items = b.items(o);
+            match o {
+                Owner::Op(_) => {
+                    let untouched: Vec<_> = items
+                        .into_iter()
+                        .filter(|&(src, sink)| {
+                            src != Source::RegOut(probe) && sink != Sink::RegIn(probe)
+                        })
+                        .collect();
+                    invariant += cost_of(b, &untouched);
+                }
+                Owner::Transfer(key) => match b.transfer_endpoints(key) {
+                    Some((src, dst, _)) if src == probe || dst == probe => {
+                        let far = if src == probe { dst } else { src };
+                        collapsible += usize::from(free.contains(&far));
+                    }
+                    _ => invariant += cost_of(b, &items),
+                },
+            }
+        }
+        b.rollback();
+        assert!(*b == before, "the reference ranking left the binding changed");
+        (costs, invariant, collapsible)
+    }
+
+    fn check_design(
+        graph: &Cdfg,
+        slack: usize,
+        extra_regs: usize,
+        seed: u64,
+        tally: &mut [usize; 5],
+    ) {
+        let library = FuLibrary::standard();
+        let cp = asap(graph, &library).length;
+        let schedule = fds_schedule(graph, &library, cp + slack).expect("cp + slack is feasible");
+        let allocator = Allocator::new(graph, &schedule, &library).extra_registers(extra_regs);
+        let (ctx, config) = allocator.prepare().expect("the pool fits the schedule");
+        let mut b = initial_allocation(&ctx);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut costs = Vec::new();
+        for _ in 0..24 {
+            // Walk on, so rankings start from states with copies, passes
+            // and re-banked arrays, not just the constructive binding.
+            for _ in 0..8 {
+                moves::try_move(&mut b, config.move_set.pick(&mut rng), &mut rng);
+            }
+            for _ in 0..4 {
+                let Some(&v) = ctx.plan.storable.choose(&mut rng) else { return };
+                let chains: Vec<_> = b.chains_of(v).map(|(s, c)| (s, c.lo(), c.hi())).collect();
+                let &(slot, lo, hi) = chains.choose(&mut rng).expect("stored value has chains");
+                let idx = rng.gen_range(lo..=hi);
+                let step = ctx.lifetimes.get(v).expect("stored").steps()[idx];
+                let free: Vec<_> =
+                    ctx.datapath.reg_ids().filter(|&r| b.reg_free(r, step)).collect();
+                if free.is_empty() {
+                    continue;
+                }
+                let (expected, invariant, collapsible) =
+                    full_retraction(&mut b, v, slot, idx, &free);
+
+                let before = b.clone();
+                let mut ranking = SegmentRanking::default();
+                ranking.prepare(&mut b, v, slot, idx);
+                assert!(b == before, "the ranking changed the binding");
+                costs.clear();
+                costs.extend(free.iter().map(|&c| ranking.cost(b.connections(), c) + invariant));
+                assert_eq!(
+                    costs, expected,
+                    "segment ({v}, {slot}, {idx}) over {free:?}: the ranking plus the \
+                     candidate-invariant items must equal the full retraction"
+                );
+                tally[0] += 1;
+                tally[1] += collapsible;
+                tally[2] += usize::from(invariant > 0);
+                tally[3] += usize::from(!b.passes().is_empty());
+                tally[4] += usize::from(b.num_copies(v) > 0);
+            }
+        }
+    }
+
+    /// R2 ranks a segment's free registers against a read-only view of
+    /// the fully retracted matrix, over only the items a target can
+    /// change. For every free candidate of random segments, from reachable
+    /// states of scalar and memory designs with copies, passes and
+    /// arrays, the ranking cost plus the cost of the affected items no
+    /// target can change must equal the old full-retraction ranking
+    /// exactly; so the argmin, the tie set and the tie order are the old
+    /// ones. A candidate equal to the far endpoint of a transfer to or
+    /// from the segment must be seen, since it collapses that transfer.
+    #[test]
+    fn segment_ranking_matches_the_full_retraction() {
+        let mut tally = [0usize; 5];
+        for case in 0..40u64 {
+            let cfg = RandomCdfgConfig {
+                ops: 8 + 4 * (case % 6) as usize,
+                states: (case % 4) as usize,
+                arrays: (case % 3) as usize,
+                ..RandomCdfgConfig::default()
+            };
+            let graph = random_cdfg(&cfg, case);
+            check_design(&graph, (case % 3) as usize, (case % 3) as usize, case, &mut tally);
+        }
+        check_design(&ewf(), 2, 1, 7, &mut tally);
+        check_design(&fir_array(), 1, 1, 7, &mut tally);
+        let [ranked, collapsible, with_constant, with_passes, with_copies] = tally;
+        assert!(ranked > 1000, "only {ranked} segments ranked");
+        assert!(collapsible > 0, "no candidate collapsed a transfer");
+        assert!(with_constant > 0, "no ranking carried a candidate-invariant item");
+        assert!(with_passes > 0, "no ranking ran with a pass bound");
+        assert!(with_copies > 0, "no ranked value had a copy");
+    }
 }

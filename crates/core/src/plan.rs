@@ -50,9 +50,9 @@ pub struct MovePlan {
     /// Pass-capable units in datapath order (the F4 candidate pool).
     pub(crate) pass_units: Vec<FuId>,
     /// Values with a non-empty stored lifetime, in id order — the
-    /// candidate population of the register moves (R2–R6). A value is
-    /// actually *stored* only if the binding gives it a primal chain, so
-    /// proposers still filter through `primal().is_some()`.
+    /// candidate population of the register moves (R2–R6). Every one of
+    /// them has a primal chain in any binding: `Binding::from_parts`
+    /// rejects a stored value without one, and no move removes it.
     pub(crate) storable: Vec<ValueId>,
     /// Dense `value × step → lifetime index` table (`u32::MAX` = not
     /// stored at that step); replaces the per-read linear scan.

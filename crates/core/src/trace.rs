@@ -235,7 +235,10 @@ fn proposal_in_bounds(ctx: &AllocContext<'_>, p: &Proposal) -> bool {
     let reg = |r: RegId| r.index() < ctx.datapath.num_regs();
     let op = |o: OpId| o.index() < ctx.graph.num_ops();
     let in_range = |v: ValueId| v.index() < ctx.graph.num_values();
-    let stored = |v: ValueId| in_range(v) && ctx.lifetimes.get(v).is_some();
+    // Store tokens and boundary-born feedback sources have an empty
+    // lifetime: nothing binds them to a register.
+    let stored =
+        |v: ValueId| in_range(v) && ctx.lifetimes.get(v).is_some_and(|lt| !lt.is_empty());
     let lt_len = |v: ValueId| ctx.lifetimes.get(v).map_or(0, |lt| lt.len());
     let key_ok = |k: &TransferKey| match *k {
         TransferKey::Intra { value, .. } | TransferKey::CopyFeed { value, .. } => in_range(value),
@@ -629,7 +632,7 @@ impl MoveTrace {
 mod tests {
     use super::*;
     use crate::{portfolio_search, PortfolioConfig};
-    use salsa_cdfg::benchmarks::paper_example;
+    use salsa_cdfg::benchmarks::{diffeq, ewf, paper_example};
     use salsa_cdfg::{random_cdfg, Cdfg, RandomCdfgConfig};
     use salsa_datapath::Datapath;
     use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
@@ -751,6 +754,36 @@ mod tests {
                 Err(TraceError::InfeasibleStep { step: 0 })
             ));
         }
+
+        // So is one naming a value with an empty lifetime — a store token
+        // or a boundary-born feedback source — which has no register.
+        let mut empty_lifetimes = 0;
+        for (graph, slack) in [(ewf(), 0), (ewf(), 1), (diffeq(), 0)] {
+            let schedule = schedule_for(&graph, &library, slack);
+            let datapath = datapath_for(&graph, &schedule, &library);
+            let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+            let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+            let empty = ctx.graph.value_ids().filter(|&v| {
+                ctx.lifetimes.get(v).is_some_and(|lt| lt.is_empty())
+            });
+            for value in empty {
+                let proposal = Proposal::ValueMove { value, target: RegId::from_index(0) };
+                let mut tampered = trace.clone();
+                tampered
+                    .steps
+                    .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
+                assert!(
+                    matches!(
+                        replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                        Err(TraceError::InfeasibleStep { step: 0 })
+                    ),
+                    "{proposal:?} on {} at ASAP+{slack}",
+                    graph.name()
+                );
+                empty_lifetimes += 1;
+            }
+        }
+        assert!(empty_lifetimes >= 3, "the designs carry values with an empty lifetime");
 
         // Mangled text forms are structured parse errors, never panics.
         for bad in [

@@ -266,7 +266,13 @@ impl ConnectionMatrix {
 
     /// Returns `true` if the connection exists (with any use count).
     pub fn contains(&self, source: Source, sink: Sink) -> bool {
-        self.row(sink).is_some_and(|row| row.count(source) > 0)
+        self.uses(source, sink) > 0
+    }
+
+    /// The outstanding uses of the connection `source -> sink` (0 when
+    /// it does not exist).
+    pub fn uses(&self, source: Source, sink: Sink) -> usize {
+        self.row(sink).map_or(0, |row| row.count(source) as usize)
     }
 
     /// The distinct sources driving a sink. A per-sink row walk, not a
@@ -394,6 +400,9 @@ mod tests {
         m.add(Source::FuOut(f(1)), sink); // second use of the same wire
         m.add(Source::RegOut(r(0)), sink);
         assert_eq!(m.mux_equiv(), 1);
+        assert_eq!(m.uses(Source::FuOut(f(1)), sink), 2);
+        assert_eq!(m.uses(Source::FuOut(f(2)), sink), 0);
+        assert_eq!(m.uses(Source::FuOut(f(1)), Sink::RegIn(r(99))), 0, "ungrown row");
         m.remove(Source::FuOut(f(1)), sink);
         assert_eq!(m.mux_equiv(), 1, "one use remains, wire persists");
         m.remove(Source::FuOut(f(1)), sink);
