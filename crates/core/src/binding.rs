@@ -26,7 +26,7 @@
 use salsa_cdfg::{OpId, ValueId};
 use salsa_datapath::{ConnectionMatrix, CostBreakdown, FuId, Port, RegId, Sink, Source};
 
-use crate::moves::SegmentRanking;
+use crate::moves::{PreviewScratch, SegmentRanking};
 use crate::{AllocContext, TransferKey};
 
 /// What one connection item adds to a matrix, in the weights the moves
@@ -276,6 +276,7 @@ pub(crate) struct MoveScratch {
     pub(crate) occupied: Vec<(RegId, (ValueId, usize))>,
     pub(crate) uniform: Vec<(ValueId, RegId)>,
     pub(crate) ranking: SegmentRanking,
+    pub(crate) preview: PreviewScratch,
 }
 
 /// An arena-lite free list of register buffers for [`Chain`] storage.
@@ -609,7 +610,7 @@ impl Clone for Binding<'_> {
         self.ctx = source.ctx;
         self.op_fu.clone_from(&source.op_fu);
         self.op_swap.clone_from(&source.op_swap);
-        self.chains.clone_from(&source.chains);
+        self.clone_chains_from(&source.chains);
         self.use_chain.clone_from(&source.use_chain);
         self.passes.clone_from(&source.passes);
         self.fu_occ.clone_from(&source.fu_occ);
@@ -623,6 +624,40 @@ impl Clone for Binding<'_> {
         self.fu_area = source.fu_area;
         self.journal.clear();
         self.recording = false;
+    }
+}
+
+impl Binding<'_> {
+    /// Copies every chain slot of `source` into this binding's, reusing a
+    /// chain's register buffer where both hold a chain and going through
+    /// the pool where only one does: a copy chain one side has and the
+    /// other lacks would otherwise allocate or free on every restore.
+    fn clone_chains_from(&mut self, source: &[Vec<Option<Chain>>]) {
+        for (slots, from) in self.chains.iter_mut().zip(source) {
+            while slots.len() > from.len() {
+                if let Some(Some(chain)) = slots.pop() {
+                    self.pool.recycle(chain.regs);
+                }
+            }
+            for (i, from) in from.iter().enumerate() {
+                if i == slots.len() {
+                    slots.push(None);
+                }
+                match (&mut slots[i], from) {
+                    (Some(chain), Some(from)) => chain.clone_from(from),
+                    (slot @ None, Some(from)) => {
+                        let mut regs = self.pool.take();
+                        regs.extend_from_slice(&from.regs);
+                        *slot = Some(Chain { lo: from.lo, regs });
+                    }
+                    (slot, None) => {
+                        if let Some(chain) = slot.take() {
+                            self.pool.recycle(chain.regs);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1154,7 +1189,7 @@ impl<'a> Binding<'a> {
         self.scratch.seen_states = seen_states;
     }
 
-    fn chain(&self, value: ValueId, slot: usize) -> Option<&Chain> {
+    pub(crate) fn chain(&self, value: ValueId, slot: usize) -> Option<&Chain> {
         self.chains[value.index()].get(slot).and_then(|c| c.as_ref())
     }
 
@@ -1467,7 +1502,7 @@ impl<'a> Binding<'a> {
         self.journal.push(UndoOp::ChainSlot { value, slot, old });
     }
 
-    fn fu_area_of(&self, fu: FuId) -> usize {
+    pub(crate) fn fu_area_of(&self, fu: FuId) -> usize {
         self.ctx.library.spec(self.ctx.datapath.fu(fu).class()).area
     }
 

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use salsa_datapath::CostWeights;
 
 use crate::cancel::{CancelToken, CANCEL_POLL_PERIOD};
-use crate::moves::{apply_proposal, propose_biased, MoveKind, MoveSet};
+use crate::moves::{apply_proposal, preview, propose_biased, MoveKind, MoveSet, Proposal};
 use crate::trace::TraceRecorder;
 use crate::warm::WarmSpec;
 use crate::Binding;
@@ -125,7 +125,9 @@ pub struct ImproveStats {
     pub trials: usize,
     /// Moves attempted (including infeasible proposals).
     pub attempted: usize,
-    /// Moves applied (feasible proposals).
+    /// Feasible proposals, previewed or applied. A previewed move the
+    /// acceptance rule rejects counts here without being applied, so the
+    /// count is the one a search applying every feasible proposal makes.
     pub applied: usize,
     /// Applied moves kept (downhill/sideways or within the uphill budget).
     pub accepted: usize,
@@ -238,6 +240,12 @@ pub(crate) fn improve_traced(
     (stats, exit)
 }
 
+/// Applies a fresh proposal inside the open transaction.
+fn apply(binding: &mut Binding<'_>, proposal: Proposal) {
+    let applied = apply_proposal(binding, proposal);
+    debug_assert!(applied, "a fresh proposal must apply: {proposal:?}");
+}
+
 /// Runs one move-set phase; returns `Some` when the cancel token tripped
 /// (the binding is left at its best-so-far allocation).
 fn run_phase(
@@ -320,19 +328,25 @@ fn run_phase(
                     continue;
                 }
             };
-            let applied = apply_proposal(binding, proposal);
-            debug_assert!(applied, "a fresh proposal must apply: {proposal:?}");
             stats.applied += 1;
-            let after = weighted_cost(&config.weights, binding);
-            if after <= current_cost {
-                stats.accepted += 1;
-                current_cost = after;
+            // Cost before apply: a previewed move is applied only once the
+            // acceptance rule keeps it, so a rejected one rolls back an
+            // empty journal. Other kinds apply and read the cost after.
+            let previewed = preview(binding, proposal, &config.weights, current_cost);
+            if previewed.is_none() {
+                apply(binding, proposal);
+            }
+            let after = previewed.unwrap_or_else(|| weighted_cost(&config.weights, binding));
+            let keep = if after <= current_cost {
+                true
             } else if uphill_left > 0 && after - current_cost <= config.max_uphill_delta {
                 uphill_left -= 1;
-                stats.accepted += 1;
                 stats.uphill_accepted += 1;
-                current_cost = after;
+                true
             } else {
+                false
+            };
+            if !keep {
                 binding.rollback();
                 #[cfg(debug_assertions)]
                 if let Some(snapshot) = cross_check {
@@ -343,6 +357,16 @@ fn run_phase(
                 }
                 continue;
             }
+            if previewed.is_some() {
+                apply(binding, proposal);
+                debug_assert_eq!(
+                    weighted_cost(&config.weights, binding),
+                    after,
+                    "the preview of {proposal:?} must read the applied cost"
+                );
+            }
+            stats.accepted += 1;
+            current_cost = after;
             binding.commit();
             if let Some(r) = rec.as_deref_mut() {
                 r.record_commit(proposal, current_cost);

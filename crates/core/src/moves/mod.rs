@@ -19,12 +19,16 @@
 //! engine opens a transaction ([`Binding::begin`](crate::Binding::begin))
 //! before each attempt and rolls the undo journal back when the cost
 //! function rejects the result — the paper's accept/reverse scheme (§4)
-//! without a per-move snapshot clone.
+//! without a per-move snapshot clone. For R1, R2, F2 and F3 it reads the
+//! cost first ([`preview`]) and applies only a move it keeps.
 
 mod fu;
 mod mem;
+mod preview;
 mod reg;
 
+pub use preview::preview;
+pub(crate) use preview::PreviewScratch;
 pub(crate) use reg::{collect_owners, place_segment, retract_segment, Rerouted, SegmentRanking};
 
 use rand::rngs::StdRng;

@@ -6,7 +6,7 @@
 //! compiled plan's candidate tables through scratch buffers.
 //! The segment moves use an incremental delta kernel: only the owners
 //! whose connection items can reference a moved segment's register (see
-//! [`collect_affected`]) are retracted and re-asserted by the R1 and R2
+//! [`segment_owners`]) are retracted and re-asserted by the R1 and R2
 //! applies, and R2's ranking costs only those of their items a target
 //! can change ([`SegmentRanking`]). The polish segment sweep places its
 //! candidates with the same kernel (DESIGN.md §17, §19).
@@ -64,7 +64,7 @@ fn assert_values(b: &mut Binding<'_>, values: &[ValueId]) {
 
 /// The owners one register move re-routes, and their transfer keys — the
 /// only keys whose pass can go stale when the moved segments change
-/// register. For a segment move the owners are the [`collect_affected`]
+/// register. For a segment move the owners are the [`segment_owners`]
 /// subset; the polish value sweep uses a value's whole owner set.
 #[derive(Default)]
 pub(crate) struct Rerouted {
@@ -87,18 +87,10 @@ impl Rerouted {
         b.scratch.keys = self.keys;
     }
 
-    /// Selects the owners, out of `owners` (the sorted owner set of `v`),
-    /// that a move of segment `(v, slot, idx)` re-routes.
-    pub(crate) fn select_segment(
-        &mut self,
-        b: &Binding<'_>,
-        owners: &[Owner],
-        v: ValueId,
-        slot: usize,
-        idx: usize,
-    ) {
+    /// Selects the owners a move of segment `(v, slot, idx)` re-routes.
+    pub(crate) fn select_segment(&mut self, b: &Binding<'_>, v: ValueId, slot: usize, idx: usize) {
         self.owners.clear();
-        collect_affected(b, owners, v, slot, idx, &mut self.owners);
+        segment_owners(b, v, slot, idx, &mut self.owners);
         self.set_keys();
     }
 
@@ -215,14 +207,8 @@ pub(crate) fn apply_segment_exchange(
     // change; an owner of both is retracted once.
     let mut group = Rerouted::take(b);
     group.owners.clear();
-    let mut owners = std::mem::take(&mut b.scratch.owners);
-    collect_owners(b, &[v1], &mut owners);
-    collect_affected(b, &owners, v1, s1, idx1, &mut group.owners);
-    collect_owners(b, &[v2], &mut owners);
-    collect_affected(b, &owners, v2, s2, idx2, &mut group.owners);
-    b.scratch.owners = owners;
-    group.owners.sort_unstable();
-    group.owners.dedup();
+    segment_owners(b, v1, s1, idx1, &mut group.owners);
+    segment_owners(b, v2, s2, idx2, &mut group.owners);
     group.set_keys();
 
     group.retract(b);
@@ -237,74 +223,84 @@ pub(crate) fn apply_segment_exchange(
     true
 }
 
-/// The segment delta kernel: of a value's owners, appends to `out` those
-/// whose connection items can reference the register of the moved
-/// segment `(slot, idx)`. Every other owner's items are identical for
-/// every target register. So R2's ranking costs only this subset (a
-/// constant drops out of every candidate's sum: same argmin, tie set and
-/// tie order), and the R1 and R2 applies and the polish segment sweep
-/// retract and re-assert only it (an unchanged owner's retract and
-/// re-assert cancel). Over-approximation is safe; omission is not, so the
-/// conditions mirror [`Binding::items_into`] case by case.
-pub(crate) fn collect_affected(
+/// The segment delta kernel: appends to `out` the owners whose
+/// connection items can reference the register of segment
+/// `(v, slot, idx)`, skipping any already listed (an owner of both R1
+/// segments is re-routed once). Every other owner's items are identical
+/// for every register the segment can hold. So R2's ranking costs only
+/// this subset (a constant drops out of every candidate's sum: same
+/// argmin, tie set and tie order), the R1 and R2 applies and the polish
+/// segment sweep retract and re-assert only it (an unchanged owner's
+/// retract and re-assert cancel), and the preview costs only its items.
+///
+/// The owners are enumerated directly — the value's readers, producer
+/// and feedback producer from the plan, at most two chain adjacencies,
+/// the copy feeds of the value's chains and its boundaries — without
+/// building the value's whole owner set. Over-approximation is safe;
+/// omission is not, so the conditions mirror [`Binding::items_into`]
+/// and [`Binding::transfer_endpoints`] case by case.
+pub(crate) fn segment_owners(
     b: &Binding<'_>,
-    owners: &[Owner],
     v: ValueId,
     slot: usize,
     idx: usize,
     out: &mut Vec<Owner>,
 ) {
     let plan = &b.ctx.plan;
-    let moved_lo =
-        b.chains_of(v).find(|(s, _)| *s == slot).expect("live chain").1.lo();
-    let lt_len = plan.value_lt_len[v.index()] as usize;
-    for &owner in owners {
-        let affected = match owner {
-            Owner::Op(op) => {
-                // A consumer reading the moved segment through this slot.
-                let reads = plan.op_reads[op.index()].iter().any(|&(port, val, ridx)| {
-                    val == v && ridx as usize == idx && b.use_chain(op, port as usize) == slot
-                });
-                // The producer writes the head register of every chain
-                // starting at lifetime index 0.
-                let writes = plan.value_producer[v.index()] == Some(op)
-                    && moved_lo == 0
-                    && idx == 0;
-                // A boundary-born feedback source's producer writes this
-                // state's primal head directly.
-                let feeds = plan.value_fb_producer[v.index()] == Some(op)
-                    && slot == 0
-                    && idx == 0;
-                reads || writes || feeds
-            }
-            Owner::Transfer(key) => match key {
-                TransferKey::Intra { value, chain, idx: j } => {
-                    value == v && chain == slot && (j == idx || j + 1 == idx)
-                }
-                TransferKey::CopyFeed { value, chain } => {
-                    value == v && {
-                        let c_lo = b
-                            .chains_of(v)
-                            .find(|(s, _)| *s == chain)
-                            .map(|(_, c)| c.lo())
-                            .unwrap_or(0);
-                        (slot == 0 && c_lo > 0 && idx == c_lo - 1)
-                            || (chain == slot && idx == c_lo)
-                    }
-                }
-                TransferKey::Boundary { state } => {
-                    if state == v {
-                        // Destination side: this state's primal head.
-                        slot == 0 && idx == 0
-                    } else {
-                        // Source side: v's primal tail feeds `state`.
-                        slot == 0 && idx + 1 == lt_len
-                    }
-                }
-            },
-        };
-        if affected {
+    let (lo, hi) = {
+        let chain = b.chain(v, slot).expect("live chain");
+        (chain.lo(), chain.hi())
+    };
+    let mut push = |owner: Owner| {
+        if !out.contains(&owner) {
             out.push(owner);
+        }
+    };
+    // The consumers reading the moved segment through this slot.
+    for &(op, port, ridx) in &plan.value_reads[v.index()] {
+        if ridx as usize == idx && b.use_chain(op, port as usize) == slot {
+            push(Owner::Op(op));
+        }
+    }
+    if idx == 0 {
+        // The producer writes the head register of every chain starting
+        // at lifetime index 0.
+        if let (0, Some(op)) = (lo, plan.value_producer[v.index()]) {
+            push(Owner::Op(op));
+        }
+        // A boundary-born feedback source's producer writes this state's
+        // primal head directly.
+        if let (0, Some(op)) = (slot, plan.value_fb_producer[v.index()]) {
+            push(Owner::Op(op));
+        }
+    }
+    // The chain's adjacencies into and out of the segment.
+    if idx > lo {
+        push(Owner::Transfer(TransferKey::Intra { value: v, chain: slot, idx: idx - 1 }));
+    }
+    if idx < hi {
+        push(Owner::Transfer(TransferKey::Intra { value: v, chain: slot, idx }));
+    }
+    // A copy feed reads its donor from the primal chain one index before
+    // the copy starts, and writes the copy's head.
+    for (chain, c) in b.chains_of(v).filter(|&(s, _)| s > 0) {
+        let c_lo = c.lo();
+        if (slot == 0 && c_lo > 0 && idx == c_lo - 1) || (chain == slot && idx == c_lo) {
+            push(Owner::Transfer(TransferKey::CopyFeed { value: v, chain }));
+        }
+    }
+    // Boundaries touch only the primal chain: this state's head, or the
+    // tail of the source feeding another state.
+    if slot == 0 {
+        let lt_len = plan.value_lt_len[v.index()] as usize;
+        for &key in &plan.value_boundaries[v.index()] {
+            let touches = match key {
+                TransferKey::Boundary { state } if state == v => idx == 0,
+                _ => idx + 1 == lt_len,
+            };
+            if touches {
+                push(Owner::Transfer(key));
+            }
         }
     }
 }
@@ -312,9 +308,9 @@ pub(crate) fn collect_affected(
 /// R2's ranking of the registers a segment can move to, read-only: no
 /// transaction, no journal entry, no matrix write (DESIGN.md §19).
 ///
-/// The exact ranking costs the items of the segment's
-/// [`collect_affected`] owners with the candidate written into the
-/// segment, against the matrix with *every* owner of the value
+/// The exact ranking costs the items of the owners the move re-routes
+/// ([`segment_owners`]) with the candidate written into the segment,
+/// against the matrix with *every* owner of the value
 /// retracted, each item on its own. [`prepare`](Self::prepare) reads
 /// those items once with an out-of-range sentinel in the segment and
 /// keeps as terms only the ones a candidate can change: an op item that
@@ -394,15 +390,17 @@ impl Retracted<'_> {
 impl SegmentRanking {
     /// Builds the terms for a move of segment `(v, slot, idx)`.
     pub(crate) fn prepare(&mut self, b: &mut Binding<'_>, v: ValueId, slot: usize, idx: usize) {
+        // One value's owners are distinct, so the view needs no sort.
         let mut owners = std::mem::take(&mut b.scratch.owners);
-        collect_owners(b, &[v], &mut owners);
+        owners.clear();
+        b.owners_of_value_into(v, &mut owners);
         self.own.clear();
         for &o in &owners {
             b.items_into(o, &mut self.own);
         }
         let mut affected = std::mem::take(&mut b.scratch.affected);
         affected.clear();
-        collect_affected(b, &owners, v, slot, idx, &mut affected);
+        segment_owners(b, v, slot, idx, &mut affected);
 
         let sentinel = RegId::from_index(b.ctx.datapath.num_regs());
         let held = b.replace_chain_reg(v, slot, idx, sentinel);
@@ -544,10 +542,7 @@ pub(crate) fn apply_segment_move(
         return false;
     }
     let mut group = Rerouted::take(b);
-    let mut owners = std::mem::take(&mut b.scratch.owners);
-    collect_owners(b, &[v], &mut owners);
-    group.select_segment(b, &owners, v, slot, idx);
-    b.scratch.owners = owners;
+    group.select_segment(b, v, slot, idx);
     retract_segment(b, &group, v, slot, idx);
     place_segment(b, &group, v, slot, idx, target);
     group.restore(b);
@@ -881,6 +876,11 @@ pub(crate) fn apply_value_merge(
     slot: usize,
     front: bool,
 ) -> bool {
+    // Slot 0 is the primal chain, which covers the whole lifetime and is
+    // never merged away (a decoded trace can name it).
+    if slot == 0 {
+        return false;
+    }
     let Some((_, chain)) = b.chains_of(v).find(|(s, _)| *s == slot) else { return false };
     let (lo, hi) = (chain.lo(), chain.hi());
     let removed_idx = if front { lo } else { hi };
@@ -941,6 +941,66 @@ mod tests {
     use super::*;
     use crate::{initial_allocation, moves, Allocator};
 
+    /// The old segment kernel, kept only as the oracle for
+    /// [`segment_owners`]: of `owners`, the sorted owner set of `v`,
+    /// appends those whose items can reference the register of segment
+    /// `(v, slot, idx)`.
+    fn owner_set_filter(
+        b: &Binding<'_>,
+        owners: &[Owner],
+        v: ValueId,
+        slot: usize,
+        idx: usize,
+        out: &mut Vec<Owner>,
+    ) {
+        let plan = &b.ctx.plan;
+        let moved_lo =
+            b.chains_of(v).find(|(s, _)| *s == slot).expect("live chain").1.lo();
+        let lt_len = plan.value_lt_len[v.index()] as usize;
+        for &owner in owners {
+            let affected = match owner {
+                Owner::Op(op) => {
+                    let reads = plan.op_reads[op.index()].iter().any(|&(port, val, ridx)| {
+                        val == v && ridx as usize == idx && b.use_chain(op, port as usize) == slot
+                    });
+                    let writes = plan.value_producer[v.index()] == Some(op)
+                        && moved_lo == 0
+                        && idx == 0;
+                    let feeds = plan.value_fb_producer[v.index()] == Some(op)
+                        && slot == 0
+                        && idx == 0;
+                    reads || writes || feeds
+                }
+                Owner::Transfer(key) => match key {
+                    TransferKey::Intra { value, chain, idx: j } => {
+                        value == v && chain == slot && (j == idx || j + 1 == idx)
+                    }
+                    TransferKey::CopyFeed { value, chain } => {
+                        value == v && {
+                            let c_lo = b
+                                .chains_of(v)
+                                .find(|(s, _)| *s == chain)
+                                .map(|(_, c)| c.lo())
+                                .unwrap_or(0);
+                            (slot == 0 && c_lo > 0 && idx == c_lo - 1)
+                                || (chain == slot && idx == c_lo)
+                        }
+                    }
+                    TransferKey::Boundary { state } => {
+                        if state == v {
+                            slot == 0 && idx == 0
+                        } else {
+                            slot == 0 && idx + 1 == lt_len
+                        }
+                    }
+                },
+            };
+            if affected {
+                out.push(owner);
+            }
+        }
+    }
+
     /// The exact ranking as the proposer used to run it: every owner of
     /// `v` retracted through the journal, the segment vacated, and each
     /// candidate written in turn while the affected owners' items are
@@ -966,7 +1026,7 @@ mod tests {
         }
         b.vacate_seg(v, slot, idx);
         let mut affected = Vec::new();
-        collect_affected(b, &owners, v, slot, idx, &mut affected);
+        owner_set_filter(b, &owners, v, slot, idx, &mut affected);
         let cost_of = |b: &Binding<'_>, items: &[(Source, Sink)]| -> u64 {
             items.iter().map(|&(src, sink)| b.item_cost(src, sink)).sum()
         };
@@ -1007,12 +1067,16 @@ mod tests {
         (costs, invariant, collapsible)
     }
 
-    fn check_design(
+    /// Walks a random move stream on `graph` at `slack` steps past its
+    /// critical path and hands every eighth state to `visit`, so checks
+    /// start from states with copies, passes and re-banked arrays, not
+    /// just the constructive binding.
+    fn walk_design(
         graph: &Cdfg,
         slack: usize,
         extra_regs: usize,
         seed: u64,
-        tally: &mut [usize; 5],
+        visit: &mut dyn FnMut(&mut Binding<'_>, &mut StdRng),
     ) {
         let library = FuLibrary::standard();
         let cp = asap(graph, &library).length;
@@ -1021,44 +1085,97 @@ mod tests {
         let (ctx, config) = allocator.prepare().expect("the pool fits the schedule");
         let mut b = initial_allocation(&ctx);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut costs = Vec::new();
         for _ in 0..24 {
-            // Walk on, so rankings start from states with copies, passes
-            // and re-banked arrays, not just the constructive binding.
             for _ in 0..8 {
                 moves::try_move(&mut b, config.move_set.pick(&mut rng), &mut rng);
             }
-            for _ in 0..4 {
-                let Some(&v) = ctx.plan.storable.choose(&mut rng) else { return };
-                let chains: Vec<_> = b.chains_of(v).map(|(s, c)| (s, c.lo(), c.hi())).collect();
-                let &(slot, lo, hi) = chains.choose(&mut rng).expect("stored value has chains");
-                let idx = rng.gen_range(lo..=hi);
-                let step = ctx.lifetimes.get(v).expect("stored").steps()[idx];
-                let free: Vec<_> =
-                    ctx.datapath.reg_ids().filter(|&r| b.reg_free(r, step)).collect();
-                if free.is_empty() {
-                    continue;
-                }
-                let (expected, invariant, collapsible) =
-                    full_retraction(&mut b, v, slot, idx, &free);
+            visit(&mut b, &mut rng);
+        }
+    }
 
-                let before = b.clone();
-                let mut ranking = SegmentRanking::default();
-                ranking.prepare(&mut b, v, slot, idx);
-                assert!(b == before, "the ranking changed the binding");
-                costs.clear();
-                costs.extend(free.iter().map(|&c| ranking.cost(b.connections(), c) + invariant));
-                assert_eq!(
-                    costs, expected,
-                    "segment ({v}, {slot}, {idx}) over {free:?}: the ranking plus the \
-                     candidate-invariant items must equal the full retraction"
-                );
-                tally[0] += 1;
-                tally[1] += collapsible;
-                tally[2] += usize::from(invariant > 0);
-                tally[3] += usize::from(!b.passes().is_empty());
-                tally[4] += usize::from(b.num_copies(v) > 0);
+    /// Random scalar and array designs with states, then EWF and the
+    /// array FIR, each walked by [`walk_design`].
+    fn walk_designs(visit: &mut dyn FnMut(&mut Binding<'_>, &mut StdRng)) {
+        for case in 0..40u64 {
+            let cfg = RandomCdfgConfig {
+                ops: 8 + 4 * (case % 6) as usize,
+                states: (case % 4) as usize,
+                arrays: (case % 3) as usize,
+                ..RandomCdfgConfig::default()
+            };
+            let graph = random_cdfg(&cfg, case);
+            walk_design(&graph, (case % 3) as usize, (case % 3) as usize, case, visit);
+        }
+        walk_design(&ewf(), 2, 1, 7, visit);
+        walk_design(&fir_array(), 1, 1, 7, visit);
+    }
+
+    /// The direct enumeration of the owners a segment move re-routes
+    /// lists exactly the owners the old filter over the value's whole
+    /// owner set selected, for every segment of every stored value in
+    /// reachable states, and lists each once.
+    #[test]
+    fn segment_owners_match_the_owner_set_filter() {
+        let (mut segments, mut transfers) = (0usize, 0usize);
+        let (mut owners, mut direct, mut filtered) = (Vec::new(), Vec::new(), Vec::new());
+        walk_designs(&mut |b, _| {
+            for &v in &b.ctx.plan.storable {
+                collect_owners(b, &[v], &mut owners);
+                let chains: Vec<_> = b.chains_of(v).map(|(s, c)| (s, c.lo(), c.hi())).collect();
+                for (slot, lo, hi) in chains {
+                    for idx in lo..=hi {
+                        direct.clear();
+                        segment_owners(b, v, slot, idx, &mut direct);
+                        filtered.clear();
+                        owner_set_filter(b, &owners, v, slot, idx, &mut filtered);
+                        let listed = direct.len();
+                        direct.sort_unstable();
+                        direct.dedup();
+                        let twice = format!("({v}, {slot}, {idx}) listed an owner twice");
+                        assert_eq!(direct.len(), listed, "{twice}");
+                        assert_eq!(direct, filtered, "segment ({v}, {slot}, {idx})");
+                        segments += 1;
+                        transfers +=
+                            direct.iter().filter(|o| matches!(o, Owner::Transfer(_))).count();
+                    }
+                }
             }
+        });
+        assert!(segments > 10_000, "only {segments} segments compared");
+        assert!(transfers > 0, "no segment re-routed a transfer");
+    }
+
+    fn check_rankings(b: &mut Binding<'_>, rng: &mut StdRng, tally: &mut [usize; 5]) {
+        let ctx = b.ctx;
+        let mut costs = Vec::new();
+        for _ in 0..4 {
+            let Some(&v) = ctx.plan.storable.choose(rng) else { return };
+            let chains: Vec<_> = b.chains_of(v).map(|(s, c)| (s, c.lo(), c.hi())).collect();
+            let &(slot, lo, hi) = chains.choose(rng).expect("stored value has chains");
+            let idx = rng.gen_range(lo..=hi);
+            let step = ctx.lifetimes.get(v).expect("stored").steps()[idx];
+            let free: Vec<_> = ctx.datapath.reg_ids().filter(|&r| b.reg_free(r, step)).collect();
+            if free.is_empty() {
+                continue;
+            }
+            let (expected, invariant, collapsible) = full_retraction(b, v, slot, idx, &free);
+
+            let before = b.clone();
+            let mut ranking = SegmentRanking::default();
+            ranking.prepare(b, v, slot, idx);
+            assert!(*b == before, "the ranking changed the binding");
+            costs.clear();
+            costs.extend(free.iter().map(|&c| ranking.cost(b.connections(), c) + invariant));
+            assert_eq!(
+                costs, expected,
+                "segment ({v}, {slot}, {idx}) over {free:?}: the ranking plus the \
+                 candidate-invariant items must equal the full retraction"
+            );
+            tally[0] += 1;
+            tally[1] += collapsible;
+            tally[2] += usize::from(invariant > 0);
+            tally[3] += usize::from(!b.passes().is_empty());
+            tally[4] += usize::from(b.num_copies(v) > 0);
         }
     }
 
@@ -1074,18 +1191,7 @@ mod tests {
     #[test]
     fn segment_ranking_matches_the_full_retraction() {
         let mut tally = [0usize; 5];
-        for case in 0..40u64 {
-            let cfg = RandomCdfgConfig {
-                ops: 8 + 4 * (case % 6) as usize,
-                states: (case % 4) as usize,
-                arrays: (case % 3) as usize,
-                ..RandomCdfgConfig::default()
-            };
-            let graph = random_cdfg(&cfg, case);
-            check_design(&graph, (case % 3) as usize, (case % 3) as usize, case, &mut tally);
-        }
-        check_design(&ewf(), 2, 1, 7, &mut tally);
-        check_design(&fir_array(), 1, 1, 7, &mut tally);
+        walk_designs(&mut |b, rng| check_rankings(b, rng, &mut tally));
         let [ranked, collapsible, with_constant, with_passes, with_copies] = tally;
         assert!(ranked > 1000, "only {ranked} segments ranked");
         assert!(collapsible > 0, "no candidate collapsed a transfer");

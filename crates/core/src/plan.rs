@@ -72,6 +72,9 @@ pub struct MovePlan {
     /// feedback-source producer when that source is boundary-born),
     /// sorted and deduplicated.
     pub(crate) value_op_owners: Vec<Vec<OpId>>,
+    /// Per-value compiled reads of the value: `(reader, input port,
+    /// lifetime index at the reader's issue step)`, in op order.
+    pub(crate) value_reads: Vec<Vec<(OpId, u8, u32)>>,
     /// Per-value static boundary transfer keys: one per fed state, plus
     /// the value's own boundary when it is a state.
     pub(crate) value_boundaries: Vec<Vec<TransferKey>>,
@@ -156,6 +159,7 @@ impl MovePlan {
         let is_stored =
             |v: ValueId| !matches!(graph.value(v).source(), salsa_cdfg::ValueSource::Const(_));
         let mut op_reads = Vec::with_capacity(num_ops);
+        let mut value_reads: Vec<Vec<(OpId, u8, u32)>> = vec![Vec::new(); num_values];
         let mut op_output = Vec::with_capacity(num_ops);
         let mut op_out_empty = Vec::with_capacity(num_ops);
         let mut op_out_states = Vec::with_capacity(num_ops);
@@ -169,6 +173,7 @@ impl MovePlan {
                 let idx = lt_index[operand.index() * n_steps + issue];
                 assert_ne!(idx, u32::MAX, "operand stored at issue step");
                 reads.push((port as u8, operand, idx));
+                value_reads[operand.index()].push((op.id(), port as u8, idx));
             }
             op_reads.push(reads);
             let out = op.output();
@@ -235,6 +240,7 @@ impl MovePlan {
             op_out_empty,
             op_out_states,
             value_op_owners,
+            value_reads,
             value_boundaries,
             value_producer,
             value_fb_producer,

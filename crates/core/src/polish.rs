@@ -239,7 +239,6 @@ fn sweep_passes(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64
 fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
-    let mut owners: Vec<Owner> = Vec::new();
     let mut group = Rerouted::default();
     let mut chains: Vec<(usize, usize, usize)> = Vec::new();
     let mut free: Vec<RegId> = Vec::new();
@@ -249,9 +248,6 @@ fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &
         }
         chains.clear();
         chains.extend(binding.chains_of(v).map(|(slot, chain)| (slot, chain.lo(), chain.hi())));
-        // Segment moves keep the chain structure, so the owner set holds
-        // for the whole value.
-        collect_owners(binding, &[v], &mut owners);
         let steps = ctx.lifetimes.get(v).expect("stored").steps();
         for &(slot, lo, hi) in &chains {
             // idx is a lifetime index, not just a steps[] cursor.
@@ -262,7 +258,7 @@ fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &
                 if free.is_empty() {
                     continue;
                 }
-                group.select_segment(binding, &owners, v, slot, idx);
+                group.select_segment(binding, v, slot, idx);
                 let open = |binding: &mut Binding<'_>, group: &Rerouted| {
                     binding.begin();
                     retract_segment(binding, group, v, slot, idx);

@@ -785,6 +785,31 @@ mod tests {
         }
         assert!(empty_lifetimes >= 3, "the designs carry values with an empty lifetime");
 
+        // R6 shrinks a copy chain; slot 0 is the primal chain, which must
+        // keep covering its value's lifetime. Shrinking it from the back
+        // left a read of the dropped segment to panic, and from the front
+        // diverged the cost.
+        let graph = ewf();
+        let schedule = fds_schedule(&graph, &library, 19).unwrap();
+        let datapath = datapath_for(&graph, &schedule, &library);
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+        assert!(ctx.lifetimes.get(ValueId::from_index(0)).is_some_and(|lt| lt.len() > 1));
+        for token in ["R6:0,0,b", "R6:0,0,f"] {
+            let proposal = decode_proposal(token).unwrap();
+            let mut tampered = trace.clone();
+            tampered
+                .steps
+                .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
+            assert!(
+                matches!(
+                    replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                    Err(TraceError::InfeasibleStep { step: 0 })
+                ),
+                "`{token}` must be an infeasible step"
+            );
+        }
+
         // Mangled text forms are structured parse errors, never panics.
         for bad in [
             "",

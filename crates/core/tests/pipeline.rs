@@ -196,8 +196,9 @@ fn restarts_never_hurt() {
 fn chain_pool_recycles_on_a_sustained_move_stream() {
     // The arena-lite chain pool's claim: on a long move stream, chain
     // register buffers come out of the binding's free list, not the
-    // allocator. The DCT design has enough values (and therefore enough
-    // copy/segment churn) that reuse dominates within a few hundred moves.
+    // allocator; the fresh ones are warm-up only. The DCT design has
+    // enough values (and therefore enough copy/segment churn) that reuse
+    // dominates within a few hundred moves.
     let graph = benchmarks::dct();
     let library = FuLibrary::standard();
     let schedule = fds_schedule(&graph, &library, 10).unwrap();
@@ -213,7 +214,7 @@ fn chain_pool_recycles_on_a_sustained_move_stream() {
     let set = MoveSet::full();
     let weights = salsa_datapath::CostWeights::default();
     let mut current = weights.evaluate(&binding.breakdown());
-    for _ in 0..5_000 {
+    for _ in 0..20_000 {
         let kind = set.pick(&mut rng);
         binding.begin();
         if !salsa_alloc::moves::try_move(&mut binding, kind, &mut rng) {
@@ -232,8 +233,8 @@ fn chain_pool_recycles_on_a_sustained_move_stream() {
     let (reused, fresh) = binding.chain_pool_stats();
     assert!(reused > 0, "the stream must exercise chain buffers at all");
     assert!(
-        reused > fresh,
-        "pool must satisfy most chain-buffer requests (reused {reused} vs fresh {fresh})"
+        reused > 10 * fresh.max(1),
+        "pool must satisfy nearly every chain-buffer request (reused {reused} vs fresh {fresh})"
     );
 }
 

@@ -1,7 +1,8 @@
-//! The allocation profile the compiled move plan promises: once the
-//! scratch buffers have warmed up, *proposing* a move — candidate
-//! enumeration, R2's and F4's rankings, every RNG draw — performs no heap
-//! allocation at all.
+//! The allocation profile the search loop relies on: once the scratch
+//! buffers have warmed up, *proposing* a move — candidate enumeration,
+//! R2's and F4's rankings, every RNG draw — and *previewing* its cost
+//! perform no heap allocation at all, and restoring a best binding with
+//! `clone_from` reuses every buffer.
 //!
 //! The counting allocator needs `unsafe`, which the library crate
 //! forbids, so the claim is checked from this separate test binary. It
@@ -84,10 +85,11 @@ fn warm_up(binding: &mut Binding<'_>, rng: &mut StdRng, set: &MoveSet, n: usize)
 }
 
 /// Draws `DRAWS` proposals from a warmed mid-search binding of `graph`,
-/// scheduled `slack` steps past its critical path, and returns how many
-/// allocations a replay of the identical stream made and how many of the
-/// replayed draws were R2 proposals.
-fn steady_state_allocations(graph: &Cdfg, slack: usize) -> (u64, usize) {
+/// scheduled `slack` steps past its critical path, previewing each one,
+/// and returns how many allocations a replay of the identical stream made,
+/// how many of the replayed draws were R2 proposals and how many
+/// proposals the replay previewed.
+fn steady_state_allocations(graph: &Cdfg, slack: usize) -> (u64, usize, usize) {
     const DRAWS: usize = 10_000;
     let library = FuLibrary::standard();
     let steps = asap(graph, &library).length + slack;
@@ -98,11 +100,20 @@ fn steady_state_allocations(graph: &Cdfg, slack: usize) -> (u64, usize) {
     let mut binding = initial_allocation(&ctx);
     warm_up(&mut binding, &mut StdRng::seed_from_u64(7), set, 2_000);
 
-    // Proposing never mutates the binding, so one pass of the stream walks
-    // the scratch buffers through exactly the capacities the replay needs.
+    // Neither proposing nor previewing mutates the binding, so one pass of
+    // the stream walks the scratch buffers through exactly the capacities
+    // the replay needs.
+    let weights = CostWeights::default();
+    let current = weights.evaluate(&binding.breakdown());
     let draw = |binding: &mut Binding<'_>, rng: &mut StdRng| {
         let kind = set.pick(rng);
-        moves::propose(binding, kind, rng).is_some() && kind == MoveKind::SegmentMove
+        match moves::propose(binding, kind, rng) {
+            Some(proposal) => {
+                let previewed = moves::preview(binding, proposal, &weights, current).is_some();
+                (kind == MoveKind::SegmentMove, previewed)
+            }
+            None => (false, false),
+        }
     };
     let mut rng = StdRng::seed_from_u64(23);
     for _ in 0..DRAWS {
@@ -110,25 +121,57 @@ fn steady_state_allocations(graph: &Cdfg, slack: usize) -> (u64, usize) {
     }
     let mut rng = StdRng::seed_from_u64(23);
     let before = ALLOCATIONS.with(Cell::get);
-    let mut r2 = 0;
+    let (mut r2, mut previews) = (0, 0);
     for _ in 0..DRAWS {
-        r2 += usize::from(draw(&mut binding, &mut rng));
+        let (is_r2, previewed) = draw(&mut binding, &mut rng);
+        r2 += usize::from(is_r2);
+        previews += usize::from(previewed);
     }
-    (ALLOCATIONS.with(Cell::get) - before, r2)
+    (ALLOCATIONS.with(Cell::get) - before, r2, previews)
 }
 
 #[test]
 fn steady_state_proposes_do_not_allocate() {
     // EWF (at 19 steps) draws F1–R6; the array FIR adds M1–M3.
     for (graph, slack) in [(ewf(), 2), (fir_array(), 1)] {
-        let (allocations, r2) = steady_state_allocations(&graph, slack);
+        let (allocations, r2, previews) = steady_state_allocations(&graph, slack);
         assert!(r2 > 500, "{}: only {r2} R2 proposals drawn", graph.name());
+        assert!(previews > 2_000, "{}: only {previews} proposals previewed", graph.name());
         assert_eq!(
             allocations,
             0,
-            "{}: 10000 steady-state proposes allocated {allocations} times; the propose \
-             path must be allocation-free",
+            "{}: 10000 steady-state proposes and their previews allocated {allocations} \
+             times; the propose and preview paths must be allocation-free",
             graph.name()
         );
     }
+}
+
+/// Restoring a best binding — `clone_from` between two bindings of one
+/// design in different mid-search states — reuses every buffer of the
+/// destination once it has held both states.
+#[test]
+fn steady_state_clone_from_does_not_allocate() {
+    let graph = ewf();
+    let library = FuLibrary::standard();
+    let schedule = fds_schedule(&graph, &library, 19).unwrap();
+    let allocator = Allocator::new(&graph, &schedule, &library).extra_registers(1);
+    let (ctx, config) = allocator.prepare().unwrap();
+    let set = &config.move_set;
+    let mut a = initial_allocation(&ctx);
+    warm_up(&mut a, &mut StdRng::seed_from_u64(7), set, 2_000);
+    let mut b = initial_allocation(&ctx);
+    warm_up(&mut b, &mut StdRng::seed_from_u64(8), set, 2_000);
+    assert!(a != b, "the two warm-ups reach different states");
+
+    let mut dest = a.clone();
+    dest.clone_from(&b);
+    dest.clone_from(&a);
+    let before = ALLOCATIONS.with(Cell::get);
+    for i in 0..10 {
+        dest.clone_from(if i % 2 == 0 { &b } else { &a });
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert!(dest == a, "the last restore copies `a`");
+    assert_eq!(allocations, 0, "10 steady-state clone_from calls allocated {allocations} times");
 }

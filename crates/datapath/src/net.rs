@@ -47,7 +47,7 @@ impl fmt::Display for Sink {
 /// Sources are dense (`FuId`/`RegId` index spaces), so a sink's incoming
 /// connections live in two flat refcount vectors indexed by source id,
 /// grown on demand. `fanin` caches the number of distinct live sources.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SinkRow {
     /// Use count per `Source::FuOut(fu)`, indexed by `fu.index()`.
     fu_uses: Vec<u32>,
@@ -55,6 +55,19 @@ struct SinkRow {
     reg_uses: Vec<u32>,
     /// Distinct sources with a nonzero use count.
     fanin: u32,
+}
+
+impl Clone for SinkRow {
+    fn clone(&self) -> Self {
+        SinkRow { fu_uses: self.fu_uses.clone(), reg_uses: self.reg_uses.clone(), fanin: self.fanin }
+    }
+
+    /// Reuses the destination's use-count buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.fu_uses.clone_from(&source.fu_uses);
+        self.reg_uses.clone_from(&source.reg_uses);
+        self.fanin = source.fanin;
+    }
 }
 
 impl SinkRow {
@@ -117,7 +130,7 @@ impl SinkRow {
 /// operations and `sources_of` walks only the queried sink's row, which
 /// keeps the allocator's per-move connection accounting off every hot
 /// path profile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ConnectionMatrix {
     /// Rows for `Sink::FuIn(fu, port)`, indexed by `2 * fu + port`.
     fu_sinks: Vec<SinkRow>,
@@ -125,6 +138,27 @@ pub struct ConnectionMatrix {
     reg_sinks: Vec<SinkRow>,
     connections: usize,
     mux_equiv: usize,
+}
+
+impl Clone for ConnectionMatrix {
+    fn clone(&self) -> Self {
+        ConnectionMatrix {
+            fu_sinks: self.fu_sinks.clone(),
+            reg_sinks: self.reg_sinks.clone(),
+            connections: self.connections,
+            mux_equiv: self.mux_equiv,
+        }
+    }
+
+    /// Reuses every row buffer of the destination, so restoring a search's
+    /// best binding ([`Clone::clone_from`] on the binding) allocates
+    /// nothing once the rows have grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.fu_sinks.clone_from(&source.fu_sinks);
+        self.reg_sinks.clone_from(&source.reg_sinks);
+        self.connections = source.connections;
+        self.mux_equiv = source.mux_equiv;
+    }
 }
 
 fn fu_sink_index(fu: FuId, port: Port) -> usize {
