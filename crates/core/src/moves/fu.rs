@@ -86,8 +86,11 @@ pub(crate) fn propose_fu_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<P
     Some(Proposal::FuMove { op, target })
 }
 
+/// Applies F2. A decoded trace is untrusted, so the move is checked here:
+/// a memory access is refused, as F1 refuses `Mem` units, since its port
+/// carries a bank and port assignment belongs to the M family.
 pub(crate) fn apply_fu_move(b: &mut Binding<'_>, op: OpId, target: FuId) -> bool {
-    if target == b.op_fu(op) || !b.fu_exec_free(target, op) {
+    if b.ctx.plan.is_memory_op(op) || target == b.op_fu(op) || !b.fu_exec_free(target, op) {
         return false;
     }
     b.retract_owner(Owner::Op(op));
@@ -103,7 +106,12 @@ pub(crate) fn propose_operand_reverse(b: &mut Binding<'_>, rng: &mut StdRng) -> 
     Some(Proposal::OperandReverse { op })
 }
 
+/// Applies F3, refusing a non-commutative operator: its operands are not
+/// interchangeable, so swapping them would change what it computes.
 pub(crate) fn apply_operand_reverse(b: &mut Binding<'_>, op: OpId) -> bool {
+    if !b.ctx.graph.op(op).kind().is_commutative() {
+        return false;
+    }
     b.retract_owner(Owner::Op(op));
     let swapped = b.op_swapped(op);
     b.set_op_swap(op, !swapped);

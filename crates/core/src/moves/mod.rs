@@ -29,7 +29,7 @@ mod reg;
 
 pub use preview::preview;
 pub(crate) use preview::PreviewScratch;
-pub(crate) use reg::{collect_owners, place_segment, retract_segment, Rerouted, SegmentRanking};
+pub(crate) use reg::SegmentRanking;
 
 use rand::rngs::StdRng;
 use rand::Rng;

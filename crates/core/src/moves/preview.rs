@@ -82,9 +82,7 @@ pub fn preview(
     pv.new.clear();
     let delta = match proposal {
         Proposal::FuMove { op, target } => preview_fu_move(binding, &mut pv, weights, op, target),
-        Proposal::OperandReverse { op } => {
-            Some(preview_operand_reverse(binding, &mut pv, weights, op))
-        }
+        Proposal::OperandReverse { op } => preview_operand_reverse(binding, &mut pv, weights, op),
         Proposal::SegmentExchange { step, v1, s1, r1, v2, s2, r2 } => {
             preview_segment_exchange(binding, &mut pv, weights, step, (v1, s1, r1), (v2, s2, r2))
         }
@@ -130,20 +128,24 @@ fn preview_fu_move(
     Some(pv.interconnect(&mut b.conn, weights) + weights.fu_area as i64 * area)
 }
 
-/// F3: the op's operand reads trade ports; its writes stay.
+/// F3: the op's operand reads trade ports; its writes stay. Only a
+/// commutative op may swap them.
 fn preview_operand_reverse(
     b: &mut Binding<'_>,
     pv: &mut PreviewScratch,
     weights: &CostWeights,
     op: OpId,
-) -> i64 {
+) -> Option<i64> {
+    if !b.ctx.graph.op(op).kind().is_commutative() {
+        return None;
+    }
     b.items_into(Owner::Op(op), &mut pv.old);
     pv.old.retain(|&(_, sink)| matches!(sink, Sink::FuIn(..)));
     pv.new.extend(pv.old.iter().map(|&(src, sink)| match sink {
         Sink::FuIn(fu, port) => (src, Sink::FuIn(fu, port.other())),
         Sink::RegIn(_) => unreachable!("only reads are kept"),
     }));
-    pv.interconnect(&mut b.conn, weights)
+    Some(pv.interconnect(&mut b.conn, weights))
 }
 
 /// One segment's register change: `(value, slot, lifetime index, new
@@ -271,6 +273,8 @@ fn preview_segment_move(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -306,12 +310,84 @@ mod tests {
     }
 
     /// Per-kind tallies: previews checked, and previews whose move changed
-    /// the register count or the unit area.
+    /// the register count or the unit area; and per forged case, how many
+    /// proposals both the preview and the apply refused.
     #[derive(Default)]
     struct Tally {
         checked: [usize; 14],
         regs_changed: [usize; 14],
         area_changed: [usize; 14],
+        refused: BTreeMap<&'static str, usize>,
+    }
+
+    /// Forges R1, R2, F2 and F3 proposals no proposer draws, each labelled
+    /// with the case it probes: a unit the op already runs on, a unit of
+    /// its class that may be busy, a memory access, an op that may not be
+    /// commutative, a register that may be occupied, a lifetime index the
+    /// chain may not cover, and a segment pair that may be one register or
+    /// name an empty one.
+    fn forge(b: &Binding<'_>, rng: &mut StdRng) -> Vec<(&'static str, Proposal)> {
+        let ctx = b.ctx;
+        let mut out = Vec::new();
+        let op = OpId::from_index(rng.gen_range(0..ctx.graph.num_ops()));
+        let peers: Vec<FuId> =
+            ctx.datapath.fus_of_class(ctx.class_of(op)).map(|f| f.id()).collect();
+        let peer = *peers.choose(rng).expect("the op's class has a unit");
+        if ctx.plan.is_memory_op(op) {
+            out.push(("memory op", Proposal::FuMove { op, target: peer }));
+        } else {
+            out.push(("same unit", Proposal::FuMove { op, target: b.op_fu(op) }));
+            out.push(("busy unit", Proposal::FuMove { op, target: peer }));
+        }
+        out.push(("non-commutative op", Proposal::OperandReverse { op }));
+
+        let regs = ctx.datapath.num_regs();
+        let reg = |rng: &mut StdRng| RegId::from_index(rng.gen_range(0..regs));
+        if let Some(&value) = ctx.plan.storable.choose(rng) {
+            if let Some(primal) = b.primal(value) {
+                let (idx, target) = (rng.gen_range(0..primal.len()), reg(rng));
+                let moved = Proposal::SegmentMove { value, slot: 0, idx, target };
+                out.push(("occupied register", moved));
+                let (slot, idx) = (rng.gen_range(0..=3), rng.gen_range(0..primal.len()));
+                let target = reg(rng);
+                let moved = Proposal::SegmentMove { value, slot, idx, target };
+                out.push(("uncovered index", moved));
+            }
+        }
+        let step = rng.gen_range(0..ctx.n_steps());
+        let (r1, r2) = (reg(rng), reg(rng));
+        let occupant = |r: RegId| b.reg_occupant(r, step).unwrap_or((ValueId::from_index(0), 0));
+        let ((v1, s1), (v2, s2)) = (occupant(r1), occupant(r2));
+        let exchanged = Proposal::SegmentExchange { step, v1, s1, r1, v2, s2, r2 };
+        out.push(("same or empty register", exchanged));
+        out
+    }
+
+    /// Previews and applies every forged proposal from the committed state:
+    /// the preview must read `None` exactly when the apply refuses the
+    /// move, and the applied cost otherwise, and leave the binding as it
+    /// was either way.
+    fn check_forged(
+        b: &mut Binding<'_>,
+        weights: &CostWeights,
+        current: u64,
+        rng: &mut StdRng,
+        tally: &mut Tally,
+    ) {
+        for (case, proposal) in forge(b, rng) {
+            let before = b.clone();
+            let read = preview(b, proposal, weights, current);
+            assert!(*b == before, "the preview of {proposal:?} changed the binding");
+            b.begin();
+            let applied = apply_proposal(b, proposal);
+            if applied {
+                assert_eq!(read, Some(weighted_cost(weights, b)), "{case}: {proposal:?}");
+            } else {
+                assert_eq!(read, None, "{case}: the apply refused {proposal:?}");
+                *tally.refused.entry(case).or_default() += 1;
+            }
+            b.rollback();
+        }
     }
 
     /// Walks 400 draws of the full move set on `graph` at `slack` steps
@@ -355,7 +431,10 @@ mod tests {
         let mut b = initial_allocation(&ctx);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut current = weighted_cost(weights, &b);
-        for _ in 0..400 {
+        for draw in 0..400 {
+            if draw % 8 == 0 {
+                check_forged(&mut b, weights, current, &mut rng, tally);
+            }
             let kind = move_set.pick(&mut rng);
             b.begin();
             let Some(mut proposal) = propose(&mut b, kind, &mut rng) else {
@@ -420,7 +499,9 @@ mod tests {
     /// The preview reads the exact applied cost for every drawn R1, R2,
     /// F2 and F3 proposal, from reachable states of random scalar and
     /// array designs with states, and of EWF, DCT and the array FIR,
-    /// under the default and Table 2 weights.
+    /// under the default and Table 2 weights. For forged proposals of the
+    /// same kinds it reads `None` exactly when the apply refuses the move,
+    /// which polish relies on when it decides through the preview.
     #[test]
     fn previews_read_the_applied_cost() {
         let mut tally = Tally::default();
@@ -460,5 +541,17 @@ mod tests {
             tally.area_changed[r1] + tally.area_changed[r2] > 0,
             "no segment move idled a pass unit"
         );
+        for case in [
+            "same unit",
+            "busy unit",
+            "memory op",
+            "non-commutative op",
+            "occupied register",
+            "uncovered index",
+            "same or empty register",
+        ] {
+            let refused = tally.refused.get(case).copied().unwrap_or(0);
+            assert!(refused > 0, "no forged `{case}` proposal was refused");
+        }
     }
 }

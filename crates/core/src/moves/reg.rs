@@ -7,9 +7,10 @@
 //! The segment moves use an incremental delta kernel: only the owners
 //! whose connection items can reference a moved segment's register (see
 //! [`segment_owners`]) are retracted and re-asserted by the R1 and R2
-//! applies, and R2's ranking costs only those of their items a target
-//! can change ([`SegmentRanking`]). The polish segment sweep places its
-//! candidates with the same kernel (DESIGN.md §17, §19).
+//! applies, R2's ranking costs only those of their items a target can
+//! change ([`SegmentRanking`]), and the preview reads only their items
+//! (DESIGN.md §19). Polish decides its R2 and R4 candidates through the
+//! same preview and applies (DESIGN.md §17).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,7 +31,7 @@ const MAX_COPIES: usize = 2;
 /// `out`. Sorting reproduces the iteration order of the `BTreeSet` this
 /// replaced (`Owner` derives `Ord`; keys are unique per value, so
 /// first-insert ties cannot reorder).
-pub(crate) fn collect_owners(b: &Binding<'_>, values: &[ValueId], out: &mut Vec<Owner>) {
+fn collect_owners(b: &Binding<'_>, values: &[ValueId], out: &mut Vec<Owner>) {
     out.clear();
     for &v in values {
         b.owners_of_value_into(v, out);
@@ -62,13 +63,11 @@ fn assert_values(b: &mut Binding<'_>, values: &[ValueId]) {
     b.scratch.owners = owners;
 }
 
-/// The owners one register move re-routes, and their transfer keys — the
-/// only keys whose pass can go stale when the moved segments change
-/// register. For a segment move the owners are the [`segment_owners`]
-/// subset; the polish value sweep uses a value's whole owner set.
-#[derive(Default)]
-pub(crate) struct Rerouted {
-    pub(crate) owners: Vec<Owner>,
+/// The owners an R1 or R2 move re-routes (the [`segment_owners`] subset),
+/// and their transfer keys — the only keys whose pass can go stale when
+/// the moved segments change register.
+struct Rerouted {
+    owners: Vec<Owner>,
     keys: Vec<TransferKey>,
 }
 
@@ -87,15 +86,8 @@ impl Rerouted {
         b.scratch.keys = self.keys;
     }
 
-    /// Selects the owners a move of segment `(v, slot, idx)` re-routes.
-    pub(crate) fn select_segment(&mut self, b: &Binding<'_>, v: ValueId, slot: usize, idx: usize) {
-        self.owners.clear();
-        segment_owners(b, v, slot, idx, &mut self.owners);
-        self.set_keys();
-    }
-
     /// Re-derives the transfer keys from `owners`.
-    pub(crate) fn set_keys(&mut self) {
+    fn set_keys(&mut self) {
         self.keys.clear();
         self.keys.extend(self.owners.iter().filter_map(|&o| match o {
             Owner::Transfer(key) => Some(key),
@@ -103,47 +95,19 @@ impl Rerouted {
         }));
     }
 
-    pub(crate) fn retract(&self, b: &mut Binding<'_>) {
+    fn retract(&self, b: &mut Binding<'_>) {
         for &o in &self.owners {
             b.retract_owner(o);
         }
     }
 
     /// Drops the passes the move left stale, then re-asserts the owners.
-    pub(crate) fn reassert(&self, b: &mut Binding<'_>) {
+    fn reassert(&self, b: &mut Binding<'_>) {
         b.drop_stale_passes(self.keys.iter().copied());
         for &o in &self.owners {
             b.assert_owner(o);
         }
     }
-}
-
-/// Retracts the group's owners and vacates segment `(v, slot, idx)`.
-pub(crate) fn retract_segment(
-    b: &mut Binding<'_>,
-    group: &Rerouted,
-    v: ValueId,
-    slot: usize,
-    idx: usize,
-) {
-    group.retract(b);
-    b.vacate_seg(v, slot, idx);
-}
-
-/// Places the vacated segment `(v, slot, idx)` in `target` and re-asserts
-/// the group's owners. R2's apply and the polish segment sweep both land
-/// a segment move here.
-pub(crate) fn place_segment(
-    b: &mut Binding<'_>,
-    group: &Rerouted,
-    v: ValueId,
-    slot: usize,
-    idx: usize,
-    target: RegId,
-) {
-    b.chain_reg_mut(v, slot, idx, target);
-    b.occupy_seg(v, slot, idx);
-    group.reassert(b);
 }
 
 fn drop_stale_for(b: &mut Binding<'_>, values: &[ValueId]) {
@@ -229,9 +193,9 @@ pub(crate) fn apply_segment_exchange(
 /// segments is re-routed once). Every other owner's items are identical
 /// for every register the segment can hold. So R2's ranking costs only
 /// this subset (a constant drops out of every candidate's sum: same
-/// argmin, tie set and tie order), the R1 and R2 applies and the polish
-/// segment sweep retract and re-assert only it (an unchanged owner's
-/// retract and re-assert cancel), and the preview costs only its items.
+/// argmin, tie set and tie order), the R1 and R2 applies retract and
+/// re-assert only it (an unchanged owner's retract and re-assert cancel),
+/// and the preview costs only its items.
 ///
 /// The owners are enumerated directly — the value's readers, producer
 /// and feedback producer from the plan, at most two chain adjacencies,
@@ -542,9 +506,14 @@ pub(crate) fn apply_segment_move(
         return false;
     }
     let mut group = Rerouted::take(b);
-    group.select_segment(b, v, slot, idx);
-    retract_segment(b, &group, v, slot, idx);
-    place_segment(b, &group, v, slot, idx, target);
+    group.owners.clear();
+    segment_owners(b, v, slot, idx, &mut group.owners);
+    group.set_keys();
+    group.retract(b);
+    b.vacate_seg(v, slot, idx);
+    b.chain_reg_mut(v, slot, idx, target);
+    b.occupy_seg(v, slot, idx);
+    group.reassert(b);
     group.restore(b);
     true
 }

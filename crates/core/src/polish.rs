@@ -6,22 +6,18 @@
 //! move away" residue random sampling leaves behind, in the spirit of the
 //! rip-up-and-reallocate refinement the paper cites [Tsai & Hsu 12].
 //!
-//! The register sweeps, which dominate polish time, evaluate candidates
-//! incrementally. Per candidate group — one segment for R2, one value for
-//! R4 — the owners the group can re-route are retracted and its segments
-//! vacated once, under a journal checkpoint; each target register is then
-//! written, re-asserted, costed and undone back to the checkpoint. The
-//! sweeps accept the same candidates in the same order as re-deriving each
-//! candidate from the committed state would (DESIGN.md §17).
+//! Every sweep but the pass sweep builds a [`Proposal`] per candidate and
+//! decides it the way the search does ([`decide`]): R2, F2 and F3 are
+//! costed by the exact [`preview`] and applied only when they strictly
+//! improve; the other kinds are applied and rolled back when they do not.
+//! So polish shares the search's applies and needs no cost kernel of its
+//! own (DESIGN.md §17).
 
-use salsa_cdfg::ValueId;
 use salsa_datapath::{CostWeights, FuId, RegId};
 
 use crate::binding::Owner;
 use crate::improve::weighted_cost;
-use crate::moves::{
-    apply_proposal, collect_owners, place_segment, retract_segment, Proposal, Rerouted,
-};
+use crate::moves::{apply_proposal, preview, Proposal};
 use crate::{Binding, MoveKind, MoveSet};
 
 /// Runs greedy descent to a fixpoint over the neighborhoods the move set
@@ -59,31 +55,49 @@ pub fn polish(binding: &mut Binding<'_>, weights: &CostWeights, move_set: &MoveS
     }
 }
 
-/// Keeps the candidate in the open transaction when it strictly improves
-/// on `best`: commits it and records the new cost. Leaves the transaction
-/// open otherwise, for the caller to roll back or undo to a checkpoint.
-fn accept(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
+/// Resolves the open transaction: commits when the candidate strictly
+/// improves on `best` and records the new cost, rolls the journal back
+/// otherwise.
+fn accept_or_rollback(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let after = weighted_cost(weights, binding);
     if after >= *best {
+        binding.rollback();
         return false;
     }
     binding.commit();
     *best = after;
-    // The register sweeps decide acceptance from partial retractions;
-    // an owner they missed would leave the matrix off its rebuild.
+    // The applies re-cost only the owners a move re-routes; an owner they
+    // missed would leave the matrix off its rebuild.
     #[cfg(debug_assertions)]
     binding.check_consistency();
     true
 }
 
-/// Resolves the open transaction: commits when the candidate strictly
-/// improves on `best`, rolls the journal back otherwise.
-fn accept_or_rollback(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
-    let accepted = accept(binding, weights, best);
-    if !accepted {
-        binding.rollback();
+/// Decides one candidate as the search decides a move: a proposal the
+/// preview costs (R2, F2, F3) is applied only when it strictly improves on
+/// `best`; any other is applied and rolled back unless it does. A
+/// proposal whose apply refuses it is rejected either way, so the sweeps
+/// rest on the preview and the apply agreeing on feasibility.
+fn decide(
+    binding: &mut Binding<'_>,
+    weights: &CostWeights,
+    best: &mut u64,
+    proposal: Proposal,
+) -> bool {
+    let previewed = preview(binding, proposal, weights, *best);
+    if previewed.is_some_and(|after| after >= *best) {
+        return false;
     }
-    accepted
+    binding.begin();
+    if !apply_proposal(binding, proposal) {
+        binding.rollback();
+        return false;
+    }
+    debug_assert!(
+        previewed.is_none_or(|after| after == weighted_cost(weights, binding)),
+        "the preview of {proposal:?} must read the applied cost"
+    );
+    accept_or_rollback(binding, weights, best)
 }
 
 /// F2 over the complete (operation, unit) grid. Memory accesses are
@@ -100,12 +114,7 @@ fn sweep_op_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u
             if fu == binding.op_fu(op) || !binding.fu_exec_free(fu, op) {
                 continue;
             }
-            binding.begin();
-            binding.retract_owner(Owner::Op(op));
-            binding.vacate_op(op);
-            binding.occupy_op(op, fu);
-            binding.assert_owner(Owner::Op(op));
-            improved |= accept_or_rollback(binding, weights, best);
+            improved |= decide(binding, weights, best, Proposal::FuMove { op, target: fu });
         }
     }
     improved
@@ -117,84 +126,42 @@ fn sweep_operand_reversals(
     weights: &CostWeights,
     best: &mut u64,
 ) -> bool {
-    let ctx = binding.ctx;
     let mut improved = false;
-    for op in ctx.graph.ops().filter(|o| o.kind().is_commutative()).map(|o| o.id()) {
-        binding.begin();
-        let swapped = binding.op_swapped(op);
-        binding.retract_owner(Owner::Op(op));
-        binding.set_op_swap(op, !swapped);
-        binding.assert_owner(Owner::Op(op));
-        improved |= accept_or_rollback(binding, weights, best);
+    for &op in &binding.ctx.plan.commutative {
+        improved |= decide(binding, weights, best, Proposal::OperandReverse { op });
     }
     improved
 }
 
-/// Whether the value's primal chain sits wholly in `reg`, which makes an
-/// R4 move there a no-op.
-fn already_in(binding: &Binding<'_>, v: ValueId, reg: RegId) -> bool {
-    let primal = binding.primal(v).expect("stored");
-    primal.is_uniform() && primal.regs()[0] == reg
-}
-
 /// R4 over every (value, register) pair feasible for the whole lifetime.
-/// Per value, every owner is retracted and the primal chain vacated once;
-/// each target is then written, re-asserted, costed and undone back to
-/// that checkpoint.
+/// A target already holding the whole primal chain is no move, and its
+/// apply refuses it.
 fn sweep_value_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
     let mut targets: Vec<RegId> = Vec::new();
-    let mut group = Rerouted::default();
-    for &v in &ctx.plan.storable {
-        let Some(primal) = binding.primal(v) else { continue };
-        let len = primal.len();
-        let steps = ctx.lifetimes.get(v).expect("stored").steps();
+    for &value in &ctx.plan.storable {
+        if binding.primal(value).is_none() {
+            continue;
+        }
+        let steps = ctx.lifetimes.get(value).expect("stored").steps();
         targets.clear();
         targets.extend(ctx.datapath.reg_ids().filter(|&r| {
             steps.iter().all(|&s| match binding.reg_occupant(r, s) {
                 None => true,
-                Some((occ_v, occ_slot)) => occ_v == v && occ_slot == 0,
+                Some((occ_v, occ_slot)) => occ_v == value && occ_slot == 0,
             })
         }));
-        if targets.iter().all(|&r| already_in(binding, v, r)) {
-            continue;
-        }
-        collect_owners(binding, &[v], &mut group.owners);
-        group.set_keys();
-        let open = |binding: &mut Binding<'_>, group: &Rerouted| {
-            binding.begin();
-            group.retract(binding);
-            for idx in 0..len {
-                binding.vacate_seg(v, 0, idx);
-            }
-            binding.journal_len()
-        };
-        let mut mark = open(binding, &group);
         for &target in &targets {
-            // Reads the committed chain: vacating and `undo_to` leave the
-            // chain registers as committed.
-            if already_in(binding, v, target) {
-                continue;
-            }
-            for idx in 0..len {
-                binding.chain_reg_mut(v, 0, idx, target);
-                binding.occupy_seg(v, 0, idx);
-            }
-            group.reassert(binding);
-            if accept(binding, weights, best) {
-                improved = true;
-                mark = open(binding, &group);
-            } else {
-                binding.undo_to(mark);
-            }
+            improved |= decide(binding, weights, best, Proposal::ValueMove { value, target });
         }
-        binding.rollback();
     }
     improved
 }
 
-/// F4/F5 over every active transfer and every pass-capable unit.
+/// F4/F5 over every active transfer and every pass-capable unit. Moving a
+/// bound pass to another unit is an unbind and a bind in one candidate, so
+/// this sweep opens its own transaction.
 fn sweep_passes(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
@@ -229,52 +196,29 @@ fn sweep_passes(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64
     improved
 }
 
-/// R2 over every segment and every register free at its step. Per
-/// segment, only the owners whose items can reference its register are
-/// retracted ([`Rerouted::select_segment`]), once; each target is then
-/// placed through the kernel R2's apply uses ([`place_segment`]), costed
-/// and undone back to that checkpoint. The other owners' items are the
-/// same for every target, so the cost read equals the full
-/// retract-and-reassert cost.
+/// R2 over every segment and every register free at its step.
 fn sweep_segment_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;
-    let mut group = Rerouted::default();
     let mut chains: Vec<(usize, usize, usize)> = Vec::new();
     let mut free: Vec<RegId> = Vec::new();
-    for &v in &ctx.plan.storable {
-        if binding.primal(v).is_none() {
+    for &value in &ctx.plan.storable {
+        if binding.primal(value).is_none() {
             continue;
         }
         chains.clear();
-        chains.extend(binding.chains_of(v).map(|(slot, chain)| (slot, chain.lo(), chain.hi())));
-        let steps = ctx.lifetimes.get(v).expect("stored").steps();
+        chains.extend(binding.chains_of(value).map(|(slot, c)| (slot, c.lo(), c.hi())));
+        let steps = ctx.lifetimes.get(value).expect("stored").steps();
         for &(slot, lo, hi) in &chains {
             // idx is a lifetime index, not just a steps[] cursor.
             #[allow(clippy::needless_range_loop)]
             for idx in lo..=hi {
                 free.clear();
                 free.extend(ctx.datapath.reg_ids().filter(|&r| binding.reg_free(r, steps[idx])));
-                if free.is_empty() {
-                    continue;
-                }
-                group.select_segment(binding, v, slot, idx);
-                let open = |binding: &mut Binding<'_>, group: &Rerouted| {
-                    binding.begin();
-                    retract_segment(binding, group, v, slot, idx);
-                    binding.journal_len()
-                };
-                let mut mark = open(binding, &group);
                 for &target in &free {
-                    place_segment(binding, &group, v, slot, idx, target);
-                    if accept(binding, weights, best) {
-                        improved = true;
-                        mark = open(binding, &group);
-                    } else {
-                        binding.undo_to(mark);
-                    }
+                    let proposal = Proposal::SegmentMove { value, slot, idx, target };
+                    improved |= decide(binding, weights, best, proposal);
                 }
-                binding.rollback();
             }
         }
     }
@@ -298,19 +242,15 @@ fn sweep_access_reports(
             if fu == binding.op_fu(op) || !binding.fu_exec_free(fu, op) {
                 continue;
             }
-            binding.begin();
-            binding.retract_owner(Owner::Op(op));
-            binding.vacate_op(op);
-            binding.occupy_op(op, fu);
-            binding.assert_owner(Owner::Op(op));
-            improved |= accept_or_rollback(binding, weights, best);
+            let proposal = Proposal::AccessReport { op, target: fu };
+            improved |= decide(binding, weights, best, proposal);
         }
     }
     improved
 }
 
 /// M1 over the complete (array, bank) grid. A rebank that cannot re-home
-/// every access (ports exhausted) fails its apply and rolls back.
+/// every access (ports exhausted) fails its apply and is rejected.
 fn sweep_array_rebanks(
     binding: &mut Binding<'_>,
     weights: &CostWeights,
@@ -324,12 +264,7 @@ fn sweep_array_rebanks(
             if binding.array_bank(array) == bank {
                 continue;
             }
-            binding.begin();
-            if !apply_proposal(binding, Proposal::ArrayRebank { array, bank }) {
-                binding.rollback();
-                continue;
-            }
-            improved |= accept_or_rollback(binding, weights, best);
+            improved |= decide(binding, weights, best, Proposal::ArrayRebank { array, bank });
         }
     }
     improved

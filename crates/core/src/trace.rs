@@ -810,6 +810,54 @@ mod tests {
             );
         }
 
+        // F2 never draws a memory access, and F3 only a commutative op.
+        // Moving fir8a's first access to another port (a cross-bank one
+        // raises a bank conflict) or swapping a non-commutative diffeq
+        // op's operands (which lowers its cost) must not replay.
+        let graph = salsa_cdfg::benchmarks::fir_array();
+        let schedule = schedule_for(&graph, &library, 2);
+        let mem = salsa_datapath::MemConfig::uniform(graph.num_arrays().max(1), 2);
+        let datapath = Datapath::new_with_memory(
+            &schedule.fu_demand(&graph, &library),
+            schedule.register_demand(&graph, &library).max(1),
+            &mem,
+        );
+        let mem_ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let mem_config =
+            ImproveConfig { move_set: crate::MoveSet::with_memory(), ..small_config() };
+        let (mem_trace, _) = record_slot_trace(&mem_ctx, &mem_config, 42, 0).unwrap();
+        let access = mem_ctx.plan.mem_ops[0];
+        let initial = initial_binding(&mem_ctx, None).0;
+        let port = mem_ctx
+            .datapath
+            .fus_of_class(salsa_sched::FuClass::Mem)
+            .map(|f| f.id())
+            .find(|&f| f != initial.op_fu(access) && initial.fu_exec_free(f, access))
+            .expect("a free second port");
+        let graph = diffeq();
+        let schedule = schedule_for(&graph, &library, 0);
+        let datapath = datapath_for(&graph, &schedule, &library);
+        let diffeq_ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let (diffeq_trace, _) = record_slot_trace(&diffeq_ctx, &config, 42, 0).unwrap();
+        assert!(!graph.ops().nth(6).unwrap().kind().is_commutative());
+        for (token, ctx, config, trace) in [
+            (format!("F2:{},{}", access.index(), port.index()), &mem_ctx, &mem_config, &mem_trace),
+            ("F3:6".to_string(), &diffeq_ctx, &config, &diffeq_trace),
+        ] {
+            let proposal = decode_proposal(&token).unwrap();
+            let mut tampered = trace.clone();
+            tampered
+                .steps
+                .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
+            assert!(
+                matches!(
+                    replay_trace(ctx, config, &tampered, ReplayCheck::Full),
+                    Err(TraceError::InfeasibleStep { step: 0 })
+                ),
+                "`{token}` must be an infeasible step"
+            );
+        }
+
         // Mangled text forms are structured parse errors, never panics.
         for bad in [
             "",
