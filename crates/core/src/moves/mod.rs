@@ -19,8 +19,8 @@
 //! engine opens a transaction ([`Binding::begin`](crate::Binding::begin))
 //! before each attempt and rolls the undo journal back when the cost
 //! function rejects the result — the paper's accept/reverse scheme (§4)
-//! without a per-move snapshot clone. For R1, R2, F2 and F3 it reads the
-//! cost first ([`preview`]) and applies only a move it keeps.
+//! without a per-move snapshot clone. For R1, R2, R4, F2 and F3 it reads
+//! the cost first ([`preview`]) and applies only a move it keeps.
 
 mod fu;
 mod mem;

@@ -1,4 +1,4 @@
-//! Cost before apply: the exact weighted cost an R1, R2, F2 or F3
+//! Cost before apply: the exact weighted cost an R1, R2, R4, F2 or F3
 //! proposal would produce, read without applying it (DESIGN.md §19).
 //!
 //! The search keeps only downhill, sideways and a few bounded uphill
@@ -8,18 +8,18 @@
 //! keeps the items that differ, and trades them on the count-based
 //! connection matrix, whose running wire and mux totals give the change.
 //! The counters the move can flip are read off their transitions:
-//! `used_regs` for R2, and `fu_area` for F2 and for the passes a collapsed
-//! transfer drops. None of these moves touches an array bank or a memory
-//! access, so the memory terms stand. Because the result is exact, a
-//! search that applies a previewed move only when its acceptance rule
-//! keeps it makes every decision, RNG draw and commit of one that applies
-//! them all.
+//! `used_regs` for R2 and R4, and `fu_area` for F2 and for the passes a
+//! collapsed transfer drops. None of these moves touches an array bank or
+//! a memory access, so the memory terms stand. Because the result is
+//! exact, a search that applies a previewed move only when its acceptance
+//! rule keeps it makes every decision, RNG draw and commit of one that
+//! applies them all.
 
 use salsa_cdfg::{OpId, ValueId};
 use salsa_datapath::{ConnectionMatrix, CostWeights, FuId, RegId, Sink, Source};
 
 use crate::binding::Owner;
-use crate::moves::reg::segment_owners;
+use crate::moves::reg::{segment_owners, value_fits};
 use crate::moves::Proposal;
 use crate::Binding;
 
@@ -36,6 +36,10 @@ pub(crate) struct PreviewScratch {
     owner_lens: Vec<usize>,
     /// The pass units a collapsed transfer drops, one entry per pass.
     dropped: Vec<FuId>,
+    /// The segment writes of an R4, one per primal index it changes.
+    writes: Vec<SegmentWrite>,
+    /// The registers the written segments held, in write order.
+    held: Vec<RegId>,
 }
 
 impl PreviewScratch {
@@ -64,10 +68,10 @@ impl PreviewScratch {
 }
 
 /// The exact weighted cost `binding` would have after applying a freshly
-/// drawn R1, R2, F2 or F3 `proposal`, given its current weighted cost
+/// drawn R1, R2, R4, F2 or F3 `proposal`, given its current weighted cost
 /// `current`. `None` for every other kind, and for a proposal whose apply
 /// would refuse it. Leaves the binding as it found it and journals
-/// nothing: R1 and R2 write the moved registers into the chains to read
+/// nothing: R1, R2 and R4 write the moved registers into the chains to read
 /// the owners' items, and every kind trades the changed items on the
 /// connection matrix to read its totals, all unjournaled and undone
 /// before returning.
@@ -88,6 +92,9 @@ pub fn preview(
         }
         Proposal::SegmentMove { value, slot, idx, target } => {
             preview_segment_move(binding, &mut pv, weights, (value, slot, idx, target))
+        }
+        Proposal::ValueMove { value, target } => {
+            preview_value_move(binding, &mut pv, weights, value, target)
         }
         _ => None,
     };
@@ -152,17 +159,18 @@ fn preview_operand_reverse(
 /// register)`.
 type SegmentWrite = (ValueId, usize, usize, RegId);
 
-/// R1 and R2: the items of the owners the moved segments re-route
+/// R1, R2 and R4: the items of the owners the moved segments re-route
 /// ([`segment_owners`]), read as they are and with the new registers
 /// written into the chains, plus the area of the pass units left idle
 /// when their transfers collapse (the apply drops those passes). Returns
-/// the weighted change and the registers the segments held.
+/// the weighted change, and leaves the registers the segments held in
+/// `pv.held`, in write order.
 fn segment_delta(
     b: &mut Binding<'_>,
     pv: &mut PreviewScratch,
     weights: &CostWeights,
     writes: &[SegmentWrite],
-) -> (i64, [RegId; 2]) {
+) -> i64 {
     let mut owners = std::mem::take(&mut b.scratch.affected);
     owners.clear();
     for &(v, slot, idx, _) in writes {
@@ -176,9 +184,9 @@ fn segment_delta(
         pv.owner_lens.push(pv.owner_items.len() - len);
     }
 
-    let mut held = [RegId::from_index(0); 2];
-    for (i, &(v, slot, idx, reg)) in writes.iter().enumerate() {
-        held[i] = b.replace_chain_reg(v, slot, idx, reg);
+    pv.held.clear();
+    for &(v, slot, idx, reg) in writes {
+        pv.held.push(b.replace_chain_reg(v, slot, idx, reg));
     }
     pv.dropped.clear();
     let mut at = 0;
@@ -212,8 +220,8 @@ fn segment_delta(
             }
         }
     }
-    for (i, &(v, slot, idx, _)) in writes.iter().enumerate().rev() {
-        b.replace_chain_reg(v, slot, idx, held[i]);
+    for (&(v, slot, idx, _), &reg) in writes.iter().zip(&pv.held).rev() {
+        b.replace_chain_reg(v, slot, idx, reg);
     }
     b.scratch.affected = owners;
 
@@ -225,7 +233,7 @@ fn segment_delta(
             idle += b.fu_area_of(run[0]) as i64;
         }
     }
-    (pv.interconnect(&mut b.conn, weights) - weights.fu_area as i64 * idle, held)
+    pv.interconnect(&mut b.conn, weights) - weights.fu_area as i64 * idle
 }
 
 /// R1: two segments of one step trade registers, so no register's
@@ -246,7 +254,7 @@ fn preview_segment_exchange(
     }
     let idx1 = b.ctx.lifetime_index(v1, step).expect("occupant is stored at step");
     let idx2 = b.ctx.lifetime_index(v2, step).expect("occupant is stored at step");
-    Some(segment_delta(b, pv, weights, &[(v1, s1, idx1, r2), (v2, s2, idx2, r1)]).0)
+    Some(segment_delta(b, pv, weights, &[(v1, s1, idx1, r2), (v2, s2, idx2, r1)]))
 }
 
 /// R2: the segment leaves its register for a free one; each register
@@ -265,9 +273,44 @@ fn preview_segment_move(
     if !b.reg_free(target, step) {
         return None;
     }
-    let (delta, [from, _]) = segment_delta(b, pv, weights, &[write]);
+    let delta = segment_delta(b, pv, weights, &[write]);
+    let from = pv.held[0];
     let regs = i64::from(b.reg_seg_count[target.index()] == 0)
         - i64::from(b.reg_seg_count[from.index()] == 1);
+    Some(delta + weights.reg as i64 * regs)
+}
+
+/// R4: every primal segment not already in `target` moves there. A
+/// register counts while it holds a segment, so `target` starts counting
+/// when it held none, and a register the value leaves stops when the
+/// value's segments were all it held. Feasible exactly when the apply is:
+/// `target` is free or the value's own over the whole lifetime, and the
+/// value does not already sit in it alone.
+fn preview_value_move(
+    b: &mut Binding<'_>,
+    pv: &mut PreviewScratch,
+    weights: &CostWeights,
+    v: ValueId,
+    target: RegId,
+) -> Option<i64> {
+    let primal = b.primal(v).expect("stored value has a primal chain");
+    if !value_fits(b, v, target) || (primal.is_uniform() && primal.regs()[0] == target) {
+        return None;
+    }
+    let mut writes = std::mem::take(&mut pv.writes);
+    writes.clear();
+    writes.extend(
+        (primal.lo()..=primal.hi())
+            .filter(|&idx| primal.reg_at(idx) != target)
+            .map(|idx| (v, 0, idx, target)),
+    );
+    let delta = segment_delta(b, pv, weights, &writes);
+    pv.writes = writes;
+    let mut regs = i64::from(b.reg_seg_count[target.index()] == 0);
+    pv.held.sort_unstable();
+    for run in pv.held.chunk_by(|a, z| a == z) {
+        regs -= i64::from(b.reg_seg_count[run[0].index()] == run.len());
+    }
     Some(delta + weights.reg as i64 * regs)
 }
 
@@ -304,6 +347,7 @@ mod tests {
             kind,
             MoveKind::SegmentExchange
                 | MoveKind::SegmentMove
+                | MoveKind::ValueMove
                 | MoveKind::FuMove
                 | MoveKind::OperandReverse
         )
@@ -320,12 +364,13 @@ mod tests {
         refused: BTreeMap<&'static str, usize>,
     }
 
-    /// Forges R1, R2, F2 and F3 proposals no proposer draws, each labelled
-    /// with the case it probes: a unit the op already runs on, a unit of
-    /// its class that may be busy, a memory access, an op that may not be
-    /// commutative, a register that may be occupied, a lifetime index the
-    /// chain may not cover, and a segment pair that may be one register or
-    /// name an empty one.
+    /// Forges R1, R2, R4, F2 and F3 proposals no proposer draws, each
+    /// labelled with the case it probes: a unit the op already runs on, a
+    /// unit of its class that may be busy, a memory access, an op that may
+    /// not be commutative, a register that may be occupied, a lifetime
+    /// index the chain may not cover, a segment pair that may be one
+    /// register or name an empty one, a whole-value target that may be
+    /// occupied, and a value already alone in its target.
     fn forge(b: &Binding<'_>, rng: &mut StdRng) -> Vec<(&'static str, Proposal)> {
         let ctx = b.ctx;
         let mut out = Vec::new();
@@ -352,7 +397,17 @@ mod tests {
                 let target = reg(rng);
                 let moved = Proposal::SegmentMove { value, slot, idx, target };
                 out.push(("uncovered index", moved));
+                out.push(("occupied target", Proposal::ValueMove { value, target: reg(rng) }));
             }
+        }
+        let uniform: Vec<(ValueId, RegId)> = ctx
+            .plan
+            .storable
+            .iter()
+            .filter_map(|&v| b.primal(v).filter(|c| c.is_uniform()).map(|c| (v, c.regs()[0])))
+            .collect();
+        if let Some(&(value, target)) = uniform.choose(rng) {
+            out.push(("already in target", Proposal::ValueMove { value, target }));
         }
         let step = rng.gen_range(0..ctx.n_steps());
         let (r1, r2) = (reg(rng), reg(rng));
@@ -395,9 +450,9 @@ mod tests {
     /// beyond the schedule's demand (so F2 can idle or wake a unit). Every
     /// feasible proposal is previewed and then applied: the preview must
     /// leave the binding and its journal as they were, read the applied
-    /// cost exactly for R1, R2, F2 and F3, and read `None` for every other
-    /// kind. The walk keeps a move within a small uphill margin, so it
-    /// reaches states with copies, passes, collapsed transfers and
+    /// cost exactly for R1, R2, R4, F2 and F3, and read `None` for every
+    /// other kind. The walk keeps a move within a small uphill margin, so
+    /// it reaches states with copies, passes, collapsed transfers and
     /// re-banked arrays.
     fn check_design(
         graph: &Cdfg,
@@ -497,7 +552,7 @@ mod tests {
     }
 
     /// The preview reads the exact applied cost for every drawn R1, R2,
-    /// F2 and F3 proposal, from reachable states of random scalar and
+    /// R4, F2 and F3 proposal, from reachable states of random scalar and
     /// array designs with states, and of EWF, DCT and the array FIR,
     /// under the default and Table 2 weights. For forged proposals of the
     /// same kinds it reads `None` exactly when the apply refuses the move,
@@ -521,14 +576,15 @@ mod tests {
             check_design(&dct(), 0, 0, 7, &weights, &mut tally);
             check_design(&fir_array(), 1, 1, 7, &weights, &mut tally);
         }
-        let [r1, r2, f2, f3] = [
+        let [r1, r2, r4, f2, f3] = [
             MoveKind::SegmentExchange,
             MoveKind::SegmentMove,
+            MoveKind::ValueMove,
             MoveKind::FuMove,
             MoveKind::OperandReverse,
         ]
         .map(|kind| kind as usize);
-        for (kind, floor) in [(r1, 1000), (r2, 1000), (f2, 1000), (f3, 500)] {
+        for (kind, floor) in [(r1, 1000), (r2, 1000), (r4, 300), (f2, 1000), (f3, 500)] {
             assert!(
                 tally.checked[kind] > floor,
                 "only {} previews of kind {kind}",
@@ -536,6 +592,7 @@ mod tests {
             );
         }
         assert!(tally.regs_changed[r2] > 0, "no R2 freed or used a register");
+        assert!(tally.regs_changed[r4] > 0, "no R4 freed or used a register");
         assert!(tally.area_changed[f2] > 0, "no F2 idled or woke a unit");
         assert!(
             tally.area_changed[r1] + tally.area_changed[r2] > 0,
@@ -549,6 +606,8 @@ mod tests {
             "occupied register",
             "uncovered index",
             "same or empty register",
+            "occupied target",
+            "already in target",
         ] {
             let refused = tally.refused.get(case).copied().unwrap_or(0);
             assert!(refused > 0, "no forged `{case}` proposal was refused");

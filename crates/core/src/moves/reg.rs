@@ -606,20 +606,25 @@ pub(crate) fn apply_value_exchange(
     true
 }
 
+/// Whether register `r` can hold every primal segment of `v`: at each
+/// step of the lifetime it is free or holds the value's own primal
+/// segment. R4's proposer, apply and preview share this test.
+pub(crate) fn value_fits(b: &Binding<'_>, v: ValueId, r: RegId) -> bool {
+    b.ctx.lifetimes.get(v).expect("stored").steps().iter().all(|&s| {
+        match b.reg_occupant(r, s) {
+            None => true,
+            Some((occ_v, occ_slot)) => occ_v == v && occ_slot == 0,
+        }
+    })
+}
+
 /// R4 — bind every (primal) segment of a value to one register.
 pub(crate) fn propose_value_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Option<Proposal> {
     let ctx = b.ctx;
     let v = *ctx.plan.storable.choose(rng)?;
-    let steps = ctx.lifetimes.get(v).expect("stored").steps();
-    let feasible = |b: &Binding<'_>, r: RegId| {
-        steps.iter().all(|&s| match b.reg_occupant(r, s) {
-            None => true,
-            Some((occ_v, occ_slot)) => occ_v == v && occ_slot == 0,
-        })
-    };
     let mut candidates = std::mem::take(&mut b.scratch.regs);
     candidates.clear();
-    candidates.extend(ctx.datapath.reg_ids().filter(|&r| feasible(b, r)));
+    candidates.extend(ctx.datapath.reg_ids().filter(|&r| value_fits(b, v, r)));
     let pick = candidates.choose(rng).copied();
     b.scratch.regs = candidates;
     let target = pick?;
@@ -630,14 +635,8 @@ pub(crate) fn propose_value_move(b: &mut Binding<'_>, rng: &mut StdRng) -> Optio
 }
 
 pub(crate) fn apply_value_move(b: &mut Binding<'_>, v: ValueId, target: RegId) -> bool {
-    let feasible = b.ctx.lifetimes.get(v).expect("stored").steps().iter().all(|&s| {
-        match b.reg_occupant(target, s) {
-            None => true,
-            Some((occ_v, occ_slot)) => occ_v == v && occ_slot == 0,
-        }
-    });
     let primal = b.primal(v).expect("stored value has a primal chain");
-    if !feasible || (primal.is_uniform() && primal.regs()[0] == target) {
+    if !value_fits(b, v, target) || (primal.is_uniform() && primal.regs()[0] == target) {
         return false;
     }
 

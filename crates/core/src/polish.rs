@@ -7,8 +7,8 @@
 //! rip-up-and-reallocate refinement the paper cites [Tsai & Hsu 12].
 //!
 //! Every sweep but the pass sweep builds a [`Proposal`] per candidate and
-//! decides it the way the search does ([`decide`]): R2, F2 and F3 are
-//! costed by the exact [`preview`] and applied only when they strictly
+//! decides it the way the search does ([`decide`]): R2, R4, F2 and F3
+//! are costed by the exact [`preview`] and applied only when they strictly
 //! improve; the other kinds are applied and rolled back when they do not.
 //! So polish shares the search's applies and needs no cost kernel of its
 //! own (DESIGN.md §17).
@@ -74,10 +74,10 @@ fn accept_or_rollback(binding: &mut Binding<'_>, weights: &CostWeights, best: &m
 }
 
 /// Decides one candidate as the search decides a move: a proposal the
-/// preview costs (R2, F2, F3) is applied only when it strictly improves on
-/// `best`; any other is applied and rolled back unless it does. A
-/// proposal whose apply refuses it is rejected either way, so the sweeps
-/// rest on the preview and the apply agreeing on feasibility.
+/// preview costs (R2, R4, F2, F3) is applied only when it strictly
+/// improves on `best`; any other is applied and rolled back unless it
+/// does. A proposal whose apply refuses it is rejected either way, so the
+/// sweeps rest on the preview and the apply agreeing on feasibility.
 fn decide(
     binding: &mut Binding<'_>,
     weights: &CostWeights,
@@ -135,7 +135,7 @@ fn sweep_operand_reversals(
 
 /// R4 over every (value, register) pair feasible for the whole lifetime.
 /// A target already holding the whole primal chain is no move, and its
-/// apply refuses it.
+/// preview and apply refuse it.
 fn sweep_value_moves(binding: &mut Binding<'_>, weights: &CostWeights, best: &mut u64) -> bool {
     let ctx = binding.ctx;
     let mut improved = false;

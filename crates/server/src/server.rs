@@ -21,11 +21,11 @@
 //! every client identical bytes from one entry, and pipelined clients
 //! get per-request correlation ids.
 //!
-//! Shutdown (via [`Server::begin_shutdown`] or the wire `shutdown`
-//! command) closes the queue: no new admissions, queued jobs still run
-//! to completion, workers exit when the queue drains, and the I/O loop
-//! exits once every outstanding reply is flushed; [`Server::join`]
-//! collects everything.
+//! Shutdown (via [`Server::begin_shutdown`], which also wakes the I/O
+//! loop, or the wire `shutdown` command) closes the queue: no new
+//! admissions, queued jobs still run to completion, workers exit when the
+//! queue drains, and the I/O loop exits once every outstanding reply is
+//! flushed; [`Server::join`] collects everything.
 
 use std::io;
 use std::net::SocketAddr;
@@ -219,6 +219,9 @@ impl Server {
     /// Idempotent; does not block.
     pub fn begin_shutdown(&self) {
         self.shared.begin_shutdown();
+        if let Some(net) = &self.net {
+            net.wake();
+        }
     }
 
     /// Waits for the service to exit: the I/O loop (which drains every

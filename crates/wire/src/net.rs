@@ -3,11 +3,19 @@
 //! A single I/O thread drives every connection through nonblocking
 //! sockets: accept, check the binary hello, buffer reads, split complete
 //! frames, dispatch them to an app handler, and flush queued responses —
-//! all from one readiness loop with a short (1 ms) idle tick. The std
-//! library has no portable readiness API, so the loop is a scan over the
-//! (small) connection registry with `WouldBlock` as the readiness
-//! signal; per iteration it does strictly bounded work per connection,
-//! and it only sleeps when a full pass made no progress.
+//! all from one readiness loop. The std library has no readiness API for
+//! sockets, so the loop is a scan over the (small) connection registry
+//! with `WouldBlock` as the readiness signal; per iteration it does
+//! strictly bounded work per connection.
+//!
+//! A pass that made no progress parks the thread. Work that starts on
+//! another thread ends the wait at once: a [`ReplyHandle`] completed off
+//! the I/O thread unparks it, and [`NetServer::wake`] does so for a
+//! shutdown. Bytes arriving on a socket cannot wake it, so the park has
+//! a timeout: 20 µs after a pass that made progress, doubling on each idle
+//! pass up to a 1 ms cap. A closed-loop client's next request is read
+//! tens of µs after its last reply, while an idle server wakes no more
+//! than once a millisecond. The schedule is a constant, not a setting.
 //!
 //! Responses flow through [`ReplyHandle`]s. A handler either replies
 //! synchronously (cache hits, stats, ping) or moves the
@@ -36,13 +44,17 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::frame::{self, Payload, MAGIC, MAX_FRAME, WIRE_VERSION};
 use crate::json::Json;
 
-/// Sleep between passes that made no progress.
-const TICK: Duration = Duration::from_millis(1);
+/// The idle wait after a pass that made progress; it doubles on each
+/// idle pass up to [`WAIT_MAX`].
+const WAIT_MIN: Duration = Duration::from_micros(20);
+/// The longest idle wait, and so the longest a read waits to be noticed.
+const WAIT_MAX: Duration = Duration::from_millis(1);
 
 /// Tuning for one [`NetServer`].
 pub struct NetConfig {
@@ -99,6 +111,8 @@ pub type Handler = Box<dyn FnMut(Json, ReplyHandle) + Send>;
 /// Completed replies queued by handles, drained by the I/O loop.
 struct Outbox {
     completed: Mutex<Vec<(u64, Arc<Payload>, bool)>>,
+    /// The I/O thread, unparked after each push.
+    io_thread: Thread,
 }
 
 /// The write side of one request slot. Send exactly one reply; dropping
@@ -125,6 +139,11 @@ impl ReplyHandle {
         self.sent = true;
         if let Some(outbox) = self.outbox.upgrade() {
             outbox.completed.lock().expect("outbox lock").push((self.seq, payload, close));
+            // A reply sent on the I/O thread itself is staged in the same
+            // pass; unparking there would only cut the next wait short.
+            if std::thread::current().id() != outbox.io_thread.id() {
+                outbox.io_thread.unpark();
+            }
         }
     }
 }
@@ -207,6 +226,14 @@ impl NetServer {
         Arc::clone(&self.metrics)
     }
 
+    /// Ends the I/O thread's idle wait, so it runs a pass now: call it
+    /// after setting the shutdown flag to start the drain at once.
+    pub fn wake(&self) {
+        if let Some(thread) = &self.thread {
+            thread.thread().unpark();
+        }
+    }
+
     /// Waits for the I/O loop to drain and exit (after shutdown).
     pub fn join(mut self) {
         if let Some(thread) = self.thread.take() {
@@ -218,6 +245,7 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -234,6 +262,8 @@ fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metri
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = 0u64;
     let mut scratch = vec![0u8; READ_CHUNK];
+    let io_thread = std::thread::current();
+    let mut wait = WAIT_MIN;
 
     loop {
         let mut progress = false;
@@ -264,7 +294,10 @@ fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metri
                                 wbuf: Vec::new(),
                                 slots: Vec::new(),
                                 next_seq: 0,
-                                outbox: Arc::new(Outbox { completed: Mutex::new(Vec::new()) }),
+                                outbox: Arc::new(Outbox {
+                                    completed: Mutex::new(Vec::new()),
+                                    io_thread: io_thread.clone(),
+                                }),
                                 last_activity: Instant::now(),
                                 closing: false,
                             },
@@ -302,8 +335,11 @@ fn io_loop(listener: TcpListener, config: NetConfig, mut handler: Handler, metri
             return;
         }
 
-        if !progress {
-            std::thread::sleep(TICK);
+        if progress {
+            wait = WAIT_MIN;
+        } else {
+            std::thread::park_timeout(wait);
+            wait = (wait * 2).min(WAIT_MAX);
         }
     }
 }
@@ -603,6 +639,69 @@ mod tests {
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(kind(&reply), Some("internal"), "{reply}");
         assert!(reply.get("message").and_then(Json::as_str).is_some(), "{reply}");
+    }
+
+    /// The median of `samples`, sorted in place.
+    fn median(samples: &mut [Duration]) -> Duration {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    }
+
+    /// A closed-loop client sends its next request a few µs after its last
+    /// reply, so the loop must be back on the socket within tens of µs,
+    /// not after a whole 1 ms idle wait.
+    #[test]
+    fn closed_loop_round_trips_skip_the_idle_wait() {
+        let server = echo_server(None);
+        let mut conn =
+            Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap();
+        let ping = parse_json(r#"{"cmd":"ping"}"#).unwrap();
+        let mut rtts: Vec<Duration> = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(conn.call(&ping).unwrap(), ping);
+                start.elapsed()
+            })
+            .collect();
+        let rtt = median(&mut rtts);
+        assert!(rtt < Duration::from_micros(500), "median round trip {rtt:?}");
+    }
+
+    /// A reply completed on another thread unparks the loop: it reaches
+    /// the client well inside the idle wait's 1 ms cap after `send`. The
+    /// reply delays vary so that `send` falls at every phase of the wait.
+    #[test]
+    fn deferred_replies_wake_the_loop() {
+        let (jobs, queue) = std::sync::mpsc::channel::<(u64, ReplyHandle)>();
+        let handler: Handler = Box::new(move |doc, handle| {
+            let delay = doc.get("delay_us").and_then(Json::as_i64).expect("delay") as u64;
+            jobs.send((delay, handle)).unwrap();
+        });
+        let sent: Arc<Mutex<Option<Instant>>> = Arc::default();
+        let sent_by_replier = Arc::clone(&sent);
+        let replier = std::thread::spawn(move || {
+            for (delay, handle) in queue {
+                std::thread::sleep(Duration::from_micros(delay));
+                *sent_by_replier.lock().unwrap() = Some(Instant::now());
+                handle.send(Arc::new(Payload::new(Json::Null)));
+            }
+        });
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handler).unwrap();
+        let mut conn =
+            Connection::connect(&server.local_addr().to_string(), Protocol::Binary).unwrap();
+        let mut extra: Vec<Duration> = (0..40u64)
+            .map(|i| {
+                let delay = 2000 + i * 379 % 1000;
+                let request = Json::Obj(vec![("delay_us".into(), Json::Int(delay as i64))]);
+                assert_eq!(conn.call(&request).unwrap(), Json::Null);
+                let received = Instant::now();
+                received - sent.lock().unwrap().expect("the reply was sent")
+            })
+            .collect();
+        drop(server);
+        replier.join().unwrap();
+        let delay = median(&mut extra);
+        assert!(delay < Duration::from_micros(250), "median delay after send {delay:?}");
     }
 
     #[test]
