@@ -35,25 +35,24 @@ use std::fmt;
 
 use salsa_alloc::{
     record_slot_trace, replay_trace, verify_binding, AllocContext, AllocError, Binding,
-    ImproveConfig, MoveTrace, ReplayCheck, TraceError,
+    ImproveConfig, MoveTrace, TraceError,
 };
 use salsa_datapath::Verdict;
 use salsa_wire::json::Json;
 
-/// Commits between cost cross-checks in `verify: sample` mode. Full mode
-/// checks every commit; sampling trades coverage for replay speed while
-/// still pinning the end-to-end costs and the final binding.
-pub const SAMPLE_STRIDE: usize = 16;
-
-/// How much verification a job asked for.
+/// How much verification a job asked for. `Sample` and `Full` run the
+/// same pipeline, replay cost-checked at every commit: re-running the
+/// chain dominates certification, so checking fewer commits saved
+/// nothing. Both spellings stay, and they stay distinct jobs, because the
+/// mode is part of the cache key and of the certificate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VerifyMode {
     /// No verification; the allocation lane replies directly.
     #[default]
     Off,
-    /// Replay with cost cross-checks every [`SAMPLE_STRIDE`] commits.
+    /// Certify the result; the same pipeline as `Full`.
     Sample,
-    /// Replay with a cost cross-check at every commit.
+    /// Certify the result.
     Full,
 }
 
@@ -74,16 +73,6 @@ impl VerifyMode {
             VerifyMode::Off => "off",
             VerifyMode::Sample => "sample",
             VerifyMode::Full => "full",
-        }
-    }
-
-    /// The replay check depth this mode runs at. `Off` never replays;
-    /// it maps to the cheapest check for callers that force a replay
-    /// anyway.
-    pub fn check(self) -> ReplayCheck {
-        match self {
-            VerifyMode::Full => ReplayCheck::Full,
-            _ => ReplayCheck::Sample(SAMPLE_STRIDE),
         }
     }
 }
@@ -162,8 +151,8 @@ pub struct Certification {
 
 /// Runs the full certification pipeline for one allocation result:
 /// record the winning slot's trace, check its final cost against
-/// `expected_cost` (the report's), replay it at `mode`'s check depth,
-/// compare the replayed binding bit-for-bit against the recorded one,
+/// `expected_cost` (the report's), replay it with a cost check at every
+/// commit, compare the replayed binding bit-for-bit against the recorded one,
 /// and symbolically verify the outcome.
 ///
 /// # Errors
@@ -178,7 +167,6 @@ pub fn certify(
     base_seed: u64,
     winner_slot: usize,
     expected_cost: u64,
-    mode: VerifyMode,
 ) -> Result<Certification, AuditError> {
     let (trace, recorded) = record_slot_trace(ctx, config, base_seed, winner_slot)?;
     if trace.final_cost != expected_cost {
@@ -187,7 +175,7 @@ pub fn certify(
             derived: trace.final_cost,
         });
     }
-    let replayed = replay_trace(ctx, config, &trace, mode.check())?;
+    let replayed = replay_trace(ctx, config, &trace)?;
     if replayed != recorded {
         return Err(AuditError::Diverged);
     }
@@ -196,8 +184,8 @@ pub fn certify(
     Ok(Certification { trace, verdict, commits })
 }
 
-/// The offline half of the pipeline: replay a decoded trace at full check
-/// depth, confirm its final cost equals `expected_cost`, and verify the
+/// The offline half of the pipeline: replay a decoded trace, cost-checked
+/// at every commit, confirm its final cost equals `expected_cost`, and verify the
 /// result symbolically. No search is run — this is the cheap path a bug
 /// report or a fault-injection test re-derives a result through.
 ///
@@ -217,7 +205,7 @@ pub fn replay_and_verify<'a>(
             derived: trace.final_cost,
         });
     }
-    let binding = replay_trace(ctx, config, trace, ReplayCheck::Full)?;
+    let binding = replay_trace(ctx, config, trace)?;
     let verdict = verify_binding(&binding);
     Ok((binding, verdict))
 }
@@ -321,15 +309,8 @@ mod tests {
         let outcome =
             portfolio_search(&ctx, &config, &PortfolioConfig::default(), 42, 2).unwrap();
 
-        let cert = certify(
-            &ctx,
-            &config,
-            42,
-            outcome.portfolio.winner_slot,
-            outcome.cost,
-            VerifyMode::Full,
-        )
-        .expect("certification pipeline succeeds");
+        let cert = certify(&ctx, &config, 42, outcome.portfolio.winner_slot, outcome.cost)
+            .expect("certification pipeline succeeds");
         assert!(cert.verdict.is_certified(), "winner verifies: {}", cert.verdict);
         assert!(cert.commits > 0);
 
@@ -341,8 +322,7 @@ mod tests {
 
         // A wrong reported cost is refused, not papered over.
         assert!(matches!(
-            certify(&ctx, &config, 42, outcome.portfolio.winner_slot, outcome.cost + 1,
-                VerifyMode::Sample),
+            certify(&ctx, &config, 42, outcome.portfolio.winner_slot, outcome.cost + 1),
             Err(AuditError::CostDisagreement { .. })
         ));
     }

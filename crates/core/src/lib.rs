@@ -79,6 +79,6 @@ pub use portfolio::{
 };
 pub use report::{portfolio_table, register_chart, report, unit_schedule};
 pub use moves::{MoveKind, MoveSet, Proposal};
-pub use trace::{record_slot_trace, replay_trace, MoveTrace, ReplayCheck, TraceError, TraceStep};
+pub use trace::{record_slot_trace, replay_trace, MoveTrace, TraceError, TraceStep};
 pub use transfer::TransferKey;
 pub use warm::WarmSpec;

@@ -172,16 +172,6 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// How strictly [`replay_trace`] cross-checks recorded costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayCheck {
-    /// Recompute and compare the weighted cost after every commit.
-    Full,
-    /// Recompute every `n`-th commit (clamped to at least 1); the
-    /// post-search and post-polish costs are always checked.
-    Sample(usize),
-}
-
 /// Re-runs one primary portfolio slot with move recording enabled and
 /// returns its trace together with the finished binding.
 ///
@@ -278,7 +268,8 @@ fn proposal_in_bounds(ctx: &AllocContext<'_>, p: &Proposal) -> bool {
 }
 
 /// Re-derives a binding move by move from a recorded trace,
-/// cross-checking the weighted cost against the recorded values, then
+/// cross-checking the weighted cost against the recorded value after
+/// every commit, then
 /// re-runs the deterministic polish sweep and checks the final cost.
 ///
 /// Only `config.weights` and `config.move_set` participate (for the cost
@@ -293,7 +284,6 @@ pub fn replay_trace<'a>(
     ctx: &'a AllocContext<'a>,
     config: &ImproveConfig,
     trace: &MoveTrace,
-    check: ReplayCheck,
 ) -> Result<Binding<'a>, TraceError> {
     let weights = &config.weights;
     let mut binding = initial_binding(ctx, config.warm.as_deref()).0;
@@ -304,13 +294,8 @@ pub fn replay_trace<'a>(
             actual: initial,
         });
     }
-    let stride = match check {
-        ReplayCheck::Full => 1,
-        ReplayCheck::Sample(n) => n.max(1),
-    };
     let mut best = binding.clone();
     let mut best_cost = initial;
-    let mut commits = 0usize;
     for (i, step) in trace.steps.iter().enumerate() {
         match *step {
             TraceStep::Commit { proposal, cost_after } => {
@@ -323,16 +308,9 @@ pub fn replay_trace<'a>(
                     return Err(TraceError::InfeasibleStep { step: i });
                 }
                 binding.commit();
-                commits += 1;
-                if commits.is_multiple_of(stride) {
-                    let actual = weighted_cost(weights, &binding);
-                    if actual != cost_after {
-                        return Err(TraceError::CostMismatch {
-                            step: i,
-                            expected: cost_after,
-                            actual,
-                        });
-                    }
+                let actual = weighted_cost(weights, &binding);
+                if actual != cost_after {
+                    return Err(TraceError::CostMismatch { step: i, expected: cost_after, actual });
                 }
                 // The engines' best-snapshot rule, verbatim: strict `<`
                 // immediately after each commit.
@@ -673,13 +651,8 @@ mod tests {
         let decoded = MoveTrace::decode(&trace.encode()).expect("canonical text decodes");
         assert_eq!(decoded, trace, "text encoding round-trips");
 
-        let replayed = replay_trace(ctx, config, &decoded, ReplayCheck::Full)
-            .expect("full-check replay succeeds");
+        let replayed = replay_trace(ctx, config, &decoded).expect("replay succeeds");
         assert!(replayed == outcome.binding, "replayed binding is the winner, bit-for-bit");
-
-        let sampled = replay_trace(ctx, config, &decoded, ReplayCheck::Sample(16))
-            .expect("sampled replay succeeds");
-        assert!(sampled == outcome.binding);
     }
 
     #[test]
@@ -714,7 +687,7 @@ mod tests {
         if let TraceStep::Commit { cost_after, .. } = &mut tampered.steps[idx] {
             *cost_after += 1;
         }
-        match replay_trace(&ctx, &config, &tampered, ReplayCheck::Full) {
+        match replay_trace(&ctx, &config, &tampered) {
             Err(TraceError::CostMismatch { step, .. }) => assert_eq!(step, idx),
             other => panic!("expected CostMismatch, got {other:?}"),
         }
@@ -722,7 +695,7 @@ mod tests {
         // A truncated stream fails the post-search cross-check.
         let mut truncated = trace.clone();
         truncated.steps.truncate(idx + 1);
-        match replay_trace(&ctx, &config, &truncated, ReplayCheck::Full) {
+        match replay_trace(&ctx, &config, &truncated) {
             Err(
                 TraceError::SearchedCostMismatch { .. } | TraceError::FinalCostMismatch { .. },
             ) => {}
@@ -733,7 +706,7 @@ mod tests {
         let mut foreign = trace.clone();
         foreign.initial_cost += 1;
         assert!(matches!(
-            replay_trace(&ctx, &config, &foreign, ReplayCheck::Full),
+            replay_trace(&ctx, &config, &foreign),
             Err(TraceError::InitialCostMismatch { .. })
         ));
 
@@ -750,7 +723,7 @@ mod tests {
                 },
             );
             assert!(matches!(
-                replay_trace(&ctx, &config, &foreign_move, ReplayCheck::Full),
+                replay_trace(&ctx, &config, &foreign_move),
                 Err(TraceError::InfeasibleStep { step: 0 })
             ));
         }
@@ -774,7 +747,7 @@ mod tests {
                     .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
                 assert!(
                     matches!(
-                        replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                        replay_trace(&ctx, &config, &tampered),
                         Err(TraceError::InfeasibleStep { step: 0 })
                     ),
                     "{proposal:?} on {} at ASAP+{slack}",
@@ -803,7 +776,7 @@ mod tests {
                 .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
             assert!(
                 matches!(
-                    replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                    replay_trace(&ctx, &config, &tampered),
                     Err(TraceError::InfeasibleStep { step: 0 })
                 ),
                 "`{token}` must be an infeasible step"
@@ -851,7 +824,7 @@ mod tests {
                 .insert(0, TraceStep::Commit { proposal, cost_after: trace.initial_cost });
             assert!(
                 matches!(
-                    replay_trace(ctx, config, &tampered, ReplayCheck::Full),
+                    replay_trace(ctx, config, &tampered),
                     Err(TraceError::InfeasibleStep { step: 0 })
                 ),
                 "`{token}` must be an infeasible step"
@@ -902,7 +875,7 @@ mod tests {
             tampered.steps.insert(at, TraceStep::Commit { proposal, cost_after: 0 });
             assert!(
                 matches!(
-                    replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                    replay_trace(&ctx, &config, &tampered),
                     Err(TraceError::InfeasibleStep { step }) if step == at
                 ),
                 "{proposal:?} must be an infeasible step"
@@ -934,7 +907,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+            replay_trace(&ctx, &config, &tampered),
             Err(TraceError::InfeasibleStep { step: 0 })
         ));
     }
@@ -966,7 +939,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    replay_trace(&ctx, &config, &foreign, ReplayCheck::Full),
+                    replay_trace(&ctx, &config, &foreign),
                     Err(TraceError::InfeasibleStep { step: 0 })
                 ),
                 "memory step {proposal:?} must be rejected on a scalar graph"
@@ -1029,7 +1002,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    replay_trace(&ctx, &config, &tampered, ReplayCheck::Full),
+                    replay_trace(&ctx, &config, &tampered),
                     Err(TraceError::InfeasibleStep { step: 0 })
                 ),
                 "corrupt memory step {proposal:?} must be rejected"

@@ -5,10 +5,11 @@
 //! [`plan_job`] is the one place the allocation setup is derived from
 //! `(graph, knobs)`: library, step count and force-directed schedule,
 //! and — through [`JobPlan::allocator`] — move set, seed, register
-//! headroom, restarts, threads, warm seed and `mem_moves`. The
-//! server's workers, the verifier lane, offline audit and the CLI all go
-//! through it, so every entry point prepares a job bit-identically by
-//! construction.
+//! headroom, restarts, warm seed and `mem_moves`. The server's workers,
+//! the verifier lane, offline audit and the CLI all go through it, so
+//! every entry point prepares a job bit-identically by construction. The
+//! worker cap is not a knob: [`JobPlan::run`] takes it beside the cancel
+//! token, as the execution of a job rather than its identity.
 
 use std::sync::Arc;
 
@@ -114,7 +115,8 @@ impl JobPlan {
 
     /// The allocator for this job over `graph` (the graph it was planned
     /// from), with every knob applied. `prepare` on it sizes the pool and
-    /// resolves the move set; `run` executes the whole job.
+    /// resolves the move set; `run` executes the whole job on the
+    /// machine's parallelism.
     pub fn allocator<'a>(&'a self, graph: &'a Cdfg, cancel: Option<CancelToken>) -> Allocator<'a> {
         let knobs = &self.knobs;
         let move_set = if knobs.traditional { MoveSet::traditional() } else { MoveSet::full() };
@@ -126,18 +128,42 @@ impl JobPlan {
             .restarts(knobs.restarts)
             .config(config)
             .mem_moves(knobs.mem_moves);
-        if let Some(threads) = knobs.threads {
-            allocator = allocator.threads(threads);
-        }
         if let Some(plan) = &self.compiled {
             allocator = allocator.compiled_plan(Arc::clone(plan));
         }
         allocator
     }
 
-    /// Runs the whole allocation, polling `cancel` cooperatively.
-    pub fn run(&self, graph: &Cdfg, cancel: Option<CancelToken>) -> Result<AllocResult, ServeError> {
-        self.allocator(graph, cancel).run().map_err(map_alloc_error)
+    /// Runs the whole allocation on up to `threads` portfolio workers
+    /// (`None` = the machine's parallelism), polling `cancel`
+    /// cooperatively. The result does not depend on `threads`.
+    pub fn run(
+        &self,
+        graph: &Cdfg,
+        cancel: Option<CancelToken>,
+        threads: Option<usize>,
+    ) -> Result<AllocResult, ServeError> {
+        let mut allocator = self.allocator(graph, cancel);
+        if let Some(threads) = threads {
+            allocator = allocator.threads(threads);
+        }
+        allocator.run().map_err(map_alloc_error)
+    }
+
+    /// Prepares the allocation environment this job runs under — the
+    /// context (pool and compiled plan) and the resolved improvement
+    /// configuration — and hands it to `f`. This is the audit seam: trace
+    /// recording and replay must happen against a bit-identical context
+    /// or the re-derived trajectory diverges from the one the report
+    /// describes. (The `AllocContext` borrows the schedule, so the
+    /// environment can only be lent downward, not returned.)
+    pub fn with_replay_env<R>(
+        &self,
+        graph: &Cdfg,
+        f: impl FnOnce(&AllocContext<'_>, &ImproveConfig) -> R,
+    ) -> Result<R, ServeError> {
+        let (ctx, config) = self.allocator(graph, None).prepare().map_err(map_alloc_error)?;
+        Ok(f(&ctx, &config))
     }
 
     /// The protocol report of `result`, a run of this job over `graph`.
@@ -146,15 +172,16 @@ impl JobPlan {
     }
 }
 
-/// Runs the allocation described by `knobs` on `graph`, polling `cancel`
-/// cooperatively, and returns the report object.
+/// Runs the allocation described by `knobs` on `graph` on the machine's
+/// parallelism, polling `cancel` cooperatively, and returns the report
+/// object.
 pub fn run_allocation(
     graph: &Cdfg,
     knobs: &Knobs,
     cancel: Option<CancelToken>,
 ) -> Result<Json, ServeError> {
     let job = plan_job(graph, knobs)?;
-    let result = job.run(graph, cancel)?;
+    let result = job.run(graph, cancel, None)?;
     Ok(job.report(graph, &result))
 }
 
@@ -169,12 +196,13 @@ pub fn map_alloc_error(e: AllocError) -> ServeError {
     }
 }
 
-/// Runs an allocation over an admission artifact: the schedule and the
-/// compiled move plan come from the artifact's derivation cache, so a
-/// repeat design pays neither force-directed scheduling nor plan
-/// compilation again. Returns the report *and* the winner's context-free
-/// binding image — the serving layer banks the latter in its seed index
-/// to warm-start future near-duplicate jobs.
+/// Runs an allocation over an admission artifact on up to `threads`
+/// portfolio workers: the schedule and the compiled move plan come from
+/// the artifact's derivation cache, so a repeat design pays neither
+/// force-directed scheduling nor plan compilation again. Returns the
+/// report *and* the winner's context-free binding image — the serving
+/// layer banks the latter in its seed index to warm-start future
+/// near-duplicate jobs.
 ///
 /// Result-identical to [`run_allocation`]: the cached schedule is the
 /// same pure function of `(graph, knobs)`, and compiled plans never
@@ -183,33 +211,17 @@ pub fn run_artifact(
     artifact: &AdmissionArtifact,
     knobs: &Knobs,
     cancel: Option<CancelToken>,
+    threads: Option<usize>,
 ) -> Result<(Json, BindingParts), ServeError> {
     let job = artifact.plan(knobs)?;
-    let result = job.run(&artifact.graph, cancel)?;
+    let result = job.run(&artifact.graph, cancel, threads)?;
     Ok((job.report(&artifact.graph, &result), result.winner))
-}
-
-/// Prepares the allocation environment a job runs under — the context
-/// (pool and compiled plan) and the resolved improvement configuration,
-/// exactly as [`run_allocation`] prepares them — and hands it to `f`.
-/// This is the audit seam: trace recording and replay must happen
-/// against a bit-identical context or the re-derived trajectory diverges
-/// from the one the report describes. (The `AllocContext` borrows the
-/// schedule, so the environment can only be lent downward, not
-/// returned.)
-pub fn with_replay_env<R>(
-    graph: &Cdfg,
-    knobs: &Knobs,
-    f: impl FnOnce(&AllocContext<'_>, &ImproveConfig) -> R,
-) -> Result<R, ServeError> {
-    let job = plan_job(graph, knobs)?;
-    let (ctx, config) = job.allocator(graph, None).prepare().map_err(map_alloc_error)?;
-    Ok(f(&ctx, &config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::canonicalize_report;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -279,7 +291,7 @@ mod tests {
         // The cache-soundness property, exercised end to end: same design
         // + same knobs ⇒ byte-identical report apart from timing, and in
         // particular identical cost/breakdown.
-        let knobs = Knobs { restarts: 2, threads: Some(2), ..Knobs::default() };
+        let knobs = Knobs { restarts: 2, ..Knobs::default() };
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
         let a = run_allocation(&graph, &knobs, None).unwrap();
         let b = run_allocation(&graph, &knobs, None).unwrap();
@@ -298,8 +310,30 @@ mod tests {
     }
 
     #[test]
+    fn canonical_reports_do_not_depend_on_the_thread_cap() {
+        // The worker cap is how a job runs, not what it is: the full
+        // report records it, the canonical form (what caches, verdicts
+        // and audit compare) is the same bytes at any cap.
+        let graph = resolve_graph(&GraphSource::Bench("dct".into())).unwrap();
+        let knobs = Knobs { steps: Some(10), seed: 42, restarts: 4, ..Knobs::default() };
+        let job = plan_job(&graph, &knobs).unwrap();
+        let canonical: Vec<String> = [1, 2, 3]
+            .into_iter()
+            .map(|threads| {
+                let result = job.run(&graph, None, Some(threads)).unwrap();
+                assert_eq!(result.portfolio.threads, threads);
+                let mut report = job.report(&graph, &result);
+                canonicalize_report(&mut report);
+                report.to_string_compact()
+            })
+            .collect();
+        assert_eq!(canonical[0], canonical[1]);
+        assert_eq!(canonical[0], canonical[2]);
+    }
+
+    #[test]
     fn expired_deadline_yields_timeout_not_panic() {
-        let knobs = Knobs { restarts: 4, threads: Some(1), ..Knobs::default() };
+        let knobs = Knobs { restarts: 4, ..Knobs::default() };
         let graph = resolve_graph(&GraphSource::Bench("ewf".into())).unwrap();
         // A deadline already in the past: the search must bail out at its
         // first poll with Cancelled, mapped to a timeout error.

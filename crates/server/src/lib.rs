@@ -61,14 +61,11 @@ pub mod verifier;
 
 pub use admission::{AdmissionArtifact, AdmissionCache};
 pub use cache::ResultCache;
-pub use exec::{
-    map_alloc_error, plan_job, resolve_graph, run_allocation, run_artifact, with_replay_env,
-    JobPlan,
-};
+pub use exec::{map_alloc_error, plan_job, resolve_graph, run_allocation, run_artifact, JobPlan};
 pub use json::{parse_json, Json, JsonError};
 pub use protocol::{
-    cache_key, knobs_from_json, knobs_to_json, ok_response_keyed, parse_command, AllocRequest,
-    Command, ErrorKind, GraphSource, Knobs, ReallocRequest, ServeError,
+    cache_key, check_threads, knobs_from_json, knobs_to_json, ok_response_keyed, parse_command,
+    AllocRequest, Command, ErrorKind, GraphSource, Knobs, ReallocRequest, ServeError,
 };
 pub use similarity::{build_warm_spec, SeedEntry, SeedIndex, Sketch};
 pub use queue::{JobQueue, PushError};

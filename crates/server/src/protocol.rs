@@ -74,8 +74,10 @@ pub enum GraphSource {
     Text(String),
 }
 
-/// Search knobs. Every field participates in the cache key: two requests
-/// with any knob differing are different jobs.
+/// Search knobs: the job's identity. Every field participates in the
+/// cache key, so two requests with any knob differing are different jobs.
+/// How a job is executed (`threads`, `timeout_ms`) lives on the
+/// [`AllocRequest`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Knobs {
     /// Schedule length (control steps); `None` = as-soon-as-possible.
@@ -86,8 +88,6 @@ pub struct Knobs {
     pub seed: u64,
     /// Independent restart chains.
     pub restarts: usize,
-    /// Portfolio worker cap; `None` = machine parallelism.
-    pub threads: Option<usize>,
     /// Use the pipelined functional-unit library.
     pub pipelined: bool,
     /// Restrict to the traditional (pre-SALSA) move set.
@@ -118,7 +118,6 @@ impl Default for Knobs {
             extra_regs: 0,
             seed: 42,
             restarts: 1,
-            threads: None,
             pipelined: false,
             traditional: false,
             mem_moves: true,
@@ -128,13 +127,18 @@ impl Default for Knobs {
     }
 }
 
-/// An allocation request: the design, the knobs, and the deadline.
+/// An allocation request: the design, the knobs, and how to execute
+/// them (worker cap and deadline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocRequest {
     /// The design to allocate.
     pub source: GraphSource,
     /// Search configuration (all cache-keyed).
     pub knobs: Knobs,
+    /// Portfolio worker cap (at least 1, at most [`MAX_THREADS`]); `None`
+    /// = machine parallelism. Not part of the cache key — every restart
+    /// chain runs to completion, so the result is the same at any count.
+    pub threads: Option<usize>,
     /// Per-job deadline in milliseconds; `None` = the server default.
     /// Not part of the cache key — the result of a completed job does
     /// not depend on how long it was allowed to take.
@@ -406,7 +410,21 @@ fn parse_alloc_request(obj: &Json) -> Result<AllocRequest, ServeError> {
     };
     reject_removed_knobs(obj)?;
     let knobs = knobs_from_json(obj)?;
-    Ok(AllocRequest { source, knobs, timeout_ms: field_u64(obj, "timeout_ms")? })
+    let threads = field_u64(obj, "threads")?.map(|t| (t as usize).max(1));
+    check_threads(threads)?;
+    Ok(AllocRequest { source, knobs, threads, timeout_ms: field_u64(obj, "timeout_ms")? })
+}
+
+/// Rejects a worker cap above [`MAX_THREADS`]. Applied to every parsed
+/// request's `threads` and to the CLI's `--threads`.
+pub fn check_threads(threads: Option<usize>) -> Result<(), ServeError> {
+    match threads {
+        Some(t) if t > MAX_THREADS => Err(ServeError::new(
+            ErrorKind::BadRequest,
+            format!("'threads' must be at most {MAX_THREADS}"),
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Parses the knob fields out of a request-shaped object (unset fields
@@ -419,7 +437,6 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
         extra_regs: field_u64(obj, "extra_regs")?.map(|e| e as usize).unwrap_or(0),
         seed: field_u64(obj, "seed")?.unwrap_or(42),
         restarts: field_u64(obj, "restarts")?.map(|r| r as usize).unwrap_or(1),
-        threads: field_u64(obj, "threads")?.map(|t| (t as usize).max(1)),
         pipelined: field_bool(obj, "pipelined")?,
         traditional: field_bool(obj, "traditional")?,
         // Unlike the other booleans, absent means *true*.
@@ -454,7 +471,7 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
 impl Knobs {
     /// Rejects knobs outside the ranges a job may ask for: `steps` in
     /// `1..=MAX_STEPS`, `extra_regs` up to [`MAX_EXTRA_REGS`], `restarts`
-    /// in `1..=MAX_RESTARTS` and `threads` up to [`MAX_THREADS`].
+    /// in `1..=MAX_RESTARTS`.
     /// [`knobs_from_json`] applies it to every parsed request, and the CLI
     /// to the knobs its flags spell.
     pub fn check_bounds(&self) -> Result<(), ServeError> {
@@ -468,9 +485,6 @@ impl Knobs {
         if self.restarts == 0 || self.restarts > MAX_RESTARTS {
             return bad(format!("'restarts' must be in 1..={MAX_RESTARTS}"));
         }
-        if self.threads.is_some_and(|t| t > MAX_THREADS) {
-            return bad(format!("'threads' must be at most {MAX_THREADS}"));
-        }
         Ok(())
     }
 }
@@ -479,16 +493,13 @@ impl Knobs {
 /// of [`knobs_from_json`]: unset options are omitted, and the rendering
 /// round-trips exactly.
 pub fn knobs_to_json(knobs: &Knobs) -> Json {
-    let mut pairs = Vec::with_capacity(9);
+    let mut pairs = Vec::with_capacity(8);
     if let Some(steps) = knobs.steps {
         pairs.push(("steps", Json::Int(steps as i64)));
     }
     pairs.push(("extra_regs", Json::Int(knobs.extra_regs as i64)));
     pairs.push(("seed", Json::Int(knobs.seed as i64)));
     pairs.push(("restarts", Json::Int(knobs.restarts as i64)));
-    if let Some(threads) = knobs.threads {
-        pairs.push(("threads", Json::Int(threads as i64)));
-    }
     if knobs.pipelined {
         pairs.push(("pipelined", Json::Bool(true)));
     }
@@ -541,7 +552,7 @@ mod tests {
         assert_eq!(alloc.knobs.steps, Some(17));
         assert_eq!(alloc.knobs.seed, 7);
         assert_eq!(alloc.knobs.restarts, 4);
-        assert_eq!(alloc.knobs.threads, Some(2));
+        assert_eq!(alloc.threads, Some(2));
         assert_eq!(alloc.knobs.extra_regs, 1);
         assert!(alloc.knobs.pipelined);
         assert!(alloc.knobs.traditional);
@@ -557,6 +568,7 @@ mod tests {
         };
         assert_eq!(alloc.knobs, Knobs::default());
         assert_eq!(alloc.knobs.seed, 42);
+        assert_eq!(alloc.threads, None);
         assert_eq!(alloc.timeout_ms, None);
         // The removed knobs' spellings that select today's behaviour
         // still parse, to the defaults.
@@ -590,6 +602,10 @@ mod tests {
             // Rejected at parse: no worker thread starts.
             (
                 r#"{"cmd":"allocate","bench":"ewf","restarts":4096,"threads":4096}"#,
+                "'threads' must be at most 64",
+            ),
+            (
+                r#"{"cmd":"reallocate","base":"ab","bench":"ewf","threads":65}"#,
                 "'threads' must be at most 64",
             ),
             (r#"{"cmd":"allocate","bench":"ewf","seed":-3}"#, "seed"),
@@ -640,7 +656,6 @@ mod tests {
             Knobs { extra_regs: 1, ..base.clone() },
             Knobs { seed: 43, ..base.clone() },
             Knobs { restarts: 2, ..base.clone() },
-            Knobs { threads: Some(2), ..base.clone() },
             Knobs { pipelined: true, ..base.clone() },
             Knobs { traditional: true, ..base.clone() },
             Knobs { mem_moves: false, ..base.clone() },
@@ -663,13 +678,29 @@ mod tests {
     }
 
     #[test]
+    fn thread_caps_do_not_separate_cache_keys() {
+        // `threads` is an execution hint on the request, not a knob: the
+        // same job sent under any cap (or none) has one key.
+        let text = "cdfg t\ninput x\nop y = add x x\noutput y\n";
+        let mut keys = Vec::new();
+        for threads in ["", r#","threads":1"#, r#","threads":2"#, r#","threads":64"#] {
+            let raw = format!(r#"{{"cmd":"allocate","cdfg":"x","restarts":4{threads}}}"#);
+            let Ok(Command::Allocate(alloc)) = parse_command(&parse_json(&raw).unwrap()) else {
+                panic!("{raw} should parse")
+            };
+            keys.push(cache_key(text, &alloc.knobs));
+        }
+        assert!(keys.windows(2).all(|w| w[0] == w[1]), "{keys:x?}");
+        assert!(!knobs_to_json(&Knobs::default()).to_string_compact().contains("threads"));
+    }
+
+    #[test]
     fn knobs_roundtrip_through_their_wire_spelling() {
         let full = Knobs {
             steps: Some(17),
             extra_regs: 1,
             seed: 7,
             restarts: 4,
-            threads: Some(2),
             pipelined: true,
             traditional: true,
             mem_moves: false,

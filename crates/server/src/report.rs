@@ -4,8 +4,9 @@
 //! terminal.
 //!
 //! Key order is fixed (insertion-ordered objects), so serializing the
-//! same result twice yields the same bytes except for the timing fields,
-//! which measure the run that produced them.
+//! same result twice yields the same bytes except for the fields that
+//! measure the run that produced them: the timings and the portfolio's
+//! worker count and speedup.
 
 use salsa_alloc::AllocResult;
 use salsa_cdfg::Cdfg;
@@ -97,23 +98,29 @@ pub fn report_json(graph: &Cdfg, schedule: &Schedule, seed: u64, result: &AllocR
     Json::obj(pairs)
 }
 
-/// Zeroes the wall-clock fields of a report — `search.elapsed_ms`,
-/// `search.moves_per_sec`, `portfolio.speedup`, and
-/// `certificate.verify_ms` — in place.
+/// Puts a report in canonical form, in place: zeroes the wall-clock
+/// fields `search.elapsed_ms`, `search.moves_per_sec` and
+/// `certificate.verify_ms`, and drops `portfolio.threads` and
+/// `portfolio.speedup`.
 ///
 /// Everything else in a report is deterministic in `(design, knobs)`;
-/// only these three measure the run that produced them. The byte-exact
-/// contract (`threads(1)` ≡ sequential, any thread count ≡ the same
-/// winner), the CI report diffs and the golden reports compare
-/// reports in this canonical form. Accepts either a bare report object
-/// or a full `{"status":"ok","report":{...}}` response.
+/// only these fields measure the run that produced them, and the worker
+/// count is an execution hint, not a knob. The canonical form is
+/// therefore the same at any thread count; the byte-exact contract, the
+/// CI report diffs, the golden reports, the verdict fingerprint and
+/// offline audit compare reports in it. Accepts either a bare report
+/// object or a full `{"status":"ok","report":{...}}` response.
 pub fn canonicalize_report(json: &mut Json) {
     if let Json::Obj(pairs) = json {
         for (key, value) in pairs.iter_mut() {
             match key.as_str() {
                 "report" => canonicalize_report(value),
                 "search" => zero_fields(value, &["elapsed_ms", "moves_per_sec"]),
-                "portfolio" => zero_fields(value, &["speedup"]),
+                "portfolio" => {
+                    if let Json::Obj(fields) = value {
+                        fields.retain(|(k, _)| k != "threads" && k != "speedup");
+                    }
+                }
                 "certificate" => zero_fields(value, &["verify_ms"]),
                 _ => {}
             }
@@ -179,17 +186,19 @@ mod tests {
             report_json(&graph, &schedule, 3, &result).to_string_compact()
         );
 
-        // Canonicalization zeroes exactly the wall-clock fields, whether
-        // the report is bare or wrapped in an ok response.
+        // Canonicalization zeroes exactly the wall-clock fields and
+        // drops the worker count and speedup, whether the report is bare
+        // or wrapped in an ok response.
         let mut bare = json.clone();
         canonicalize_report(&mut bare);
         let search = bare.get("search").unwrap();
         assert_eq!(search.get("elapsed_ms"), Some(&Json::Float(0.0)));
         assert_eq!(search.get("moves_per_sec"), Some(&Json::Float(0.0)));
-        assert_eq!(
-            bare.get("portfolio").and_then(|p| p.get("speedup")),
-            Some(&Json::Float(0.0))
-        );
+        let portfolio = bare.get("portfolio").unwrap();
+        assert_eq!(portfolio.get("threads"), None);
+        assert_eq!(portfolio.get("speedup"), None);
+        assert!(json.get("portfolio").unwrap().get("threads").is_some());
+        assert_eq!(portfolio.get("winner_slot"), json.get("portfolio").unwrap().get("winner_slot"));
         assert_eq!(search.get("trials"), json.get("search").unwrap().get("trials"));
         let mut wrapped = crate::protocol::ok_response(json.clone());
         canonicalize_report(&mut wrapped);

@@ -44,8 +44,8 @@ use crate::cache::ResultCache;
 use crate::exec::run_artifact;
 use crate::json::Json;
 use crate::protocol::{
-    cache_key, error_response, ok_response_keyed, parse_command, rejected_response, Command,
-    ErrorKind, Knobs, ServeError,
+    cache_key, error_response, ok_response_keyed, parse_command, rejected_response, AllocRequest,
+    Command, ErrorKind, Knobs, ServeError,
 };
 use crate::queue::{JobQueue, PushError};
 use crate::similarity::{build_warm_spec, SeedEntry, SeedIndex};
@@ -101,12 +101,14 @@ impl Default for ServerConfig {
 
 /// One queued allocation job. The design is admitted (artifact resolved,
 /// warm seed attached, cache consulted) at dispatch, so workers only
-/// ever see well-formed work. The reply handle completes the originating
-/// request on its connection.
+/// ever see well-formed work. `threads` and `deadline` say how to run
+/// it, not what it is: neither is in `key`. The reply handle completes
+/// the originating request on its connection.
 struct Job {
     artifact: Arc<crate::admission::AdmissionArtifact>,
     knobs: Knobs,
     key: u128,
+    threads: Option<usize>,
     deadline: Option<Instant>,
     accepted_at: Instant,
     reply: ReplyHandle,
@@ -279,19 +281,9 @@ fn dispatch(shared: &Arc<Shared>, request: Json, handle: ReplyHandle) {
                 ("shutting_down", Json::Bool(true)),
             ])));
         }
-        Command::Allocate(request) => {
-            handle_allocate(shared, request.source, request.knobs, request.timeout_ms, None, handle)
-        }
+        Command::Allocate(request) => handle_allocate(shared, request, None, handle),
         Command::Reallocate(realloc) => {
-            let request = realloc.request;
-            handle_allocate(
-                shared,
-                request.source,
-                request.knobs,
-                request.timeout_ms,
-                Some(realloc.base),
-                handle,
-            )
+            handle_allocate(shared, realloc.request, Some(realloc.base), handle)
         }
         Command::Trace(id) => {
             // The verdict cache keeps no trace text: the artifact is
@@ -321,12 +313,11 @@ fn dispatch(shared: &Arc<Shared>, request: Json, handle: ReplyHandle) {
 
 fn handle_allocate(
     shared: &Arc<Shared>,
-    source: crate::protocol::GraphSource,
-    mut knobs: Knobs,
-    timeout_ms: Option<u64>,
+    request: AllocRequest,
     base: Option<u128>,
     handle: ReplyHandle,
 ) {
+    let AllocRequest { source, mut knobs, threads, timeout_ms } = request;
     if shared.shutting_down() {
         let err = ServeError::new(ErrorKind::ShuttingDown, "server is draining; not accepting jobs");
         handle.send(payload(error_response(&err)));
@@ -390,7 +381,8 @@ fn handle_allocate(
     let deadline = timeout_ms
         .or(shared.config.default_timeout_ms)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let job = Job { artifact, knobs, key, deadline, accepted_at: Instant::now(), reply: handle };
+    let job =
+        Job { artifact, knobs, key, threads, deadline, accepted_at: Instant::now(), reply: handle };
     match shared.queue.try_push(job) {
         Ok(()) => shared.stats.record_accepted(),
         Err(PushError::Full(job)) => {
@@ -517,7 +509,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn process_job(shared: &Arc<Shared>, job: Job) {
     let cancel = job.deadline.map(CancelToken::with_deadline);
-    let outcome = run_artifact(&job.artifact, &job.knobs, cancel);
+    let outcome = run_artifact(&job.artifact, &job.knobs, cancel, job.threads);
     let latency = job.accepted_at.elapsed();
     let body = match outcome {
         Ok((report, winner)) => {
@@ -611,7 +603,7 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
 
     let (entry, provenance) = match shared.verdicts.get(fingerprint) {
         Some(hit) => (hit, "hit"),
-        None => match certify_job(&job.artifact.graph, &job.knobs, &job.report) {
+        None => match certify_job(&job.artifact, &job.knobs, &job.report) {
             Ok((cert, artifact)) => {
                 let verify_ms = started.elapsed().as_secs_f64() * 1e3;
                 let entry = Arc::new(CertEntry {
@@ -725,12 +717,15 @@ mod tests {
             Some(canonical.to_string_compact().as_str())
         );
 
-        // A result-invariant knob change (a thread cap of 3 against 2 on
-        // two restarts: both run two workers) is a fresh job but the same
-        // result: the verdict comes from the cache.
+        // A result-invariant knob change (`steps` spelled as the ASAP
+        // length it defaults to) is a fresh job but the same result: the
+        // verdict comes from the cache.
         let replayed = roundtrip(
             &mut conn,
-            r#"{"cmd":"allocate","bench":"paper_example","restarts":2,"threads":3,"verify":"full"}"#,
+            &format!(
+                r#"{{"cmd":"allocate","bench":"paper_example","steps":{},"restarts":2,"verify":"full"}}"#,
+                asap_steps("paper_example")
+            ),
         );
         let cert2 = replayed.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert2.get("cache").and_then(Json::as_str), Some("hit"));
@@ -750,17 +745,47 @@ mod tests {
         server.shutdown();
     }
 
+    /// The ASAP length `steps` defaults to for a built-in benchmark.
+    fn asap_steps(bench: &str) -> usize {
+        let graph = crate::exec::resolve_graph(&crate::protocol::GraphSource::Bench(bench.into()))
+            .unwrap();
+        crate::exec::plan_job(&graph, &Knobs::default()).unwrap().knobs().steps.unwrap()
+    }
+
+    #[test]
+    fn thread_caps_share_one_result_cache_entry() {
+        // `threads` says how to run a job, not which job it is: the same
+        // job under another cap is answered from the result cache, byte
+        // for byte, and certified once.
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut conn = connect(&server);
+        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"threads":2,"seed":5,"verify":"sample"}"#;
+        let first = roundtrip(&mut conn, request);
+        let cert = first.get("report").and_then(|r| r.get("certificate")).unwrap();
+        assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
+        let second = roundtrip(&mut conn, &request.replace(r#""threads":2"#, r#""threads":3"#));
+        assert_eq!(second.to_string_compact(), first.to_string_compact());
+        let stats = roundtrip(&mut conn, r#"{"cmd":"stats"}"#);
+        let body = stats.get("stats").unwrap();
+        assert_eq!(body.get("cache").and_then(|c| c.get("hits")).and_then(Json::as_u64), Some(1));
+        assert_eq!(body.get("completed").and_then(Json::as_u64), Some(1));
+        let verifier = body.get("verifier").unwrap();
+        assert_eq!(verifier.get("verified").and_then(Json::as_u64), Some(1));
+        server.shutdown();
+    }
+
     #[test]
     fn trace_after_a_verdict_cache_hit_replays() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut conn = connect(&server);
-        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"threads":2,"seed":9,"verify":"sample"}"#;
+        let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"seed":9,"verify":"sample"}"#;
         let first = roundtrip(&mut conn, request);
         let cert = first.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert.get("cache").and_then(Json::as_str), Some("miss"));
-        // Two restarts run two workers under a cap of 2 or 3: a fresh job
+        // `steps` spelled as the ASAP length it defaults to: a fresh job
         // with the same result, so the verdict comes from the cache.
-        let second = roundtrip(&mut conn, &request.replace(r#""threads":2"#, r#""threads":3"#));
+        let explicit = format!(r#""steps":{},"restarts":2"#, asap_steps("diffeq"));
+        let second = roundtrip(&mut conn, &request.replace(r#""restarts":2"#, &explicit));
         let cert = second.get("report").and_then(|r| r.get("certificate")).unwrap();
         assert_eq!(cert.get("cache").and_then(Json::as_str), Some("hit"));
         let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap();
@@ -773,11 +798,12 @@ mod tests {
         assert_eq!(crate::verifier::trace_id_hex(trace.fingerprint()), trace_id);
         let graph = salsa_cdfg::parse_cdfg(&artifact.design).unwrap();
         let knobs = crate::protocol::knobs_from_json(&artifact.knobs).unwrap();
-        let replayed = crate::exec::with_replay_env(&graph, &knobs, |ctx, config| {
-            salsa_alloc::replay_trace(ctx, config, &trace, salsa_alloc::ReplayCheck::Full)
-                .map(|binding| binding.breakdown())
-        })
-        .unwrap();
+        let job = crate::exec::plan_job(&graph, &knobs).unwrap();
+        let replayed = job
+            .with_replay_env(&graph, |ctx, config| {
+                salsa_alloc::replay_trace(ctx, config, &trace).map(|binding| binding.breakdown())
+            })
+            .unwrap();
         assert!(replayed.is_ok(), "the served trace replays: {replayed:?}");
         assert_eq!(trace.final_cost, artifact.cost);
         server.shutdown();

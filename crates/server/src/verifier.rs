@@ -16,11 +16,8 @@
 //! mode)` — beside the existing result cache. Two jobs whose knobs
 //! differ only in result-invariant ways produce the same canonical report
 //! and therefore share one verdict: the second certification is a cache
-//! hit, recorded in the certificate's `cache` field. The worker count is
-//! in the canonical report (`portfolio.threads`), so only thread caps at
-//! or above the restart count, which all run one worker per chain,
-//! collapse. Each cached entry also
-//! keeps what the portable [`TraceArtifact`] envelope is made from — the
+//! hit, recorded in the certificate's `cache` field. Each cached entry
+//! also keeps what the portable [`TraceArtifact`] envelope is made from — the
 //! shared admission artifact, the knobs, the winning slot, the cost and
 //! the canonical report — but not the trace text, which for a long
 //! search is hundreds of kilobytes. The wire `trace` command therefore
@@ -33,12 +30,11 @@ use std::time::Instant;
 
 use salsa_alloc::{record_slot_trace, MoveTrace};
 use salsa_audit::{certify, Certification, TraceArtifact, VerifyMode};
-use salsa_cdfg::{fnv1a_128, Cdfg};
+use salsa_cdfg::fnv1a_128;
 use salsa_wire::net::ReplyHandle;
 
 use crate::admission::AdmissionArtifact;
 use crate::cache::FifoCache;
-use crate::exec::with_replay_env;
 use crate::json::Json;
 use crate::protocol::{knobs_to_json, ErrorKind, Knobs, ServeError};
 use crate::report::canonicalize_report;
@@ -69,9 +65,8 @@ pub struct VerifyJob {
 /// for the same reason the result cache is — both inputs are
 /// deterministic in `(design, knobs)` — but deliberately *coarser* than
 /// the result-cache key: knobs that never change the canonical report
-/// collapse onto one fingerprint. The worker count is in that report, so
-/// of the thread caps only those at or above the restart count (one
-/// worker per chain either way) collapse.
+/// (`steps` omitted and the explicit ASAP length, say) collapse onto one
+/// fingerprint.
 pub fn result_fingerprint(canonical_text: &str, canonical_report: &str, mode: VerifyMode) -> u128 {
     let mut keyed =
         String::with_capacity(canonical_text.len() + canonical_report.len() + 16);
@@ -142,7 +137,8 @@ impl CertEntry {
     /// re-run fails or its trace fingerprint differs from
     /// [`trace_id`](Self::trace_id).
     pub fn trace_artifact(&self) -> Result<TraceArtifact, ServeError> {
-        let trace = with_replay_env(&self.admission.graph, &self.knobs, |ctx, config| {
+        let job = self.admission.plan(&self.knobs)?;
+        let trace = job.with_replay_env(&self.admission.graph, |ctx, config| {
             record_slot_trace(ctx, config, self.knobs.seed, self.slot).map(|(trace, _)| trace)
         })?
         .map_err(|e| ServeError::new(ErrorKind::Audit, format!("re-recording the trace: {e}")))?;
@@ -229,9 +225,10 @@ pub fn set_cache_provenance(certificate: &mut Json, provenance: &str) {
 }
 
 /// Runs the certification pipeline for one completed job: rebuild the
-/// allocation environment, record the winning slot's trace, replay it at
-/// the requested depth, verify symbolically, and package the portable
-/// artifact. Pure in `(graph, knobs, report)`.
+/// allocation environment from the admission artifact's cached plan (no
+/// second schedule or plan compile), record the winning slot's trace,
+/// replay it with a cost check at every commit, verify symbolically, and
+/// package the portable artifact. Pure in `(design, knobs, report)`.
 ///
 /// # Errors
 ///
@@ -240,7 +237,7 @@ pub fn set_cache_provenance(certificate: &mut Json, provenance: &str) {
 /// (re-run, replay, bit-for-bit comparison) breaks. A *refuted* symbolic
 /// verdict is not an error — it is carried in the certificate.
 pub fn certify_job(
-    graph: &Cdfg,
+    admission: &AdmissionArtifact,
     knobs: &Knobs,
     report: &Json,
 ) -> Result<(Certification, TraceArtifact), ServeError> {
@@ -256,15 +253,17 @@ pub fn certify_job(
             ServeError::new(ErrorKind::Audit, "report has no 'portfolio.winner_slot' to replay")
         })? as usize;
 
-    let cert = with_replay_env(graph, knobs, |ctx, config| {
-        certify(ctx, config, knobs.seed, slot, cost, knobs.verify)
-    })?
-    .map_err(|e| ServeError::new(ErrorKind::Audit, e.to_string()))?;
+    let job = admission.plan(knobs)?;
+    let cert = job
+        .with_replay_env(&admission.graph, |ctx, config| {
+            certify(ctx, config, knobs.seed, slot, cost)
+        })?
+        .map_err(|e| ServeError::new(ErrorKind::Audit, e.to_string()))?;
 
     let mut canonical = report.clone();
     canonicalize_report(&mut canonical);
     let artifact = assemble_artifact(
-        graph.canonical_text(),
+        admission.canonical_text.clone(),
         knobs,
         slot,
         &cert.trace,
@@ -277,7 +276,7 @@ pub fn certify_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{resolve_graph, run_allocation};
+    use crate::exec::{resolve_graph, run_artifact};
     use crate::protocol::{cache_key, GraphSource};
 
     #[test]
@@ -347,17 +346,14 @@ mod tests {
     #[test]
     fn certify_job_certifies_a_real_report_and_result_invariant_knobs_share_a_fingerprint() {
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
-        let knobs = Knobs {
-            restarts: 2,
-            threads: Some(2),
-            verify: VerifyMode::Full,
-            ..Knobs::default()
-        };
-        let report = run_allocation(&graph, &knobs, None).unwrap();
-        let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
+        let admission = AdmissionArtifact::new(graph);
+        let knobs = Knobs { restarts: 2, verify: VerifyMode::Full, ..Knobs::default() };
+        let (report, _) = run_artifact(&admission, &knobs, None, Some(2)).unwrap();
+        let (cert, artifact) = certify_job(&admission, &knobs, &report).unwrap();
         assert!(cert.verdict.is_certified(), "{}", cert.verdict);
         assert!(cert.commits > 0);
         assert_eq!(artifact.cost, report.get("cost").and_then(Json::as_u64).unwrap());
+        assert_eq!(artifact.design, admission.canonical_text);
         assert!(artifact.decode_trace().is_ok());
 
         // The artifact's embedded report is the canonical form of the
@@ -366,23 +362,21 @@ mod tests {
         canonicalize_report(&mut canonical);
         assert_eq!(artifact.report, canonical.to_string_compact());
 
-        // A knob the canonical report does not reflect (a thread cap of 3
-        // against 2 on two restarts: both run two workers) makes a
-        // different job with the identical report, so it lands on the
-        // same verdict fingerprint; the verify mode does not.
+        // A knob the canonical report does not reflect (`steps` omitted
+        // against the explicit ASAP length) makes a different job with
+        // the identical report, so it lands on the same verdict
+        // fingerprint; the verify mode does not.
         let canon = canonical.to_string_compact();
-        let text = graph.canonical_text();
-        let fp = result_fingerprint(&text, &canon, VerifyMode::Full);
-        let toggled = Knobs { threads: Some(3), ..knobs.clone() };
-        assert_ne!(cache_key(&text, &toggled), cache_key(&text, &knobs));
-        let mut other = run_allocation(&graph, &toggled, None).unwrap();
+        let text = &admission.canonical_text;
+        let fp = result_fingerprint(text, &canon, VerifyMode::Full);
+        let steps = admission.plan(&knobs).unwrap().knobs().steps;
+        let explicit = Knobs { steps, ..knobs.clone() };
+        assert_ne!(cache_key(text, &explicit), cache_key(text, &knobs));
+        let (mut other, _) = run_artifact(&admission, &explicit, None, Some(1)).unwrap();
         canonicalize_report(&mut other);
-        assert_eq!(other.to_string_compact(), canon, "both caps run two workers");
-        assert_eq!(
-            result_fingerprint(&text, &other.to_string_compact(), VerifyMode::Full),
-            fp
-        );
-        assert_ne!(result_fingerprint(&text, &canon, VerifyMode::Sample), fp);
+        assert_eq!(other.to_string_compact(), canon, "the ASAP length is the default");
+        assert_eq!(result_fingerprint(text, &other.to_string_compact(), VerifyMode::Full), fp);
+        assert_ne!(result_fingerprint(text, &canon, VerifyMode::Sample), fp);
 
         // A tampered report cost is refused.
         let mut lied = report.clone();
@@ -393,25 +387,43 @@ mod tests {
                 }
             }
         }
-        let err = certify_job(&graph, &knobs, &lied).unwrap_err();
+        let err = certify_job(&admission, &knobs, &lied).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Audit);
+    }
+
+    #[test]
+    fn an_artifact_certified_at_two_threads_reproduces_at_one() {
+        // What offline audit does on a host with fewer cores: re-derive
+        // the job from the artifact alone, on one worker, and compare
+        // canonical reports.
+        let graph = resolve_graph(&GraphSource::Bench("diffeq".into())).unwrap();
+        let admission = AdmissionArtifact::new(graph);
+        let knobs = Knobs { seed: 9, restarts: 4, verify: VerifyMode::Full, ..Knobs::default() };
+        let (report, _) = run_artifact(&admission, &knobs, None, Some(2)).unwrap();
+        let (_, artifact) = certify_job(&admission, &knobs, &report).unwrap();
+
+        let graph = salsa_cdfg::parse_cdfg(&artifact.design).unwrap();
+        let stored = crate::protocol::knobs_from_json(&artifact.knobs).unwrap();
+        assert_eq!(stored, knobs);
+        let job = crate::exec::plan_job(&graph, &stored).unwrap();
+        let result = job.run(&graph, None, Some(1)).unwrap();
+        assert_eq!(result.portfolio.threads, 1);
+        let mut reproduced = job.report(&graph, &result);
+        canonicalize_report(&mut reproduced);
+        assert_eq!(reproduced.to_string_compact(), artifact.report);
     }
 
     #[test]
     fn cached_entries_re_derive_the_certified_artifact() {
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
-        let knobs = Knobs {
-            restarts: 3,
-            threads: Some(1),
-            verify: VerifyMode::Sample,
-            ..Knobs::default()
-        };
-        let report = run_allocation(&graph, &knobs, None).unwrap();
-        let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
+        let admission = Arc::new(AdmissionArtifact::new(graph));
+        let knobs = Knobs { restarts: 3, verify: VerifyMode::Sample, ..Knobs::default() };
+        let (report, _) = run_artifact(&admission, &knobs, None, Some(1)).unwrap();
+        let (cert, artifact) = certify_job(&admission, &knobs, &report).unwrap();
         let entry = CertEntry {
             trace_id: cert.trace.fingerprint(),
             certificate: Json::Null,
-            admission: Arc::new(AdmissionArtifact::new(graph)),
+            admission,
             knobs,
             slot: artifact.slot,
             cost: artifact.cost,

@@ -176,9 +176,9 @@ fn flipped_variant(canonical: &str) -> String {
 
 #[test]
 fn warm_start_cost_never_exceeds_cold_at_equal_budget() {
-    let knobs = Knobs { seed: 1, restarts: 2, threads: Some(1), ..Knobs::default() };
+    let knobs = Knobs { seed: 1, restarts: 2, ..Knobs::default() };
     let base = AdmissionArtifact::new(resolve_graph(&GraphSource::Bench("ewf".into())).unwrap());
-    let (base_report, base_winner) = run_artifact(&base, &knobs, None).unwrap();
+    let (base_report, base_winner) = run_artifact(&base, &knobs, None, Some(1)).unwrap();
     let entry = SeedEntry {
         key: 0xb0b,
         graph: Arc::clone(&base.graph),
@@ -192,10 +192,10 @@ fn warm_start_cost_never_exceeds_cold_at_equal_budget() {
     let distance = variant.sketch.distance(&entry.sketch);
     assert!(variant.sketch.accepts(distance), "a one-op flip must stay seedable");
 
-    let (cold, _) = run_artifact(&variant, &knobs, None).unwrap();
+    let (cold, _) = run_artifact(&variant, &knobs, None, Some(1)).unwrap();
     let warm_spec = Arc::new(build_warm_spec(&entry, &variant.graph, distance));
     let warm_knobs = Knobs { warm: Some(warm_spec), ..knobs };
-    let (warm, _) = run_artifact(&variant, &warm_knobs, None).unwrap();
+    let (warm, _) = run_artifact(&variant, &warm_knobs, None, Some(1)).unwrap();
 
     let cold_cost = cold.get("cost").and_then(Json::as_u64).unwrap();
     let warm_cost = warm.get("cost").and_then(Json::as_u64).unwrap();
@@ -360,8 +360,8 @@ fn reallocating_an_add_to_sub_edit_of_a_swapped_add_certifies() {
     let base = AdmissionArtifact::new(parse_cdfg(DESIGN).unwrap());
     let (seed, label) = (1u64..=32)
         .find_map(|seed| {
-            let knobs = Knobs { seed, restarts: 2, threads: Some(1), ..Knobs::default() };
-            let (_, winner) = run_artifact(&base, &knobs, None).unwrap();
+            let knobs = Knobs { seed, restarts: 2, ..Knobs::default() };
+            let (_, winner) = run_artifact(&base, &knobs, None, Some(1)).unwrap();
             base.graph
                 .ops()
                 .find(|op| op.kind() == OpKind::Add && winner.op_swap[op.id().index()])

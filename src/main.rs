@@ -26,8 +26,8 @@ use salsa_hls::datapath::{bus_allocate, traffic_from_rtl};
 use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, VerilogOptions};
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::serve::{
-    canonicalize_report, knobs_to_json, plan_job, resolve_graph, ErrorKind, GraphSource, Json,
-    JobPlan, Knobs, Server, ServerConfig,
+    canonicalize_report, check_threads, knobs_to_json, plan_job, resolve_graph, ErrorKind,
+    GraphSource, Json, JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -96,13 +96,15 @@ usage:
 --restarts runs R independent seeded search chains and keeps the best;
 --threads caps the portfolio workers spreading those chains (at most 64;
 default: the machine's parallelism). Every chain runs to completion, so
-the winner is the same at any thread count.
+the winner is the same at any thread count: the cap is not part of the
+job, its cache key or its canonical report.
 --no-mem-moves disables the M move family on memory (array) designs,
 freezing bank assignment at the initial placement — the ablation
 baseline; scalar designs are unaffected.
 --canonical prints the report as compact JSON with its wall-clock fields
-zeroed (search.elapsed_ms, search.moves_per_sec, portfolio.speedup), the
-form byte-diffs and the golden reports compare.
+zeroed (search.elapsed_ms, search.moves_per_sec) and without
+portfolio.threads and portfolio.speedup, the form byte-diffs, the golden
+reports and audit compare; it is the same at any thread count.
 
 serve starts the allocation service (default 127.0.0.1:7741, port 0
 picks a free port) and runs until a shutdown command drains it. It
@@ -115,7 +117,7 @@ reported at once.
 submit --verify sample|full asks the server to certify the result on its
 verifier lane (own worker pool, --verify-workers): the winning chain's
 committed-move trace is recorded, replayed with cost cross-checks
-(sample checks every 16th commit, full checks all), compared bit-for-bit
+(at every commit, under sample and full alike), compared bit-for-bit
 against the recorded binding and symbolically verified; the response's
 report gains a certificate section (verdict, mode, verify_ms, trace_id,
 cache provenance, commits). --dump-trace PATH then fetches the portable
@@ -249,7 +251,7 @@ fn allocate(args: &[String]) -> Result<(), String> {
 
 fn allocate_graph(graph: &Cdfg, args: &[String]) -> Result<(), String> {
     let job = plan(graph, args)?;
-    let result = job.run(graph, None).map_err(|e| e.message)?;
+    let result = job.run(graph, None, threads_from_args(args)?).map_err(|e| e.message)?;
     let (schedule, lib) = (job.schedule(), job.library());
 
     if has_flag(args, "--canonical") {
@@ -365,7 +367,6 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         extra_regs: flag_parse(args, "--extra-regs")?.unwrap_or(0),
         seed: flag_parse(args, "--seed")?.unwrap_or(42),
         restarts: flag_parse(args, "--restarts")?.unwrap_or(1),
-        threads: flag_parse(args, "--threads")?,
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),
         mem_moves: !has_flag(args, "--no-mem-moves"),
@@ -374,6 +375,14 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
     };
     knobs.check_bounds().map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
     Ok(knobs)
+}
+
+/// The `--threads` worker cap, an execution hint beside the knobs: it
+/// passes the wire's bound but is not part of the job.
+fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {
+    let threads = flag_parse(args, "--threads")?;
+    check_threads(threads).map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
+    Ok(threads)
 }
 
 fn parse_verify(args: &[String]) -> Result<salsa_hls::audit::VerifyMode, String> {
@@ -519,12 +528,15 @@ fn audit(args: &[String]) -> Result<(), String> {
     let trace = artifact.decode_trace().map_err(|e| format!("artifact trace: {e}"))?;
     let trace_id = salsa_hls::serve::trace_id_hex(trace.fingerprint());
 
-    let verdict = salsa_hls::serve::with_replay_env(&graph, &knobs, |ctx, config| {
-        salsa_hls::audit::replay_and_verify(ctx, config, &trace, artifact.cost)
-            .map(|(_, verdict)| verdict)
-    })
-    .map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?
-    .map_err(|e| e.to_string())?;
+    let verdict = plan_job(&graph, &knobs)
+        .and_then(|job| {
+            job.with_replay_env(&graph, |ctx, config| {
+                salsa_hls::audit::replay_and_verify(ctx, config, &trace, artifact.cost)
+                    .map(|(_, verdict)| verdict)
+            })
+        })
+        .map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?
+        .map_err(|e| e.to_string())?;
     println!(
         "trace {trace_id}: replayed {} commits at cost {}; symbolic verdict: {verdict}",
         trace.commits(),
@@ -605,6 +617,9 @@ fn build_submit_request(args: &[String]) -> Result<Json, String> {
     // accepts exactly the knob flags `allocate` and `bench` do.
     if let Json::Obj(knobs) = knobs_to_json(&knobs_from_args(args)?) {
         pairs.extend(knobs);
+    }
+    if let Some(threads) = threads_from_args(args)? {
+        pairs.push(("threads".to_string(), Json::Int(threads as i64)));
     }
     if let Some(timeout) = flag_parse::<u64>(args, "--timeout-ms")? {
         pairs.push(("timeout_ms".to_string(), Json::Int(timeout as i64)));

@@ -122,8 +122,7 @@ fn bench_canonical_matches_the_service_report() {
 
     // fft_stage's constructed graph numbers its values differently from
     // its canonical text, which changes the search trajectory.
-    let fft =
-        Knobs { steps: Some(6), seed: 7919, restarts: 4, threads: Some(1), ..Knobs::default() };
+    let fft = Knobs { steps: Some(6), seed: 7919, restarts: 4, ..Knobs::default() };
     let fft_flags = ["--steps", "6", "--seed", "7919", "--restarts", "4", "--threads", "1"];
     let cases: [(&str, &[&str], Knobs); 5] = [
         ("ewf", &[], Knobs::default()),
