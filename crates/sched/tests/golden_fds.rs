@@ -9,7 +9,10 @@
 //!
 //! The large random designs (100-119 operations) sit at the top of the
 //! benchmark's size range, where the best-pick's early stop skips the most
-//! candidates.
+//! candidates. The pinned array designs are ones where it never stops, so
+//! every list candidate is polished; further random designs run under the
+//! pipelined library, a three-step ALU with initiation interval two, and
+//! register weight 2.
 //!
 //! The allocator's canonical reports run FDS only at the critical path,
 //! where the demand descent has almost no room to move. These cases add
@@ -23,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use salsa_cdfg::{benchmarks, random_cdfg, Cdfg, RandomCdfgConfig};
-use salsa_sched::{asap, fds_schedule_with, FdsOptions, FuLibrary};
+use salsa_sched::{asap, fds_schedule_with, FdsOptions, FuClass, FuLibrary, FuSpec};
 
 const GOLDEN_PATH: &str = "tests/golden/fds_schedules.txt";
 const GOLDEN: &str = include_str!("golden/fds_schedules.txt");
@@ -34,6 +37,17 @@ const RANDOM_DESIGNS: usize = 24;
 /// Seed and length of the large random-design sequence.
 const LARGE_SEED: u64 = 0x1a26_5eed;
 const LARGE_DESIGNS: usize = 8;
+/// Seed and length of the random-design sequence run under each
+/// non-standard library.
+const LIBRARY_SEED: u64 = 0x11b5_5eed;
+const LIBRARY_DESIGNS: usize = 8;
+/// Seed and length of the small random designs run at register weight 2.
+const WEIGHTED_SEED: u64 = 0x2e95_5eed;
+const WEIGHTED_DESIGNS: usize = 3;
+/// `(seed, operations, arrays)` of array designs at ASAP+2 whose best-pick
+/// never meets the demand bound, so every list candidate is polished.
+const UNSTOPPED_DESIGNS: [(u64, usize, usize); 4] =
+    [(1, 67, 2), (4, 68, 1), (19, 63, 2), (48, 66, 1)];
 
 fn case_line(graph: &Cdfg, library: (&str, &FuLibrary), steps: usize, weight: usize) -> String {
     let (lib_name, lib) = library;
@@ -41,6 +55,20 @@ fn case_line(graph: &Cdfg, library: (&str, &FuLibrary), steps: usize, weight: us
     let schedule = fds_schedule_with(graph, lib, steps, &options).expect("feasible latency");
     let table: Vec<String> = schedule.issue_times().iter().map(usize::to_string).collect();
     format!("{} {lib_name} steps={steps} weight={weight}: {}", graph.name(), table.join(" "))
+}
+
+/// A random design shaped like the benchmark's: four inputs, four states
+/// and 15% memory operations when it declares arrays.
+fn random_design(seed: u64, ops: usize, arrays: usize) -> Cdfg {
+    let config = RandomCdfgConfig {
+        ops,
+        inputs: 4,
+        states: 4,
+        arrays,
+        mem_ratio: 0.15,
+        ..RandomCdfgConfig::default()
+    };
+    random_cdfg(&config, seed)
 }
 
 /// `count` random designs of `ops` operations; every fourth declares one
@@ -51,17 +79,17 @@ fn random_designs(seed: u64, count: usize, ops: std::ops::RangeInclusive<usize>)
         .map(|i| {
             let ops = rng.gen_range(ops.clone());
             let arrays = if i % 4 == 3 { rng.gen_range(1..=2usize) } else { 0 };
-            let config = RandomCdfgConfig {
-                ops,
-                inputs: 4,
-                states: 4,
-                arrays,
-                mem_ratio: 0.15,
-                ..RandomCdfgConfig::default()
-            };
-            random_cdfg(&config, rng.gen())
+            random_design(rng.gen(), ops, arrays)
         })
         .collect()
+}
+
+/// The standard library with an ALU that takes three steps and accepts a
+/// new operation every two.
+fn slow_alu_library() -> FuLibrary {
+    let standard = FuLibrary::standard();
+    let alu = FuSpec { delay: 3, init_interval: 2, ..*standard.spec(FuClass::Alu) };
+    FuLibrary::from_specs(alu, *standard.spec(FuClass::Mul))
 }
 
 fn actual_lines() -> Vec<String> {
@@ -92,6 +120,22 @@ fn actual_lines() -> Vec<String> {
         for slack in [2, 4] {
             lines.push(case_line(&graph, libraries[0], cp + slack, 0));
         }
+    }
+    let slow_alu = slow_alu_library();
+    for library in [libraries[1], ("alu3ii2", &slow_alu)] {
+        for graph in random_designs(LIBRARY_SEED, LIBRARY_DESIGNS, 40..=90) {
+            let cp = asap(&graph, library.1).length;
+            lines.push(case_line(&graph, library, cp + 2, 0));
+        }
+    }
+    for (seed, ops, arrays) in UNSTOPPED_DESIGNS {
+        let graph = random_design(seed, ops, arrays);
+        let cp = asap(&graph, &standard).length;
+        lines.push(case_line(&graph, libraries[0], cp + 2, 0));
+    }
+    for graph in random_designs(WEIGHTED_SEED, WEIGHTED_DESIGNS, 20..=30) {
+        let cp = asap(&graph, &standard).length;
+        lines.push(case_line(&graph, libraries[0], cp + 2, 2));
     }
     lines
 }
