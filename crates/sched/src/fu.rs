@@ -174,6 +174,23 @@ impl FuLibrary {
 }
 
 #[cfg(test)]
+impl FuLibrary {
+    /// The standard library, the pipelined one, or one whose ALU takes
+    /// three steps and accepts a new operation every two.
+    pub(crate) fn for_tests(which: usize) -> FuLibrary {
+        match which {
+            0 => FuLibrary::standard(),
+            1 => FuLibrary::pipelined(),
+            _ => {
+                let standard = FuLibrary::standard();
+                let alu = FuSpec { delay: 3, init_interval: 2, ..*standard.spec(FuClass::Alu) };
+                FuLibrary::from_specs(alu, *standard.spec(FuClass::Mul))
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

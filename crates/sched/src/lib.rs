@@ -45,6 +45,7 @@ mod fu;
 mod lifetime;
 mod list;
 mod schedule;
+mod topology;
 
 pub use asap_alap::{alap, asap, mobility, AsapResult};
 pub use error::SchedError;
