@@ -25,8 +25,7 @@
 //!
 //! The serving layer runs this pipeline on a dedicated verifier lane
 //! (its own worker pool) so symbolic replay never blocks allocation
-//! throughput; the `verify: full|sample|off` knob selects the
-//! [`VerifyMode`] per job.
+//! throughput, for jobs that ask for a certificate (`verify`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,49 +38,6 @@ use salsa_alloc::{
 };
 use salsa_datapath::Verdict;
 use salsa_wire::json::Json;
-
-/// How much verification a job asked for. `Sample` and `Full` run the
-/// same pipeline, replay cost-checked at every commit: re-running the
-/// chain dominates certification, so checking fewer commits saved
-/// nothing. Both spellings stay, and they stay distinct jobs, because the
-/// mode is part of the cache key and of the certificate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum VerifyMode {
-    /// No verification; the allocation lane replies directly.
-    #[default]
-    Off,
-    /// Certify the result; the same pipeline as `Full`.
-    Sample,
-    /// Certify the result.
-    Full,
-}
-
-impl VerifyMode {
-    /// Parses the wire spelling (`off` / `sample` / `full`).
-    pub fn parse(s: &str) -> Option<VerifyMode> {
-        match s {
-            "off" => Some(VerifyMode::Off),
-            "sample" => Some(VerifyMode::Sample),
-            "full" => Some(VerifyMode::Full),
-            _ => None,
-        }
-    }
-
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            VerifyMode::Off => "off",
-            VerifyMode::Sample => "sample",
-            VerifyMode::Full => "full",
-        }
-    }
-}
-
-impl fmt::Display for VerifyMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Why an audit failed before reaching (or at) the verification gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,14 +303,5 @@ mod tests {
             TraceArtifact::from_json(&Json::obj(vec![("format", Json::Str("x".into()))])),
             Err(AuditError::Artifact(_))
         ));
-    }
-
-    #[test]
-    fn verify_mode_wire_spellings() {
-        for mode in [VerifyMode::Off, VerifyMode::Sample, VerifyMode::Full] {
-            assert_eq!(VerifyMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(VerifyMode::parse("loud"), None);
-        assert_eq!(VerifyMode::default(), VerifyMode::Off);
     }
 }

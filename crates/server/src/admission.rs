@@ -1,7 +1,8 @@
 //! The admission artifact cache: everything a job derives from its
 //! design *before* search — parsed graph, canonical text, similarity
-//! sketch, and per-knob-shape job plans with their compiled move plans —
-//! computed once per design and shared by every subsequent job over it.
+//! sketch, ASAP lengths, and per-knob-shape job plans with their compiled
+//! move plans — computed once per design and shared by every subsequent
+//! job over it.
 //!
 //! Admission used to repeat this work per request: parse (or rebuild) the
 //! graph, re-render the canonical text for the cache key, re-run
@@ -19,9 +20,10 @@
 //! correctness; the result cache still keys on canonical text.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use salsa_cdfg::{fnv1a_128, Cdfg};
+use salsa_sched::asap;
 
 use crate::cache::FifoCache;
 use crate::exec::{map_alloc_error, plan_job, resolve_graph, resolve_knobs, JobPlan};
@@ -36,13 +38,17 @@ type ShapeKey = (bool, Option<usize>, usize);
 /// Everything admission derives from one design.
 pub struct AdmissionArtifact {
     /// The resolved (and, for benchmarks, canonicalized) graph, shared
-    /// with the seed index entries of this design's winners.
+    /// with the banked winners (seed entries) of this design's jobs.
     pub graph: Arc<Cdfg>,
     /// `graph.canonical_text()`, rendered once — the result-cache key
     /// and the verifier both read it from here.
     pub canonical_text: String,
     /// The similarity sketch for warm-start seeding, shared like `graph`.
     pub sketch: Arc<Sketch>,
+    /// The ASAP length under the standard and the pipelined library,
+    /// computed on first use: resolving a request's knobs, which every
+    /// cache hit does on the I/O thread, schedules nothing after that.
+    asap: [OnceLock<usize>; 2],
     /// One job plan per knob shape, holding the shared schedule and
     /// compiled move plan.
     shapes: Mutex<HashMap<ShapeKey, JobPlan>>,
@@ -54,7 +60,25 @@ impl AdmissionArtifact {
         let canonical_text = graph.canonical_text();
         let sketch = Arc::new(Sketch::of(&graph));
         let graph = Arc::new(graph);
-        AdmissionArtifact { graph, canonical_text, sketch, shapes: Mutex::new(HashMap::new()) }
+        AdmissionArtifact {
+            graph,
+            canonical_text,
+            sketch,
+            asap: Default::default(),
+            shapes: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// `knobs` as this design resolves them — the job's identity, which
+    /// the result-cache key, the job and its trace artifact all carry:
+    /// `steps` set (the memoised ASAP length when unset) and `mem_moves`
+    /// on when the design has no memory.
+    pub fn resolve(&self, knobs: &Knobs) -> Knobs {
+        let memo = &self.asap[usize::from(knobs.pipelined)];
+        resolve_knobs(&self.graph, knobs, |library| {
+            *memo.get_or_init(|| asap(&self.graph, library).length)
+        })
+        .1
     }
 
     /// The job plan for this design under `knobs`, with the schedule and
@@ -63,7 +87,7 @@ impl AdmissionArtifact {
     /// Scheduling failures are not cached — a later request with
     /// feasible knobs must not be poisoned by an earlier infeasible one.
     pub fn plan(&self, knobs: &Knobs) -> Result<JobPlan, ServeError> {
-        let (_, knobs) = resolve_knobs(&self.graph, knobs);
+        let knobs = self.resolve(knobs);
         let key = (knobs.pipelined, knobs.steps, knobs.extra_regs);
         if let Some(shape) = self.shapes.lock().expect("admission poisoned").get(&key) {
             return Ok(JobPlan { knobs, ..shape.clone() });

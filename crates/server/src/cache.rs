@@ -1,21 +1,28 @@
 //! The service's one bounded cache: a thread-safe FIFO map from a
 //! 128-bit fingerprint to a shared value, with lifetime hit, miss and
-//! eviction counters. The result cache, the verdict cache, the admission
-//! cache and the seed index are all instances of [`FifoCache`]; each adds
-//! only its own lookups on top.
+//! eviction counters. The result cache and the admission cache are its
+//! two instances; each adds only its own lookups on top.
 //!
-//! **The result cache** ([`ResultCache`]) holds completed allocation
-//! responses keyed by the FNV-1a 128 fingerprint of `(canonical CDFG
-//! text, search knobs)`. Soundness rests on two properties established
+//! **The result cache** ([`ResultCache`]) holds one [`JobEntry`] per
+//! completed job, keyed by the FNV-1a 128 fingerprint of `(canonical CDFG
+//! text, resolved knobs)`. Soundness rests on two properties established
 //! elsewhere in the workspace: the canonical text is a *fixpoint* of
 //! `parse ∘ print` (spelling variants of the same design collapse to one
 //! key — see `crates/cdfg/tests/canonical.rs`), and the portfolio search
 //! is *deterministic* for identical inputs (same graph + same knobs ⇒
 //! same winning allocation). An exact hit can therefore replay the stored
 //! response **bytes** — not a re-rendering — so a cached reply is
-//! byte-identical to the one the original job produced. Entries are
-//! [`Payload`]s (one JSON document with a lazily cached binary
-//! rendering), so every hit sends the same verbatim bytes.
+//! byte-identical to the one the original job produced. The response is a
+//! [`Payload`] (one JSON document with a lazily cached binary rendering),
+//! so every hit sends the same verbatim bytes.
+//!
+//! The entry also holds what later requests read off the job: the winner
+//! banked for warm starts (`reallocate` peeks it by key, similarity
+//! seeding scans for the nearest sketch) and, for a certified job, what
+//! the wire `trace` command re-derives the artifact from (scanned by
+//! trace id). A job's response, seed and certificate are cached and
+//! evicted together, so a `reallocate` base or a `trace` id lives exactly
+//! as long as the response that named it.
 //!
 //! Eviction is FIFO: cached values are a few KiB and take a job to
 //! compute, so recency tracking buys little over insertion order here.
@@ -26,8 +33,22 @@ use std::sync::{Arc, Mutex};
 
 use salsa_wire::frame::Payload;
 
-/// The content-addressed response cache.
-pub type ResultCache = FifoCache<Payload>;
+use crate::similarity::SeedEntry;
+use crate::verifier::CertEntry;
+
+/// One completed job: everything the service keeps of it, under one key.
+pub struct JobEntry {
+    /// The response, replayed byte-verbatim on every hit.
+    pub payload: Arc<Payload>,
+    /// The winner banked for warm starts.
+    pub seed: SeedEntry,
+    /// For a certified job, what the `trace` command re-derives the
+    /// certificate's artifact from.
+    pub cert: Option<Arc<CertEntry>>,
+}
+
+/// The content-addressed job cache.
+pub type ResultCache = FifoCache<JobEntry>;
 
 struct Inner<V> {
     map: HashMap<u128, Arc<V>>,
@@ -62,20 +83,14 @@ impl<V> FifoCache<V> {
     /// Looks up `key`, counting the access as a hit or miss.
     pub fn get(&self, key: u128) -> Option<Arc<V>> {
         let found = self.peek(key);
-        self.count(found.is_some());
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
     /// Looks up `key` without touching the hit/miss counters.
     pub fn peek(&self, key: u128) -> Option<Arc<V>> {
         self.lock().map.get(&key).map(Arc::clone)
-    }
-
-    /// Counts one lookup answered by the caller's own search (a
-    /// [`scan`](Self::scan)) as a hit or a miss.
-    pub fn count(&self, hit: bool) {
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Stores `value` under `key`, evicting the oldest entries beyond
@@ -141,13 +156,15 @@ impl<V> FifoCache<V> {
 mod tests {
     use super::*;
 
+    type Payloads = FifoCache<Payload>;
+
     fn payload(s: &str) -> Arc<Payload> {
         Arc::new(Payload::new(salsa_wire::json::Json::Str(s.into())))
     }
 
     #[test]
     fn hit_returns_the_exact_stored_bytes() {
-        let cache = ResultCache::new(4);
+        let cache = Payloads::new(4);
         assert!(cache.get(1).is_none());
         let stored = Arc::new(Payload::new(salsa_wire::json::parse_json("{\"status\":\"ok\"}").unwrap()));
         cache.insert(1, Arc::clone(&stored));
@@ -162,7 +179,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_at_capacity() {
-        let cache = ResultCache::new(2);
+        let cache = Payloads::new(2);
         cache.insert(1, payload("a"));
         cache.insert(2, payload("b"));
         cache.insert(3, payload("c"));
@@ -178,7 +195,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_without_duplicating() {
-        let cache = ResultCache::new(2);
+        let cache = Payloads::new(2);
         cache.insert(7, payload("old"));
         cache.insert(7, payload("new"));
         assert_eq!(cache.len(), 1);

@@ -78,19 +78,26 @@ pub struct JobPlan {
     pub(crate) compiled: Option<Arc<MovePlan>>,
 }
 
-/// The library `knobs` select for `graph`, and `knobs` with the step
-/// count resolved (the ASAP length when unset).
-pub(crate) fn resolve_knobs(graph: &Cdfg, knobs: &Knobs) -> (FuLibrary, Knobs) {
+/// The library `knobs` select, and `knobs` resolved so that spellings of
+/// one job are one job: the step count set (to `asap_length` of that
+/// library when unset), and `mem_moves` on for a design without memory,
+/// which ignores it.
+pub(crate) fn resolve_knobs(
+    graph: &Cdfg,
+    knobs: &Knobs,
+    asap_length: impl FnOnce(&FuLibrary) -> usize,
+) -> (FuLibrary, Knobs) {
     let library = if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
-    let steps = knobs.steps.unwrap_or_else(|| asap(graph, &library).length);
-    (library, Knobs { steps: Some(steps), ..knobs.clone() })
+    let steps = knobs.steps.unwrap_or_else(|| asap_length(&library));
+    let mem_moves = knobs.mem_moves || !graph.has_memory();
+    (library, Knobs { steps: Some(steps), mem_moves, ..knobs.clone() })
 }
 
 /// Derives a job's setup from `(graph, knobs)`: the library, the step
 /// count and the force-directed schedule. Deterministic: the same inputs
 /// yield the same plan on every host.
 pub fn plan_job(graph: &Cdfg, knobs: &Knobs) -> Result<JobPlan, ServeError> {
-    let (library, knobs) = resolve_knobs(graph, knobs);
+    let (library, knobs) = resolve_knobs(graph, knobs, |library| asap(graph, library).length);
     let steps = knobs.steps.expect("resolved above");
     let schedule = fds_schedule(graph, &library, steps)
         .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
@@ -108,7 +115,7 @@ impl JobPlan {
         &self.schedule
     }
 
-    /// The job's knobs with `steps` resolved (always `Some`).
+    /// The job's resolved knobs (`steps` always `Some`).
     pub fn knobs(&self) -> &Knobs {
         &self.knobs
     }
@@ -201,8 +208,8 @@ pub fn map_alloc_error(e: AllocError) -> ServeError {
 /// the artifact's derivation cache, so a repeat design pays neither
 /// force-directed scheduling nor plan compilation again. Returns the
 /// report *and* the winner's context-free binding image — the serving
-/// layer banks the latter in its seed index to warm-start future
-/// near-duplicate jobs.
+/// layer banks the latter beside the cached response to warm-start
+/// future near-duplicate jobs.
 ///
 /// Result-identical to [`run_allocation`]: the cached schedule is the
 /// same pure function of `(graph, knobs)`, and compiled plans never

@@ -31,7 +31,6 @@
 use std::sync::Arc;
 
 use salsa_alloc::WarmSpec;
-use salsa_audit::VerifyMode;
 use salsa_cdfg::{fnv1a_128, ParseError};
 
 use crate::json::Json;
@@ -76,11 +75,15 @@ pub enum GraphSource {
 
 /// Search knobs: the job's identity. Every field participates in the
 /// cache key, so two requests with any knob differing are different jobs.
+/// Admission resolves the knobs first (`AdmissionArtifact::resolve`), so
+/// spellings of one job — `steps` omitted or set to the ASAP length,
+/// `mem_moves` either way on a design without memory — are one key.
 /// How a job is executed (`threads`, `timeout_ms`) lives on the
 /// [`AllocRequest`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Knobs {
-    /// Schedule length (control steps); `None` = as-soon-as-possible.
+    /// Schedule length (control steps); `None` = the ASAP length, which
+    /// admission fills in.
     pub steps: Option<usize>,
     /// Registers beyond the schedule's minimum.
     pub extra_regs: usize,
@@ -95,13 +98,15 @@ pub struct Knobs {
     /// Enable the M move family on memory graphs (the default). A
     /// scalar design ignores it; on a memory design turning it off
     /// freezes bank assignment at the initial greedy placement — the
-    /// M-off ablation. Part of the cache key.
+    /// M-off ablation. Admission resolves it to `true` on a design
+    /// without memory.
     pub mem_moves: bool,
-    /// How much verification the job asked for (`off`/`sample`/`full`).
-    /// At `Sample` or `Full` the response's report gains a `certificate`
-    /// section produced by the verifier lane. Part of the cache key:
-    /// certified and uncertified responses are different payloads.
-    pub verify: VerifyMode,
+    /// Certify the result (wire `verify`: `sample` and `full` are two
+    /// spellings of `true`, see [`parse_verify`]). The response's report
+    /// then gains a `certificate` section produced by the verifier lane.
+    /// Part of the cache key: certified and uncertified responses are
+    /// different payloads.
+    pub verify: bool,
     /// The warm-start seed the search begins from (`None` = cold,
     /// constructive start). Part of the cache key — a warm and a cold
     /// run of the same design are different jobs and must never alias —
@@ -121,7 +126,7 @@ impl Default for Knobs {
             pipelined: false,
             traditional: false,
             mem_moves: true,
-            verify: VerifyMode::Off,
+            verify: false,
             warm: None,
         }
     }
@@ -447,10 +452,8 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
             })?,
         },
         verify: match obj.get("verify") {
-            None | Some(Json::Null) => VerifyMode::Off,
-            Some(v) => v.as_str().and_then(VerifyMode::parse).ok_or_else(|| {
-                ServeError::new(ErrorKind::BadRequest, "'verify' must be off, sample or full")
-            })?,
+            None | Some(Json::Null) => false,
+            Some(v) => parse_verify(v.as_str().unwrap_or_default())?,
         },
         warm: match obj.get("warm") {
             None | Some(Json::Null) => None,
@@ -466,6 +469,18 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
     };
     knobs.check_bounds()?;
     Ok(knobs)
+}
+
+/// Parses a `verify` spelling: `off` is `false`; `sample` and `full` are
+/// both `true`, since they always ran the same certification (replay
+/// checked at every commit). Shared by request parsing, stored trace
+/// artifacts (which may say `sample`) and the CLI's `--verify`.
+pub fn parse_verify(spelling: &str) -> Result<bool, ServeError> {
+    match spelling {
+        "off" => Ok(false),
+        "sample" | "full" => Ok(true),
+        _ => Err(ServeError::new(ErrorKind::BadRequest, "'verify' must be off, sample or full")),
+    }
 }
 
 impl Knobs {
@@ -490,8 +505,8 @@ impl Knobs {
 }
 
 /// Renders knobs as a JSON object in the request spelling, the inverse
-/// of [`knobs_from_json`]: unset options are omitted, and the rendering
-/// round-trips exactly.
+/// of [`knobs_from_json`]: unset options are omitted, `verify` is always
+/// spelled `full`, and the rendering round-trips exactly.
 pub fn knobs_to_json(knobs: &Knobs) -> Json {
     let mut pairs = Vec::with_capacity(8);
     if let Some(steps) = knobs.steps {
@@ -509,8 +524,8 @@ pub fn knobs_to_json(knobs: &Knobs) -> Json {
     if !knobs.mem_moves {
         pairs.push(("mem_moves", Json::Bool(false)));
     }
-    if knobs.verify != VerifyMode::Off {
-        pairs.push(("verify", Json::Str(knobs.verify.as_str().into())));
+    if knobs.verify {
+        pairs.push(("verify", Json::Str("full".into())));
     }
     if let Some(warm) = &knobs.warm {
         pairs.push(("warm", Json::Str(warm.encode())));
@@ -556,7 +571,7 @@ mod tests {
         assert_eq!(alloc.knobs.extra_regs, 1);
         assert!(alloc.knobs.pipelined);
         assert!(alloc.knobs.traditional);
-        assert_eq!(alloc.knobs.verify, VerifyMode::Full);
+        assert!(alloc.knobs.verify);
         assert_eq!(alloc.timeout_ms, Some(2000));
     }
 
@@ -659,8 +674,7 @@ mod tests {
             Knobs { pipelined: true, ..base.clone() },
             Knobs { traditional: true, ..base.clone() },
             Knobs { mem_moves: false, ..base.clone() },
-            Knobs { verify: VerifyMode::Sample, ..base.clone() },
-            Knobs { verify: VerifyMode::Full, ..base.clone() },
+            Knobs { verify: true, ..base.clone() },
             Knobs { warm: Some(Arc::new(WarmSpec::new())), ..base.clone() },
             Knobs {
                 warm: Some(Arc::new(WarmSpec { source: 7, ..WarmSpec::new() })),
@@ -675,6 +689,25 @@ mod tests {
         assert_ne!(cache_key("cdfg u\ninput x\nop y = add x x\noutput y\n", &base), base_key);
         // Stable for identical inputs.
         assert_eq!(key(&base), base_key);
+    }
+
+    #[test]
+    fn verify_mode_wire_spellings() {
+        // One certifying mode: both certifying spellings parse to it, on
+        // the wire and in stored knobs, and it renders as `full`.
+        let verify = |raw: &str| {
+            knobs_from_json(&parse_json(&format!(r#"{{"verify":{raw}}}"#)).unwrap()).map(|k| k.verify)
+        };
+        assert_eq!(verify(r#""off""#), Ok(false));
+        assert_eq!(verify("null"), Ok(false));
+        assert_eq!(verify(r#""sample""#), Ok(true));
+        assert_eq!(verify(r#""full""#), Ok(true));
+        assert!(verify(r#""loud""#).is_err() && verify("true").is_err());
+        assert_eq!(parse_verify("sample"), parse_verify("full"));
+        let sample = verify(r#""sample""#).unwrap();
+        let rendered = knobs_to_json(&Knobs { verify: sample, ..Knobs::default() });
+        assert_eq!(rendered.get("verify").and_then(Json::as_str), Some("full"));
+        assert_eq!(knobs_to_json(&Knobs::default()).get("verify"), None);
     }
 
     #[test]
@@ -704,7 +737,7 @@ mod tests {
             pipelined: true,
             traditional: true,
             mem_moves: false,
-            verify: VerifyMode::Full,
+            verify: true,
             warm: Some(Arc::new(WarmSpec {
                 op_fu: vec![(0, 2), (3, 1)],
                 focus_ops: vec![4],

@@ -35,12 +35,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use salsa_alloc::CancelToken;
-use salsa_audit::VerifyMode;
 use salsa_wire::frame::Payload;
 use salsa_wire::net::{Handler, NetConfig, NetMetrics, NetServer, ReplyHandle};
 
 use crate::admission::AdmissionCache;
-use crate::cache::ResultCache;
+use crate::cache::{JobEntry, ResultCache};
 use crate::exec::run_artifact;
 use crate::json::Json;
 use crate::protocol::{
@@ -48,11 +47,10 @@ use crate::protocol::{
     Command, ErrorKind, Knobs, ServeError,
 };
 use crate::queue::{JobQueue, PushError};
-use crate::similarity::{build_warm_spec, SeedEntry, SeedIndex};
+use crate::similarity::{build_warm_spec, SeedEntry};
 use crate::stats::ServerStats;
 use crate::verifier::{
-    certificate_json, certify_job, parse_trace_id, result_fingerprint, set_cache_provenance,
-    CertEntry, LaneJob, VerdictCache, VerifyJob,
+    certificate_json, certify_job, parse_trace_id, CertEntry, LaneJob, VerifyJob,
 };
 
 /// Service tuning. All fields have serviceable defaults.
@@ -63,7 +61,8 @@ pub struct ServerConfig {
     /// Bounded job-queue capacity; pushes beyond it are rejected with
     /// backpressure (min 1).
     pub queue_capacity: usize,
-    /// Result-cache capacity, in responses (min 1).
+    /// Result-cache capacity, in jobs (min 1); the admission cache holds
+    /// as many designs.
     pub cache_capacity: usize,
     /// Deadline applied to jobs that do not carry their own
     /// `timeout_ms` (`None` = unbounded).
@@ -78,7 +77,7 @@ pub struct ServerConfig {
     /// long (`None` = never).
     pub idle_timeout_ms: Option<u64>,
     /// Verifier-lane worker pool size (min 1). The lane only runs for
-    /// jobs submitted with `verify: sample|full`; keeping it small and
+    /// jobs submitted with `verify` on; keeping it small and
     /// separate means symbolic replay never occupies an allocation
     /// worker.
     pub verify_workers: usize,
@@ -100,10 +99,10 @@ impl Default for ServerConfig {
 }
 
 /// One queued allocation job. The design is admitted (artifact resolved,
-/// warm seed attached, cache consulted) at dispatch, so workers only
-/// ever see well-formed work. `threads` and `deadline` say how to run
-/// it, not what it is: neither is in `key`. The reply handle completes
-/// the originating request on its connection.
+/// knobs resolved, warm seed attached, cache consulted) at dispatch, so
+/// workers only ever see well-formed work. `threads` and `deadline` say
+/// how to run it, not what it is: neither is in `key`. The reply handle
+/// completes the originating request on its connection.
 struct Job {
     artifact: Arc<crate::admission::AdmissionArtifact>,
     knobs: Knobs,
@@ -118,9 +117,7 @@ struct Shared {
     queue: JobQueue<Job>,
     verify_queue: JobQueue<LaneJob>,
     cache: ResultCache,
-    verdicts: VerdictCache,
     admission: AdmissionCache,
-    seeds: SeedIndex,
     warm_seeded: AtomicU64,
     reallocs: AtomicU64,
     stats: ServerStats,
@@ -165,9 +162,7 @@ impl Server {
             queue: JobQueue::new(config.queue_capacity),
             verify_queue: JobQueue::new(config.queue_capacity),
             cache: ResultCache::new(config.cache_capacity),
-            verdicts: VerdictCache::new(config.cache_capacity),
             admission: AdmissionCache::new(config.cache_capacity),
-            seeds: SeedIndex::new(config.cache_capacity),
             warm_seeded: AtomicU64::new(0),
             reallocs: AtomicU64::new(0),
             stats: ServerStats::new(),
@@ -286,10 +281,10 @@ fn dispatch(shared: &Arc<Shared>, request: Json, handle: ReplyHandle) {
             handle_allocate(shared, realloc.request, Some(realloc.base), handle)
         }
         Command::Trace(id) => {
-            // The verdict cache keeps no trace text: the artifact is
-            // re-recorded on the verifier lane, never on this thread.
+            // The cache keeps no trace text: the artifact is re-recorded
+            // on the verifier lane, never on this thread.
             let Some(entry) =
-                parse_trace_id(&id).and_then(|trace_id| shared.verdicts.get_by_trace(trace_id))
+                parse_trace_id(&id).and_then(|trace_id| shared.cache.get_by_trace(trace_id))
             else {
                 handle.send(payload(error_response(&ServeError::new(
                     ErrorKind::BadRequest,
@@ -317,7 +312,7 @@ fn handle_allocate(
     base: Option<u128>,
     handle: ReplyHandle,
 ) {
-    let AllocRequest { source, mut knobs, threads, timeout_ms } = request;
+    let AllocRequest { source, knobs, threads, timeout_ms } = request;
     if shared.shutting_down() {
         let err = ServeError::new(ErrorKind::ShuttingDown, "server is draining; not accepting jobs");
         handle.send(payload(error_response(&err)));
@@ -330,6 +325,9 @@ fn handle_allocate(
             return;
         }
     };
+    // Every spelling of one job becomes one identity here: the key, the
+    // queued job and its trace artifact all carry the resolved knobs.
+    let mut knobs = artifact.resolve(&knobs);
 
     // Warm-start attachment happens *before* the cache key is computed:
     // the seed is part of the job's search identity, so a warm job and
@@ -339,32 +337,33 @@ fn handle_allocate(
             // The explicit `reallocate` verb: seed from a named prior
             // winner, or fail loudly — silently running cold would hide
             // an expired base id from an incremental flow.
-            match shared.seeds.peek(base_key) {
+            match shared.cache.peek(base_key) {
                 Some(entry) => {
-                    let distance = artifact.sketch.distance(&entry.sketch);
+                    let distance = artifact.sketch.distance(&entry.seed.sketch);
                     knobs.warm =
-                        Some(Arc::new(build_warm_spec(&entry, &artifact.graph, distance)));
+                        Some(Arc::new(build_warm_spec(&entry.seed, &artifact.graph, distance)));
                     shared.reallocs.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
                     let err = ServeError::new(
                         ErrorKind::BadRequest,
                         format!(
-                            "unknown base job '{base_key:032x}' (the seed index keeps recent \
-                             winners only; resubmit as 'allocate')"
+                            "unknown base job '{base_key:032x}' (the result cache keeps recent \
+                             jobs only; resubmit as 'allocate')"
                         ),
                     );
                     handle.send(payload(error_response(&err)));
                     return;
                 }
             }
-        } else if let Some((entry, distance)) = shared.seeds.nearest(&artifact.sketch) {
+        } else if let Some((entry, distance)) = shared.cache.nearest(&artifact.sketch) {
             // Transparent similarity seeding — but never from the same
             // design: an identical resubmission is either an exact cache
             // hit (same knobs) or a deliberate knob change whose cold
-            // result must stay reproducible and verdict-cache-shareable.
-            if entry.graph != artifact.graph {
-                knobs.warm = Some(Arc::new(build_warm_spec(&entry, &artifact.graph, distance)));
+            // result must stay reproducible.
+            if entry.seed.graph != artifact.graph {
+                let spec = build_warm_spec(&entry.seed, &artifact.graph, distance);
+                knobs.warm = Some(Arc::new(spec));
                 shared.warm_seeded.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -374,7 +373,7 @@ fn handle_allocate(
     if let Some(hit) = shared.cache.get(key) {
         // Exact hit: replay the stored payload — byte-verbatim, since
         // the rendering lives in the payload itself.
-        handle.send(hit);
+        handle.send(Arc::clone(&hit.payload));
         return;
     }
 
@@ -459,14 +458,6 @@ fn stats_response(shared: &Arc<Shared>) -> Json {
                         ("verified", Json::Int(vsnap.completed as i64)),
                         ("failed", Json::Int(vsnap.failed as i64)),
                         (
-                            "cache",
-                            Json::obj(vec![
-                                ("hits", Json::Int(shared.verdicts.hits() as i64)),
-                                ("misses", Json::Int(shared.verdicts.misses() as i64)),
-                                ("entries", Json::Int(shared.verdicts.len() as i64)),
-                            ]),
-                        ),
-                        (
                             "latency_ms",
                             Json::obj(vec![
                                 ("p50", Json::Float(vsnap.p50_ms)),
@@ -480,9 +471,6 @@ fn stats_response(shared: &Arc<Shared>) -> Json {
                 (
                     "warm",
                     Json::obj(vec![
-                        ("seeds", Json::Int(shared.seeds.len() as i64)),
-                        ("seed_hits", Json::Int(shared.seeds.hits() as i64)),
-                        ("seed_misses", Json::Int(shared.seeds.misses() as i64)),
                         ("seeded", w(&shared.warm_seeded)),
                         ("reallocations", w(&shared.reallocs)),
                         (
@@ -514,45 +502,42 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     let body = match outcome {
         Ok((report, winner)) => {
             shared.stats.record_completed(latency);
-            // Bank the winner so future near-duplicate designs
-            // warm-start from it. The job key doubles as the
-            // `reallocate` base id the response carries.
-            let cost = report.get("cost").and_then(Json::as_u64).unwrap_or(0);
-            let entry = SeedEntry {
+            // The winner is banked with the response, so future
+            // near-duplicate designs warm-start from it. The job key
+            // doubles as the `reallocate` base id the response carries.
+            let seed = SeedEntry {
                 key: job.key,
                 graph: Arc::clone(&job.artifact.graph),
                 parts: winner,
-                cost,
+                cost: report.get("cost").and_then(Json::as_u64).unwrap_or(0),
                 sketch: Arc::clone(&job.artifact.sketch),
             };
-            shared.seeds.insert(job.key, Arc::new(entry));
-            if job.knobs.verify != VerifyMode::Off {
+            if job.knobs.verify {
                 // Hand the completed report (and the reply) to the
                 // verifier lane; this worker goes straight back to
-                // allocation. The response is not cached yet — the
-                // cached payload for a verifying job must carry its
-                // certificate.
+                // allocation. Nothing is cached yet — the cached payload
+                // for a verifying job must carry its certificate.
                 let handoff = VerifyJob {
                     artifact: job.artifact,
                     knobs: job.knobs,
-                    key: job.key,
-                    accepted_at: job.accepted_at,
+                    seed,
                     reply: job.reply,
                     report,
                 };
                 if let Err(PushError::Full(LaneJob::Certify(missed)))
                 | Err(PushError::Closed(LaneJob::Certify(missed))) =
-                    shared.verify_queue.push_wait(LaneJob::Certify(handoff))
+                    shared.verify_queue.push_wait(LaneJob::Certify(Box::new(handoff)))
                 {
                     // Shutdown race: the lane is gone, so answer
                     // uncertified rather than dropping the reply (and
                     // leave the cache alone).
-                    missed.reply.send(payload(ok_response_keyed(missed.report, missed.key)));
+                    missed.reply.send(payload(ok_response_keyed(missed.report, missed.seed.key)));
                 }
                 return;
             }
             let body = payload(ok_response_keyed(report, job.key));
-            shared.cache.insert(job.key, Arc::clone(&body));
+            let entry = JobEntry { payload: Arc::clone(&body), seed, cert: None };
+            shared.cache.insert(job.key, Arc::new(entry));
             body
         }
         Err(err) => {
@@ -572,7 +557,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 fn verifier_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.verify_queue.pop() {
         match job {
-            LaneJob::Certify(job) => process_verify(shared, job),
+            LaneJob::Certify(job) => process_verify(shared, *job),
             LaneJob::Trace { entry, reply } => {
                 let response = match entry.trace_artifact() {
                     Ok(artifact) => Json::obj(vec![
@@ -587,53 +572,36 @@ fn verifier_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Certifies one completed allocation and completes its reply: verdict
-/// cache lookup by result fingerprint, the full record/replay/verify
-/// pipeline on a miss, then the certified response is cached under the
-/// job's result key and sent.
+/// Certifies one completed allocation and completes its reply: the
+/// record/replay/verify pipeline, then the certified response is cached
+/// with the job's seed and certification under the job's key, and sent.
 fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
     let started = Instant::now();
-    let mode = job.knobs.verify;
-    let mut canonical = job.report.clone();
-    crate::report::canonicalize_report(&mut canonical);
-    // The artifact already holds the rendered canonical text — the lane
-    // neither re-parses nor re-renders what admission produced.
-    let fingerprint =
-        result_fingerprint(&job.artifact.canonical_text, &canonical.to_string_compact(), mode);
-
-    let (entry, provenance) = match shared.verdicts.get(fingerprint) {
-        Some(hit) => (hit, "hit"),
-        None => match certify_job(&job.artifact, &job.knobs, &job.report) {
-            Ok((cert, artifact)) => {
-                let verify_ms = started.elapsed().as_secs_f64() * 1e3;
-                let entry = Arc::new(CertEntry {
-                    trace_id: cert.trace.fingerprint(),
-                    certificate: certificate_json(&cert, mode, verify_ms, "miss"),
-                    admission: Arc::clone(&job.artifact),
-                    knobs: job.knobs.clone(),
-                    slot: artifact.slot,
-                    cost: artifact.cost,
-                    report: artifact.report,
-                });
-                shared.verdicts.insert(fingerprint, Arc::clone(&entry));
-                (entry, "miss")
-            }
-            Err(err) => {
-                shared.vstats.record_failed(started.elapsed());
-                job.reply.send(payload(error_response(&err)));
-                return;
-            }
-        },
+    let (cert, artifact) = match certify_job(&job.artifact, &job.knobs, &job.report) {
+        Ok(certified) => certified,
+        Err(err) => {
+            shared.vstats.record_failed(started.elapsed());
+            job.reply.send(payload(error_response(&err)));
+            return;
+        }
     };
-
-    let mut certificate = entry.certificate.clone();
-    set_cache_provenance(&mut certificate, provenance);
+    let certificate = certificate_json(&cert, started.elapsed().as_secs_f64() * 1e3);
     let mut report = job.report;
     if let Json::Obj(pairs) = &mut report {
         pairs.push(("certificate".to_string(), certificate));
     }
-    let body = payload(ok_response_keyed(report, job.key));
-    shared.cache.insert(job.key, Arc::clone(&body));
+    let key = job.seed.key;
+    let body = payload(ok_response_keyed(report, key));
+    let cert = CertEntry {
+        trace_id: cert.trace.fingerprint(),
+        admission: job.artifact,
+        knobs: job.knobs,
+        slot: artifact.slot,
+        cost: artifact.cost,
+        report: artifact.report,
+    };
+    let entry = JobEntry { payload: Arc::clone(&body), seed: job.seed, cert: Some(Arc::new(cert)) };
+    shared.cache.insert(key, Arc::new(entry));
     // The lane's reservoir tracks verification latency only; the job's
     // end-to-end latency was recorded by the allocation worker.
     shared.vstats.record_completed(started.elapsed());
@@ -679,6 +647,12 @@ mod tests {
         server.join();
     }
 
+    /// The `stats` body's counter at `path`.
+    fn stat(conn: &mut Connection, path: &[&str]) -> Option<u64> {
+        let stats = roundtrip(conn, r#"{"cmd":"stats"}"#);
+        path.iter().try_fold(stats.get("stats")?, |node, key| node.get(key))?.as_u64()
+    }
+
     #[test]
     fn verify_full_certifies_and_serves_the_trace_artifact() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -693,13 +667,14 @@ mod tests {
         let cert = report.get("certificate").expect("certificate section");
         assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
         assert_eq!(cert.get("mode").and_then(Json::as_str), Some("full"));
-        assert_eq!(cert.get("cache").and_then(Json::as_str), Some("miss"));
+        assert!(cert.get("cache").is_none(), "no cache provenance: one job is certified once");
         assert!(cert.get("commits").and_then(Json::as_u64).unwrap() > 0);
         assert!(cert.get("verify_ms").and_then(Json::as_f64).is_some());
         let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap().to_string();
 
-        // The artifact behind the certificate is served by `trace`, and
-        // its embedded report is the canonical form of the live one.
+        // The artifact behind the certificate is served by `trace`; its
+        // embedded report is the canonical form of the live one, and its
+        // knobs are the resolved ones.
         let traced = roundtrip(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
         assert_eq!(traced.get("status").and_then(Json::as_str), Some("ok"));
         let artifact = traced.get("artifact").expect("artifact");
@@ -716,31 +691,28 @@ mod tests {
             artifact.get("report").and_then(Json::as_str),
             Some(canonical.to_string_compact().as_str())
         );
+        let steps = asap_steps("paper_example");
+        let knobs = artifact.get("knobs").unwrap();
+        assert_eq!(knobs.get("steps").and_then(Json::as_u64), Some(steps as u64));
+        assert_eq!(knobs.get("verify").and_then(Json::as_str), Some("full"));
 
-        // A result-invariant knob change (`steps` spelled as the ASAP
-        // length it defaults to) is a fresh job but the same result: the
-        // verdict comes from the cache.
+        // `steps` spelled as the ASAP length it defaults to, and `sample`
+        // for `full`: the same job, answered from the result cache byte
+        // for byte, with one allocation and one certification.
         let replayed = roundtrip(
             &mut conn,
             &format!(
-                r#"{{"cmd":"allocate","bench":"paper_example","steps":{},"restarts":2,"verify":"full"}}"#,
-                asap_steps("paper_example")
+                r#"{{"cmd":"allocate","bench":"paper_example","steps":{steps},"restarts":2,"verify":"sample"}}"#
             ),
         );
-        let cert2 = replayed.get("report").and_then(|r| r.get("certificate")).unwrap();
-        assert_eq!(cert2.get("cache").and_then(Json::as_str), Some("hit"));
-        assert_eq!(cert2.get("trace_id").and_then(Json::as_str), Some(trace_id.as_str()));
+        assert_eq!(replayed.to_string_compact(), response.to_string_compact());
+        assert_eq!(stat(&mut conn, &["completed"]), Some(1));
+        assert_eq!(stat(&mut conn, &["cache", "hits"]), Some(1));
+        assert_eq!(stat(&mut conn, &["verifier", "verified"]), Some(1));
 
-        // Unknown trace ids get a structured error; the stats response
-        // shows the verifier lane's counters.
+        // Unknown trace ids get a structured error.
         let missing = roundtrip(&mut conn, r#"{"cmd":"trace","id":"00"}"#);
         assert_eq!(missing.get("status").and_then(Json::as_str), Some("error"));
-        let stats = roundtrip(&mut conn, r#"{"cmd":"stats"}"#);
-        let verifier = stats.get("stats").and_then(|s| s.get("verifier")).expect("verifier");
-        assert_eq!(verifier.get("verified").and_then(Json::as_u64), Some(2));
-        let vcache = verifier.get("cache").unwrap();
-        assert_eq!(vcache.get("hits").and_then(Json::as_u64), Some(1));
-        assert_eq!(vcache.get("entries").and_then(Json::as_u64), Some(1));
 
         server.shutdown();
     }
@@ -765,29 +737,29 @@ mod tests {
         assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
         let second = roundtrip(&mut conn, &request.replace(r#""threads":2"#, r#""threads":3"#));
         assert_eq!(second.to_string_compact(), first.to_string_compact());
-        let stats = roundtrip(&mut conn, r#"{"cmd":"stats"}"#);
-        let body = stats.get("stats").unwrap();
-        assert_eq!(body.get("cache").and_then(|c| c.get("hits")).and_then(Json::as_u64), Some(1));
-        assert_eq!(body.get("completed").and_then(Json::as_u64), Some(1));
-        let verifier = body.get("verifier").unwrap();
-        assert_eq!(verifier.get("verified").and_then(Json::as_u64), Some(1));
+        assert_eq!(stat(&mut conn, &["cache", "hits"]), Some(1));
+        assert_eq!(stat(&mut conn, &["completed"]), Some(1));
+        assert_eq!(stat(&mut conn, &["verifier", "verified"]), Some(1));
         server.shutdown();
     }
 
     #[test]
-    fn trace_after_a_verdict_cache_hit_replays() {
+    fn trace_after_a_result_cache_hit_replays() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut conn = connect(&server);
         let request = r#"{"cmd":"allocate","bench":"diffeq","restarts":2,"seed":9,"verify":"sample"}"#;
         let first = roundtrip(&mut conn, request);
-        let cert = first.get("report").and_then(|r| r.get("certificate")).unwrap();
-        assert_eq!(cert.get("cache").and_then(Json::as_str), Some("miss"));
-        // `steps` spelled as the ASAP length it defaults to: a fresh job
-        // with the same result, so the verdict comes from the cache.
+        // `steps` spelled as the ASAP length it defaults to, and `full`
+        // for `sample`: a result-cache hit, byte for byte.
         let explicit = format!(r#""steps":{},"restarts":2"#, asap_steps("diffeq"));
-        let second = roundtrip(&mut conn, &request.replace(r#""restarts":2"#, &explicit));
+        let second = roundtrip(
+            &mut conn,
+            &request.replace(r#""restarts":2"#, &explicit).replace("sample", "full"),
+        );
+        assert_eq!(second.to_string_compact(), first.to_string_compact());
+        assert_eq!(stat(&mut conn, &["completed"]), Some(1));
+        assert_eq!(stat(&mut conn, &["verifier", "verified"]), Some(1));
         let cert = second.get("report").and_then(|r| r.get("certificate")).unwrap();
-        assert_eq!(cert.get("cache").and_then(Json::as_str), Some("hit"));
         let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap();
 
         let traced = roundtrip(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));

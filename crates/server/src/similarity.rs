@@ -1,16 +1,17 @@
 //! Similarity-keyed warm-start seeding: a renumbering-invariant design
-//! sketch, the bounded seed index of prior winners, and the label-based
-//! delta matching that turns a near-hit into a [`WarmSpec`].
+//! sketch, the nearest-winner lookup over the result cache, and the
+//! label-based delta matching that turns a near-hit into a [`WarmSpec`].
 //!
 //! The exact result cache only fires when canonical text and knobs agree
 //! byte-for-byte. Incremental design flows rarely repeat exactly — they
 //! resubmit a design with two operations swapped, one value renamed, a
-//! coefficient changed. The [`SeedIndex`] keeps the winning
-//! [`BindingParts`] of recent jobs keyed by a structural [`Sketch`];
-//! when a new design lands within [`SEED_DISTANCE_PERMILLE`] of a prior
-//! one, the server builds a [`WarmSpec`] from the prior winner (image +
-//! label-remapped preferences + delta focus set) and the search starts
-//! from the old answer instead of the constructive initial allocation.
+//! coefficient changed. Every result-cache entry banks its job's winning
+//! [`BindingParts`] with the design's structural [`Sketch`] (a
+//! [`SeedEntry`]); when a new design lands within
+//! [`SEED_DISTANCE_PERMILLE`] of a cached one, the server builds a
+//! [`WarmSpec`] from the prior winner (image, label-remapped preferences
+//! and delta focus set) and the search starts from the old answer
+//! instead of the constructive initial allocation.
 //!
 //! The sketch must be invariant under op/value *renumbering* — two
 //! spellings of the same structure must land at distance 0 — so it is
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use salsa_alloc::{BindingParts, WarmSpec};
 use salsa_cdfg::{Cdfg, OpKind};
 
-use crate::cache::FifoCache;
+use crate::cache::{JobEntry, ResultCache};
 
 /// Accept a similarity seed when `distance * 1000 <= weight *
 /// SEED_DISTANCE_PERMILLE` — i.e. the designs differ in at most 40% of
@@ -102,8 +103,8 @@ impl Sketch {
     }
 }
 
-/// One remembered winner: the job's identity, its design, and the
-/// allocation that won.
+/// One banked winner (a [`JobEntry`]'s seed): the job's identity, its
+/// design, and the allocation that won.
 pub struct SeedEntry {
     /// The base job's result-cache key (the `source` provenance of any
     /// spec built from this entry, and the `reallocate` verb's handle).
@@ -119,30 +120,23 @@ pub struct SeedEntry {
     pub sketch: Arc<Sketch>,
 }
 
-/// A bounded FIFO index of recent winners keyed by job key, queried two
-/// ways: exactly by key ([`FifoCache::peek`], the `reallocate` verb) and
-/// nearest-by-sketch (transparent similarity seeding). Nearest-neighbour
-/// scan is linear — the index holds at most a few dozen entries and a
-/// scan is nanoseconds next to one allocation job.
-pub type SeedIndex = FifoCache<SeedEntry>;
-
-impl FifoCache<SeedEntry> {
-    /// The entry nearest to `sketch` that passes the acceptance
-    /// threshold, with its distance, counted as a hit or a miss.
-    /// Deterministic: lowest distance wins, ties break toward the
-    /// *oldest* entry (insertion order), so the same index contents
-    /// always seed the same way.
-    pub fn nearest(&self, sketch: &Sketch) -> Option<(Arc<SeedEntry>, u64)> {
-        let mut best: Option<(Arc<SeedEntry>, u64)> = None;
+impl ResultCache {
+    /// The cached job whose design is nearest to `sketch` and passes the
+    /// acceptance threshold, with its distance (transparent similarity
+    /// seeding; `reallocate` peeks its base by key instead). Not counted
+    /// as a cache hit or miss. Deterministic: lowest distance wins, ties
+    /// break toward the *oldest* entry (insertion order), so the same
+    /// cache contents always seed the same way. The scan is linear in the
+    /// cache's entries.
+    pub fn nearest(&self, sketch: &Sketch) -> Option<(Arc<JobEntry>, u64)> {
+        let mut best: Option<(Arc<JobEntry>, u64)> = None;
         self.scan(|entry| {
-            let d = sketch.distance(&entry.sketch);
+            let d = sketch.distance(&entry.seed.sketch);
             if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
                 best = Some((Arc::clone(entry), d));
             }
         });
-        let seed = best.filter(|(_, d)| sketch.accepts(*d));
-        self.count(seed.is_some());
-        seed
+        best.filter(|(_, d)| sketch.accepts(*d))
     }
 }
 
@@ -279,26 +273,31 @@ mod tests {
         assert!(!base.accepts(large));
     }
 
+    fn job(key: u128, text: &str) -> Arc<JobEntry> {
+        let payload = Arc::new(salsa_wire::frame::Payload::new(crate::json::Json::Null));
+        Arc::new(JobEntry { payload, seed: entry(key, text), cert: None })
+    }
+
     #[test]
     fn index_serves_nearest_with_deterministic_ties_and_fifo_eviction() {
-        let index = SeedIndex::new(2);
-        assert!(index.nearest(&Sketch::of(&parse_cdfg(BASE).unwrap())).is_none());
-        index.insert(1, Arc::new(entry(1, BASE)));
+        let cache = ResultCache::new(2);
+        assert!(cache.nearest(&Sketch::of(&parse_cdfg(BASE).unwrap())).is_none());
+        cache.insert(1, job(1, BASE));
         // Same structure under different labels: distance 0, and the
         // *older* of two equal entries wins.
         let twin = "cdfg u\ninput p\ninput q\nop m = add p q\nop n = mul m p\noutput n\n";
-        index.insert(2, Arc::new(entry(2, twin)));
+        cache.insert(2, job(2, twin));
         let probe = Sketch::of(&parse_cdfg(BASE).unwrap());
-        let (hit, d) = index.nearest(&probe).expect("seed");
-        assert_eq!((hit.key, d), (1, 0));
-        assert!(index.peek(1).is_some());
+        let (hit, d) = cache.nearest(&probe).expect("seed");
+        assert_eq!((hit.seed.key, d), (1, 0));
+        assert!(cache.peek(1).is_some());
 
-        // Capacity 2: a third insert evicts the oldest.
-        index.insert(3, Arc::new(entry(3, BASE)));
-        assert_eq!(index.len(), 2);
-        assert!(index.peek(1).is_none());
-        assert_eq!(index.nearest(&probe).unwrap().0.key, 2);
-        assert_eq!((index.hits(), index.misses()), (2, 1));
+        // Capacity 2: a third insert evicts the oldest, seed included.
+        cache.insert(3, job(3, BASE));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.peek(1).is_none());
+        assert_eq!(cache.nearest(&probe).unwrap().0.seed.key, 2);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "seeding is not a cache lookup");
     }
 
     #[test]

@@ -90,7 +90,7 @@ proptest! {
 
     /// The sketch consults neither ids nor labels, so renaming every op
     /// and renumbering via a different topological order must land at
-    /// distance exactly 0 — the invariance the seed index relies on to
+    /// distance exactly 0 — the invariance similarity seeding relies on to
     /// recognize a resubmitted design under fresh spelling.
     #[test]
     fn sketch_is_invariant_under_renumbering_and_relabeling(
@@ -245,7 +245,7 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut conn = connect(&server);
 
-    // Base job: cold (the seed index is empty at admission), certified.
+    // Base job: cold (the result cache is empty at admission), certified.
     let base_response = send_json(
         &mut conn,
         r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"threads":1,"verify":"full","timeout_ms":60000}"#,
@@ -340,7 +340,8 @@ fn reallocate_verb_warm_starts_certifies_and_never_aliases_cold() {
     // Two reallocate requests landed (the replay re-attaches its seed
     // before discovering the cache hit).
     assert_eq!(warm_stats.get("reallocations").and_then(Json::as_u64), Some(2));
-    assert!(warm_stats.get("seeds").and_then(Json::as_u64).unwrap() >= 2);
+    let cache = stats.get("stats").and_then(|s| s.get("cache")).expect("cache stats");
+    assert!(cache.get("entries").and_then(Json::as_u64).unwrap() >= 2, "each job banks its winner");
     let admission = warm_stats.get("admission").unwrap();
     assert!(admission.get("hits").and_then(Json::as_u64).unwrap() >= 1);
 
@@ -401,5 +402,49 @@ fn reallocating_an_add_to_sub_edit_of_a_swapped_add_certifies() {
     );
     let cert = report.get("certificate").expect("certificate");
     assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"), "{warm}");
+    server.shutdown();
+}
+
+#[test]
+fn a_reallocate_base_expires_with_its_cached_response() {
+    // The banked winner is part of the job's one cache entry: it is
+    // there as soon as the certified response is, and gone once a later
+    // job evicts that response.
+    let config = ServerConfig { cache_capacity: 1, ..ServerConfig::default() };
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let mut conn = connect(&server);
+    let base = send_json(
+        &mut conn,
+        r#"{"cmd":"allocate","bench":"diffeq","seed":1,"threads":1,"verify":"full"}"#,
+    );
+    assert_eq!(base.get("status").and_then(Json::as_str), Some("ok"), "{base}");
+    let base_id = base.get("id").and_then(Json::as_str).unwrap().to_string();
+    let cert = base.get("report").and_then(|r| r.get("certificate")).expect("certificate");
+    assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
+
+    let edited = flipped_variant(
+        &resolve_graph(&GraphSource::Bench("diffeq".into())).unwrap().canonical_text(),
+    );
+    let realloc = |seed: u64| {
+        Json::obj(vec![
+            ("cmd", Json::Str("reallocate".into())),
+            ("base", Json::Str(base_id.clone())),
+            ("cdfg", Json::Str(edited.clone())),
+            ("seed", Json::Int(seed as i64)),
+            ("threads", Json::Int(1)),
+        ])
+    };
+    let warm = conn.call(&realloc(1)).unwrap();
+    assert_eq!(warm.get("status").and_then(Json::as_str), Some("ok"), "{warm}");
+    let warm_start = warm.get("report").and_then(|r| r.get("warm_start")).expect("warm start");
+    assert_eq!(warm_start.get("source").and_then(Json::as_str), Some(base_id.as_str()));
+
+    // The reallocation is a later job; with room for one entry it
+    // evicted the base, whose id no longer names a winner.
+    let expired = conn.call(&realloc(2)).unwrap();
+    assert_eq!(expired.get("status").and_then(Json::as_str), Some("error"), "{expired}");
+    assert_eq!(expired.get("kind").and_then(Json::as_str), Some("bad-request"));
+    let message = expired.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("unknown base job"), "{message}");
     server.shutdown();
 }

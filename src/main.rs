@@ -26,8 +26,8 @@ use salsa_hls::datapath::{bus_allocate, traffic_from_rtl};
 use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, VerilogOptions};
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::serve::{
-    canonicalize_report, check_threads, knobs_to_json, plan_job, resolve_graph, ErrorKind,
-    GraphSource, Json, JobPlan, Knobs, Server, ServerConfig,
+    canonicalize_report, check_threads, knobs_to_json, parse_verify, plan_job, resolve_graph,
+    ErrorKind, GraphSource, Json, JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -114,15 +114,16 @@ document as compact JSON, the serializer --json reports use. --retry N retries b
 connection failures up to N times; any other error is final and is
 reported at once.
 
-submit --verify sample|full asks the server to certify the result on its
+submit --verify full asks the server to certify the result on its
 verifier lane (own worker pool, --verify-workers): the winning chain's
-committed-move trace is recorded, replayed with cost cross-checks
-(at every commit, under sample and full alike), compared bit-for-bit
-against the recorded binding and symbolically verified; the response's
-report gains a certificate section (verdict, mode, verify_ms, trace_id,
-cache provenance, commits). --dump-trace PATH then fetches the portable
-trace artifact behind the certificate (the wire trace command) and
-writes it to PATH. 'salsa-hls audit PATH' replays such an artifact
+committed-move trace is recorded, replayed with a cost check at every
+commit, compared bit-for-bit against the recorded binding and
+symbolically verified; the response's report gains a certificate
+section (verdict, mode, verify_ms, trace_id, commits). --verify sample
+is another spelling of full: the same job, the same cache entry, and a
+certificate whose mode reads full. --dump-trace PATH then fetches the
+portable trace artifact behind the certificate (the wire trace command)
+and writes it to PATH. 'salsa-hls audit PATH' replays such an artifact
 offline — no server, no search — re-deriving the binding move-by-move,
 verifying it symbolically, re-running the full allocation and
 byte-diffing the reproduced canonical report against the artifact's.
@@ -130,11 +131,11 @@ byte-diffing the reproduced canonical report against the artifact's.
 reallocate resubmits an *edited* design against a prior job: --base
 JOB_ID names the 'id' field of an earlier ok response, and the server
 warm-starts the search from that job's winning allocation (label-matched
-across the edit, with delta-local move bias). Plain submits also
-warm-start transparently when the server's seed index holds a
-structurally similar prior design; the report's warm_start section
-records the seed's provenance either way, and warm and cold runs never
-share a result-cache entry.
+across the edit, with delta-local move bias); the base lives as long as
+its cached response. Plain submits also warm-start transparently when
+the server's result cache holds a structurally similar prior design;
+the report's warm_start section records the seed's provenance either
+way, and warm and cold runs never share a result-cache entry.
 
 <file.cdfg> is the text CDFG format ('-' reads stdin), e.g.:
   cdfg iir1
@@ -370,7 +371,12 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),
         mem_moves: !has_flag(args, "--no-mem-moves"),
-        verify: parse_verify(args)?,
+        verify: match flag_value(args, "--verify")? {
+            Some(raw) => {
+                parse_verify(&raw).map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?
+            }
+            None => false,
+        },
         warm: None,
     };
     knobs.check_bounds().map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
@@ -383,14 +389,6 @@ fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {
     let threads = flag_parse(args, "--threads")?;
     check_threads(threads).map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
     Ok(threads)
-}
-
-fn parse_verify(args: &[String]) -> Result<salsa_hls::audit::VerifyMode, String> {
-    match flag_value(args, "--verify")? {
-        None => Ok(salsa_hls::audit::VerifyMode::Off),
-        Some(raw) => salsa_hls::audit::VerifyMode::parse(&raw)
-            .ok_or_else(|| format!("--verify: '{raw}' is not valid (off, sample or full)")),
-    }
 }
 
 fn submit(args: &[String]) -> Result<(), String> {
@@ -488,7 +486,7 @@ fn dump_trace(conn: &mut Connection, response: &Json, path: &str) -> Result<(), 
         .and_then(|r| r.get("certificate"))
         .and_then(|c| c.get("trace_id"))
         .and_then(Json::as_str)
-        .ok_or("--dump-trace needs a certified response (add --verify sample|full)")?;
+        .ok_or("--dump-trace needs a certified response (add --verify full)")?;
     let request = Json::obj(vec![
         ("cmd", Json::Str("trace".to_string())),
         ("id", Json::Str(trace_id.to_string())),
