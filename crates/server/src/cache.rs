@@ -18,11 +18,17 @@
 //!
 //! The entry also holds what later requests read off the job: the winner
 //! banked for warm starts (`reallocate` peeks it by key, similarity
-//! seeding scans for the nearest sketch) and, for a certified job, what
+//! seeding looks up the nearest sketch) and, for a certified job, what
 //! the wire `trace` command re-derives the artifact from (scanned by
 //! trace id). A job's response, seed and certificate are cached and
 //! evicted together, so a `reallocate` base or a `trace` id lives exactly
 //! as long as the response that named it.
+//!
+//! A cache may keep a secondary [`Index`] over its entries, updated on
+//! insert and eviction under the cache's own lock, so it never names a
+//! key the map lacks. The result cache buckets its jobs by design sketch
+//! ([`SketchIndex`]): a resubmitted design finds its nearest seed in its
+//! own bucket instead of scanning every entry.
 //!
 //! Eviction is FIFO: cached values are a few KiB and take a job to
 //! compute, so recency tracking buys little over insertion order here.
@@ -33,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use salsa_wire::frame::Payload;
 
-use crate::similarity::SeedEntry;
+use crate::similarity::{SeedEntry, SketchIndex};
 use crate::verifier::CertEntry;
 
 /// One completed job: everything the service keeps of it, under one key.
@@ -47,28 +53,55 @@ pub struct JobEntry {
     pub cert: Option<Arc<CertEntry>>,
 }
 
-/// The content-addressed job cache.
-pub type ResultCache = FifoCache<JobEntry>;
+/// The content-addressed job cache, its jobs bucketed by design sketch.
+pub type ResultCache = FifoCache<JobEntry, SketchIndex>;
 
-struct Inner<V> {
-    map: HashMap<u128, Arc<V>>,
-    order: VecDeque<u128>,
+/// A secondary index a [`FifoCache`] keeps in step with its entries,
+/// under the cache's lock. It sees each key once when the key enters
+/// the cache and once when FIFO eviction drops it; re-inserting a live
+/// key replaces the value in place and leaves the index alone, so a
+/// value must index the same way as the value it replaces.
+pub trait Index<V>: Default {
+    /// `key` entered the cache holding `value`, as its newest entry.
+    fn insert(&mut self, key: u128, value: &V);
+    /// `key`, holding `value`, was evicted as the cache's oldest entry.
+    fn evict(&mut self, key: u128, value: &V);
 }
 
-/// Bounded, thread-safe FIFO cache keyed by a 128-bit fingerprint.
-pub struct FifoCache<V> {
-    inner: Mutex<Inner<V>>,
+/// The index of a cache that keeps none.
+#[derive(Default)]
+pub struct NoIndex;
+
+impl<V> Index<V> for NoIndex {
+    fn insert(&mut self, _: u128, _: &V) {}
+    fn evict(&mut self, _: u128, _: &V) {}
+}
+
+struct Inner<V, I> {
+    map: HashMap<u128, Arc<V>>,
+    order: VecDeque<u128>,
+    index: I,
+}
+
+/// Bounded, thread-safe FIFO cache keyed by a 128-bit fingerprint, with
+/// an optional secondary [`Index`].
+pub struct FifoCache<V, I = NoIndex> {
+    inner: Mutex<Inner<V, I>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<V> FifoCache<V> {
+impl<V, I: Index<V>> FifoCache<V, I> {
     /// A cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
         FifoCache {
-            inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                index: I::default(),
+            }),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -76,7 +109,7 @@ impl<V> FifoCache<V> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<V>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<V, I>> {
         self.inner.lock().expect("cache poisoned")
     }
 
@@ -97,17 +130,33 @@ impl<V> FifoCache<V> {
     /// capacity. Re-inserting an existing key replaces its value in
     /// place, keeping its position in the eviction order.
     pub fn insert(&self, key: u128, value: Arc<V>) {
-        let mut inner = self.lock();
-        if inner.map.insert(key, value).is_some() {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if inner.map.insert(key, Arc::clone(&value)).is_some() {
             return;
         }
+        inner.index.insert(key, &value);
         inner.order.push_back(key);
         while inner.order.len() > self.capacity {
             if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
+                if let Some(evicted) = inner.map.remove(&old) {
+                    inner.index.evict(old, &evicted);
+                }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The entry under the key `find` picks from the index, read under
+    /// the cache lock. Not counted as a hit or miss.
+    pub(crate) fn find(&self, find: impl FnOnce(&I) -> Option<u128>) -> Option<Arc<V>> {
+        let inner = self.lock();
+        find(&inner.index).map(|key| Arc::clone(&inner.map[&key]))
+    }
+
+    /// Reads the index under the cache lock.
+    pub(crate) fn read_index<R>(&self, read: impl FnOnce(&I) -> R) -> R {
+        read(&self.lock().index)
     }
 
     /// Visits every entry, oldest first, under the cache lock. Not

@@ -419,6 +419,7 @@ fn stats_response(shared: &Arc<Shared>) -> Json {
                         ("misses", Json::Int(cache.misses() as i64)),
                         ("evictions", Json::Int(cache.evictions() as i64)),
                         ("entries", Json::Int(cache.len() as i64)),
+                        ("sketches", Json::Int(cache.sketches() as i64)),
                         ("hit_rate", Json::Float(cache.hit_rate())),
                     ]),
                 ),

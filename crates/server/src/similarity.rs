@@ -1,6 +1,7 @@
 //! Similarity-keyed warm-start seeding: a renumbering-invariant design
-//! sketch, the nearest-winner lookup over the result cache, and the
-//! label-based delta matching that turns a near-hit into a [`WarmSpec`].
+//! sketch, the nearest-winner lookup over the result cache (and the
+//! exact-sketch index that serves it), and the label-based delta
+//! matching that turns a near-hit into a [`WarmSpec`].
 //!
 //! The exact result cache only fires when canonical text and knobs agree
 //! byte-for-byte. Incremental design flows rarely repeat exactly — they
@@ -20,13 +21,13 @@
 //! Neither consults an id or a label. `tests/warmstart.rs` pins the
 //! invariance property.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use salsa_alloc::{BindingParts, WarmSpec};
 use salsa_cdfg::{Cdfg, OpKind};
 
-use crate::cache::{JobEntry, ResultCache};
+use crate::cache::{Index, JobEntry, ResultCache};
 
 /// Accept a similarity seed when `distance * 1000 <= weight *
 /// SEED_DISTANCE_PERMILLE` — i.e. the designs differ in at most 40% of
@@ -52,7 +53,7 @@ fn kind_index(kind: OpKind) -> usize {
 /// array count, so a memory design never sketches close to a scalar one
 /// of the same arithmetic shape — their winners bind incompatible
 /// resources (bank tables, memory ports) and must not seed each other.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Sketch {
     kinds: [u32; 6],
     edges: [u32; 7 * 6],
@@ -120,15 +121,59 @@ pub struct SeedEntry {
     pub sketch: Arc<Sketch>,
 }
 
+/// The result cache's exact-sketch index: each design sketch maps to
+/// the keys of the cached jobs with that sketch, oldest first. Buckets
+/// are keyed by the jobs' shared `Arc<Sketch>`, so no sketch is copied
+/// per job, and an emptied bucket is dropped, so the index is bounded
+/// by the cache.
+#[derive(Default)]
+pub struct SketchIndex {
+    buckets: HashMap<Arc<Sketch>, VecDeque<u128>>,
+}
+
+impl SketchIndex {
+    /// The key of the oldest cached job with exactly this sketch.
+    fn oldest(&self, sketch: &Sketch) -> Option<u128> {
+        self.buckets.get(sketch).and_then(|keys| keys.front().copied())
+    }
+}
+
+impl Index<JobEntry> for SketchIndex {
+    fn insert(&mut self, key: u128, job: &JobEntry) {
+        self.buckets.entry(Arc::clone(&job.seed.sketch)).or_default().push_back(key);
+    }
+
+    fn evict(&mut self, key: u128, job: &JobEntry) {
+        // FIFO eviction drops the cache's oldest job, which is also the
+        // oldest in its bucket.
+        let sketch: &Sketch = &job.seed.sketch;
+        if let Some(keys) = self.buckets.get_mut(sketch) {
+            debug_assert_eq!(keys.front(), Some(&key), "evicted job is its bucket's oldest");
+            keys.pop_front();
+            if keys.is_empty() {
+                self.buckets.remove(sketch);
+            }
+        }
+    }
+}
+
 impl ResultCache {
     /// The cached job whose design is nearest to `sketch` and passes the
     /// acceptance threshold, with its distance (transparent similarity
     /// seeding; `reallocate` peeks its base by key instead). Not counted
     /// as a cache hit or miss. Deterministic: lowest distance wins, ties
     /// break toward the *oldest* entry (insertion order), so the same
-    /// cache contents always seed the same way. The scan is linear in the
-    /// cache's entries.
+    /// cache contents always seed the same way.
+    ///
+    /// When a cached job shares the sketch exactly, the answer is the
+    /// oldest job in that sketch's bucket at distance 0 (the minimum,
+    /// always accepted), read off the [`SketchIndex`] without a scan.
+    /// Only a sketch no cached job shares (a fresh design, whose miss
+    /// then pays for a search) scans every entry.
     pub fn nearest(&self, sketch: &Sketch) -> Option<(Arc<JobEntry>, u64)> {
+        if let Some(twin) = self.find(|index| index.oldest(sketch)) {
+            return Some((twin, 0));
+        }
         let mut best: Option<(Arc<JobEntry>, u64)> = None;
         self.scan(|entry| {
             let d = sketch.distance(&entry.seed.sketch);
@@ -137,6 +182,12 @@ impl ResultCache {
             }
         });
         best.filter(|(_, d)| sketch.accepts(*d))
+    }
+
+    /// Distinct design sketches among the cached jobs (at most
+    /// [`len`](Self::len)).
+    pub fn sketches(&self) -> usize {
+        self.read_index(|index| index.buckets.len())
     }
 }
 
@@ -298,6 +349,106 @@ mod tests {
         assert!(cache.peek(1).is_none());
         assert_eq!(cache.nearest(&probe).unwrap().0.seed.key, 2);
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "seeding is not a cache lookup");
+    }
+
+    /// The seeding lookup as a linear scan over every entry: the oracle
+    /// `nearest` must agree with (lowest distance, oldest on ties).
+    fn scan_nearest(cache: &ResultCache, sketch: &Sketch) -> Option<(u128, u64)> {
+        let mut best: Option<(u128, u64)> = None;
+        cache.scan(|entry| {
+            let d = sketch.distance(&entry.seed.sketch);
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((entry.seed.key, d));
+            }
+        });
+        best.filter(|&(_, d)| sketch.accepts(d))
+    }
+
+    #[test]
+    fn sketch_index_agrees_with_the_scan_under_inserts_reinserts_and_evictions() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const WIDE: &str = "cdfg w\ninput a\ninput b\nconst k = 3\n\
+                            op x1 = add a b\nop x2 = add x1 k\nop x3 = add x2 b\n\
+                            op x4 = mul x3 x1\nop x5 = add x4 x2\nop x6 = add x5 x3\n\
+                            op x7 = add x6 x1\noutput x7\n";
+        let designs = [
+            BASE.to_string(),
+            // Exact-sketch twins of BASE with different graphs: a relabel
+            // and two constant operands differing only in value.
+            "cdfg u\ninput p\ninput q\nop m = add p q\nop n = mul m p\noutput n\n".into(),
+            "cdfg c\ninput a\nconst k = 3\nop x = add a k\nop y = mul x a\noutput y\n".into(),
+            "cdfg c\ninput a\nconst k = 5\nop x = add a k\nop y = mul x a\noutput y\n".into(),
+            WIDE.into(),
+            WIDE.replace("k = 3", "k = 4"),
+            WIDE.replace('x', "z"),
+            // Near sketches of WIDE: one op flipped, one added (both
+            // seedable), two flipped (beyond the threshold).
+            WIDE.replace("x7 = add", "x7 = sub"),
+            WIDE.replace("x7 = add", "x7 = sub").replace("x5 = add", "x5 = sub"),
+            WIDE.replace("output x7", "op x8 = add x7 a\noutput x8"),
+            // Far from everything else.
+            "cdfg f\ninput a\nop x = lt a a\nop y = lt x x\nop z = lt y y\noutput z\n".into(),
+        ];
+        let graphs: Vec<Arc<Cdfg>> =
+            designs.iter().map(|text| Arc::new(parse_cdfg(text).unwrap())).collect();
+        let sketches: Vec<Sketch> = graphs.iter().map(|g| Sketch::of(g)).collect();
+        assert_eq!(sketches[0], sketches[3], "const edit keeps the sketch");
+        assert_ne!(graphs[0], graphs[1], "twins differ in graph");
+        let seedable = |i: usize| sketches[i].accepts(sketches[i].distance(&sketches[4]));
+        assert!(seedable(7) && !seedable(8) && seedable(9));
+
+        // A key names one design, as a cache key hashes its canonical
+        // text; keys `k` and `k + designs.len()` are two knob sets of one
+        // design (same graph, same sketch).
+        let key_space = 2 * designs.len() as u64 - 4;
+        let job_for = |key: u128| {
+            let design = key as usize % designs.len();
+            let mut seed = entry(key, BASE);
+            seed.graph = Arc::clone(&graphs[design]);
+            // A fresh `Arc` per job, as each admission builds its own.
+            seed.sketch = Arc::new(sketches[design].clone());
+            let payload = Arc::new(salsa_wire::frame::Payload::new(crate::json::Json::Null));
+            Arc::new(JobEntry { payload, seed, cert: None })
+        };
+
+        let mut rng = StdRng::seed_from_u64(0x5ca1);
+        for stream in 0..64 {
+            let cache = ResultCache::new(rng.gen_range(1..=8));
+            for step in 0..48 {
+                let mut live = Vec::new();
+                cache.scan(|entry| live.push(entry.seed.key));
+                let key = if !live.is_empty() && rng.gen_bool(0.3) {
+                    live[rng.gen_range(0..live.len())]
+                } else {
+                    u128::from(rng.gen_range(0..key_space))
+                };
+                cache.insert(key, job_for(key));
+
+                for (i, probe) in sketches.iter().enumerate() {
+                    let got = cache.nearest(probe).map(|(job, d)| (job.seed.key, d));
+                    assert_eq!(
+                        got,
+                        scan_nearest(&cache, probe),
+                        "stream {stream} step {step}: probe {i} after inserting {key}"
+                    );
+                }
+                let listed: Vec<(Arc<Sketch>, u128)> = cache.read_index(|index| {
+                    index
+                        .buckets
+                        .iter()
+                        .flat_map(|(s, keys)| keys.iter().map(|&k| (Arc::clone(s), k)))
+                        .collect()
+                });
+                assert_eq!(listed.len(), cache.len(), "stream {stream} step {step}");
+                for (sketch, key) in listed {
+                    let job = cache.peek(key).expect("the index names only cached keys");
+                    assert_eq!(*job.seed.sketch, *sketch, "key {key} listed under its sketch");
+                }
+                assert!(cache.sketches() <= cache.len());
+            }
+        }
     }
 
     #[test]

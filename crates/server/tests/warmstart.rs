@@ -448,3 +448,87 @@ fn a_reallocate_base_expires_with_its_cached_response() {
     assert!(message.contains("unknown base job"), "{message}");
     server.shutdown();
 }
+
+/// `canonical` with its first constant's value changed: a different
+/// design with exactly the same sketch (constants feed ops from outside).
+fn const_edited(canonical: &str) -> String {
+    let line = canonical.lines().find(|l| l.starts_with("const ")).expect("design has a constant");
+    let (head, value) = line.rsplit_once("= ").expect("const <name> = <value>");
+    let bumped = format!("{head}= {}", value.parse::<i64>().unwrap() + 1);
+    canonical.replacen(line, &bumped, 1)
+}
+
+#[test]
+fn a_design_first_seeded_warm_runs_cold_once_then_hits() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut conn = connect(&server);
+    let allocate = |conn: &mut Connection, text: &str| {
+        let response = conn
+            .call(&Json::obj(vec![
+                ("cmd", Json::Str("allocate".into())),
+                ("cdfg", Json::Str(text.into())),
+                ("seed", Json::Int(1)),
+                ("restarts", Json::Int(2)),
+                ("threads", Json::Int(1)),
+            ]))
+            .expect("round trip");
+        assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"), "{response}");
+        response
+    };
+    // The cache's counters, checking on every read that the sketch index
+    // holds no more buckets than the cache holds jobs.
+    let cache_stats = |conn: &mut Connection| {
+        let stats = send_json(conn, r#"{"cmd":"stats"}"#);
+        let stats = stats.get("stats").unwrap();
+        let cache = stats.get("cache").unwrap();
+        let count = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+        let (entries, sketches) = (count("entries"), count("sketches"));
+        assert!(sketches <= entries, "{sketches} sketch buckets for {entries} entries");
+        (stats.get("completed").and_then(Json::as_u64).unwrap(), entries, sketches)
+    };
+    let warm_start = |response: &Json| response.get("report").unwrap().get("warm_start").cloned();
+    let id = |response: &Json| response.get("id").and_then(Json::as_str).unwrap().to_string();
+
+    // E, then D: a one-op edit of E, seeded warm from E's winner.
+    let e_text = resolve_graph(&GraphSource::Bench("ewf".into())).unwrap().canonical_text();
+    let e = allocate(&mut conn, &e_text);
+    assert!(warm_start(&e).is_none(), "nothing to seed the first job from");
+    let d_text = flipped_variant(&e_text);
+    let d1 = allocate(&mut conn, &d_text);
+    let seeded = warm_start(&d1).expect("D is seeded from E");
+    assert_eq!(seeded.get("source").and_then(Json::as_str), Some(id(&e).as_str()));
+    assert!(seeded.get("distance").and_then(Json::as_u64).unwrap() > 0);
+    let (completed, entries, sketches) = cache_stats(&mut conn);
+    assert_eq!((entries, sketches), (2, 2));
+
+    // Resubmitting D finds D's own warm entry at distance 0, which never
+    // seeds its own design: one cold job under a new key.
+    let d2 = allocate(&mut conn, &d_text);
+    assert!(warm_start(&d2).is_none(), "{d2}");
+    assert_ne!(id(&d2), id(&d1), "the cold run is a different job");
+    let (after, entries, sketches) = cache_stats(&mut conn);
+    assert_eq!(after, completed + 1, "the second submission runs once");
+    assert_eq!((entries, sketches), (3, 2), "D's warm and cold jobs share one bucket");
+
+    // The third submission replays the cold entry byte-identically.
+    let d3 = allocate(&mut conn, &d_text);
+    assert_eq!(d3.to_string_compact(), d2.to_string_compact());
+    assert_eq!(cache_stats(&mut conn).0, after, "a hit runs nothing");
+
+    // A const-edit twin has the same sketch and a different graph: it is
+    // seeded warm from the cached base at distance 0.
+    let base_text = resolve_graph(&GraphSource::Bench("pid".into())).unwrap().canonical_text();
+    let twin_text = const_edited(&base_text);
+    let base_graph = parse_cdfg(&base_text).unwrap();
+    let twin_graph = parse_cdfg(&twin_text).unwrap();
+    assert_ne!(base_graph, twin_graph);
+    assert_eq!(Sketch::of(&base_graph), Sketch::of(&twin_graph));
+    let base = allocate(&mut conn, &base_text);
+    let twin = allocate(&mut conn, &twin_text);
+    let seeded = warm_start(&twin).expect("the twin is seeded from its base");
+    assert_eq!(seeded.get("source").and_then(Json::as_str), Some(id(&base).as_str()));
+    assert_eq!(seeded.get("distance").and_then(Json::as_u64), Some(0));
+    let (_, entries, sketches) = cache_stats(&mut conn);
+    assert_eq!((entries, sketches), (5, 3), "the twins share one bucket");
+    server.shutdown();
+}
