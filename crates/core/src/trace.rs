@@ -561,7 +561,9 @@ impl MoveTrace {
         let searched_cost = field("searched")?;
         let final_cost = field("final")?;
         let n = field("n")? as usize;
-        let mut steps = Vec::with_capacity(n);
+        // `n` is untrusted: preallocate no more steps than the text can
+        // hold (each takes a separator and at least one character).
+        let mut steps = Vec::with_capacity(n.min(text.len() / 2));
         for tok in toks {
             if tok == "!" {
                 steps.push(TraceStep::Restore);
@@ -839,6 +841,8 @@ mod tests {
             "salsa-trace/1 base=1 slot=0 seed=1 init=1 searched=1 final=1 n=1 Q9:1@2",
             "salsa-trace/1 base=1 slot=0 seed=1 init=1 searched=1 final=1 n=1 R4:1,2",
             "salsa-trace/1 base=1 slot=0 seed=1 init=1 searched=1 final=1 n=1 F4:x,1@2",
+            // A step count no text can hold must not size an allocation.
+            "salsa-trace/1 base=1 slot=0 seed=1 init=1 searched=1 final=0 n=1000000000000 !",
         ] {
             assert!(
                 matches!(MoveTrace::decode(bad), Err(TraceError::Malformed { .. })),

@@ -8,7 +8,7 @@
 //!   **pipelined** units (the paper's §5 hardware assumptions: 1-step
 //!   adders, 2-step multipliers, pipelined multipliers with an initiation
 //!   interval of one step),
-//! * [`asap`]/[`alap`] analysis and [`mobility`],
+//! * [`asap`] analysis (earliest issue steps, critical-path length),
 //! * resource-constrained **list scheduling** ([`list_schedule`]),
 //! * time-constrained **force-directed scheduling** ([`fds_schedule`],
 //!   Paulin/Knight style) used to generate the Table 2/3 schedules, which
@@ -47,7 +47,7 @@ mod list;
 mod schedule;
 mod topology;
 
-pub use asap_alap::{alap, asap, mobility, AsapResult};
+pub use asap_alap::{asap, AsapResult};
 pub use error::SchedError;
 pub use fds::{fds_schedule, fds_schedule_with, FdsOptions};
 pub use fu::{FuClass, FuLibrary, FuSpec};

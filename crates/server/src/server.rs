@@ -578,7 +578,7 @@ fn verifier_loop(shared: &Arc<Shared>) {
 /// with the job's seed and certification under the job's key, and sent.
 fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
     let started = Instant::now();
-    let (cert, artifact) = match certify_job(&job.artifact, &job.knobs, &job.report) {
+    let (verdict, trace, artifact) = match certify_job(&job.artifact, &job.knobs, &job.report) {
         Ok(certified) => certified,
         Err(err) => {
             shared.vstats.record_failed(started.elapsed());
@@ -586,7 +586,7 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
             return;
         }
     };
-    let certificate = certificate_json(&cert, started.elapsed().as_secs_f64() * 1e3);
+    let certificate = certificate_json(&verdict, &trace, started.elapsed().as_secs_f64() * 1e3);
     let mut report = job.report;
     if let Json::Obj(pairs) = &mut report {
         pairs.push(("certificate".to_string(), certificate));
@@ -594,7 +594,7 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
     let key = job.seed.key;
     let body = payload(ok_response_keyed(report, key));
     let cert = CertEntry {
-        trace_id: cert.trace.fingerprint(),
+        trace_id: trace.fingerprint(),
         admission: job.artifact,
         knobs: job.knobs,
         slot: artifact.slot,
@@ -681,7 +681,7 @@ mod tests {
         let artifact = traced.get("artifact").expect("artifact");
         assert_eq!(
             artifact.get("format").and_then(Json::as_str),
-            Some(salsa_audit::ARTIFACT_FORMAT)
+            Some(crate::verifier::ARTIFACT_FORMAT)
         );
         let mut canonical = report.clone();
         if let Json::Obj(pairs) = &mut canonical {
@@ -765,20 +765,10 @@ mod tests {
 
         let traced = roundtrip(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
         assert_eq!(traced.get("status").and_then(Json::as_str), Some("ok"));
-        let artifact =
-            salsa_audit::TraceArtifact::from_json(traced.get("artifact").unwrap()).unwrap();
-        let trace = artifact.decode_trace().expect("the served trace decodes");
-        assert_eq!(crate::verifier::trace_id_hex(trace.fingerprint()), trace_id);
-        let graph = salsa_cdfg::parse_cdfg(&artifact.design).unwrap();
-        let knobs = crate::protocol::knobs_from_json(&artifact.knobs).unwrap();
-        let job = crate::exec::plan_job(&graph, &knobs).unwrap();
-        let replayed = job
-            .with_replay_env(&graph, |ctx, config| {
-                salsa_alloc::replay_trace(ctx, config, &trace).map(|binding| binding.breakdown())
-            })
-            .unwrap();
-        assert!(replayed.is_ok(), "the served trace replays: {replayed:?}");
-        assert_eq!(trace.final_cost, artifact.cost);
+        // The served artifact passes offline audit: its trace replays to
+        // a certified binding and the job re-runs to the same report.
+        let audited = crate::verifier::audit(&traced).expect("the served artifact audits");
+        assert_eq!(crate::verifier::trace_id_hex(audited.trace_id), trace_id);
         server.shutdown();
     }
 

@@ -1,12 +1,14 @@
 //! End-to-end service tests over real sockets: concurrent jobs, the
 //! content-addressed cache (byte-identical replay, observable only via
 //! the stats counters), per-job deadlines that do not poison their
-//! worker, queue-overflow backpressure, and graceful shutdown.
+//! worker, queue-overflow backpressure, graceful shutdown, and offline
+//! audit of a certificate fetched over the wire.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use salsa_serve::{parse_json, Json, Server, ServerConfig};
+use salsa_serve::verifier::audit;
+use salsa_serve::{parse_json, trace_id_hex, ErrorKind, Json, Server, ServerConfig};
 use salsa_wire::{Connection, Protocol};
 
 fn connect_to(addr: SocketAddr) -> Connection {
@@ -245,4 +247,61 @@ fn queue_overflow_yields_backpressure_rejection() {
     assert!(stat_u64(&snapshot, &["rejected"]) >= 1);
     assert_eq!(stat_u64(&snapshot, &["accepted"]), 2);
     server.shutdown();
+}
+
+/// A copy of the object `doc` with `key`'s value replaced.
+fn with_field(doc: &Json, key: &str, value: Json) -> Json {
+    let Json::Obj(pairs) = doc else { panic!("not an object: {doc}") };
+    let replaced = |k: &String, v: &Json| if k == key { value.clone() } else { v.clone() };
+    Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), replaced(k, v))).collect())
+}
+
+#[test]
+fn a_certified_artifact_fetched_over_the_wire_audits_offline() {
+    // The job CI's audit smoke dumps, fetched the way `submit
+    // --dump-trace` fetches it: the wire `trace` command.
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut conn = connect(&server);
+    let response = send_json(
+        &mut conn,
+        r#"{"cmd":"allocate","bench":"ewf","seed":1,"restarts":2,"threads":2,"verify":"full"}"#,
+    );
+    let report = response.get("report").expect("report");
+    let certificate = report.get("certificate").expect("certificate");
+    assert_eq!(certificate.get("verdict").and_then(Json::as_str), Some("certified"));
+    let trace_id = certificate.get("trace_id").and_then(Json::as_str).unwrap();
+    let traced = send_json(&mut conn, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
+    server.shutdown();
+    let artifact = traced.get("artifact").expect("artifact");
+
+    // No server: the trace replays to a certified binding and the job
+    // re-runs to the artifact's canonical report.
+    let audited = audit(artifact).expect("the certified artifact audits");
+    assert_eq!(trace_id_hex(audited.trace_id), trace_id);
+    assert_eq!(Some(audited.cost), report.get("cost").and_then(Json::as_u64));
+    assert_eq!(Some(audited.commits as u64), certificate.get("commits").and_then(Json::as_u64));
+    let canonical = artifact.get("report").and_then(Json::as_str).unwrap();
+    assert_eq!(audited.report_bytes, canonical.len());
+
+    // Tampered copies are structured audit errors, never panics: a
+    // wrong cost, a first step that merges the primal chain (slot 0,
+    // which no search proposes), and a step count no text can hold.
+    let trace = artifact.get("trace").and_then(Json::as_str).unwrap();
+    let tokens: Vec<&str> = trace.split(' ').collect();
+    let n_at = tokens.iter().position(|t| t.starts_with("n=")).unwrap();
+    assert!(tokens.len() > n_at + 1, "the search commits at least one step");
+    let retraced = |at: usize, token: &str| {
+        let mut tokens = tokens.clone();
+        tokens[at] = token;
+        with_field(artifact, "trace", Json::Str(tokens.join(" ")))
+    };
+    for (what, tampered, why) in [
+        ("cost", with_field(artifact, "cost", Json::Int(1)), "disagrees"),
+        ("primal merge", retraced(n_at + 1, "R6:0,0,b@1"), "trace replay failed"),
+        ("huge n", retraced(n_at, "n=1000000000000"), "artifact trace"),
+    ] {
+        let err = audit(&tampered).expect_err(what);
+        assert_eq!(err.kind, ErrorKind::Audit, "{what}: {}", err.message);
+        assert!(err.message.contains(why), "{what}: {}", err.message);
+    }
 }

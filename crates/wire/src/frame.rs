@@ -16,7 +16,6 @@
 //! one [`Json`] document with a lazily cached binary rendering, so a
 //! byte-replay cache serves stored bytes without re-encoding.
 
-use std::io::{self, BufRead, Write};
 use std::sync::OnceLock;
 
 use crate::binary::{self, CodecError};
@@ -35,24 +34,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// memory no matter what a peer claims.
 pub const MAX_FRAME: usize = 32 << 20;
 
-/// Writes one binary frame: `varint(total) varint(id) body`, flushed.
-/// `body` is the [`binary`] encoding of one document (see
-/// [`Payload::bin`] for the cached render).
-pub fn write_frame<W: Write>(writer: &mut W, id: u64, body: &[u8]) -> io::Result<()> {
-    let mut head = Vec::with_capacity(20);
-    binary::write_varint(&mut head, id);
-    let id_len = head.len();
-    let mut prefix = Vec::with_capacity(10);
-    binary::write_varint(&mut prefix, (id_len + body.len()) as u64);
-    writer.write_all(&prefix)?;
-    writer.write_all(&head)?;
-    writer.write_all(body)?;
-    writer.flush()
-}
-
-/// Appends one binary frame to an in-memory buffer (the poll loop's write
-/// path: no flush semantics, the loop drains the buffer as the socket
-/// accepts it).
+/// Appends one binary frame, `varint(total) varint(id) body`, to an
+/// in-memory buffer. `body` is the [`binary`] encoding of one document
+/// (see [`Payload::bin`] for the cached render). Both ends write through
+/// it: the poll loop drains its buffer as the socket accepts it, and a
+/// client writes the buffer whole.
 pub fn append_frame(out: &mut Vec<u8>, id: u64, body: &[u8]) {
     let mut head = Vec::with_capacity(20);
     binary::write_varint(&mut head, id);
@@ -61,71 +47,11 @@ pub fn append_frame(out: &mut Vec<u8>, id: u64, body: &[u8]) {
     out.extend_from_slice(body);
 }
 
-/// Blocking read of one binary frame: `Ok(None)` on a clean EOF at a
-/// frame boundary; oversized, truncated or undecodable frames surface as
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<(u64, Json)>> {
-    let Some(len) = read_varint_stream(reader, true)? else {
-        return Ok(None);
-    };
-    if len as usize > MAX_FRAME {
-        return Err(invalid(format!("frame length {len} exceeds MAX_FRAME {MAX_FRAME}")));
-    }
-    let mut body = vec![0u8; len as usize];
-    reader.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid("peer closed mid-frame")
-        } else {
-            e
-        }
-    })?;
-    let mut pos = 0usize;
-    let id = binary::read_varint(&body, &mut pos).map_err(|e| invalid(e.to_string()))?;
-    let doc = binary::decode_at(&body, &mut pos, 0).map_err(|e| invalid(e.to_string()))?;
-    if pos != body.len() {
-        return Err(invalid("trailing bytes after frame document"));
-    }
-    Ok(Some((id, doc)))
-}
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-/// Reads a varint byte-by-byte from a stream. With `eof_ok`, a clean EOF
-/// before the first byte returns `Ok(None)`; EOF mid-varint is always an
-/// error.
-fn read_varint_stream<R: BufRead>(reader: &mut R, eof_ok: bool) -> io::Result<Option<u64>> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && shift == 0 && eof_ok => {
-                return Ok(None);
-            }
-            Err(e) => return Err(e),
-        }
-        let b = byte[0];
-        if shift == 63 && b > 1 {
-            return Err(invalid("frame varint overflows u64"));
-        }
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(Some(value));
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(invalid("frame varint longer than 10 bytes"));
-        }
-    }
-}
-
-/// Scans an in-memory buffer for one complete binary frame (the poll
-/// loop's read path). Returns `Ok(None)` while the frame is still
-/// arriving, or `Ok(Some((consumed, id, doc)))` once whole. Errors are
-/// fatal to the connection (oversized length, corrupt body).
+/// Scans an in-memory buffer for one complete binary frame (the read
+/// path of both the poll loop and the client). Returns `Ok(None)` while
+/// the frame is still arriving, or `Ok(Some((consumed, id, doc)))` once
+/// whole. Errors are fatal to the connection (oversized length, corrupt
+/// body).
 pub fn split_frame(buf: &[u8]) -> Result<Option<(usize, u64, Json)>, CodecError> {
     let mut pos = 0usize;
     let len = match binary::read_varint(buf, &mut pos) {
@@ -191,21 +117,19 @@ impl std::fmt::Debug for Payload {
 mod tests {
     use super::*;
     use crate::json::parse_json;
-    use std::io::BufReader;
 
     #[test]
     fn binary_frames_roundtrip_with_ids() {
         let doc = parse_json(r#"{"cmd":"allocate","seed":42}"#).unwrap();
         let mut wire = Vec::new();
-        write_frame(&mut wire, 7, &crate::binary::encode(&doc)).unwrap();
-        write_frame(&mut wire, 300, &crate::binary::encode(&doc)).unwrap();
-        let mut reader = BufReader::new(std::io::Cursor::new(wire));
-        let (id1, d1) = read_frame(&mut reader).unwrap().unwrap();
-        let (id2, d2) = read_frame(&mut reader).unwrap().unwrap();
+        append_frame(&mut wire, 7, &crate::binary::encode(&doc));
+        append_frame(&mut wire, 300, &crate::binary::encode(&doc));
+        let (used1, id1, d1) = split_frame(&wire).unwrap().unwrap();
+        let (used2, id2, d2) = split_frame(&wire[used1..]).unwrap().unwrap();
         assert_eq!((id1, id2), (7, 300));
         assert_eq!(d1, doc);
         assert_eq!(d2, doc);
-        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+        assert_eq!(used1 + used2, wire.len(), "two frames, no trailing bytes");
     }
 
     #[test]

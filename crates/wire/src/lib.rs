@@ -23,21 +23,20 @@
 //! - [`net`] — the non-blocking poll-based server core (one I/O thread
 //!   over nonblocking sockets) that `salsa-serve` runs on, with
 //!   per-connection buffers, bounded in-flight limits and idle-timeout
-//!   eviction;
-//! - [`backoff`] — seeded, jittered exponential backoff for the
-//!   client's backpressure resubmission, deterministic per seed.
+//!   eviction.
+//!
+//! Both ends split incoming bytes into frames with one decoder,
+//! [`frame::split_frame`], and write frames with [`frame::append_frame`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backoff;
 pub mod binary;
 pub mod frame;
 pub mod json;
 pub mod net;
 pub mod proto;
 
-pub use backoff::Backoff;
 pub use frame::Payload;
 pub use json::{parse_json, Json, JsonError};
 pub use net::{Handler, NetConfig, NetMetrics, NetServer, ReplyHandle};

@@ -561,10 +561,9 @@ mod tests {
         doc.get("kind").and_then(Json::as_str)
     }
 
-    /// Binary is the only protocol left, so "side by side" is now two
-    /// binary clients on one server, each answered independently.
+    /// Two clients on one server, each answered independently.
     #[test]
-    fn serves_json_and_binary_clients_side_by_side() {
+    fn serves_two_clients_side_by_side() {
         let server = echo_server(None);
         let addr = server.local_addr().to_string();
         let request = parse_json(r#"{"cmd":"ping","n":1}"#).unwrap();
@@ -582,18 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_requests_come_back_in_order_per_protocol() {
+    fn pipelined_requests_come_back_in_order() {
         let server = echo_server(None);
         let addr = server.local_addr().to_string();
-        for protocol in [Protocol::Binary] {
-            let mut conn = Connection::connect(&addr, protocol).unwrap();
-            let ids: Vec<u64> = (0..8)
-                .map(|n| conn.send(&Json::Obj(vec![("n".into(), Json::Int(n))])).unwrap())
-                .collect();
-            for (n, id) in ids.iter().enumerate() {
-                let doc = conn.recv_for(*id).unwrap();
-                assert_eq!(doc.get("n").and_then(Json::as_i64), Some(n as i64));
-            }
+        let mut conn = Connection::connect(&addr, Protocol::Binary).unwrap();
+        let ids: Vec<u64> = (0..8)
+            .map(|n| conn.send(&Json::Obj(vec![("n".into(), Json::Int(n))])).unwrap())
+            .collect();
+        for (n, id) in ids.iter().enumerate() {
+            let doc = conn.recv_for(*id).unwrap();
+            assert_eq!(doc.get("n").and_then(Json::as_i64), Some(n as i64));
         }
         server.shutdown_flag().store(true, Ordering::SeqCst);
         server.join();
@@ -741,12 +738,11 @@ mod tests {
                 check_witness();
             }
         }
-        let mut reader = std::io::BufReader::new(slow);
-        let mut hello = [0u8; 3];
-        reader.read_exact(&mut hello).unwrap();
-        assert_eq!(hello[0], MAGIC);
-        let (id, echoed) = frame::read_frame(&mut reader).unwrap().expect("reply frame");
-        assert_eq!((id, echoed), (41, request));
+        slow.shutdown(std::net::Shutdown::Write).unwrap();
+        let reply = read_all(slow);
+        assert_eq!(reply[0], MAGIC);
+        let (consumed, id, echoed) = frame::split_frame(&reply[3..]).unwrap().expect("reply frame");
+        assert_eq!((consumed + 3, id, echoed), (reply.len(), 41, request));
 
         // A length prefix past MAX_FRAME: a flat bad-frame error, then close.
         let mut oversized = greeted(&server);

@@ -8,8 +8,10 @@
 //! [`send`] returns an id, [`recv_for`]/[`call`] deliver the matching
 //! response (stashing any other completions for their own waiters).
 //!
-//! A peer that does not echo the hello (it closes, or sends anything
-//! else) fails the connect with
+//! Bytes read off the socket collect in a buffer and are decoded with
+//! [`frame::split_frame`], the decoder the server core uses, so both
+//! ends split frames one way. A peer that does not echo the hello (it
+//! closes, or sends anything else) fails the connect with
 //! [`io::ErrorKind::InvalidData`] instead of hanging.
 //!
 //! Every connection counts its own traffic ([`WireCounts`]): socket
@@ -20,14 +22,12 @@
 //! [`recv_for`]: Connection::recv_for
 //! [`call`]: Connection::call
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::frame::{write_frame, MAGIC, MAX_FRAME, WIRE_VERSION};
+use crate::binary;
+use crate::frame::{self, MAGIC, MAX_FRAME, WIRE_VERSION};
 use crate::json::Json;
-use crate::{binary, frame};
 
 /// The wire protocol a [`Connection`] speaks. Binary frames are the only
 /// one; [`Connection::connect`] still takes it so its callers keep their
@@ -61,36 +61,24 @@ impl WireCounts {
     }
 }
 
-/// `Read` adapter that counts bytes as they come off the socket.
-#[derive(Debug)]
-struct CountRead {
-    inner: TcpStream,
-    count: Arc<AtomicU64>,
-}
-
-impl Read for CountRead {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.count.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-}
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// One reusable, pipelined client connection.
 #[derive(Debug)]
 pub struct Connection {
-    writer: TcpStream,
-    reader: BufReader<CountRead>,
+    stream: TcpStream,
+    /// Bytes read off the socket and not yet split into frames.
+    rbuf: Vec<u8>,
     next_id: u64,
     /// Outstanding request ids.
     pending: Vec<u64>,
     /// Responses that arrived for ids other than the one being awaited.
     stash: Vec<(u64, Json)>,
-    bytes_in: Arc<AtomicU64>,
-    bytes_out: u64,
-    frames_in: u64,
-    frames_out: u64,
-    scratch: Vec<u8>,
+    counts: WireCounts,
+    /// The request body being encoded, and its frame.
+    body: Vec<u8>,
+    wbuf: Vec<u8>,
 }
 
 impl Connection {
@@ -102,20 +90,15 @@ impl Connection {
         // delayed ACK (tens of ms per round trip); every connection in
         // the system is latency-bound, so opt out unconditionally.
         stream.set_nodelay(true)?;
-        let bytes_in = Arc::new(AtomicU64::new(0));
-        let reader =
-            BufReader::new(CountRead { inner: stream.try_clone()?, count: Arc::clone(&bytes_in) });
         let mut conn = Connection {
-            writer: stream,
-            reader,
+            stream,
+            rbuf: Vec::new(),
             next_id: 1,
             pending: Vec::new(),
             stash: Vec::new(),
-            bytes_in,
-            bytes_out: 0,
-            frames_in: 0,
-            frames_out: 0,
-            scratch: Vec::new(),
+            counts: WireCounts::default(),
+            body: Vec::new(),
+            wbuf: Vec::new(),
         };
         conn.hello()?;
         Ok(conn)
@@ -123,25 +106,44 @@ impl Connection {
 
     /// Sends the binary hello and checks the peer echoes one back.
     fn hello(&mut self) -> io::Result<()> {
-        self.writer.write_all(&[MAGIC, WIRE_VERSION, b'\n'])?;
-        self.writer.flush()?;
-        self.bytes_out += 3;
-        let mut first = [0u8; 1];
-        match self.reader.read_exact(&mut first) {
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(invalid("peer does not speak the binary protocol (closed on hello)"));
+        self.stream.write_all(&[MAGIC, WIRE_VERSION, b'\n'])?;
+        self.counts.bytes_out += 3;
+        loop {
+            match self.rbuf.first() {
+                Some(&first) if first != MAGIC => {
+                    return Err(invalid("peer does not speak the binary protocol"));
+                }
+                _ if self.rbuf.len() >= 3 => break,
+                _ => {}
             }
-            other => other?,
+            if self.fill()? == 0 {
+                return Err(invalid(if self.rbuf.is_empty() {
+                    "peer does not speak the binary protocol (closed on hello)"
+                } else {
+                    "malformed binary hello from peer"
+                }));
+            }
         }
-        if first[0] != MAGIC {
-            return Err(invalid("peer does not speak the binary protocol"));
-        }
-        let mut rest = [0u8; 2];
-        self.reader.read_exact(&mut rest)?;
-        if rest[1] != b'\n' || rest[0].min(WIRE_VERSION) == 0 {
+        if self.rbuf[2] != b'\n' || self.rbuf[1].min(WIRE_VERSION) == 0 {
             return Err(invalid("malformed binary hello from peer"));
         }
+        self.rbuf.drain(..3);
         Ok(())
+    }
+
+    /// Reads what the socket has into the buffer; returns the byte
+    /// count, 0 at end of stream.
+    fn fill(&mut self) -> io::Result<usize> {
+        let mut chunk = [0u8; READ_CHUNK];
+        let n = loop {
+            match self.stream.read(&mut chunk) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
+        self.rbuf.extend_from_slice(&chunk[..n]);
+        self.counts.bytes_in += n as u64;
+        Ok(n)
     }
 
     /// Number of requests sent and not yet answered.
@@ -151,46 +153,50 @@ impl Connection {
 
     /// Snapshot of this connection's traffic counters.
     pub fn counts(&self) -> WireCounts {
-        WireCounts {
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out,
-            frames_in: self.frames_in,
-            frames_out: self.frames_out,
-        }
+        self.counts
     }
 
     /// Sends one request without waiting; returns its correlation id.
     pub fn send(&mut self, message: &Json) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        self.scratch.clear();
-        binary::encode_into(message, &mut self.scratch);
-        if self.scratch.len() > MAX_FRAME {
+        self.body.clear();
+        binary::encode_into(message, &mut self.body);
+        if self.body.len() > MAX_FRAME {
             return Err(invalid("request exceeds MAX_FRAME"));
         }
-        let before = self.scratch.len();
-        let body = std::mem::take(&mut self.scratch);
-        write_frame(&mut self.writer, id, &body)?;
-        self.scratch = body;
-        // Frame overhead: length prefix + id varint.
-        self.bytes_out += before as u64 + varint_len(id) + varint_len(before as u64 + varint_len(id));
-        self.frames_out += 1;
+        self.wbuf.clear();
+        frame::append_frame(&mut self.wbuf, id, &self.body);
+        self.stream.write_all(&self.wbuf)?;
+        self.counts.bytes_out += self.wbuf.len() as u64;
+        self.counts.frames_out += 1;
         self.pending.push(id);
         Ok(id)
     }
 
     /// Blocks until the response for `id` arrives, stashing any other
-    /// completions for their own waiters.
+    /// completions for their own waiters. Oversized or undecodable
+    /// frames surface as [`io::ErrorKind::InvalidData`].
     pub fn recv_for(&mut self, id: u64) -> io::Result<Json> {
         if let Some(at) = self.stash.iter().position(|(sid, _)| *sid == id) {
             return Ok(self.stash.remove(at).1);
         }
         loop {
-            let (got, doc) = frame::read_frame(&mut self.reader)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying")
-            })?;
+            let Some((consumed, got, doc)) =
+                frame::split_frame(&self.rbuf).map_err(|e| invalid(e.to_string()))?
+            else {
+                if self.fill()? == 0 {
+                    return Err(if self.rbuf.is_empty() {
+                        io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying")
+                    } else {
+                        invalid("peer closed mid-frame")
+                    });
+                }
+                continue;
+            };
+            self.rbuf.drain(..consumed);
             self.pending.retain(|&p| p != got);
-            self.frames_in += 1;
+            self.counts.frames_in += 1;
             if got == id {
                 return Ok(doc);
             }
@@ -203,16 +209,6 @@ impl Connection {
         let id = self.send(message)?;
         self.recv_for(id)
     }
-}
-
-fn varint_len(value: u64) -> u64 {
-    let mut n = 1;
-    let mut v = value >> 7;
-    while v != 0 {
-        n += 1;
-        v >>= 7;
-    }
-    n
 }
 
 fn invalid(message: impl Into<String>) -> io::Error {
@@ -228,7 +224,7 @@ mod tests {
     /// A peer that reads one line and answers it with a JSON error line,
     /// or hangs up on the first byte, then closes: neither speaks the
     /// binary protocol.
-    fn line_peer(hang_up: bool) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    fn foreign_peer(hang_up: bool) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
@@ -247,7 +243,7 @@ mod tests {
     #[test]
     fn strict_binary_fails_against_a_line_server() {
         for hang_up in [false, true] {
-            let (addr, handle) = line_peer(hang_up);
+            let (addr, handle) = foreign_peer(hang_up);
             let err = Connection::connect(&addr.to_string(), Protocol::Binary).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "hang_up={hang_up}: {err}");
             handle.join().unwrap();

@@ -7,19 +7,19 @@
 //! and downstream users need a single dependency:
 //!
 //! * [`cdfg`] — control/data flow graphs and benchmark designs,
-//! * [`sched`] — ASAP/ALAP, list and force-directed scheduling,
+//! * [`sched`] — ASAP, list and force-directed scheduling,
 //! * [`datapath`] — datapath model, interconnect cost, mux merging,
 //!   verification,
 //! * [`alloc`] — the SALSA extended binding model and allocator (the
 //!   paper's contribution),
-//! * [`audit`] — verification as a service: move-trace certificates,
-//!   record/replay re-derivation of results, portable trace artifacts,
 //! * [`rtlgen`] — structural Verilog export of allocated datapaths,
 //! * [`serve`] — the TCP allocation service (bounded job queue,
 //!   content-addressed result cache, worker pool with per-job
-//!   deadlines) and the JSON report serializer,
+//!   deadlines), the JSON report serializer, and the certificate
+//!   pipeline: move-trace certification, portable trace artifacts and
+//!   offline audit ([`serve::verifier`]),
 //! * [`wire`] — the service's wire layer (JSON model, binary frames,
-//!   the poll-based server core, seeded retry backoff).
+//!   client connections, the poll-based server core).
 //!
 //! # Quickstart
 //!
@@ -39,7 +39,6 @@
 //! ```
 
 pub use salsa_alloc as alloc;
-pub use salsa_audit as audit;
 pub use salsa_cdfg as cdfg;
 pub use salsa_rtlgen as rtlgen;
 pub use salsa_datapath as datapath;

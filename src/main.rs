@@ -27,7 +27,7 @@ use salsa_hls::rtlgen::{control_table, generate_testbench, generate_verilog, Ver
 use salsa_hls::sched::{asap, FuClass, FuLibrary};
 use salsa_hls::serve::{
     canonicalize_report, check_threads, knobs_to_json, parse_verify, plan_job, resolve_graph,
-    ErrorKind, GraphSource, Json, JobPlan, Knobs, Server, ServerConfig,
+    trace_id_hex, verifier, ErrorKind, GraphSource, Json, JobPlan, Knobs, Server, ServerConfig,
 };
 use salsa_hls::wire::{Connection, Protocol};
 
@@ -87,7 +87,6 @@ usage:
                      [--threads T] [--pipelined]
                      [--traditional] [--verify off|sample|full]
                      [--dump-trace PATH] [--timeout-ms MS] [--pretty]
-                     [--retry N]
   salsa-hls submit   [--addr HOST:PORT] (--ping | --stats | --shutdown)
   salsa-hls reallocate --base JOB_ID [--addr HOST:PORT]
                      (--bench NAME | <file.cdfg>) [submit knobs...]
@@ -110,9 +109,8 @@ serve starts the allocation service (default 127.0.0.1:7741, port 0
 picks a free port) and runs until a shutdown command drains it. It
 speaks length-prefixed binary frames opened by a client hello (see
 DESIGN.md section 12). submit sends one request and prints the response
-document as compact JSON, the serializer --json reports use. --retry N retries backpressure rejections and transient
-connection failures up to N times; any other error is final and is
-reported at once.
+document as compact JSON, the serializer --json reports use. A
+backpressure rejection exits 1 with the server's retry hint.
 
 submit --verify full asks the server to certify the result on its
 verifier lane (own worker pool, --verify-workers): the winning chain's
@@ -150,8 +148,8 @@ way, and warm and cold runs never share a result-cache entry.
 
 /// Flags of removed options. They fail loudly instead of being skipped,
 /// which would silently change the job — and `--batch K`,
-/// `--protocol P` or `--backend B` would leave their value behind to be
-/// read as the design path.
+/// `--protocol P`, `--backend B` or `--retry N` would leave their value
+/// behind to be read as the design path.
 const REMOVED_FLAGS: &[(&str, &str)] = &[
     ("--batch", "the speculative batch engine is gone; the search applies one move at a time"),
     ("--no-plan", "the compiled move plan is always on"),
@@ -159,6 +157,7 @@ const REMOVED_FLAGS: &[(&str, &str)] = &[
     ("--backend", "the distributed backend is gone; the service runs every job in-process"),
     ("--cluster-listen", "the distributed backend is gone; the service runs every job in-process"),
     ("--cutoff", "every restart chain runs to completion"),
+    ("--retry", "submit sends one request; resubmit a rejected job yourself"),
 ];
 
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
@@ -394,86 +393,31 @@ fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {
 fn submit(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string());
     let request = build_submit_request(args)?;
-
-    // --retry N retries up to N times (N+1 total attempts), with seeded
-    // jittered exponential backoff floored at the server's
-    // retry_after_ms hint. Only backpressure rejections and transient
-    // connection failures are retried; a structured server error is
-    // final and reported on the first occurrence. Default 0: one
-    // attempt, as before.
-    let retries: u32 = flag_parse(args, "--retry")?.unwrap_or(0);
-    let mut backoff = salsa_hls::wire::Backoff::new(
-        0x5a15_a5abu64 ^ u64::from(std::process::id()),
-        std::time::Duration::from_millis(25),
-        std::time::Duration::from_secs(5),
-    );
-    // The connection is reused across retries (backpressure does not
-    // cost a reconnect); it is only reopened after an I/O failure.
-    let mut conn: Option<Connection> = None;
-    let mut attempts_left = retries;
-    loop {
-        let exchanged = match &mut conn {
-            Some(open) => open.call(&request).map_err(|e| format!("{addr}: {e}")),
-            None => Connection::connect(&addr, Protocol::Binary)
-                .map_err(|e| format!("{addr}: {e} (is 'salsa-hls serve' running?)"))
-                .and_then(|mut fresh| {
-                    let reply = fresh.call(&request).map_err(|e| format!("{addr}: {e}"));
-                    conn = Some(fresh);
-                    reply
-                }),
-        };
-        let parsed = match exchanged {
-            Ok(parsed) => parsed,
-            Err(message) => {
-                conn = None;
-                if attempts_left == 0 {
-                    return Err(message);
-                }
-                attempts_left -= 1;
-                let delay = backoff.next_delay();
-                eprintln!(
-                    "{message}; retrying in {} ms ({attempts_left} attempts left)",
-                    delay.as_millis()
-                );
-                std::thread::sleep(delay);
-                continue;
+    let mut conn = Connection::connect(&addr, Protocol::Binary)
+        .map_err(|e| format!("{addr}: {e} (is 'salsa-hls serve' running?)"))?;
+    let parsed = conn.call(&request).map_err(|e| format!("{addr}: {e}"))?;
+    if has_flag(args, "--pretty") {
+        println!("{}", parsed.to_string_pretty());
+    } else {
+        println!("{}", parsed.to_string_compact());
+    }
+    match parsed.get("status").and_then(Json::as_str) {
+        Some("ok") => {
+            if let Some(path) = flag_value(args, "--dump-trace")? {
+                dump_trace(&mut conn, &parsed, &path)?;
             }
-        };
-        if parsed.get("status").and_then(Json::as_str) == Some("rejected") && attempts_left > 0 {
-            attempts_left -= 1;
-            let hint = parsed.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(100);
-            let delay = backoff.next_delay().max(std::time::Duration::from_millis(hint));
-            eprintln!(
-                "rejected with backpressure; retrying in {} ms ({attempts_left} attempts left)",
-                delay.as_millis()
-            );
-            std::thread::sleep(delay);
-            continue;
+            Ok(())
         }
-        if has_flag(args, "--pretty") {
-            println!("{}", parsed.to_string_pretty());
-        } else {
-            println!("{}", parsed.to_string_compact());
+        Some("rejected") => {
+            let hint = parsed.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(0);
+            Err(format!("rejected with backpressure (retry after {hint} ms)"))
         }
-        return match parsed.get("status").and_then(Json::as_str) {
-            Some("ok") => {
-                if let Some(path) = flag_value(args, "--dump-trace")? {
-                    let open = conn.as_mut().expect("an ok response came over a connection");
-                    dump_trace(open, &parsed, &path)?;
-                }
-                Ok(())
-            }
-            Some("rejected") => {
-                let hint = parsed.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(0);
-                Err(format!("rejected with backpressure (retry after {hint} ms)"))
-            }
-            Some("error") => {
-                let kind = parsed.get("kind").and_then(Json::as_str).unwrap_or("?");
-                let message = parsed.get("message").and_then(Json::as_str).unwrap_or("");
-                Err(format!("server error [{kind}]: {message}"))
-            }
-            other => Err(format!("unexpected response status {other:?}")),
-        };
+        Some("error") => {
+            let kind = parsed.get("kind").and_then(Json::as_str).unwrap_or("?");
+            let message = parsed.get("message").and_then(Json::as_str).unwrap_or("");
+            Err(format!("server error [{kind}]: {message}"))
+        }
+        other => Err(format!("unexpected response status {other:?}")),
     }
 }
 
@@ -502,11 +446,8 @@ fn dump_trace(conn: &mut Connection, response: &Json, path: &str) -> Result<(), 
     Ok(())
 }
 
-/// Offline audit of a dumped trace artifact: decode, replay the trace
-/// move-by-move against the embedded canonical design (full cost
-/// cross-checks), verify the re-derived binding symbolically, then
-/// re-run the whole allocation and byte-diff the reproduced canonical
-/// report against the one the artifact certifies.
+/// Offline audit of a dumped trace artifact ([`verifier::audit`]):
+/// replay, symbolic verification, re-run and canonical report diff.
 fn audit(args: &[String]) -> Result<(), String> {
     let path = args
         .get(1)
@@ -515,49 +456,16 @@ fn audit(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = salsa_hls::serve::parse_json(text.trim())
         .map_err(|e| format!("{path}: invalid JSON: {e:?}"))?;
-    // Accept both the bare artifact and a saved `trace` response.
-    let doc = doc.get("artifact").cloned().unwrap_or(doc);
-    let artifact =
-        salsa_hls::audit::TraceArtifact::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
-
-    let graph = parse_cdfg(&artifact.design).map_err(|e| format!("artifact design: {e}"))?;
-    let knobs = salsa_hls::serve::knobs_from_json(&artifact.knobs)
-        .map_err(|e| format!("artifact knobs: {}", e.message))?;
-    let trace = artifact.decode_trace().map_err(|e| format!("artifact trace: {e}"))?;
-    let trace_id = salsa_hls::serve::trace_id_hex(trace.fingerprint());
-
-    let verdict = plan_job(&graph, &knobs)
-        .and_then(|job| {
-            job.with_replay_env(&graph, |ctx, config| {
-                salsa_hls::audit::replay_and_verify(ctx, config, &trace, artifact.cost)
-                    .map(|(_, verdict)| verdict)
-            })
-        })
-        .map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?
-        .map_err(|e| e.to_string())?;
+    let audited = verifier::audit(&doc)
+        .map_err(|e| format!("{path}: [{}] {}", e.kind.as_str(), e.message))?;
     println!(
-        "trace {trace_id}: replayed {} commits at cost {}; symbolic verdict: {verdict}",
-        trace.commits(),
-        artifact.cost
+        "trace {}: replayed {} commits at cost {}; symbolic verdict: certified",
+        trace_id_hex(audited.trace_id),
+        audited.commits,
+        audited.cost
     );
-    if !verdict.is_certified() {
-        return Err(format!("replayed binding was refuted: {verdict}"));
-    }
-
-    // Independent reproduction: the full search from the artifact's
-    // knobs must land on the byte-identical canonical report.
-    let mut report = salsa_hls::serve::run_allocation(&graph, &knobs, None)
-        .map_err(|e| format!("[{}] {}", e.kind.as_str(), e.message))?;
-    canonicalize_report(&mut report);
-    let reproduced = report.to_string_compact();
-    if reproduced == artifact.report {
-        println!("report: identical ({} bytes, canonical form)", reproduced.len());
-        Ok(())
-    } else {
-        eprintln!("reproduced: {reproduced}");
-        eprintln!("artifact:   {}", artifact.report);
-        Err("reproduced canonical report differs from the artifact's".to_string())
-    }
+    println!("report: identical ({} bytes, canonical form)", audited.report_bytes);
+    Ok(())
 }
 
 /// The first token after `submit` that is neither a flag nor the value
@@ -565,7 +473,7 @@ fn audit(args: &[String]) -> Result<(), String> {
 fn submit_positional(args: &[String]) -> Option<&String> {
     const VALUE_FLAGS: &[&str] = &[
         "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
-        "--timeout-ms", "--retry", "--verify", "--dump-trace", "--base",
+        "--timeout-ms", "--verify", "--dump-trace", "--base",
     ];
     let mut i = 1;
     while i < args.len() {
@@ -586,7 +494,7 @@ fn build_submit_request(args: &[String]) -> Result<Json, String> {
         }
     }
     // `salsa-hls reallocate` shares submit's whole pipeline (connection,
-    // retries, knob flags); it only swaps the verb and adds the base id.
+    // knob flags); it only swaps the verb and adds the base id.
     let realloc = args.first().is_some_and(|a| a == "reallocate");
     let verb = if realloc { "reallocate" } else { "allocate" };
     let mut pairs = vec![("cmd".to_string(), Json::Str(verb.to_string()))];
